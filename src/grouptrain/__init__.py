@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .data import (
     Dataset,
-    Example,
     GroupId,
     SyntheticSpec,
     generate_synthetic,

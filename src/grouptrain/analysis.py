@@ -54,10 +54,10 @@ def group_metrics(predictions: np.ndarray, data: Dataset) -> GroupMetrics:
     if len(preds) != len(data):
         raise InputError("one prediction per example required")
     correct = preds == data.labels
-    per_group: dict[GroupId, GroupAccuracy] = {}
-    for g in data.groups_present():
-        mask = (data.attributes == g.attribute) & (data.labels == g.label)
-        per_group[g] = GroupAccuracy(int(mask.sum()), float(correct[mask].mean()))
+    groups, codes, counts = data.group_index()
+    accuracy = np.bincount(codes[correct], minlength=len(groups)) / counts
+    per_group = {g: GroupAccuracy(int(counts[i]), float(accuracy[i]))
+                 for i, g in enumerate(groups)}
     worst = min(per_group, key=lambda g: (per_group[g].accuracy, g))
     return GroupMetrics(
         per_group=per_group,
@@ -98,24 +98,32 @@ def _error_indices(error_set) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64).ravel()
 
 
+def _error_counts(error_set, train: Dataset,
+                  caller: str) -> tuple[dict[GroupId, tuple[int, int]], int]:
+    """(examples, error-set members) per group present, in sorted group
+    order, and the error-set size."""
+    if not train.has_group_annotations:
+        raise InputError(f"{caller} needs a group-annotated training set")
+    idx = _error_indices(error_set)
+    groups, codes, counts = train.group_index()
+    hits = np.bincount(codes[idx], minlength=len(groups))
+    return dict(zip(groups, zip(counts.tolist(), hits.tolist()))), len(idx)
+
+
 def error_set_stats(error_set, train: Dataset, target: GroupId) -> ErrorSetStats:
     """Precision / recall / empirical rate / enrichment of `error_set` for
     `target` over an annotated training set."""
-    if not train.has_group_annotations:
-        raise InputError("error_set_stats needs a group-annotated training set")
-    idx = _error_indices(error_set)
+    per_group, e_size = _error_counts(error_set, train, "error_set_stats")
     target = GroupId(*target)
-    in_group = (train.attributes == target.attribute) & (train.labels == target.label)
-    n_target = int(in_group.sum())
-    hits = int(in_group[idx].sum()) if len(idx) else 0
+    n_target, hits = per_group.get(target, (0, 0))
     empirical_rate = n_target / len(train)
-    if len(idx) == 0:
+    if e_size == 0:
         precision, undefined = 0.0, True
     else:
-        precision, undefined = hits / len(idx), False
+        precision, undefined = hits / e_size, False
     recall = hits / n_target if n_target else float("nan")
     enrichment = precision / empirical_rate if empirical_rate > 0 else float("nan")
-    return ErrorSetStats(target, len(idx), precision, recall, empirical_rate,
+    return ErrorSetStats(target, e_size, precision, recall, empirical_rate,
                          enrichment, undefined)
 
 
@@ -140,24 +148,17 @@ class EnrichmentTable:
 def enrichment_table(error_set, train: Dataset) -> EnrichmentTable:
     """Enrichment and error-set share for every group of the attribute x label
     product; combinations absent from the data are listed as missing."""
-    if not train.has_group_annotations:
-        raise InputError("enrichment_table needs a group-annotated training set")
-    idx = _error_indices(error_set)
-    e_size = len(idx)
-    rows, missing = [], []
-    for a in np.unique(train.attributes):
-        for y in np.unique(train.labels):
-            g = GroupId(int(a), int(y))
-            mask = (train.attributes == g.attribute) & (train.labels == g.label)
-            count = int(mask.sum())
-            if count == 0:
-                missing.append(g)
-                continue
-            rate = count / len(train)
-            hits = int(mask[idx].sum()) if e_size else 0
-            share = hits / e_size if e_size else 0.0
-            rows.append(EnrichmentRow(g, count, rate, hits, share, share / rate))
+    per_group, e_size = _error_counts(error_set, train, "enrichment_table")
+    rows = []
+    for g, (count, hits) in per_group.items():
+        rate = count / len(train)
+        share = hits / e_size if e_size else 0.0
+        rows.append(EnrichmentRow(g, count, rate, hits, share, share / rate))
     rows.sort(key=lambda r: (-r.enrichment, r.group))
+    missing = [GroupId(a, y)
+               for a in sorted({g.attribute for g in per_group})
+               for y in sorted({g.label for g in per_group})
+               if (a, y) not in per_group]
     if missing:
         names = ", ".join(f"(a={g.attribute}, y={g.label})" for g in missing)
         warnings.warn(f"group(s) {names} absent from {train.name!r}; omitted",

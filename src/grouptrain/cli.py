@@ -123,11 +123,9 @@ def _dataset_block(datasets: dict[str, Dataset]) -> dict:
         entry = {"examples": len(ds), "features": ds.n_features,
                  "annotated": ds.has_group_annotations, "fingerprint": fingerprint(ds)}
         if ds.has_group_annotations:
-            entry["groups"] = [
-                {"attribute": g.attribute, "label": g.label,
-                 "count": int(((ds.attributes == g.attribute) & (ds.labels == g.label)).sum())}
-                for g in ds.groups_present()
-            ]
+            groups, _, counts = ds.group_index()
+            entry["groups"] = [{"attribute": g.attribute, "label": g.label, "count": int(n)}
+                               for g, n in zip(groups, counts)]
         block[split] = entry
     return block
 

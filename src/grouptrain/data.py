@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,13 +25,6 @@ class GroupId(NamedTuple):
 
     attribute: int
     label: int
-
-
-@dataclass(frozen=True, eq=False)
-class Example:
-    features: np.ndarray
-    label: int
-    group: GroupId | None
 
 
 class Dataset:
@@ -67,6 +60,7 @@ class Dataset:
         self.labels = y
         self.attributes = a
         self.name = str(name)
+        self._group_index: tuple[tuple[GroupId, ...], np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -78,15 +72,6 @@ class Dataset:
     @property
     def has_group_annotations(self) -> bool:
         return self.attributes is not None
-
-    def __getitem__(self, i: int) -> Example:
-        group = None
-        if self.attributes is not None:
-            group = GroupId(int(self.attributes[i]), int(self.labels[i]))
-        return Example(self.features[i], int(self.labels[i]), group)
-
-    def __iter__(self) -> Iterator[Example]:
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -103,16 +88,28 @@ class Dataset:
 
     def group_ids(self) -> list[GroupId]:
         """Per-example groups, in example order."""
-        if self.attributes is None:
-            raise InputError(f"dataset {self.name!r} has no group annotations")
-        return [GroupId(int(a), int(y)) for a, y in zip(self.attributes, self.labels)]
+        groups, codes, _ = self.group_index()
+        return [groups[c] for c in codes]
 
     def groups_present(self) -> list[GroupId]:
         """Sorted distinct groups occurring in the data."""
+        return list(self.group_index()[0])
+
+    def group_index(self) -> tuple[tuple[GroupId, ...], np.ndarray, np.ndarray]:
+        """Sorted distinct groups; per example, the position of its group
+        among them; per group, its example count (read-only int64 arrays).
+        Computed once: the data never changes."""
         if self.attributes is None:
             raise InputError(f"dataset {self.name!r} has no group annotations")
-        pairs = np.unique(np.stack([self.attributes, self.labels], axis=1), axis=0)
-        return [GroupId(int(a), int(y)) for a, y in pairs]
+        if self._group_index is None:
+            pairs, codes = np.unique(np.stack([self.attributes, self.labels], axis=1),
+                                     axis=0, return_inverse=True)
+            codes = codes.ravel().astype(np.int64)
+            counts = np.bincount(codes, minlength=len(pairs))
+            codes.setflags(write=False)
+            counts.setflags(write=False)
+            self._group_index = (tuple(GroupId(int(a), int(y)) for a, y in pairs), codes, counts)
+        return self._group_index
 
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
         """New dataset holding the given rows, in the given order."""

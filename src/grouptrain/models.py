@@ -33,6 +33,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adopt(cls, **fields):
+    """A frozen dataclass from already valid, frozen fields: no __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Shape descriptor: input width, hidden widths (may be empty), classes."""
@@ -175,15 +183,16 @@ def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.nd
     raise AssertionError("unreachable")
 
 
-def forward_batch(model: Model, features: np.ndarray) -> np.ndarray:
-    """Per-label probabilities for a (n, input_dim) feature matrix."""
+def forward_batch(model: Model, features: np.ndarray, *, activations: bool = False):
+    """Per-label probabilities for a (n, input_dim) feature matrix; with
+    activations=True, (probabilities, per-layer activations) for `grad`."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
         raise InputError(
             f"features shape {x.shape} does not match input_dim {model.arch.input_dim}"
         )
-    probs, _ = _forward_cached(model, x)
-    return probs
+    cached = _forward_cached(model, x)
+    return cached if activations else cached[0]
 
 
 def forward(model: Model, features: np.ndarray) -> np.ndarray:
@@ -227,13 +236,15 @@ def loss(probs: np.ndarray, label: int, spec: LossSpec) -> float:
 
 
 def grad(model: Model, features: np.ndarray, labels: np.ndarray,
-         weights: np.ndarray, spec: LossSpec) -> np.ndarray:
+         weights: np.ndarray, spec: LossSpec,
+         forward: tuple[np.ndarray, list[np.ndarray]] | None = None) -> np.ndarray:
     """Gradient of sum_i weights[i] * loss(x_i, y_i) w.r.t. the flat params.
 
     The L2 term is the optimizer's job, not part of this gradient. Examples
     whose clamped label probability sits at the clamp floor contribute zero
     (the clamped loss is flat there), keeping this the exact derivative of
-    the loss actually computed.
+    the loss actually computed. `forward`, if given, is
+    ``forward_batch(model, features, activations=True)``: only backprop runs.
     """
     if spec.kind == ZERO_ONE:
         raise UnsupportedLossError("zero-one loss has no gradient")
@@ -244,12 +255,12 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     w = np.asarray(weights, dtype=np.float64).ravel()
     if len(w) != len(y) or len(y) != x.shape[0]:
         raise InputError("features, labels and weights must have equal length")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise InputError("weights must be non-negative")
 
-    probs, acts = _forward_cached(model, x)
-    n = x.shape[0]
-    p_label = probs[np.arange(n), y]
+    probs, acts = forward if forward is not None else _forward_cached(model, x)
+    rows = np.arange(x.shape[0])
+    p_label = probs[rows, y]
     live = (p_label > PROB_EPS).astype(np.float64)
     if spec.kind == CROSS_ENTROPY or spec.gce_q == 0.0:
         scale = w * live
@@ -257,7 +268,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
         scale = w * live * np.power(np.clip(p_label, PROB_EPS, 1.0), spec.gce_q)
 
     delta = probs * scale[:, None]
-    delta[np.arange(n), y] -= scale
+    delta[rows, y] -= scale
 
     layers = unpack_params(model.arch, model.params)
     grads: list[np.ndarray] = [np.empty(0)] * len(layers)
@@ -284,5 +295,9 @@ def sgd_step(model: Model, gradient: np.ndarray, opt: OptimizerState) -> tuple[M
         raise InputError("velocity length does not match parameter count")
     velocity = opt.momentum * opt.velocity + (g + opt.l2 * model.params)
     params = model.params - opt.learning_rate * velocity
-    new_opt = OptimizerState(opt.learning_rate, opt.momentum, opt.l2, velocity)
-    return model.with_params(params), new_opt
+    # Both arrays are fresh and sized by the checks above: freeze, don't copy.
+    velocity.setflags(write=False)
+    params.setflags(write=False)
+    new_opt = _adopt(OptimizerState, learning_rate=opt.learning_rate,
+                     momentum=opt.momentum, l2=opt.l2, velocity=velocity)
+    return _adopt(Model, arch=model.arch, params=params), new_opt

@@ -159,11 +159,6 @@ class ErrorSet:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def member_mask(self, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        mask[self.indices] = True
-        return mask
-
 
 class EpochMetrics(NamedTuple):
     train_loss: float
@@ -215,15 +210,17 @@ def _n_classes(train: Dataset, val: Dataset) -> int:
     return max(2, int(max(train.labels.max(), val.labels.max())) + 1)
 
 
-def _check_inputs(train: Dataset, val: Dataset):
+def _initial_model(train: Dataset, val: Dataset, cfg: TrainConfig, init_stream: int) -> Model:
     if len(train) == 0:
         raise InputError("training set is empty")
     if not val.has_group_annotations:
         raise InputError("validation set needs group annotations for worst-group tracking")
+    arch = Architecture(train.n_features, cfg.hidden, _n_classes(train, val))
+    return init_model(arch, _seedseq(cfg.seed, init_stream))
 
 
 def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int,
-                  loss_spec: LossSpec, weight_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  loss_spec: LossSpec, weight_fn: Callable[..., np.ndarray],
                   init_stream: int, shuffle_stream: int,
                   snapshot_fn: Callable[[int, Model], None] | None = None,
                   refresh_fn: Callable[[int, Model], Dataset | None] | None = None,
@@ -231,12 +228,13 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
     """Minibatch SGD over `train` with per-batch example weights.
 
     Per epoch the example order is one seeded permutation; batches are its
-    consecutive slices (the last may be short). The recorded train loss is
+    consecutive slices (the last may be short), each taking one forward pass
+    that the losses, the weights and the gradient share. The weights are
+    ``weight_fn(losses, batch indices, features, labels, probabilities)``,
+    all pre-step; it may step a model of its own. The recorded train loss is
     the mean over batches of the weighted batch objective.
     """
-    _check_inputs(train, val)
-    arch = Architecture(train.n_features, cfg.hidden, _n_classes(train, val))
-    model = init_model(arch, _seedseq(cfg.seed, init_stream))
+    model = _initial_model(train, val, cfg, init_stream)
     opt = fresh_optimizer(model, cfg.learning_rate, cfg.momentum, cfg.l2)
     shuffle = _rng(cfg.seed, shuffle_stream)
     tracker = _Tracker(model)
@@ -247,9 +245,10 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
         for start in range(0, len(data), cfg.batch_size):
             bidx = order[start:start + cfg.batch_size]
             xb, yb = data.features[bidx], data.labels[bidx]
-            losses = loss_values(forward_batch(model, xb), yb, loss_spec)
-            w = weight_fn(losses, bidx)
-            model, opt = sgd_step(model, grad(model, xb, yb, w, loss_spec), opt)
+            forward = forward_batch(model, xb, activations=True)
+            losses = loss_values(forward[0], yb, loss_spec)
+            w = weight_fn(losses, bidx, xb, yb, forward[0])
+            model, opt = sgd_step(model, grad(model, xb, yb, w, loss_spec, forward), opt)
             objective += float(w @ losses)
             n_batches += 1
         tracker.record(epoch, objective / n_batches, model, evaluate_groups(model, val))
@@ -262,7 +261,7 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
     return model, tracker
 
 
-def _uniform(losses: np.ndarray, _idx: np.ndarray) -> np.ndarray:
+def _uniform(losses: np.ndarray, *_) -> np.ndarray:
     return np.full(len(losses), 1.0 / len(losses))
 
 
@@ -412,7 +411,7 @@ def train_cvar(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
 
     model, tracker = _weighted_sgd(
         base, val, cfg, epochs=cfg.epochs, loss_spec=spec,
-        weight_fn=lambda losses, _idx: cvar_batch_weights(losses, cfg.alpha),
+        weight_fn=lambda losses, *_: cvar_batch_weights(losses, cfg.alpha),
         init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE, snapshot_fn=snap)
     aux = {"loss_snapshots": np.asarray(snapshots), "alpha": cfg.alpha}
     return TrainResult(model, tracker.history, aux, tracker.best)
@@ -434,43 +433,32 @@ def train_lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Interleaved updates of a bias model (generalized cross-entropy, which
     gradient-weights examples by p^q and so favours easy ones) and the main
     model (cross-entropy with per-example weights from `lff_weight`, using
-    the pre-step probabilities of both models, normalized to sum 1).
+    the pre-step probabilities of both models, normalized to sum 1). Per
+    batch the bias model steps first, then the main model.
 
     Both models start from the identical seeded initialization, so gce_q=0
     reduces the whole procedure to ERM exactly.
     """
     _require(cfg, LFF)
     base = strip_group_annotations(train)
-    _check_inputs(base, val)
-    arch = Architecture(base.n_features, cfg.hidden, _n_classes(base, val))
-    model_b = model_m = init_model(arch, _seedseq(cfg.seed, _MAIN_INIT))
-    opt_b = fresh_optimizer(model_b, cfg.learning_rate, cfg.momentum, cfg.l2)
-    opt_m = fresh_optimizer(model_m, cfg.learning_rate, cfg.momentum, cfg.l2)
+    bias = _initial_model(base, val, cfg, _MAIN_INIT)
+    opt_b = fresh_optimizer(bias, cfg.learning_rate, cfg.momentum, cfg.l2)
     gce = LossSpec(GCE, cfg.gce_q)
-    ce = LossSpec(CROSS_ENTROPY)
-    shuffle = _rng(cfg.seed, _MAIN_SHUFFLE)
-    tracker = _Tracker(model_m)
-    for epoch in range(cfg.epochs):
-        order = shuffle.permutation(len(base))
-        objective, n_batches = 0.0, 0
-        for start in range(0, len(base), cfg.batch_size):
-            bidx = order[start:start + cfg.batch_size]
-            xb, yb = base.features[bidx], base.labels[bidx]
-            rows = np.arange(len(yb))
-            probs_b = forward_batch(model_b, xb)
-            probs_m = forward_batch(model_m, xb)
-            raw = lff_weight(probs_b[rows, yb], probs_m[rows, yb])
-            w_main = raw / raw.sum()
-            w_bias = np.full(len(yb), 1.0 / len(yb))
-            grad_b = grad(model_b, xb, yb, w_bias, gce)
-            grad_m = grad(model_m, xb, yb, w_main, ce)
-            model_b, opt_b = sgd_step(model_b, grad_b, opt_b)
-            model_m, opt_m = sgd_step(model_m, grad_m, opt_m)
-            objective += float(w_main @ loss_values(probs_m, yb, ce))
-            n_batches += 1
-        tracker.record(epoch, objective / max(n_batches, 1), model_m,
-                       evaluate_groups(model_m, val))
-    return TrainResult(model_m, tracker.history, {"bias_model": model_b}, tracker.best)
+
+    def step_bias(_losses, _idx, xb: np.ndarray, yb: np.ndarray,
+                  probs_m: np.ndarray) -> np.ndarray:
+        nonlocal bias, opt_b
+        rows = np.arange(len(yb))
+        forward = forward_batch(bias, xb, activations=True)
+        raw = lff_weight(forward[0][rows, yb], probs_m[rows, yb])
+        w_bias = np.full(len(yb), 1.0 / len(yb))
+        bias, opt_b = sgd_step(bias, grad(bias, xb, yb, w_bias, gce, forward), opt_b)
+        return raw / raw.sum()
+
+    model, tracker = _weighted_sgd(
+        base, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
+        weight_fn=step_bias, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
+    return TrainResult(model, tracker.history, {"bias_model": bias}, tracker.best)
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +488,11 @@ def train_group_dro(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResu
     _require(cfg, GROUP_DRO)
     if not train.has_group_annotations:
         raise InputError("group-dro needs training group annotations")
-    groups = train.groups_present()
-    lookup = {g: i for i, g in enumerate(groups)}
-    codes = np.asarray([lookup[g] for g in train.group_ids()], dtype=np.int64)
+    groups, codes, _ = train.group_index()
     n_groups = len(groups)
     state = {"w": np.full(n_groups, 1.0 / n_groups)}
 
-    def weight_fn(losses: np.ndarray, bidx: np.ndarray) -> np.ndarray:
+    def weight_fn(losses: np.ndarray, bidx: np.ndarray, *_) -> np.ndarray:
         batch_codes = codes[bidx]
         counts = np.bincount(batch_codes, minlength=n_groups)
         sums = np.bincount(batch_codes, weights=losses, minlength=n_groups)

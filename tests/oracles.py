@@ -4,7 +4,20 @@ These deliberately avoid the code paths they verify."""
 import numpy as np
 from scipy.optimize import linprog
 
-from grouptrain.models import forward_batch, loss_values
+from grouptrain.analysis import evaluate_groups
+from grouptrain.models import (
+    CROSS_ENTROPY,
+    GCE,
+    Architecture,
+    LossSpec,
+    forward_batch,
+    fresh_optimizer,
+    grad,
+    init_model,
+    loss_values,
+    sgd_step,
+)
+from grouptrain.trainers import lff_weight
 
 
 def finite_difference_grad(model, features, labels, weights, spec, h=1e-6):
@@ -43,3 +56,40 @@ def cvar_lp_optimum(losses, alpha):
                   bounds=[(0.0, cap)] * b, method="highs")
     assert res.success, res.message
     return -res.fun
+
+
+def reference_lff(train, val, cfg):
+    """LfF as its own minibatch loop: per batch, forward passes of the bias
+    and the main model, both gradients recomputed from scratch, then the
+    bias step and the main step. Returns (main model, bias model, history
+    as (train loss, val worst-group, val average) tuples)."""
+    arch = Architecture(train.n_features, cfg.hidden,
+                        max(2, int(max(train.labels.max(), val.labels.max())) + 1))
+    model_b = model_m = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    opt_b = fresh_optimizer(model_b, cfg.learning_rate, cfg.momentum, cfg.l2)
+    opt_m = fresh_optimizer(model_m, cfg.learning_rate, cfg.momentum, cfg.l2)
+    gce, ce = LossSpec(GCE, cfg.gce_q), LossSpec(CROSS_ENTROPY)
+    shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
+    history = []
+    for _ in range(cfg.epochs):
+        order = shuffle.permutation(len(train))
+        objective, n_batches = 0.0, 0
+        for start in range(0, len(train), cfg.batch_size):
+            bidx = order[start:start + cfg.batch_size]
+            xb, yb = train.features[bidx], train.labels[bidx]
+            rows = np.arange(len(yb))
+            probs_b = forward_batch(model_b, xb)
+            probs_m = forward_batch(model_m, xb)
+            raw = lff_weight(probs_b[rows, yb], probs_m[rows, yb])
+            w_main = raw / raw.sum()
+            w_bias = np.full(len(yb), 1.0 / len(yb))
+            grad_b = grad(model_b, xb, yb, w_bias, gce)
+            grad_m = grad(model_m, xb, yb, w_main, ce)
+            model_b, opt_b = sgd_step(model_b, grad_b, opt_b)
+            model_m, opt_m = sgd_step(model_m, grad_m, opt_m)
+            objective += float(w_main @ loss_values(probs_m, yb, ce))
+            n_batches += 1
+        metrics = evaluate_groups(model_m, val)
+        history.append((objective / n_batches, metrics.worst_group_accuracy,
+                        metrics.average_accuracy))
+    return model_m, model_b, history

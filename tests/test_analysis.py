@@ -102,6 +102,26 @@ class TestGroupMetrics:
         m = group_metrics(rng.integers(0, 2, n), data)
         assert m.worst_group_accuracy <= m.average_accuracy + 1e-12
 
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_mask_per_group(self, rows):
+        # (attribute, label, prediction) rows: small ranges give single-example
+        # groups and attribute x label pairs missing from the data
+        attrs, labels, preds = (np.array(col) for col in zip(*rows))
+        data = Dataset(np.zeros((len(rows), 1)), labels, attrs, "rows")
+        correct = preds == labels
+        naive = {}
+        for a, y in sorted(set(zip(attrs.tolist(), labels.tolist()))):
+            mask = (attrs == a) & (labels == y)
+            naive[GroupId(a, y)] = (int(mask.sum()), float(correct[mask].mean()))
+        m = group_metrics(preds, data)
+        assert list(m.per_group) == list(naive)
+        assert {g: (s.count, s.accuracy) for g, s in m.per_group.items()} == naive
+        worst = min(naive, key=lambda g: (naive[g][1], g))
+        assert (m.worst_group, m.worst_group_accuracy) == (worst, naive[worst][1])
+        assert m.average_accuracy == float(correct.mean())
+
 
 class TestErrorSetStats:
     def test_exact_target_capture(self):

@@ -217,11 +217,16 @@ class TestSubsample:
 
 
 class TestDataset:
-    def test_examples_carry_groups(self, small_bench):
+    def test_group_index_gives_each_example_its_group(self, small_bench):
         train, _, _ = small_bench
-        ex = train[0]
-        assert ex.group == GroupId(int(train.attributes[0]), int(train.labels[0]))
-        assert ex.group.label == ex.label
+        groups, codes, counts = train.group_index()
+        per_example = [GroupId(int(a), int(y)) for a, y in zip(train.attributes, train.labels)]
+        assert list(groups) == sorted(set(per_example))
+        assert [groups[c] for c in codes] == per_example
+        assert counts.tolist() == [per_example.count(g) for g in groups]
+        assert train.group_index() is train.group_index()
+        with pytest.raises(ValueError):
+            codes[0] = 0
 
     def test_arrays_read_only(self, small_bench):
         train, _, _ = small_bench

@@ -156,6 +156,20 @@ class TestGrad:
             numeric = finite_difference_grad(model, x, y, w, spec)
             assert relative_grad_error(analytic, numeric) < 1e-5
 
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+    @pytest.mark.parametrize("spec", [LossSpec(CROSS_ENTROPY), LossSpec(GCE, 0.0),
+                                      LossSpec(GCE, 0.5)])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_cached_forward_pass_gives_the_same_gradient(self, hidden, spec, skewed):
+        rng = np.random.default_rng(23)
+        model = init_model(Architecture(6, hidden, 3), 4)
+        x = rng.normal(size=(16, 6), scale=2.0)
+        y = rng.integers(0, 3, size=16)
+        w = rng.exponential(size=16) ** 3 if skewed else np.full(16, 1.0 / 16)
+        cached = forward_batch(model, x, activations=True)
+        assert np.array_equal(cached[0], forward_batch(model, x))
+        assert np.array_equal(grad(model, x, y, w, spec, cached), grad(model, x, y, w, spec))
+
 
 class TestSgdStep:
     def test_zero_gradient_leaves_params(self):

@@ -25,7 +25,7 @@ from grouptrain.trainers import (
     train_jtt,
     train_upweighted,
 )
-from oracles import cvar_lp_optimum
+from oracles import cvar_lp_optimum, reference_lff
 
 
 def cfg(algorithm="erm", **overrides):
@@ -448,6 +448,16 @@ class TestLffTrainer:
         for batch in captured:
             assert np.array_equal(batch, np.full(len(batch), 0.5))
 
+    @pytest.mark.parametrize("gce_q", [0.5, 0.7])
+    def test_matches_the_reference_loop(self, small_bench, gce_q):
+        train, val, _ = small_bench
+        c = cfg("lff", gce_q=gce_q)
+        result = gt.train(train, val, c)
+        main, bias, history = reference_lff(train, val, c)
+        assert np.array_equal(result.model.params, main.params)
+        assert np.array_equal(result.aux["bias_model"].params, bias.params)
+        assert result.history == history
+
     def test_bias_model_in_aux(self, small_bench):
         train, val, _ = small_bench
         result = gt.train(train, val, cfg("lff", gce_q=0.7))
@@ -529,3 +539,30 @@ def test_error_set_on_reference_benchmark_is_minority_enriched(reference_bench):
     enrichment = {row.group: row.enrichment for row in table.rows}
     for g in ((0, 1), (1, 0)):
         assert enrichment[g] > 2.0
+
+
+@pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("cvar", {"alpha": 0.2}),
+                                              ("lff", {"gce_q": 0.7})])
+def test_one_forward_pass_per_model_per_step(small_bench, monkeypatch, algorithm, extra):
+    import grouptrain.models as models_mod
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = small_bench
+    c = cfg(algorithm, epochs=2, **extra)
+    batch_rows, steps = [], []
+    forward_cached, sgd_step = models_mod._forward_cached, trainers_mod.sgd_step
+
+    def counting_forward(model, x):
+        if len(x) <= c.batch_size:  # evaluation passes cover whole datasets
+            batch_rows.append(len(x))
+        return forward_cached(model, x)
+
+    def counting_step(model, gradient, opt):
+        steps.append(1)
+        return sgd_step(model, gradient, opt)
+
+    monkeypatch.setattr(models_mod, "_forward_cached", counting_forward)
+    monkeypatch.setattr(trainers_mod, "sgd_step", counting_step)
+    gt.train(train, val, c)
+    n_models = 2 if algorithm == "lff" else 1
+    assert len(steps) == n_models * c.epochs * math.ceil(len(train) / c.batch_size)
+    assert len(batch_rows) == len(steps)
