@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 
 from .analysis import (
     EnrichmentTable,
+    ErrorSet,
     ErrorSetStats,
     GroupMetrics,
     enrichment_table,
@@ -42,7 +43,6 @@ from .models import (
 )
 from .trainers import (
     ALGORITHMS,
-    ErrorSet,
     TrainConfig,
     TrainResult,
     build_upsampled,

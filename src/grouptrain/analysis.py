@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, GroupId
 from .errors import AnalysisWarning, InputError
 from .models import Model, predict
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .trainers import ErrorSet
 
 SWAP_SAME_GROUP = "swap-same-group"
 DROP_GROUP = "drop-group"
@@ -73,6 +70,34 @@ def evaluate_groups(model: Model, data: Dataset) -> GroupMetrics:
     return group_metrics(predict(model, data.features), data)
 
 
+@dataclass(frozen=True, eq=False)
+class ErrorSet:
+    """Sorted unique indices of training examples to upweight, plus the
+    number of identification epochs that produced them (-1 when the set was
+    not derived from a model)."""
+
+    indices: np.ndarray
+    source_epoch: int = -1
+
+    def __post_init__(self):
+        idx = np.unique(np.asarray(self.indices, dtype=np.int64).ravel())
+        if len(idx) and idx[0] < 0:
+            raise InputError("error-set indices must be non-negative")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ErrorSet):
+            return NotImplemented
+        return (self.source_epoch == other.source_epoch
+                and np.array_equal(self.indices, other.indices))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass(frozen=True)
 class ErrorSetStats:
     """How well an error set captures one target group.
@@ -93,24 +118,19 @@ class ErrorSetStats:
     undefined: bool = False
 
 
-def _error_indices(error_set) -> np.ndarray:
-    indices = getattr(error_set, "indices", error_set)
-    return np.asarray(indices, dtype=np.int64).ravel()
-
-
-def _error_counts(error_set, train: Dataset,
+def _error_counts(error_set: ErrorSet, train: Dataset,
                   caller: str) -> tuple[dict[GroupId, tuple[int, int]], int]:
     """(examples, error-set members) per group present, in sorted group
     order, and the error-set size."""
     if not train.has_group_annotations:
         raise InputError(f"{caller} needs a group-annotated training set")
-    idx = _error_indices(error_set)
+    idx = error_set.indices
     groups, codes, counts = train.group_index()
     hits = np.bincount(codes[idx], minlength=len(groups))
     return dict(zip(groups, zip(counts.tolist(), hits.tolist()))), len(idx)
 
 
-def error_set_stats(error_set, train: Dataset, target: GroupId) -> ErrorSetStats:
+def error_set_stats(error_set: ErrorSet, train: Dataset, target: GroupId) -> ErrorSetStats:
     """Precision / recall / empirical rate / enrichment of `error_set` for
     `target` over an annotated training set."""
     per_group, e_size = _error_counts(error_set, train, "error_set_stats")
@@ -145,7 +165,7 @@ class EnrichmentTable:
     missing_groups: list[GroupId]
 
 
-def enrichment_table(error_set, train: Dataset) -> EnrichmentTable:
+def enrichment_table(error_set: ErrorSet, train: Dataset) -> EnrichmentTable:
     """Enrichment and error-set share for every group of the attribute x label
     product; combinations absent from the data are listed as missing."""
     per_group, e_size = _error_counts(error_set, train, "enrichment_table")
@@ -207,8 +227,8 @@ def track_cvar_composition(snapshots: Sequence[np.ndarray], alpha: float,
     return out
 
 
-def replace_error_set(error_set, train: Dataset, mode: str, *,
-                      group: GroupId | None = None, seed: int | None = None):
+def replace_error_set(error_set: ErrorSet, train: Dataset, mode: str, *,
+                      group: GroupId | None = None, seed: int | None = None) -> ErrorSet:
     """Build a manipulated error set for ablation experiments.
 
     swap-same-group: each member is replaced by a fresh example of the same
@@ -219,14 +239,11 @@ def replace_error_set(error_set, train: Dataset, mode: str, *,
     drop-* modes remove the indicated subset; replace-random draws an
     equally sized uniform set.
     """
-    from .trainers import ErrorSet  # local import to keep layering one-way
-
     if not train.has_group_annotations:
         raise InputError("replace_error_set needs a group-annotated training set")
     if mode not in REPLACE_MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {REPLACE_MODES}")
-    idx = _error_indices(error_set)
-    source_epoch = getattr(error_set, "source_epoch", -1)
+    idx, source_epoch = error_set.indices, error_set.source_epoch
     attrs, labels = train.attributes, train.labels
 
     if mode in (DROP_Y_EQ_A, DROP_Y_NEQ_A):

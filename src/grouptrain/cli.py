@@ -4,8 +4,8 @@ Subcommands: generate, train, sweep, analyze, ablate, val-study. Every run
 reads one config file, writes into a fresh output directory (report.json
 plus CSV tables and checkpoints), and is deterministic: re-running with the
 same config and data reproduces the report except for its "timing" block.
-Exit codes: 0 success, 1 usage or config error, 2 runtime failure (partial
-outputs are removed).
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure. A run
+that fails or is interrupted leaves no partial outputs behind.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ from .reports import (
     write_study_csv,
     write_sweep_csv,
 )
-from .trainers import CRITERIA, JTT, JTT_DYNAMIC, WORST_GROUP, train, train_upweighted
+from .trainers import (AVERAGE, CRITERIA, JTT, JTT_DYNAMIC, WORST_GROUP, TrainConfig, train,
+                       train_upweighted)
 from .tuning import Grid, grid_sweep, validation_size_study
-
-_DATA_COMMANDS = ("train", "sweep", "analyze", "ablate", "val-study")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,23 +97,30 @@ class _OutputDir:
         shutil.rmtree(self.staging, ignore_errors=True)
 
 
-def _require_data(args) -> Path:
+def _train_config(parsed: ParsedConfig, args) -> TrainConfig:
+    """The [train] section, with --seed applied."""
+    cfg = parsed.require("train")
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
+
+
+def _grid(parsed: ParsedConfig, cfg: TrainConfig) -> Grid:
+    return Grid(cfg, parsed.grid.axes if parsed.grid is not None else {})
+
+
+def _load_datasets(args) -> dict[str, Dataset]:
+    """The train, val and test splits of the --data directory, by split name."""
     if not args.data:
         raise InputError(f"--data is required for the {args.command} command")
-    data = Path(args.data)
-    if not data.is_dir():
+    data_dir = Path(args.data)
+    if not data_dir.is_dir():
         raise InputError(f"data directory {args.data!r} does not exist")
-    return data
-
-
-def _load_datasets(data_dir: Path) -> tuple[Dataset, Dataset, Dataset]:
-    out = []
+    splits = {}
     for split in ("train", "val", "test"):
         path = data_dir / f"{split}.csv"
         if not path.exists():
             raise InputError(f"missing dataset file {path}")
-        out.append(load_csv(path, name=f"{data_dir.name}/{split}"))
-    return tuple(out)
+        splits[split] = load_csv(path, name=f"{data_dir.name}/{split}")
+    return splits
 
 
 def _dataset_block(datasets: dict[str, Dataset]) -> dict:
@@ -144,16 +150,6 @@ def _metrics_block(result, val: Dataset, test: Dataset) -> dict:
         "test": group_metrics_to_dict(evaluate_groups(result.model, test)),
     }
     return block
-
-
-def _selection_to_dict(m) -> dict:
-    return {
-        "selected_epoch": m.selected_epoch,
-        "val_worst_group": m.val_worst_group,
-        "val_average": m.val_average,
-        "test_worst_group": m.test_worst_group,
-        "test_average": m.test_average,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +197,9 @@ def _train_diagnostics(result, train_ds: Dataset, out: _OutputDir) -> dict:
 
 
 def _cmd_train(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    cfg = parsed.require("train")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    data_dir = _require_data(args)
-    train_ds, val_ds, test_ds = _load_datasets(data_dir)
+    cfg = _train_config(parsed, args)
+    splits = _load_datasets(args)
+    train_ds, val_ds, test_ds = splits["train"], splits["val"], splits["test"]
     result = train(train_ds, val_ds, cfg)
 
     outputs = {"history": "history.csv", "model_final": "model_final.txt",
@@ -214,7 +208,7 @@ def _cmd_train(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     write_history_csv(out.path("history.csv"), result.history)
     save_model(result.model, out.path("model_final.txt"))
     save_model(result.checkpoints[WORST_GROUP].model, out.path("model_best_worst_group.txt"))
-    save_model(result.checkpoints["average"].model, out.path("model_best_average.txt"))
+    save_model(result.checkpoints[AVERAGE].model, out.path("model_best_average.txt"))
 
     results: dict = {"metrics": _metrics_block(result, val_ds, test_ds)}
     if "identification_model" in result.aux:
@@ -242,48 +236,30 @@ def _cmd_train(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
 
     return {
         "effective_config": {"train": config_to_dict(cfg)},
-        "datasets": _dataset_block({"train": train_ds, "val": val_ds, "test": test_ds}),
+        "datasets": _dataset_block(splits),
         "results": results,
         "outputs": outputs,
     }
 
 
-def _grid_or_single(parsed: ParsedConfig, cfg) -> Grid:
-    if parsed.grid is not None:
-        return Grid(cfg, parsed.grid.axes)
-    return Grid(cfg, {})
-
-
 def _cmd_sweep(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    cfg = parsed.require("train")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    grid = _grid_or_single(parsed, cfg)
+    cfg = _train_config(parsed, args)
+    grid = _grid(parsed, cfg)
     criterion = parsed.sweep.criterion
-    data_dir = _require_data(args)
-    train_ds, val_ds, test_ds = _load_datasets(data_dir)
-    sweep = grid_sweep(grid, train_ds, val_ds, test_ds, criterion=criterion)
+    splits = _load_datasets(args)
+    sweep = grid_sweep(grid, splits["train"], splits["val"], splits["test"], criterion=criterion)
     write_sweep_csv(out.path("sweep.csv"), sweep)
-    bw, ba = sweep.rows[sweep.best_by_worst_group], sweep.rows[sweep.best_by_average]
-    results = {
-        "criterion": criterion,
-        "n_configs": len(sweep.rows),
-        "best_by_worst_group": {
-            "index": sweep.best_by_worst_group,
-            "config": config_to_dict(bw.config),
-            "metrics": _selection_to_dict(bw.by_criterion[WORST_GROUP]),
-        },
-        "best_by_average": {
-            "index": sweep.best_by_average,
-            "config": config_to_dict(ba.config),
-            "metrics": _selection_to_dict(ba.by_criterion["average"]),
-        },
-    }
+    results = {"criterion": criterion, "n_configs": len(sweep.rows)}
+    for key, by, index in (("best_by_worst_group", WORST_GROUP, sweep.best_by_worst_group),
+                           ("best_by_average", AVERAGE, sweep.best_by_average)):
+        row = sweep.rows[index]
+        results[key] = {"index": index, "config": config_to_dict(row.config),
+                        "metrics": dataclasses.asdict(row.by_criterion[by])}
     return {
         "effective_config": {"train": config_to_dict(cfg),
                              "grid": {k: list(v) for k, v in grid.axes.items()},
                              "sweep": {"criterion": criterion}},
-        "datasets": _dataset_block({"train": train_ds, "val": val_ds, "test": test_ds}),
+        "datasets": _dataset_block(splits),
         "results": results,
         "outputs": {"sweep": "sweep.csv"},
     }
@@ -303,8 +279,7 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     run_report = read_report(run_dir / "report.json")
     reference = read_report(spec.erm_report)
     worst = _worst_test_group_from_report(reference)
-    data_dir = _require_data(args)
-    train_ds, _, _ = _load_datasets(data_dir)
+    train_ds = _load_datasets(args)["train"]
     if not train_ds.has_group_annotations:
         raise InputError("analyze needs a group-annotated stored training set")
 
@@ -362,8 +337,8 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     if not error_set_file.exists():
         raise InputError(f"run {run_dir} has no error_set.csv")
     original_set = read_error_set_csv(error_set_file)
-    data_dir = _require_data(args)
-    train_ds, val_ds, test_ds = _load_datasets(data_dir)
+    splits = _load_datasets(args)
+    train_ds, val_ds, test_ds = splits["train"], splits["val"], splits["test"]
     modified_set = replace_error_set(original_set, train_ds, spec.mode,
                                      group=spec.group, seed=seed)
     result = train_upweighted(train_ds, val_ds, cfg, modified_set)
@@ -390,7 +365,7 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
                                         "group": list(spec.group) if spec.group else None,
                                         "seed": seed},
                              "train": config_to_dict(cfg)},
-        "datasets": _dataset_block({"train": train_ds, "val": val_ds, "test": test_ds}),
+        "datasets": _dataset_block(splits),
         "results": results,
         "outputs": {"error_set_modified": "error_set_modified.csv",
                     "history": "history.csv",
@@ -399,22 +374,19 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
 
 
 def _cmd_val_study(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    cfg = parsed.require("train")
+    cfg = _train_config(parsed, args)
     study = parsed.require("study")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    grid = _grid_or_single(parsed, cfg)
-    data_dir = _require_data(args)
-    train_ds, val_ds, test_ds = _load_datasets(data_dir)
-    results = validation_size_study(study.fractions, grid, train_ds, val_ds, test_ds,
-                                    study.seeds)
+    grid = _grid(parsed, cfg)
+    splits = _load_datasets(args)
+    results = validation_size_study(study.fractions, grid, splits["train"], splits["val"],
+                                    splits["test"], study.seeds)
     write_study_csv(out.path("study.csv"), results)
     return {
         "effective_config": {"train": config_to_dict(cfg),
                              "grid": {k: list(v) for k, v in grid.axes.items()},
                              "study": {"fractions": list(study.fractions),
                                        "seeds": list(study.seeds)}},
-        "datasets": _dataset_block({"train": train_ds, "val": val_ds, "test": test_ds}),
+        "datasets": _dataset_block(splits),
         "results": {"rows": [
             {"fraction": r.fraction,
              "median_test_worst_group": r.median_test_worst_group,
@@ -471,15 +443,14 @@ def main(argv=None) -> int:
         out.finalize()
         return 0
     except ConfigError as e:
-        if out is not None:
-            out.abort()
         _error_block("config", e)
         return 1
     except Exception as e:
-        if out is not None:
-            out.abort()
         _error_block("runtime", e)
         return 2
+    finally:
+        if out is not None:
+            out.abort()  # no-op once finalize has renamed the staging directory
 
 
 if __name__ == "__main__":

@@ -26,10 +26,8 @@ from pathlib import Path
 from .analysis import REPLACE_MODES
 from .data import GroupId, SyntheticSpec
 from .errors import ConfigError
-from .trainers import AVERAGE, WORST_GROUP, TrainConfig
+from .trainers import CRITERIA, WORST_GROUP, TrainConfig
 from .tuning import Grid
-
-_CRITERIA = {"worst-group": WORST_GROUP, "average": AVERAGE}
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ class ParsedConfig:
     ablate: AblateSpec | None = None
 
     def require(self, section: str):
-        value = getattr(self, section.replace("-", "_"))
+        value = getattr(self, section)
         if value is None:
             raise ConfigError(f"{self.path}: missing required [{section}] section")
         return value
@@ -136,10 +134,6 @@ def _int_or_inf(v: str):
     return _int(v)
 
 
-def _str(v: str) -> str:
-    return v
-
-
 def _float_list(v: str) -> tuple[float, ...]:
     return tuple(_float(p.strip()) for p in v.split(",") if p.strip())
 
@@ -148,14 +142,10 @@ def _int_list(v: str) -> tuple[int, ...]:
     return tuple(_int(p.strip()) for p in v.split(",") if p.strip())
 
 
-def _hidden(v: str) -> tuple[int, ...]:
-    return _int_list(v)
-
-
 def _criterion(v: str) -> str:
-    if v not in _CRITERIA:
+    if v not in CRITERIA:
         raise ValueError(f"expected 'worst-group' or 'average', got {v!r}")
-    return _CRITERIA[v]
+    return v
 
 
 def _mode(v: str) -> str:
@@ -203,14 +193,14 @@ class _Section:
 
 # Per-key converters shared by [train] and [grid].
 _TRAIN_KEYS = {
-    "algorithm": _str,
+    "algorithm": str,
     "epochs": _int,
     "batch_size": _int,
     "learning_rate": _float,
     "seed": _int,
     "momentum": _float,
     "l2": _float,
-    "hidden": _hidden,
+    "hidden": _int_list,
     "id_epochs": _int,
     "upweight_factor": _int,
     "refresh_every": _int_or_inf,
@@ -320,13 +310,13 @@ def parse_config(path) -> ParsedConfig:
         out["study"] = StudySpec(fractions, seeds)
     if (sec := section("analyze")) is not None:
         out["analyze"] = AnalyzeSpec(
-            run=sec.get("run", _str, required=True),
-            erm_report=sec.get("erm_report", _str, required=True),
+            run=sec.get("run", str, required=True),
+            erm_report=sec.get("erm_report", str, required=True),
         )
         sec.reject_unknown()
     if (sec := section("ablate")) is not None:
         out["ablate"] = AblateSpec(
-            run=sec.get("run", _str, required=True),
+            run=sec.get("run", str, required=True),
             mode=sec.get("mode", _mode, required=True),
             group=sec.get("group", _group),
             seed=sec.get("seed", _int),

@@ -30,10 +30,10 @@ class GroupId(NamedTuple):
 class Dataset:
     """An ordered, immutable collection of examples.
 
-    Features, labels and optional attributes are stored as read-only arrays;
-    example order is stable and part of the value. A dataset has group
-    annotations iff every example carries one, which here means the
-    attribute column is present.
+    Features (finite floats), labels and optional attributes are stored as
+    read-only arrays; example order is stable and part of the value. A
+    dataset has group annotations iff every example carries one, which here
+    means the attribute column is present.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray,
@@ -42,6 +42,10 @@ class Dataset:
         y = np.array(labels, dtype=np.int64, copy=True).ravel()
         if f.ndim != 2:
             raise InputError("features must be a 2-D array")
+        if not np.isfinite(f).all():
+            row, col = np.argwhere(~np.isfinite(f))[0]
+            raise InputError(f"features must be finite; features[{row}, {col}] is "
+                             f"{float(f[row, col])!r}")
         if len(y) != f.shape[0]:
             raise InputError("labels length must match the number of rows")
         if len(y) and y.min() < 0:
@@ -338,6 +342,11 @@ def load_csv(path, label: str = "label", attribute: str | None = "attribute",
 
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    return Dataset(np.asarray(rows), np.asarray(labels),
+    values = np.asarray(rows)
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise IngestionError(f"{path}: row {row + 1}, column {feat_names[col]!r}: "
+                             f"non-finite feature {float(values[row, col])!r}")
+    return Dataset(values, np.asarray(labels),
                    np.asarray(attrs) if attr_col is not None else None,
                    name if name is not None else path.stem)

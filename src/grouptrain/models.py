@@ -43,20 +43,18 @@ def _adopt(cls, **fields):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Shape descriptor: input width, hidden widths (may be empty), classes."""
+    """Shape descriptor: input width, tanh hidden widths (may be empty),
+    classes."""
 
     input_dim: int
     hidden: tuple[int, ...]
     n_classes: int
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.n_classes < 2:
             raise InputError("architecture needs input_dim >= 1 and n_classes >= 2")
         if any(h < 1 for h in self.hidden):
             raise InputError("hidden widths must be positive")
-        if self.activation != "tanh":
-            raise InputError(f"unsupported activation {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def layer_shapes(self) -> list[tuple[int, int]]:

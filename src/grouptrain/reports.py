@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CompositionPoint, EnrichmentTable, ErrorSetStats, GroupMetrics
+from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, ErrorSetStats, GroupMetrics
 from .data import Dataset, dataset_csv_text
 from .errors import IngestionError
 from .models import Architecture, Model
-from .trainers import AVERAGE, WORST_GROUP, EpochMetrics, ErrorSet, TrainConfig
+from .trainers import AVERAGE, WORST_GROUP, EpochMetrics, TrainConfig
 from .tuning import FractionResult, SweepResult
 
 _FMT = "%.17g"
@@ -48,7 +48,7 @@ def save_model(model: Model, path) -> None:
         f"input_dim={model.arch.input_dim}",
         "hidden=" + ",".join(str(h) for h in model.arch.hidden),
         f"n_classes={model.arch.n_classes}",
-        f"activation={model.arch.activation}",
+        "activation=tanh",
         f"params={model.params.size}",
     ]
     lines += [_f(v) for v in model.params]
@@ -63,10 +63,11 @@ def load_model(path) -> Model:
     for line in lines[1:6]:
         key, _, value = line.partition("=")
         header[key] = value
+    if header.get("activation") != "tanh":
+        raise IngestionError(f"{path}: unsupported activation {header.get('activation')!r}")
     try:
         hidden = tuple(int(h) for h in header["hidden"].split(",") if h)
-        arch = Architecture(int(header["input_dim"]), hidden,
-                            int(header["n_classes"]), header["activation"])
+        arch = Architecture(int(header["input_dim"]), hidden, int(header["n_classes"]))
         count = int(header["params"])
     except (KeyError, ValueError) as e:
         raise IngestionError(f"{path}: malformed checkpoint header ({e})") from None

@@ -31,7 +31,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import GroupMetrics, evaluate_groups
+from .analysis import ErrorSet, GroupMetrics, evaluate_groups
 from .data import Dataset, strip_group_annotations
 from .errors import ConfigError, InputError, TrainingWarning
 from .models import (
@@ -132,34 +132,6 @@ class TrainConfig:
             raise ConfigError("group_step_size: must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorSet:
-    """Sorted unique indices of training examples to upweight, plus the
-    number of identification epochs that produced them (-1 when the set was
-    not derived from a model)."""
-
-    indices: np.ndarray
-    source_epoch: int = -1
-
-    def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64).ravel())
-        if len(idx) and idx[0] < 0:
-            raise InputError("error-set indices must be non-negative")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ErrorSet):
-            return NotImplemented
-        return (self.source_epoch == other.source_epoch
-                and np.array_equal(self.indices, other.indices))
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 class EpochMetrics(NamedTuple):
     train_loss: float
     val_worst_group: float
@@ -183,11 +155,6 @@ class TrainResult:
     aux: dict[str, Any]
     checkpoints: dict[str, Checkpoint]
 
-    def best(self, criterion: str = WORST_GROUP) -> Checkpoint:
-        if criterion not in CRITERIA:
-            raise InputError(f"unknown criterion {criterion!r}")
-        return self.checkpoints[criterion]
-
 
 class _Tracker:
     """History plus best-so-far checkpoints (strictly-greater updates, so
@@ -206,16 +173,14 @@ class _Tracker:
                 self.best[criterion] = Checkpoint(epoch, model, value)
 
 
-def _n_classes(train: Dataset, val: Dataset) -> int:
-    return max(2, int(max(train.labels.max(), val.labels.max())) + 1)
-
-
 def _initial_model(train: Dataset, val: Dataset, cfg: TrainConfig, init_stream: int) -> Model:
     if len(train) == 0:
         raise InputError("training set is empty")
     if not val.has_group_annotations:
         raise InputError("validation set needs group annotations for worst-group tracking")
-    arch = Architecture(train.n_features, cfg.hidden, _n_classes(train, val))
+    # The class count comes from the training labels only, so the validation
+    # split never changes the architecture or the init stream.
+    arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
     return init_model(arch, _seedseq(cfg.seed, init_stream))
 
 

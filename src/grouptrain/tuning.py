@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -129,19 +128,11 @@ def _evaluate_config(cfg: TrainConfig, train_data: Dataset, val: Dataset,
     return SweepRow(cfg, by_criterion)
 
 
-def _worker(args) -> SweepRow:
-    return _evaluate_config(*args)
-
-
 def grid_sweep(grid: Grid, train_data: Dataset, val: Dataset, test: Dataset,
-               criterion: str = WORST_GROUP, n_jobs: int = 1) -> SweepResult:
-    """Train every grid point, early-stop each run under both criteria, and
-    pick the best row per criterion by its validation metric.
-
-    Grid points are independent; n_jobs > 1 fans them out to worker
-    processes and reassembles rows in enumeration order, so parallelism
-    never changes the result.
-    """
+               criterion: str = WORST_GROUP) -> SweepResult:
+    """Train every grid point in enumeration order, early-stop each run
+    under both criteria, and pick the best row per criterion by its
+    validation metric."""
     if criterion not in CRITERIA:
         raise InputError(f"unknown criterion {criterion!r}")
     configs = grid.configs()
@@ -149,11 +140,7 @@ def grid_sweep(grid: Grid, train_data: Dataset, val: Dataset, test: Dataset,
         raise InputError("empty grid")
     if any(c.epochs < 1 for c in configs):
         raise InputError("sweeps need epochs >= 1")
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_worker, [(c, train_data, val, test) for c in configs]))
-    else:
-        rows = [_evaluate_config(c, train_data, val, test) for c in configs]
+    rows = [_evaluate_config(c, train_data, val, test) for c in configs]
     best_wg = int(np.argmax([r.by_criterion[WORST_GROUP].val_worst_group for r in rows]))
     best_avg = int(np.argmax([r.by_criterion[AVERAGE].val_average for r in rows]))
     return SweepResult(criterion, rows, best_wg, best_avg)
@@ -167,8 +154,8 @@ class FractionResult:
 
 
 def validation_size_study(fractions: Sequence[float], grid: Grid, train_data: Dataset,
-                          val: Dataset, test: Dataset, seeds: Sequence[int],
-                          n_jobs: int = 1) -> list[FractionResult]:
+                          val: Dataset, test: Dataset,
+                          seeds: Sequence[int]) -> list[FractionResult]:
     """For each fraction and seed, subsample the validation set, tune on the
     reduced set by worst-group accuracy, and evaluate the selected model on
     the full test set; report per-seed values and their median."""
@@ -181,8 +168,7 @@ def validation_size_study(fractions: Sequence[float], grid: Grid, train_data: Da
         per_seed = []
         for seed in seeds:
             reduced = subsample_validation(val, fraction, seed)
-            sweep = grid_sweep(grid, train_data, reduced, test,
-                               criterion=WORST_GROUP, n_jobs=n_jobs)
+            sweep = grid_sweep(grid, train_data, reduced, test, criterion=WORST_GROUP)
             per_seed.append(sweep.selected().test_worst_group)
         out.append(FractionResult(float(fraction), tuple(per_seed),
                                   float(statistics.median(per_seed))))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import grouptrain as gt
 from grouptrain.analysis import (
+    ErrorSet,
     enrichment_table,
     error_set_stats,
     evaluate_groups,
@@ -16,7 +17,6 @@ from grouptrain.analysis import (
 from grouptrain.data import Dataset, GroupId, SyntheticSpec, generate_synthetic
 from grouptrain.errors import AnalysisWarning, InputError
 from grouptrain.models import Architecture, Model
-from grouptrain.trainers import ErrorSet
 
 
 def grouped_dataset(counts: dict[GroupId, int], seed=0) -> Dataset:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from grouptrain import cli
 from grouptrain.cli import main
 from grouptrain.data import load_csv, save_csv, strip_group_annotations
+from grouptrain.errors import IngestionError
 from grouptrain.models import Architecture, init_model
 from grouptrain.reports import (
     fingerprint,
@@ -245,6 +247,19 @@ class TestFailureModes:
                     "--data", workspace / "data"]) == 2
         capsys.readouterr()
 
+    def test_interrupt_propagates_and_cleans_partial(self, workspace, tmp_path, monkeypatch):
+        def interrupted(parsed, args, out):
+            out.path("history.csv").write_text("epoch\n")
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "train", interrupted)
+        out = tmp_path / "interrupted"
+        with pytest.raises(KeyboardInterrupt):
+            run(["train", "--config", workspace / "erm.ini", "--out", out,
+                 "--data", workspace / "data"])
+        assert not out.exists()
+        assert not (tmp_path / "interrupted.partial").exists()
+
     def test_missing_data_files_exit_2(self, workspace, tmp_path, capsys):
         empty = tmp_path / "emptydir"
         empty.mkdir()
@@ -260,6 +275,15 @@ class TestPersistence:
         again = load_model(tmp_path / "m.txt")
         assert again.arch == model.arch
         assert np.array_equal(again.params, model.params)
+
+    def test_checkpoint_with_other_activation_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(init_model(Architecture(5, (4,), 3), 123), path)
+        text = path.read_text()
+        assert "\nactivation=tanh\n" in text
+        path.write_text(text.replace("activation=tanh", "activation=relu"))
+        with pytest.raises(IngestionError, match="activation 'relu'"):
+            load_model(path)
 
     def test_dataset_save_is_byte_stable(self, workspace, tmp_path):
         ds = load_csv(workspace / "data" / "train.csv")

@@ -146,6 +146,13 @@ class TestCsv:
         with pytest.raises(IngestionError):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{cell}\n")
+        with pytest.raises(IngestionError, match=r"row 2, column 'f1': non-finite"):
+            load_csv(path)
+
 
 class TestStrip:
     def test_strip_removes_groups_only(self, small_bench):
@@ -234,6 +241,12 @@ class TestDataset:
             train.features[0, 0] = 1.0
         with pytest.raises(ValueError):
             train.labels[0] = 1
+
+    def test_non_finite_features_rejected(self):
+        features = np.zeros((3, 2))
+        features[1, 0] = np.nan
+        with pytest.raises(InputError, match=r"features\[1, 0\] is nan"):
+            Dataset(features, np.zeros(3, dtype=int))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):

@@ -174,6 +174,9 @@ class TestErrorSet:
         assert len(e) == 3
         assert e.source_epoch == 2
 
+    def test_one_class_behind_every_export(self):
+        assert ErrorSet is gt.ErrorSet is gt.analysis.ErrorSet
+
     def test_perfect_model_gives_empty_set(self, toy_separable):
         train, val = toy_separable
         result = train_erm(train, val, cfg(epochs=200, learning_rate=0.5, l2=0.0))
@@ -259,6 +262,17 @@ class TestTrainErm:
         train, val, _ = small_bench
         with pytest.raises(InputError):
             train_erm(train, strip_group_annotations(val), cfg())
+
+    @pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("lff", {"gce_q": 0.7})])
+    def test_validation_labels_never_shape_the_model(self, small_bench, algorithm, extra):
+        train, val, _ = small_bench
+        labels = val.labels.copy()
+        labels[0] = 2  # a class the training data never shows
+        extra_label = Dataset(val.features, labels, val.attributes, val.name)
+        a = gt.train(train, val, cfg(algorithm, **extra))
+        b = gt.train(train, extra_label, cfg(algorithm, **extra))
+        assert a.model.arch == b.model.arch == Architecture(train.n_features, (), 2)
+        assert np.array_equal(a.model.params, b.model.params)
 
     def test_history_length_and_checkpoint_consistency(self, small_bench):
         train, val, _ = small_bench

@@ -88,14 +88,6 @@ class TestGridSweep:
         for ra, rb in zip(a.rows, b.rows):
             assert ra.by_criterion == rb.by_criterion
 
-    def test_parallel_matches_sequential(self, small_bench):
-        train, val, test = small_bench
-        grid = Grid(base_cfg(epochs=2), {"seed": (0, 1)})
-        seq = grid_sweep(grid, train, val, test, n_jobs=1)
-        par = grid_sweep(grid, train, val, test, n_jobs=2)
-        for ra, rb in zip(seq.rows, par.rows):
-            assert ra.by_criterion == rb.by_criterion
-
     def test_validation(self, small_bench):
         train, val, test = small_bench
         with pytest.raises(InputError):
