@@ -32,11 +32,9 @@ from .models import (
     LossSpec,
     Model,
     OptimizerState,
-    forward,
     forward_batch,
     grad,
     init_model,
-    loss,
     loss_values,
     predict,
     sgd_step,
@@ -51,13 +49,6 @@ from .trainers import (
     group_dro_update,
     lff_weight,
     train,
-    train_cvar,
-    train_erm,
-    train_group_dro,
-    train_jtt,
-    train_jtt_dynamic,
-    train_lff,
-    train_upsample_minority,
     train_upweighted,
 )
-from .tuning import Grid, SweepResult, early_stop, grid_sweep, validation_size_study
+from .tuning import Grid, SweepResult, grid_sweep, validation_size_study

@@ -4,8 +4,9 @@ Subcommands: generate, train, sweep, analyze, ablate, val-study. Every run
 reads one config file, writes into a fresh output directory (report.json
 plus CSV tables and checkpoints), and is deterministic: re-running with the
 same config and data reproduces the report except for its "timing" block.
-Exit codes: 0 success, 1 usage or config error, 2 runtime failure. A run
-that fails or is interrupted leaves no partial outputs behind.
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure (including
+a diverging run), 128 + signal number on SIGTERM. A run that fails or is
+interrupted (Ctrl-C or SIGTERM) leaves no partial outputs behind.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import shutil
+import signal
 import sys
 import time
 import warnings
@@ -412,6 +414,10 @@ def _error_block(kind: str, exc: Exception) -> None:
     print(json.dumps(block, sort_keys=True), file=sys.stderr)
 
 
+def _terminate(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -427,6 +433,8 @@ def main(argv=None) -> int:
         return 1
 
     out = None
+    # SIGTERM unwinds like Ctrl-C, so the cleanup below runs for it too.
+    previous_sigterm = signal.signal(signal.SIGTERM, _terminate)
     try:
         out = _OutputDir(args.out)
         started = datetime.now(timezone.utc)
@@ -451,6 +459,7 @@ def main(argv=None) -> int:
     finally:
         if out is not None:
             out.abort()  # no-op once finalize has renamed the staging directory
+        signal.signal(signal.SIGTERM, previous_sigterm)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,15 +89,6 @@ class Dataset:
                 and np.array_equal(self.features, other.features))
 
     __hash__ = None  # type: ignore[assignment]
-
-    def group_ids(self) -> list[GroupId]:
-        """Per-example groups, in example order."""
-        groups, codes, _ = self.group_index()
-        return [groups[c] for c in codes]
-
-    def groups_present(self) -> list[GroupId]:
-        """Sorted distinct groups occurring in the data."""
-        return list(self.group_index()[0])
 
     def group_index(self) -> tuple[tuple[GroupId, ...], np.ndarray, np.ndarray]:
         """Sorted distinct groups; per example, the position of its group
@@ -241,7 +232,7 @@ def subsample_validation(val: Dataset, fraction: float, seed: int) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     idx = np.sort(rng.choice(m, size=k, replace=False))
     out = val.subset(idx, name=f"{val.name}-sub{fraction:g}")
-    lost = set(val.groups_present()) - set(out.groups_present())
+    lost = set(val.group_index()[0]) - set(out.group_index()[0])
     if lost:
         missing = ", ".join(f"(a={g.attribute}, y={g.label})" for g in sorted(lost))
         warnings.warn(
@@ -261,26 +252,20 @@ def save_csv(data: Dataset, path) -> None:
 
 
 def dataset_csv_text(data: Dataset) -> str:
-    cols = ["label"] + (["attribute"] if data.has_group_annotations else [])
-    cols += [f"f{j}" for j in range(data.n_features)]
-    lines = [",".join(cols)]
-    for i in range(len(data)):
-        row = [str(int(data.labels[i]))]
-        if data.attributes is not None:
-            row.append(str(int(data.attributes[i])))
-        row += [f"{v:.17g}" for v in data.features[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header, columns = ["label"], [data.labels.tolist()]
+    if data.attributes is not None:
+        header.append("attribute")
+        columns.append(data.attributes.tolist())
+    header += [f"f{j}" for j in range(data.n_features)]
+    template = ",".join(["%d"] * len(columns) + ["%.17g"] * data.n_features)
+    rows = zip(*columns, *data.features.T.tolist())
+    return "\n".join([",".join(header)] + [template % row for row in rows]) + "\n"
 
 
-def load_csv(path, label: str = "label", attribute: str | None = "attribute",
-             features: Sequence[str] | None = None, name: str | None = None) -> Dataset:
-    """Read a dataset from CSV.
-
-    `label` names the label column; `attribute` names the optional group
-    attribute column (pass None to ignore it even if present); `features`
-    lists feature columns explicitly, otherwise every column named f<number>
-    is used in file order. Row numbers in errors are 1-based data rows.
+def load_csv(path, name: str | None = None) -> Dataset:
+    """Read a dataset from CSV: the `label` column, the `attribute` column
+    (group annotations) if present, and every column named f<number> as a
+    feature, in file order. Row numbers in errors are 1-based data rows.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -290,21 +275,13 @@ def load_csv(path, label: str = "label", attribute: str | None = "attribute",
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if label not in header:
-            raise IngestionError(f"{path}: missing label column {label!r}")
-        attr_col = None
-        if attribute is not None and attribute in header:
-            attr_col = header.index(attribute)
-        if features is None:
-            feat_names = [h for h in header if h.startswith("f") and h[1:].isdigit()]
-        else:
-            feat_names = list(features)
-            for c in feat_names:
-                if c not in header:
-                    raise IngestionError(f"{path}: missing feature column {c!r}")
+        if "label" not in header:
+            raise IngestionError(f"{path}: missing label column 'label'")
+        attr_col = header.index("attribute") if "attribute" in header else None
+        feat_names = [h for h in header if h.startswith("f") and h[1:].isdigit()]
         if not feat_names:
             raise IngestionError(f"{path}: no feature columns found")
-        label_col = header.index(label)
+        label_col = header.index("label")
         feat_cols = [header.index(c) for c in feat_names]
 
         labels, attrs, rows = [], [], []
@@ -317,7 +294,7 @@ def load_csv(path, label: str = "label", attribute: str | None = "attribute",
                     raise ValueError
             except ValueError:
                 raise IngestionError(
-                    f"{path}: row {rownum}, column {label!r}: unknown label value {row[label_col]!r}"
+                    f"{path}: row {rownum}, column 'label': unknown label value {row[label_col]!r}"
                 ) from None
             labels.append(y)
             if attr_col is not None:
@@ -327,7 +304,7 @@ def load_csv(path, label: str = "label", attribute: str | None = "attribute",
                         raise ValueError
                 except ValueError:
                     raise IngestionError(
-                        f"{path}: row {rownum}, column {attribute!r}: bad attribute value {row[attr_col]!r}"
+                        f"{path}: row {rownum}, column 'attribute': bad attribute value {row[attr_col]!r}"
                     ) from None
                 attrs.append(a)
             vals = []

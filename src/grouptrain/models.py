@@ -103,9 +103,6 @@ class Model:
             )
         object.__setattr__(self, "params", p)
 
-    def with_params(self, params: np.ndarray) -> "Model":
-        return Model(self.arch, params)
-
 
 @dataclass(frozen=True)
 class OptimizerState:
@@ -193,14 +190,6 @@ def forward_batch(model: Model, features: np.ndarray, *, activations: bool = Fal
     return cached if activations else cached[0]
 
 
-def forward(model: Model, features: np.ndarray) -> np.ndarray:
-    """Per-label probability vector for a single feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError("forward expects a single feature vector")
-    return forward_batch(model, x[None, :])[0]
-
-
 def predict(model: Model, features: np.ndarray) -> np.ndarray:
     """Argmax labels; ties break toward the lowest label index."""
     return np.argmax(forward_batch(model, features), axis=1)
@@ -223,14 +212,6 @@ def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
     q = spec.gce_q
     # (1 - p^q)/q, written via expm1 to stay accurate as q -> 0.
     return -np.expm1(q * np.log(p)) / q
-
-
-def loss(probs: np.ndarray, label: int, spec: LossSpec) -> float:
-    """Loss of one probability vector against an integer label."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise InputError("loss expects a single probability vector")
-    return float(loss_values(probs[None, :], np.asarray([label]), spec)[0])
 
 
 def grad(model: Model, features: np.ndarray, labels: np.ndarray,

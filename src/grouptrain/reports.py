@@ -142,11 +142,8 @@ def write_history_csv(path, history: Sequence[EpochMetrics]) -> None:
 
 
 def write_error_set_csv(path, error_set: ErrorSet) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"])
-        writer.writerow(["# source_epoch=%d" % error_set.source_epoch])
-        writer.writerows([int(i)] for i in error_set.indices)
+    _write_rows(path, ["index"], [["# source_epoch=%d" % error_set.source_epoch]]
+                + [[i] for i in error_set.indices.tolist()])
 
 
 def read_error_set_csv(path) -> ErrorSet:

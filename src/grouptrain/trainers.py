@@ -25,6 +25,7 @@ group annotations: they operate on a stripped view of their input.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -197,7 +198,8 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
     that the losses, the weights and the gradient share. The weights are
     ``weight_fn(losses, batch indices, features, labels, probabilities)``,
     all pre-step; it may step a model of its own. The recorded train loss is
-    the mean over batches of the weighted batch objective.
+    the mean over batches of the weighted batch objective. A non-finite
+    objective or non-finite parameters stop the run with FloatingPointError.
     """
     model = _initial_model(train, val, cfg, init_stream)
     opt = fresh_optimizer(model, cfg.learning_rate, cfg.momentum, cfg.l2)
@@ -215,7 +217,13 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
             w = weight_fn(losses, bidx, xb, yb, forward[0])
             model, opt = sgd_step(model, grad(model, xb, yb, w, loss_spec, forward), opt)
             objective += float(w @ losses)
+            if not math.isfinite(objective):
+                raise FloatingPointError(
+                    f"training diverged: non-finite objective at epoch {epoch}, batch {n_batches}")
             n_batches += 1
+        if not np.isfinite(model.params).all():
+            raise FloatingPointError(
+                f"training diverged: non-finite parameters after epoch {epoch}")
         tracker.record(epoch, objective / n_batches, model, evaluate_groups(model, val))
         if snapshot_fn is not None:
             snapshot_fn(epoch, model)
@@ -230,17 +238,11 @@ def _uniform(losses: np.ndarray, *_) -> np.ndarray:
     return np.full(len(losses), 1.0 / len(losses))
 
 
-def _require(cfg: TrainConfig, algorithm: str):
-    if cfg.algorithm != algorithm:
-        raise InputError(f"config selects {cfg.algorithm!r}, trainer expects {algorithm!r}")
-
-
 # ---------------------------------------------------------------------------
 # Plain ERM
 
-def train_erm(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _erm(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Minibatch SGD on the mean cross-entropy."""
-    _require(cfg, ERM)
     base = strip_group_annotations(train)
     model, tracker = _weighted_sgd(
         base, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
@@ -317,19 +319,17 @@ def _two_stage(train: Dataset, val: Dataset, cfg: TrainConfig,
     return result
 
 
-def train_jtt(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _jtt(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Two-stage training: fit an identification model for id_epochs, collect
     its misclassified examples once, then retrain from scratch on the
     upsampled data."""
-    _require(cfg, JTT)
     return _two_stage(train, val, cfg, refresh_every=None)
 
 
-def train_jtt_dynamic(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _jtt_dynamic(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """The two-stage trainer with the error set recomputed from the current
     final model every refresh_every epochs (None never refreshes and matches
     the static variant exactly)."""
-    _require(cfg, JTT_DYNAMIC)
     return _two_stage(train, val, cfg, refresh_every=cfg.refresh_every)
 
 
@@ -361,12 +361,11 @@ def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
     return weights
 
 
-def train_cvar(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _cvar(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step. Per-example
     cross-entropy over the full training set is snapshotted every epoch for
     composition tracking."""
-    _require(cfg, CVAR)
     base = strip_group_annotations(train)
     snapshots: list[np.ndarray] = []
     spec = LossSpec(CROSS_ENTROPY)
@@ -394,7 +393,7 @@ def lff_weight(p_bias, p_main):
     return lb / (lb + lm)
 
 
-def train_lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Interleaved updates of a bias model (generalized cross-entropy, which
     gradient-weights examples by p^q and so favours easy ones) and the main
     model (cross-entropy with per-example weights from `lff_weight`, using
@@ -404,7 +403,6 @@ def train_lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     Both models start from the identical seeded initialization, so gce_q=0
     reduces the whole procedure to ERM exactly.
     """
-    _require(cfg, LFF)
     base = strip_group_annotations(train)
     bias = _initial_model(base, val, cfg, _MAIN_INIT)
     opt_b = fresh_optimizer(bias, cfg.learning_rate, cfg.momentum, cfg.l2)
@@ -446,11 +444,10 @@ def group_dro_update(group_losses: np.ndarray, weights: np.ndarray,
     return out / out.sum()
 
 
-def train_group_dro(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _group_dro(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Oracle trainer with training group annotations: per batch, group mean
     losses update the adversarial group weights, then the model steps on the
     weight-averaged group losses."""
-    _require(cfg, GROUP_DRO)
     if not train.has_group_annotations:
         raise InputError("group-dro needs training group annotations")
     groups, codes, _ = train.group_index()
@@ -475,11 +472,10 @@ def train_group_dro(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResu
 # ---------------------------------------------------------------------------
 # Ground-truth minority upsampling
 
-def train_upsample_minority(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _upsample_minority(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Duplicates every example whose attribute disagrees with its label
     upweight_factor times, then runs plain ERM. Binary labels/attributes
     only."""
-    _require(cfg, UPSAMPLE_MINORITY)
     if not train.has_group_annotations:
         raise InputError("upsample-minority needs training group annotations")
     for arr, what in ((train.attributes, "attributes"), (train.labels, "labels")):
@@ -496,13 +492,13 @@ def train_upsample_minority(train: Dataset, val: Dataset, cfg: TrainConfig) -> T
 # ---------------------------------------------------------------------------
 
 _TRAINERS = {
-    ERM: train_erm,
-    JTT: train_jtt,
-    JTT_DYNAMIC: train_jtt_dynamic,
-    CVAR: train_cvar,
-    LFF: train_lff,
-    GROUP_DRO: train_group_dro,
-    UPSAMPLE_MINORITY: train_upsample_minority,
+    ERM: _erm,
+    JTT: _jtt,
+    JTT_DYNAMIC: _jtt_dynamic,
+    CVAR: _cvar,
+    LFF: _lff,
+    GROUP_DRO: _group_dro,
+    UPSAMPLE_MINORITY: _upsample_minority,
 }
 
 

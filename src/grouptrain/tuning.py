@@ -1,5 +1,5 @@
-"""Hyperparameter grid sweeps with worst-group-validation selection,
-early stopping, and the validation-set-size study.
+"""Hyperparameter grid sweeps with worst-group-validation selection of
+early-stopped checkpoints, and the validation-set-size study.
 
 Every run in a sweep records its metrics under both early-stopping criteria
 (worst-group and average validation accuracy), so one sweep supports both
@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import evaluate_groups
 from .data import Dataset, subsample_validation
 from .errors import InputError
-from .trainers import AVERAGE, CRITERIA, WORST_GROUP, EpochMetrics, TrainConfig, train
+from .trainers import AVERAGE, CRITERIA, WORST_GROUP, TrainConfig, train
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,32 +82,10 @@ class SweepResult:
     best_by_worst_group: int
     best_by_average: int
 
-    def best_row(self, criterion: str | None = None) -> SweepRow:
-        criterion = criterion or self.criterion
-        idx = self.best_by_worst_group if criterion == WORST_GROUP else self.best_by_average
-        return self.rows[idx]
-
     def selected(self, criterion: str | None = None) -> SelectionMetrics:
         criterion = criterion or self.criterion
-        return self.best_row(criterion).by_criterion[criterion]
-
-
-def early_stop(history: Sequence, criterion: str) -> int:
-    """Epoch index maximizing the criterion (ties go to the earliest epoch).
-
-    `history` holds per-epoch EpochMetrics, or plain floats of the criterion
-    itself.
-    """
-    if criterion not in CRITERIA:
-        raise InputError(f"unknown criterion {criterion!r}")
-    if len(history) == 0:
-        raise InputError("early_stop needs a non-empty history")
-    values = [
-        float(h.val_worst_group if criterion == WORST_GROUP else h.val_average)
-        if isinstance(h, EpochMetrics) else float(h)
-        for h in history
-    ]
-    return int(np.argmax(values))
+        idx = self.best_by_worst_group if criterion == WORST_GROUP else self.best_by_average
+        return self.rows[idx].by_criterion[criterion]
 
 
 def _evaluate_config(cfg: TrainConfig, train_data: Dataset, val: Dataset,

@@ -10,6 +10,7 @@ from grouptrain.models import (
     GCE,
     Architecture,
     LossSpec,
+    Model,
     forward_batch,
     fresh_optimizer,
     grad,
@@ -28,7 +29,7 @@ def finite_difference_grad(model, features, labels, weights, spec, h=1e-6):
     w = np.asarray(weights, dtype=np.float64).ravel()
 
     def objective(params):
-        probs = forward_batch(model.with_params(params), x)
+        probs = forward_batch(Model(model.arch, params), x)
         return float(w @ loss_values(probs, y, spec))
 
     grad = np.empty(model.params.size)
@@ -93,3 +94,17 @@ def reference_lff(train, val, cfg):
         history.append((objective / n_batches, metrics.worst_group_accuracy,
                         metrics.average_accuracy))
     return model_m, model_b, history
+
+
+def reference_csv_text(data):
+    """The canonical dataset CSV text, formatted one value at a time."""
+    cols = ["label"] + (["attribute"] if data.has_group_annotations else [])
+    cols += [f"f{j}" for j in range(data.n_features)]
+    lines = [",".join(cols)]
+    for i in range(len(data)):
+        row = [str(int(data.labels[i]))]
+        if data.attributes is not None:
+            row.append(str(int(data.attributes[i])))
+        row += [f"{v:.17g}" for v in data.features[i]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

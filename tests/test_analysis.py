@@ -245,7 +245,7 @@ class TestReplaceErrorSet:
     @staticmethod
     def group_counts(data, error_set):
         out = {}
-        for g in data.groups_present():
+        for g in data.group_index()[0]:
             mask = (data.attributes[error_set.indices] == g.attribute) & \
                    (data.labels[error_set.indices] == g.label)
             out[g] = int(mask.sum())

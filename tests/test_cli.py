@@ -1,4 +1,10 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +265,40 @@ class TestFailureModes:
                  "--data", workspace / "data"])
         assert not out.exists()
         assert not (tmp_path / "interrupted.partial").exists()
+
+    def test_divergence_exits_2_and_cleans_partial(self, workspace, tmp_path, capsys):
+        config = tmp_path / "diverge.ini"
+        config.write_text(ERM.replace("learning_rate = 0.02", "learning_rate = 1e200"))
+        out = tmp_path / "diverged"
+        assert run(["train", "--config", config, "--out", out,
+                    "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["type"] == "FloatingPointError"
+        assert "non-finite" in err["error"]["message"]
+        assert not out.exists()
+        assert not (tmp_path / "diverged.partial").exists()
+
+    def test_sigterm_exits_143_and_cleans_partial(self, workspace, tmp_path):
+        config = tmp_path / "long.ini"
+        config.write_text(ERM.replace("epochs = 6", "epochs = 1000000"))
+        out, partial = tmp_path / "terminated", tmp_path / "terminated.partial"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "grouptrain.cli", "train", "--config", str(config),
+             "--out", str(out), "--data", str(workspace / "data")],
+            env=env, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not partial.exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+        assert not out.exists()
+        assert not partial.exists()
 
     def test_missing_data_files_exit_2(self, workspace, tmp_path, capsys):
         empty = tmp_path / "emptydir"

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from grouptrain.data import (
     Dataset,
     GroupId,
     SyntheticSpec,
+    dataset_csv_text,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -17,6 +19,7 @@ from grouptrain.data import (
     subsample_validation,
 )
 from grouptrain.errors import DataWarning, IngestionError, InputError
+from oracles import reference_csv_text
 
 
 def spec(**overrides):
@@ -25,6 +28,16 @@ def spec(**overrides):
                 spurious_separation=4.0, noise_dims=2, noise_sigma=1.0)
     base.update(overrides)
     return SyntheticSpec(**base)
+
+
+@st.composite
+def extreme_datasets(draw):
+    """Any finite float64 features (subnormals and -0.0 included) and any
+    non-negative int64 labels, with or without attributes."""
+    features = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
+                               elements=st.floats(allow_nan=False, allow_infinity=False)))
+    ints = hnp.arrays(np.int64, len(features), elements=st.integers(0, 2**63 - 1))
+    return Dataset(features, draw(ints), draw(st.none() | ints), "extreme")
 
 
 class TestGenerate:
@@ -48,7 +61,7 @@ class TestGenerate:
         _, val, test = generate_synthetic(spec(), 1)
         for ds, n in ((val, 400), (test, 400)):
             assert len(ds) == n
-            for g in ds.groups_present():
+            for g in ds.group_index()[0]:
                 mask = (ds.attributes == g.attribute) & (ds.labels == g.label)
                 assert int(mask.sum()) == n // 4
 
@@ -71,7 +84,7 @@ class TestGenerate:
         expected = norm.cdf(2.0 / 2.0)
         preds = (test.features[:, 0] > 0).astype(int)
         accs = []
-        for g in test.groups_present():
+        for g in test.group_index()[0]:
             mask = (test.attributes == g.attribute) & (test.labels == g.label)
             accs.append(float((preds[mask] == test.labels[mask]).mean()))
         for acc in accs:
@@ -104,15 +117,29 @@ class TestCsv:
         again = load_csv(path, name=train.name)
         assert again == train
 
+    @given(ds=extreme_datasets())
+    @example(ds=Dataset(np.array([[5e-324, -0.0, 1.7976931348623157e308,
+                                   -2.2250738585072014e-308]]), [2**63 - 1], [0], "extreme"))
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_floats_round_trip_bit_for_bit(self, tmp_path_factory, ds):
+        assert dataset_csv_text(ds) == reference_csv_text(ds)
+        path = tmp_path_factory.getbasetemp() / "extreme.csv"
+        save_csv(ds, path)
+        again = load_csv(path, name=ds.name)
+        assert again == ds
+        assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
+
     def test_attribute_column_optional(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("label,attribute,f0,f1\n0,1,0.5,1.5\n1,0,2.5,3.5\n0,0,4.5,5.5\n")
         with_groups = load_csv(path)
         assert len(with_groups) == 3
         assert with_groups.has_group_annotations
-        without = load_csv(path, attribute=None)
+        path.write_text("label,f0,f1\n0,0.5,1.5\n1,2.5,3.5\n0,4.5,5.5\n")
+        without = load_csv(path)
         assert not without.has_group_annotations
         assert np.array_equal(without.features, with_groups.features)
+        assert np.array_equal(without.labels, with_groups.labels)
 
     def test_non_numeric_feature_names_row_and_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -131,14 +158,6 @@ class TestCsv:
         path.write_text("y,f0\n0,1.0\n")
         with pytest.raises(IngestionError, match="label"):
             load_csv(path)
-
-    def test_explicit_feature_columns(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("label,weight,height\n0,1.0,2.0\n")
-        ds = load_csv(path, features=["weight", "height"])
-        assert np.array_equal(ds.features, [[1.0, 2.0]])
-        with pytest.raises(IngestionError, match="'mass'"):
-            load_csv(path, features=["mass"])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -172,7 +191,8 @@ class TestStrip:
         stripped = strip_group_annotations(train)
         recovered = [GroupId(int(a), int(y))
                      for a, y in zip(train.attributes, stripped.labels)]
-        assert recovered == train.group_ids()
+        groups, codes, _ = train.group_index()
+        assert recovered == [groups[c] for c in codes]
 
 
 class TestSubsample:

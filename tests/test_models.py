@@ -14,11 +14,9 @@ from grouptrain.models import (
     LossSpec,
     Model,
     OptimizerState,
-    forward,
     forward_batch,
     grad,
     init_model,
-    loss,
     loss_values,
     predict,
     sgd_step,
@@ -34,14 +32,14 @@ def zero_model(arch=LOGISTIC):
 
 class TestForward:
     def test_zero_parameters_give_uniform_probabilities(self):
-        probs = forward(zero_model(), np.array([0.3, -1.0, 2.0]))
-        assert np.array_equal(probs, [0.5, 0.5])
+        probs = forward_batch(zero_model(), np.array([[0.3, -1.0, 2.0]]))
+        assert np.array_equal(probs, [[0.5, 0.5]])
 
     def test_hand_evaluated_softmax(self):
         # logits (0, ln 3) -> probabilities (1/4, 3/4)
         arch = Architecture(1, (), 2)
         model = Model(arch, np.array([0.0, math.log(3.0), 0.0, 0.0]))
-        probs = forward(model, np.array([1.0]))
+        probs = forward_batch(model, np.array([[1.0]]))[0]
         assert probs == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_shift_invariance(self):
@@ -51,8 +49,8 @@ class TestForward:
         for shift in (-50.0, 3.7, 200.0):
             m1 = Model(arch, np.concatenate([weights, np.zeros(3)]))
             m2 = Model(arch, np.concatenate([weights, np.full(3, shift)]))
-            x = np.array([1.0])
-            assert forward(m1, x) == pytest.approx(forward(m2, x), abs=1e-12)
+            x = np.array([[1.0]])
+            assert forward_batch(m1, x)[0] == pytest.approx(forward_batch(m2, x)[0], abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -66,50 +64,50 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            forward(zero_model(), np.array([1.0, 2.0]))
+            forward_batch(zero_model(), np.array([[1.0, 2.0]]))
 
     def test_deterministic(self):
         model = init_model(Architecture(4, (6,), 3), 11)
-        x = np.linspace(-1, 1, 4)
-        assert np.array_equal(forward(model, x), forward(model, x))
+        x = np.linspace(-1, 1, 8).reshape(2, 4)
+        assert np.array_equal(forward_batch(model, x), forward_batch(model, x))
 
 
 class TestLoss:
     def test_gce_zero_when_confident(self):
-        assert loss(np.array([0.0, 1.0]), 1, LossSpec(GCE, 0.7)) == 0.0
+        assert loss_values(np.array([[0.0, 1.0]]), np.array([1]), LossSpec(GCE, 0.7))[0] == 0.0
 
     def test_gce_approaches_cross_entropy(self):
-        val = loss(np.array([0.5, 0.5]), 0, LossSpec(GCE, 1e-6))
+        val = loss_values(np.array([[0.5, 0.5]]), np.array([0]), LossSpec(GCE, 1e-6))[0]
         assert abs(val - 0.6931471805599453) < 1e-6
 
     def test_gce_hand_value(self):
-        val = loss(np.array([0.5, 0.5]), 0, LossSpec(GCE, 0.7))
+        val = loss_values(np.array([[0.5, 0.5]]), np.array([0]), LossSpec(GCE, 0.7))[0]
         expected = (1.0 - 0.5 ** 0.7) / 0.7
         assert val == pytest.approx(expected, abs=1e-12)
         assert val == pytest.approx(0.54918, abs=1e-5)
 
     def test_gce_limit_property(self):
-        for p in np.linspace(0.01, 1.0, 25):
-            probs = np.array([p, 1.0 - p]) if p < 1 else np.array([1.0, 0.0])
-            gce = loss(probs, 0, LossSpec(GCE, 1e-8))
-            assert abs(gce - (-math.log(p))) < 1e-6
+        ps = np.linspace(0.01, 1.0, 25)
+        gce = loss_values(np.column_stack([ps, 1.0 - ps]), np.zeros(25, dtype=int),
+                          LossSpec(GCE, 1e-8))
+        assert np.abs(gce + np.log(ps)).max() < 1e-6
 
     def test_gce_q_zero_is_cross_entropy(self):
-        probs = np.array([0.3, 0.7])
-        assert loss(probs, 0, LossSpec(GCE, 0.0)) == loss(probs, 0, LossSpec(CROSS_ENTROPY))
+        probs, labels = np.array([[0.3, 0.7], [0.9, 0.1]]), np.array([0, 0])
+        assert np.array_equal(loss_values(probs, labels, LossSpec(GCE, 0.0)),
+                              loss_values(probs, labels, LossSpec(CROSS_ENTROPY)))
 
     def test_cross_entropy_clamped_never_infinite(self):
-        val = loss(np.array([1.0, 0.0]), 1, LossSpec(CROSS_ENTROPY))
+        val = loss_values(np.array([[1.0, 0.0]]), np.array([1]), LossSpec(CROSS_ENTROPY))[0]
         assert val == pytest.approx(-math.log(1e-12))
 
     def test_zero_one_with_tie_goes_to_lowest_index(self):
-        probs = np.array([0.5, 0.5])
-        assert loss(probs, 0, LossSpec(ZERO_ONE)) == 0.0
-        assert loss(probs, 1, LossSpec(ZERO_ONE)) == 1.0
+        probs = np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert np.array_equal(loss_values(probs, np.array([0, 1]), LossSpec(ZERO_ONE)), [0.0, 1.0])
 
     def test_label_out_of_range(self):
         with pytest.raises(InputError):
-            loss(np.array([0.5, 0.5]), 2, LossSpec(CROSS_ENTROPY))
+            loss_values(np.array([[0.5, 0.5]]), np.array([2]), LossSpec(CROSS_ENTROPY))
 
     def test_spec_validation(self):
         with pytest.raises(InputError):
@@ -243,12 +241,3 @@ def test_predict_ties_break_low():
     preds = predict(zero_model(), np.zeros((3, 3)))
     assert np.array_equal(preds, [0, 0, 0])
 
-
-def test_loss_values_vectorized_matches_scalar():
-    rng = np.random.default_rng(4)
-    probs = rng.dirichlet(np.ones(3), size=6)
-    labels = rng.integers(0, 3, size=6)
-    for spec in (LossSpec(CROSS_ENTROPY), LossSpec(GCE, 0.5), LossSpec(ZERO_ONE)):
-        vec = loss_values(probs, labels, spec)
-        scalars = [loss(probs[i], int(labels[i]), spec) for i in range(6)]
-        assert vec == pytest.approx(scalars, abs=1e-15)

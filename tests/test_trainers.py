@@ -20,9 +20,6 @@ from grouptrain.trainers import (
     cvar_batch_weights,
     group_dro_update,
     lff_weight,
-    train,
-    train_erm,
-    train_jtt,
     train_upweighted,
 )
 from oracles import cvar_lp_optimum, reference_lff
@@ -179,7 +176,7 @@ class TestErrorSet:
 
     def test_perfect_model_gives_empty_set(self, toy_separable):
         train, val = toy_separable
-        result = train_erm(train, val, cfg(epochs=200, learning_rate=0.5, l2=0.0))
+        result = gt.train(train, val, cfg(epochs=200, learning_rate=0.5, l2=0.0))
         e = compute_error_set(result.model, train)
         assert len(e) == 0
 
@@ -230,7 +227,7 @@ class TestTrainErm:
     def test_zero_epochs_returns_seeded_initialization(self, small_bench):
         train, val, _ = small_bench
         c = cfg(epochs=0, seed=123)
-        result = train_erm(train, val, c)
+        result = gt.train(train, val, c)
         arch = Architecture(train.n_features, (), 2)
         expected = init_model(arch, _seedseq(123, 0))
         assert np.array_equal(result.model.params, expected.params)
@@ -239,29 +236,29 @@ class TestTrainErm:
 
     def test_deterministic(self, small_bench):
         train, val, _ = small_bench
-        assert_same_result(train_erm(train, val, cfg()), train_erm(train, val, cfg()))
+        assert_same_result(gt.train(train, val, cfg()), gt.train(train, val, cfg()))
 
     def test_seed_changes_trajectory(self, small_bench):
         train, val, _ = small_bench
-        a = train_erm(train, val, cfg(seed=0))
-        b = train_erm(train, val, cfg(seed=1))
+        a = gt.train(train, val, cfg(seed=0))
+        b = gt.train(train, val, cfg(seed=1))
         assert not np.array_equal(a.model.params, b.model.params)
 
     def test_toy_set_reaches_zero_training_error(self, toy_separable):
         train, val = toy_separable
-        result = train_erm(train, val, cfg(epochs=200, learning_rate=0.5, l2=0.0, seed=7))
+        result = gt.train(train, val, cfg(epochs=200, learning_rate=0.5, l2=0.0, seed=7))
         assert np.array_equal(gt.predict(result.model, train.features), train.labels)
 
     def test_empty_dataset_rejected(self, small_bench):
         _, val, _ = small_bench
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
         with pytest.raises(InputError):
-            train_erm(empty, val, cfg())
+            gt.train(empty, val, cfg())
 
     def test_val_needs_annotations(self, small_bench):
         train, val, _ = small_bench
         with pytest.raises(InputError):
-            train_erm(train, strip_group_annotations(val), cfg())
+            gt.train(train, strip_group_annotations(val), cfg())
 
     @pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("lff", {"gce_q": 0.7})])
     def test_validation_labels_never_shape_the_model(self, small_bench, algorithm, extra):
@@ -276,7 +273,7 @@ class TestTrainErm:
 
     def test_history_length_and_checkpoint_consistency(self, small_bench):
         train, val, _ = small_bench
-        result = train_erm(train, val, cfg(epochs=6))
+        result = gt.train(train, val, cfg(epochs=6))
         assert len(result.history) == 6
         for criterion, field in ((WORST_GROUP, "val_worst_group"), (AVERAGE, "val_average")):
             ck = result.checkpoints[criterion]
@@ -288,8 +285,8 @@ class TestTrainErm:
 class TestReductions:
     def test_jtt_with_factor_one_is_erm(self, small_bench):
         train, val, _ = small_bench
-        erm = train_erm(train, val, cfg())
-        jtt = train_jtt(train, val, cfg("jtt", id_epochs=2, upweight_factor=1))
+        erm = gt.train(train, val, cfg())
+        jtt = gt.train(train, val, cfg("jtt", id_epochs=2, upweight_factor=1))
         assert_same_result(erm, jtt)
 
     def test_cvar_alpha_one_is_erm(self, small_bench):
@@ -373,7 +370,7 @@ class TestJtt:
     def test_aux_contents(self, small_bench):
         train, val, _ = small_bench
         c = cfg("jtt", id_epochs=2, upweight_factor=4)
-        result = train_jtt(train, val, c)
+        result = gt.train(train, val, c)
         id_model = result.aux["identification_model"]
         expected = compute_error_set(id_model, strip_group_annotations(train),
                                      source_epoch=2)
@@ -384,7 +381,7 @@ class TestJtt:
     def test_identification_epochs_zero_uses_initialization(self, small_bench):
         train, val, _ = small_bench
         c = cfg("jtt", id_epochs=0, upweight_factor=2, seed=31)
-        result = train_jtt(train, val, c)
+        result = gt.train(train, val, c)
         arch = Architecture(train.n_features, (), 2)
         init = init_model(arch, _seedseq(31, 2))
         assert np.array_equal(result.aux["identification_model"].params, init.params)
@@ -395,8 +392,8 @@ class TestJtt:
         c = cfg("jtt", epochs=5, learning_rate=0.5, l2=0.0, id_epochs=300,
                 upweight_factor=10, seed=7)
         with pytest.warns(TrainingWarning, match="empty"):
-            result = train_jtt(train, val, c)
-        erm = train_erm(train, val, cfg(epochs=5, learning_rate=0.5, l2=0.0, seed=7))
+            result = gt.train(train, val, c)
+        erm = gt.train(train, val, cfg(epochs=5, learning_rate=0.5, l2=0.0, seed=7))
         assert np.array_equal(result.model.params, erm.model.params)
 
     def test_dynamic_refresh_changes_trajectory_and_logs(self, small_bench):
@@ -411,7 +408,7 @@ class TestJtt:
     def test_train_upweighted_matches_stage_two(self, small_bench):
         train, val, _ = small_bench
         c = cfg("jtt", id_epochs=1, upweight_factor=4)
-        full = train_jtt(train, val, c)
+        full = gt.train(train, val, c)
         stage2 = train_upweighted(train, val, c, full.aux["error_set"])
         assert np.array_equal(full.model.params, stage2.model.params)
 
@@ -437,7 +434,7 @@ class TestLffTrainer:
             return out
 
         monkeypatch.setattr(trainers_mod, "lff_weight", recording)
-        gt.train_lff(train, val, cfg("lff", epochs=1, gce_q=0.7))
+        gt.train(train, val, cfg("lff", epochs=1, gce_q=0.7))
         assert np.array_equal(captured[0], np.full(len(captured[0]), 0.5))
 
     def test_weights_stay_half_throughout_on_identical_examples(self, monkeypatch):
@@ -458,7 +455,7 @@ class TestLffTrainer:
             return out
 
         monkeypatch.setattr(trainers_mod, "lff_weight", recording)
-        gt.train_lff(train, val, cfg("lff", epochs=3, batch_size=16, gce_q=0.0))
+        gt.train(train, val, cfg("lff", epochs=3, batch_size=16, gce_q=0.0))
         for batch in captured:
             assert np.array_equal(batch, np.full(len(batch), 0.5))
 
@@ -502,8 +499,21 @@ class TestGroupTrainersRequireAnnotations:
         train, val, _ = small_bench
         result = gt.train(train, val, cfg("group-dro"))
         weights = result.aux["group_weights"]
-        assert set(weights) == set(train.groups_present())
+        assert set(weights) == set(train.group_index()[0])
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestDivergence:
+    def test_non_finite_objective_stops_the_run(self, small_bench):
+        train, val, _ = small_bench
+        with pytest.raises(FloatingPointError, match="objective at epoch 0, batch 2"):
+            gt.train(train, val, cfg(learning_rate=1e200))
+
+    def test_non_finite_parameters_stop_the_run(self, small_bench):
+        # one batch per epoch: the overflowing step is the epoch's last
+        train, val, _ = small_bench
+        with pytest.raises(FloatingPointError, match="parameters after epoch 1"):
+            gt.train(train, val, cfg(batch_size=len(train), learning_rate=1e200))
 
 
 class TestConfigValidation:
@@ -536,11 +546,6 @@ class TestConfigValidation:
             cfg(momentum=1.0)
         with pytest.raises(ConfigError):
             cfg("jtt", id_epochs=1, upweight_factor=2, refresh_every=0)
-
-    def test_trainer_dispatch_mismatch(self, small_bench):
-        train, val, _ = small_bench
-        with pytest.raises(InputError):
-            train_erm(train, val, cfg("cvar", alpha=0.5))
 
 
 def test_error_set_on_reference_benchmark_is_minority_enriched(reference_bench):

@@ -1,8 +1,8 @@
 import pytest
 
 from grouptrain.errors import InputError
-from grouptrain.trainers import AVERAGE, WORST_GROUP, EpochMetrics, TrainConfig
-from grouptrain.tuning import Grid, early_stop, grid_sweep, validation_size_study
+from grouptrain.trainers import AVERAGE, WORST_GROUP, TrainConfig
+from grouptrain.tuning import Grid, grid_sweep, validation_size_study
 
 
 def base_cfg(**overrides):
@@ -29,28 +29,6 @@ class TestGrid:
             Grid(base_cfg(), {"epochs": ()})
 
 
-class TestEarlyStop:
-    def test_monotone_improvement_selects_last(self):
-        assert early_stop([0.1, 0.2, 0.3, 0.9], WORST_GROUP) == 3
-
-    def test_peak_in_middle(self):
-        assert early_stop([0.5, 0.9, 0.7], WORST_GROUP) == 1
-
-    def test_ties_select_earliest(self):
-        assert early_stop([0.4, 0.4, 0.4], AVERAGE) == 0
-
-    def test_epoch_metrics_entries(self):
-        history = [EpochMetrics(1.0, 0.2, 0.9), EpochMetrics(0.9, 0.6, 0.5)]
-        assert early_stop(history, WORST_GROUP) == 1
-        assert early_stop(history, AVERAGE) == 0
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            early_stop([], WORST_GROUP)
-        with pytest.raises(InputError):
-            early_stop([0.5], "loss")
-
-
 class TestGridSweep:
     def test_single_config_best_under_both_criteria(self, small_bench):
         train, val, test = small_bench
@@ -75,9 +53,9 @@ class TestGridSweep:
         row = sweep.rows[0]
         from grouptrain.trainers import train as train_fn
         result = train_fn(train, val, base_cfg(epochs=6))
-        for criterion in (WORST_GROUP, AVERAGE):
-            assert (row.by_criterion[criterion].selected_epoch
-                    == early_stop(result.history, criterion))
+        for criterion, field in ((WORST_GROUP, "val_worst_group"), (AVERAGE, "val_average")):
+            values = [getattr(h, field) for h in result.history]
+            assert row.by_criterion[criterion].selected_epoch == values.index(max(values))
 
     def test_deterministic(self, small_bench):
         train, val, test = small_bench
