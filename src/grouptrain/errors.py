@@ -9,10 +9,6 @@ class IngestionError(ValueError):
     """A CSV file could not be parsed into a dataset."""
 
 
-class UnsupportedLossError(TypeError):
-    """A loss without a defined gradient was handed to the differentiator."""
-
-
 class ConfigError(ValueError):
     """A configuration file or config object is malformed or out of range."""
 

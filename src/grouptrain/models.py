@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, UnsupportedLossError
+from .errors import InputError
 
 # Probabilities are clamped to [PROB_EPS, 1] before logs/powers so confident
 # wrong predictions never produce infinities.
@@ -22,9 +22,8 @@ PROB_EPS = 1e-12
 
 CROSS_ENTROPY = "cross-entropy"
 GCE = "generalized-cross-entropy"
-ZERO_ONE = "zero-one"
 
-_LOSS_KINDS = (CROSS_ENTROPY, GCE, ZERO_ONE)
+_LOSS_KINDS = (CROSS_ENTROPY, GCE)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -204,8 +203,6 @@ def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
         raise InputError("labels must be one integer per probability row")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise InputError("label index out of range")
-    if spec.kind == ZERO_ONE:
-        return (np.argmax(probs, axis=1) != labels).astype(np.float64)
     p = np.clip(probs[np.arange(n), labels], PROB_EPS, 1.0)
     if spec.kind == CROSS_ENTROPY or spec.gce_q == 0.0:
         return -np.log(p)
@@ -225,11 +222,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     the loss actually computed. `forward`, if given, is
     ``forward_batch(model, features, activations=True)``: only backprop runs.
     """
-    if spec.kind == ZERO_ONE:
-        raise UnsupportedLossError("zero-one loss has no gradient")
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     y = np.asarray(labels).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
     if len(w) != len(y) or len(y) != x.shape[0]:
@@ -237,7 +230,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     if (w < 0).any():
         raise InputError("weights must be non-negative")
 
-    probs, acts = forward if forward is not None else _forward_cached(model, x)
+    probs, acts = forward if forward is not None else forward_batch(model, x, activations=True)
     rows = np.arange(x.shape[0])
     p_label = probs[rows, y]
     live = (p_label > PROB_EPS).astype(np.float64)

@@ -25,14 +25,15 @@ group annotations: they operate on a stripped view of their input.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import ErrorSet, GroupMetrics, evaluate_groups
+from .analysis import ErrorSet, evaluate_groups
 from .data import Dataset, strip_group_annotations
 from .errors import ConfigError, InputError, TrainingWarning
 from .models import (
@@ -146,32 +147,44 @@ class Checkpoint:
     metric: float
 
 
+def select_checkpoint(scores: Sequence[tuple[float, float]],
+                      criterion: str) -> tuple[int, tuple[float, float]]:
+    """The checkpoint rule, over per-epoch (worst-group, average) validation
+    accuracies: the epoch whose `criterion` value strictly beats every
+    earlier one, so ties go to the earliest, with its scores; (-1, (-inf,
+    -inf)), the unscored initial model, when no epoch beats -inf."""
+    column = CRITERIA.index(criterion)
+    epoch, picked = -1, (-math.inf, -math.inf)
+    for e, score in enumerate(scores):
+        if score[column] > picked[column]:
+            epoch, picked = e, score
+    return epoch, picked
+
+
 @dataclass(eq=False)
 class TrainResult:
-    """Final model, per-epoch history, algorithm-specific extras, and the
-    best-so-far checkpoints per early-stopping criterion."""
+    """A run's record: per-epoch history, the trajectory (the initial model,
+    then epoch e's model at index e + 1) and algorithm-specific extras. The
+    final model and the checkpoints are read off the record."""
 
-    model: Model
     history: list[EpochMetrics]
-    aux: dict[str, Any]
-    checkpoints: dict[str, Checkpoint]
+    trajectory: list[Model]
+    aux: dict[str, Any] = field(default_factory=dict)
 
+    @property
+    def model(self) -> Model:
+        """The final model."""
+        return self.trajectory[-1]
 
-class _Tracker:
-    """History plus best-so-far checkpoints (strictly-greater updates, so
-    ties resolve to the earliest epoch)."""
-
-    def __init__(self, initial: Model):
-        self.history: list[EpochMetrics] = []
-        self.best = {c: Checkpoint(-1, initial, float("-inf")) for c in CRITERIA}
-
-    def record(self, epoch: int, train_loss: float, model: Model, metrics: GroupMetrics):
-        entry = EpochMetrics(train_loss, metrics.worst_group_accuracy, metrics.average_accuracy)
-        self.history.append(entry)
-        for criterion, value in ((WORST_GROUP, entry.val_worst_group),
-                                 (AVERAGE, entry.val_average)):
-            if value > self.best[criterion].metric:
-                self.best[criterion] = Checkpoint(epoch, model, value)
+    @functools.cached_property
+    def checkpoints(self) -> dict[str, Checkpoint]:
+        """The selected checkpoint per early-stopping criterion."""
+        scores = [entry[1:] for entry in self.history]
+        out = {}
+        for column, criterion in enumerate(CRITERIA):
+            epoch, picked = select_checkpoint(scores, criterion)
+            out[criterion] = Checkpoint(epoch, self.trajectory[epoch + 1], picked[column])
+        return out
 
 
 def _initial_model(train: Dataset, val: Dataset, cfg: TrainConfig, init_stream: int) -> Model:
@@ -188,9 +201,8 @@ def _initial_model(train: Dataset, val: Dataset, cfg: TrainConfig, init_stream: 
 def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int,
                   loss_spec: LossSpec, weight_fn: Callable[..., np.ndarray],
                   init_stream: int, shuffle_stream: int,
-                  snapshot_fn: Callable[[int, Model], None] | None = None,
                   refresh_fn: Callable[[int, Model], Dataset | None] | None = None,
-                  ) -> tuple[Model, _Tracker]:
+                  ) -> TrainResult:
     """Minibatch SGD over `train` with per-batch example weights.
 
     Per epoch the example order is one seeded permutation; batches are its
@@ -204,7 +216,7 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
     model = _initial_model(train, val, cfg, init_stream)
     opt = fresh_optimizer(model, cfg.learning_rate, cfg.momentum, cfg.l2)
     shuffle = _rng(cfg.seed, shuffle_stream)
-    tracker = _Tracker(model)
+    history, trajectory = [], [model]
     data = train
     for epoch in range(epochs):
         order = shuffle.permutation(len(data))
@@ -224,14 +236,15 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
         if not np.isfinite(model.params).all():
             raise FloatingPointError(
                 f"training diverged: non-finite parameters after epoch {epoch}")
-        tracker.record(epoch, objective / n_batches, model, evaluate_groups(model, val))
-        if snapshot_fn is not None:
-            snapshot_fn(epoch, model)
+        val_metrics = evaluate_groups(model, val)
+        history.append(EpochMetrics(objective / n_batches, val_metrics.worst_group_accuracy,
+                                    val_metrics.average_accuracy))
+        trajectory.append(model)
         if refresh_fn is not None:
             refreshed = refresh_fn(epoch, model)
             if refreshed is not None:
                 data = refreshed
-    return model, tracker
+    return TrainResult(history, trajectory)
 
 
 def _uniform(losses: np.ndarray, *_) -> np.ndarray:
@@ -244,10 +257,9 @@ def _uniform(losses: np.ndarray, *_) -> np.ndarray:
 def _erm(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     """Minibatch SGD on the mean cross-entropy."""
     base = strip_group_annotations(train)
-    model, tracker = _weighted_sgd(
+    return _weighted_sgd(
         base, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    return TrainResult(model, tracker.history, {}, tracker.best)
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +309,25 @@ def train_upweighted(train: Dataset, val: Dataset, cfg: TrainConfig,
         refresh_sizes.append(len(new_set))
         return build_upsampled(base, new_set, cfg.upweight_factor)
 
-    model, tracker = _weighted_sgd(
+    result = _weighted_sgd(
         upsampled, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE,
         refresh_fn=refresh)
-    aux = {"error_set": error_set, "refresh_epochs": refresh_epochs,
-           "refresh_sizes": refresh_sizes}
-    return TrainResult(model, tracker.history, aux, tracker.best)
+    result.aux.update(error_set=error_set, refresh_epochs=refresh_epochs,
+                      refresh_sizes=refresh_sizes)
+    return result
 
 
 def _two_stage(train: Dataset, val: Dataset, cfg: TrainConfig,
                refresh_every: int | None) -> TrainResult:
     base = strip_group_annotations(train)
-    id_model, id_tracker = _weighted_sgd(
+    id_run = _weighted_sgd(
         base, val, cfg, epochs=cfg.id_epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=_uniform, init_stream=_ID_INIT, shuffle_stream=_ID_SHUFFLE)
-    error_set = compute_error_set(id_model, base, source_epoch=cfg.id_epochs)
+    error_set = compute_error_set(id_run.model, base, source_epoch=cfg.id_epochs)
     result = train_upweighted(base, val, cfg, error_set, refresh_every=refresh_every)
-    result.aux["identification_model"] = id_model
-    result.aux["identification_history"] = id_tracker.history
+    result.aux["identification_model"] = id_run.model
+    result.aux["identification_history"] = id_run.history
     return result
 
 
@@ -367,18 +379,15 @@ def _cvar(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     cross-entropy over the full training set is snapshotted every epoch for
     composition tracking."""
     base = strip_group_annotations(train)
-    snapshots: list[np.ndarray] = []
     spec = LossSpec(CROSS_ENTROPY)
-
-    def snap(_epoch: int, model: Model):
-        snapshots.append(loss_values(forward_batch(model, base.features), base.labels, spec))
-
-    model, tracker = _weighted_sgd(
+    result = _weighted_sgd(
         base, val, cfg, epochs=cfg.epochs, loss_spec=spec,
         weight_fn=lambda losses, *_: cvar_batch_weights(losses, cfg.alpha),
-        init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE, snapshot_fn=snap)
-    aux = {"loss_snapshots": np.asarray(snapshots), "alpha": cfg.alpha}
-    return TrainResult(model, tracker.history, aux, tracker.best)
+        init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
+    snapshots = [loss_values(forward_batch(model, base.features), base.labels, spec)
+                 for model in result.trajectory[1:]]
+    result.aux.update(loss_snapshots=np.asarray(snapshots), alpha=cfg.alpha)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +427,11 @@ def _lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
         bias, opt_b = sgd_step(bias, grad(bias, xb, yb, w_bias, gce, forward), opt_b)
         return raw / raw.sum()
 
-    model, tracker = _weighted_sgd(
+    result = _weighted_sgd(
         base, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=step_bias, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    return TrainResult(model, tracker.history, {"bias_model": bias}, tracker.best)
+    result.aux["bias_model"] = bias
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +472,11 @@ def _group_dro(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
         state["w"] = group_dro_update(means, state["w"], cfg.group_step_size)
         return state["w"][batch_codes] / counts[batch_codes]
 
-    model, tracker = _weighted_sgd(
+    result = _weighted_sgd(
         train, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=weight_fn, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    aux = {"group_weights": {g: float(state["w"][i]) for i, g in enumerate(groups)}}
-    return TrainResult(model, tracker.history, aux, tracker.best)
+    result.aux["group_weights"] = {g: float(state["w"][i]) for i, g in enumerate(groups)}
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +493,11 @@ def _upsample_minority(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainR
             raise InputError(f"upsample-minority requires binary {what}")
     minority = ErrorSet(np.flatnonzero(train.attributes != train.labels), source_epoch=-1)
     upsampled = build_upsampled(strip_group_annotations(train), minority, cfg.upweight_factor)
-    model, tracker = _weighted_sgd(
+    result = _weighted_sgd(
         upsampled, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    return TrainResult(model, tracker.history, {"minority_set": minority}, tracker.best)
+    result.aux["minority_set"] = minority
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,29 @@ early-stopped checkpoints, and the validation-set-size study.
 Every run in a sweep records its metrics under both early-stopping criteria
 (worst-group and average validation accuracy), so one sweep supports both
 "tuned for worst-group" and "tuned for average" comparisons.
+
+Validation only selects checkpoints, so the study trains each grid point
+once and scores every epoch's model on each reduced split: that is the
+`evaluate_groups` call training on the reduced split would make, so the
+study's picks equal those of retraining exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import statistics
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import evaluate_groups
+from .analysis import GroupMetrics, evaluate_groups
 from .data import Dataset, subsample_validation
 from .errors import InputError
-from .trainers import AVERAGE, CRITERIA, WORST_GROUP, TrainConfig, train
+from .trainers import (AVERAGE, CRITERIA, WORST_GROUP, TrainConfig, TrainResult,
+                       select_checkpoint, train)
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +47,6 @@ class Grid:
         object.__setattr__(self, "axes", {k: tuple(v) for k, v in self.axes.items()})
 
     def configs(self) -> list[TrainConfig]:
-        if not self.axes:
-            return [self.base]
         names = sorted(self.axes)
         out = []
         for combo in itertools.product(*(self.axes[n] for n in names)):
@@ -79,8 +84,13 @@ class SweepResult:
 
     criterion: str
     rows: list[SweepRow]
-    best_by_worst_group: int
-    best_by_average: int
+    best_by_worst_group: int = field(init=False)
+    best_by_average: int = field(init=False)
+
+    def __post_init__(self):
+        by = [row.by_criterion for row in self.rows]
+        self.best_by_worst_group = int(np.argmax([b[WORST_GROUP].val_worst_group for b in by]))
+        self.best_by_average = int(np.argmax([b[AVERAGE].val_average for b in by]))
 
     def selected(self, criterion: str | None = None) -> SelectionMetrics:
         criterion = criterion or self.criterion
@@ -88,18 +98,35 @@ class SweepResult:
         return self.rows[idx].by_criterion[criterion]
 
 
-def _evaluate_config(cfg: TrainConfig, train_data: Dataset, val: Dataset,
-                     test: Dataset) -> SweepRow:
-    result = train(train_data, val, cfg)
+def _train_grid(grid: Grid, train_data: Dataset,
+                val: Dataset) -> list[tuple[TrainConfig, TrainResult]]:
+    """Each grid point's config and its one run, in enumeration order. Calls
+    the module's `train`, so a wrapper set on `tuning.train` sees each run."""
+    configs = grid.configs()
+    if any(c.epochs < 1 for c in configs):
+        raise InputError("sweeps need epochs >= 1")
+    return [(cfg, train(train_data, val, cfg)) for cfg in configs]
+
+
+def _test_metrics(run: TrainResult, test: Dataset) -> Callable[[int], GroupMetrics]:
+    """Test metrics of the run's epoch-e model (-1: the initial model),
+    each evaluated at most once."""
+    return functools.cache(lambda epoch: evaluate_groups(run.trajectory[epoch + 1], test))
+
+
+def _evaluate_config(cfg: TrainConfig, scores: Sequence[tuple[float, float]],
+                     test_at: Callable[[int], GroupMetrics]) -> SweepRow:
+    """One run's row: per criterion, the checkpoint select_checkpoint picks
+    from per-epoch (worst-group, average) validation `scores`, and its test
+    metrics."""
     by_criterion = {}
     for criterion in CRITERIA:
-        ckpt = result.checkpoints[criterion]
-        entry = result.history[ckpt.epoch]
-        test_metrics = evaluate_groups(ckpt.model, test)
+        epoch, (val_worst_group, val_average) = select_checkpoint(scores, criterion)
+        test_metrics = test_at(epoch)
         by_criterion[criterion] = SelectionMetrics(
-            selected_epoch=ckpt.epoch,
-            val_worst_group=entry.val_worst_group,
-            val_average=entry.val_average,
+            selected_epoch=epoch,
+            val_worst_group=val_worst_group,
+            val_average=val_average,
             test_worst_group=test_metrics.worst_group_accuracy,
             test_average=test_metrics.average_accuracy,
         )
@@ -113,15 +140,9 @@ def grid_sweep(grid: Grid, train_data: Dataset, val: Dataset, test: Dataset,
     validation metric."""
     if criterion not in CRITERIA:
         raise InputError(f"unknown criterion {criterion!r}")
-    configs = grid.configs()
-    if not configs:
-        raise InputError("empty grid")
-    if any(c.epochs < 1 for c in configs):
-        raise InputError("sweeps need epochs >= 1")
-    rows = [_evaluate_config(c, train_data, val, test) for c in configs]
-    best_wg = int(np.argmax([r.by_criterion[WORST_GROUP].val_worst_group for r in rows]))
-    best_avg = int(np.argmax([r.by_criterion[AVERAGE].val_average for r in rows]))
-    return SweepResult(criterion, rows, best_wg, best_avg)
+    rows = [_evaluate_config(cfg, [entry[1:] for entry in run.history], _test_metrics(run, test))
+            for cfg, run in _train_grid(grid, train_data, val)]
+    return SweepResult(criterion, rows)
 
 
 @dataclass(frozen=True)
@@ -136,18 +157,25 @@ def validation_size_study(fractions: Sequence[float], grid: Grid, train_data: Da
                           seeds: Sequence[int]) -> list[FractionResult]:
     """For each fraction and seed, subsample the validation set, tune on the
     reduced set by worst-group accuracy, and evaluate the selected model on
-    the full test set; report per-seed values and their median."""
+    the full test set; report per-seed values and their median. Validation
+    only selects checkpoints, so this costs one training per grid point."""
     if any(not (0.0 < f <= 1.0) for f in fractions):
         raise InputError("fractions must lie in (0, 1]")
     if not seeds:
         raise InputError("at least one subsampling seed required")
+    runs = [(cfg, run, _test_metrics(run, test))
+            for cfg, run in _train_grid(grid, train_data, val)]
     out = []
     for fraction in fractions:
         per_seed = []
         for seed in seeds:
             reduced = subsample_validation(val, fraction, seed)
-            sweep = grid_sweep(grid, train_data, reduced, test, criterion=WORST_GROUP)
-            per_seed.append(sweep.selected().test_worst_group)
+            rows = []
+            for cfg, run, test_at in runs:
+                metrics = (evaluate_groups(model, reduced) for model in run.trajectory[1:])
+                scores = [(m.worst_group_accuracy, m.average_accuracy) for m in metrics]
+                rows.append(_evaluate_config(cfg, scores, test_at))
+            per_seed.append(SweepResult(WORST_GROUP, rows).selected().test_worst_group)
         out.append(FractionResult(float(fraction), tuple(per_seed),
                                   float(statistics.median(per_seed))))
     return out

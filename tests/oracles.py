@@ -1,10 +1,13 @@
 """Independent oracles the test suite checks the implementation against.
 These deliberately avoid the code paths they verify."""
 
+import statistics
+
 import numpy as np
 from scipy.optimize import linprog
 
 from grouptrain.analysis import evaluate_groups
+from grouptrain.data import subsample_validation
 from grouptrain.models import (
     CROSS_ENTROPY,
     GCE,
@@ -18,7 +21,8 @@ from grouptrain.models import (
     loss_values,
     sgd_step,
 )
-from grouptrain.trainers import lff_weight
+from grouptrain.trainers import WORST_GROUP, lff_weight
+from grouptrain.tuning import FractionResult, grid_sweep
 
 
 def finite_difference_grad(model, features, labels, weights, spec, h=1e-6):
@@ -108,3 +112,19 @@ def reference_csv_text(data):
         row += [f"{v:.17g}" for v in data.features[i]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def reference_validation_size_study(fractions, grid, train, val, test, seeds):
+    """The validation-size study as one full sweep per (fraction, seed),
+    retraining every grid point with the reduced split as its validation
+    set."""
+    out = []
+    for fraction in fractions:
+        per_seed = []
+        for seed in seeds:
+            reduced = subsample_validation(val, fraction, seed)
+            sweep = grid_sweep(grid, train, reduced, test, criterion=WORST_GROUP)
+            per_seed.append(sweep.selected().test_worst_group)
+        out.append(FractionResult(float(fraction), tuple(per_seed),
+                                  float(statistics.median(per_seed))))
+    return out

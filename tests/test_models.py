@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouptrain.errors import InputError, UnsupportedLossError
+from grouptrain.errors import InputError
 from grouptrain.models import (
     CROSS_ENTROPY,
     GCE,
-    ZERO_ONE,
     Architecture,
     LossSpec,
     Model,
@@ -101,10 +100,6 @@ class TestLoss:
         val = loss_values(np.array([[1.0, 0.0]]), np.array([1]), LossSpec(CROSS_ENTROPY))[0]
         assert val == pytest.approx(-math.log(1e-12))
 
-    def test_zero_one_with_tie_goes_to_lowest_index(self):
-        probs = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert np.array_equal(loss_values(probs, np.array([0, 1]), LossSpec(ZERO_ONE)), [0.0, 1.0])
-
     def test_label_out_of_range(self):
         with pytest.raises(InputError):
             loss_values(np.array([[0.5, 0.5]]), np.array([2]), LossSpec(CROSS_ENTROPY))
@@ -136,10 +131,14 @@ class TestGrad:
         g_single = grad(model, x[:1], y[:1], np.array([1.0]), LossSpec(CROSS_ENTROPY))
         assert g_pair == pytest.approx(2.0 * g_single, abs=1e-14)
 
-    def test_zero_one_unsupported(self):
+    def test_zero_one_is_not_a_loss_kind(self):
+        with pytest.raises(InputError):
+            LossSpec("zero-one")
+
+    def test_one_dimensional_features_rejected(self):
         model = init_model(LOGISTIC, 0)
-        with pytest.raises(UnsupportedLossError):
-            grad(model, np.zeros((1, 3)), [0], [1.0], LossSpec(ZERO_ONE))
+        with pytest.raises(InputError):
+            grad(model, np.zeros(3), [0], [1.0], LossSpec(CROSS_ENTROPY))
 
     @pytest.mark.parametrize("arch", [Architecture(5, (), 3), Architecture(5, (7,), 3)])
     @pytest.mark.parametrize("spec", [LossSpec(CROSS_ENTROPY), LossSpec(GCE, 0.7)])

@@ -1,14 +1,19 @@
+import warnings
+
 import pytest
 
-from grouptrain.errors import InputError
+import grouptrain.tuning as tuning
+from grouptrain.data import subsample_validation
+from grouptrain.errors import DataWarning, InputError, TrainingWarning
 from grouptrain.trainers import AVERAGE, WORST_GROUP, TrainConfig
 from grouptrain.tuning import Grid, grid_sweep, validation_size_study
+from oracles import reference_validation_size_study
 
 
-def base_cfg(**overrides):
+def base_cfg(algorithm="erm", **overrides):
     kw = dict(epochs=4, batch_size=32, learning_rate=0.05, l2=1e-3, seed=0)
     kw.update(overrides)
-    return TrainConfig("erm", **kw)
+    return TrainConfig(algorithm, **kw)
 
 
 class TestGrid:
@@ -92,6 +97,54 @@ class TestValidationSizeStudy:
         assert [r.fraction for r in rows] == [1.0, 0.2, 0.1, 0.05]
         for row in rows:
             assert len(row.per_seed_test_worst_group) == 2
+
+    def test_equals_retraining_on_each_reduced_split(self, small_bench):
+        train, val, test = small_bench
+        grid = Grid(base_cfg("jtt", id_epochs=1, upweight_factor=1),
+                    {"upweight_factor": (1, 5), "learning_rate": (0.01, 0.05)})
+        fractions, seeds = (1.0, 0.2, 0.1, 0.05), (0, 3, 6)
+        with pytest.warns(DataWarning, match="lost group"):
+            study = validation_size_study(fractions, grid, train, val, test, seeds)
+        with pytest.warns(DataWarning, match="lost group"):
+            expected = reference_validation_size_study(fractions, grid, train, val, test, seeds)
+        assert study == expected
+        # The grid is not degenerate: shrinking the split changes the picks.
+        assert len({r.per_seed_test_worst_group for r in study}) > 2
+
+    def test_one_training_per_grid_point(self, small_bench, monkeypatch):
+        train, val, test = small_bench
+        trained = []
+
+        def counting_train(train_data, val_data, cfg):
+            trained.append(cfg)
+            return real_train(train_data, val_data, cfg)
+
+        real_train = tuning.train
+        monkeypatch.setattr(tuning, "train", counting_train)
+        grid = Grid(base_cfg(epochs=2), {"learning_rate": (0.01, 0.05), "seed": (0, 1)})
+        validation_size_study([1.0, 0.2, 0.1], grid, train, val, test, seeds=(0, 1))
+        assert trained == grid.configs()
+
+    def test_warnings_once_per_subsample_and_per_training(self, toy_separable):
+        train, val = toy_separable
+        # 200 identification epochs fit the toy set, so every error set is empty.
+        grid = Grid(TrainConfig("jtt", epochs=3, batch_size=4, learning_rate=0.5, seed=7,
+                                id_epochs=200, upweight_factor=5),
+                    {"learning_rate": (0.5, 0.6)})
+        fractions, seeds = (1.0, 0.5, 0.25), (0, 1)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            for fraction in fractions:
+                for seed in seeds:
+                    subsample_validation(val, fraction, seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validation_size_study(fractions, grid, train, val, val, seeds)
+        data = [str(w.message) for w in caught if w.category is DataWarning]
+        training = [w for w in caught if w.category is TrainingWarning]
+        assert len(expected) >= 2
+        assert data == [str(w.message) for w in expected]
+        assert len(training) == len(grid)
 
     def test_validation(self, small_bench):
         train, val, test = small_bench
