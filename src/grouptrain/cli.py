@@ -51,6 +51,13 @@ from .trainers import (AVERAGE, CRITERIA, JTT, JTT_DYNAMIC, WORST_GROUP, TrainCo
 from .tuning import Grid, grid_sweep, validation_size_study
 
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grouptrain",
@@ -67,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, help="path to the config file")
         sp.add_argument("--out", required=True, help="output directory (created fresh)")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=_seed, default=None,
                         help="override the config's seed")
         sp.add_argument("--data", default=None,
                         help="directory holding train.csv/val.csv/test.csv")

@@ -20,6 +20,7 @@ echoed into run reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,10 +84,14 @@ class ParsedConfig:
 # Raw reader: sections of key -> (value, line number)
 
 def _read_sections(path: Path) -> dict[str, dict[str, tuple[str, int]]]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read config file: {e}") from None
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: dict[str, tuple[str, int]] | None = None
     current_name = ""
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -123,9 +128,19 @@ def _int(v: str) -> int:
 
 def _float(v: str) -> float:
     try:
-        return float(v)
+        x = float(v)
     except ValueError:
         raise ValueError(f"expected a number, got {v!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
+def _seed(v: str) -> int:
+    n = _int(v)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {v!r}")
+    return n
 
 
 def _int_or_inf(v: str):
@@ -138,8 +153,8 @@ def _float_list(v: str) -> tuple[float, ...]:
     return tuple(_float(p.strip()) for p in v.split(",") if p.strip())
 
 
-def _int_list(v: str) -> tuple[int, ...]:
-    return tuple(_int(p.strip()) for p in v.split(",") if p.strip())
+def _int_list(v: str, convert=_int) -> tuple[int, ...]:
+    return tuple(convert(p.strip()) for p in v.split(",") if p.strip())
 
 
 def _criterion(v: str) -> str:
@@ -182,6 +197,13 @@ class _Section:
     def line_of(self, key: str) -> int | None:
         return self.raw[key][1] if key in self.raw else None
 
+    def error(self, e: Exception) -> ConfigError:
+        """`e`, from checking the section's values together, located at the
+        line of the key its message starts with (when the section has it)."""
+        where = self.line_of(str(e).split(":", 1)[0])
+        suffix = f" (line {where})" if where else ""
+        return ConfigError(f"{self.path}: [{self.name}] {e}{suffix}")
+
     def reject_unknown(self):
         unknown = set(self.raw) - self.used
         if unknown:
@@ -222,10 +244,7 @@ def _parse_train(sec: _Section) -> TrainConfig:
     try:
         return TrainConfig(**kwargs)
     except ConfigError as e:
-        key = str(e).split(":", 1)[0]
-        where = sec.line_of(key)
-        suffix = f" (line {where})" if where else ""
-        raise ConfigError(f"{sec.path}: [train] {e}{suffix}") from None
+        raise sec.error(e) from None
 
 
 def _parse_grid(sec: _Section, base: TrainConfig) -> Grid:
@@ -248,9 +267,11 @@ def _parse_grid(sec: _Section, base: TrainConfig) -> Grid:
             values = sec.get(key, _float_list)
         axes[key] = values
     try:
-        return Grid(base, axes)
+        grid = Grid(base, axes)
+        grid.configs()  # every grid point must be a valid TrainConfig
+        return grid
     except Exception as e:
-        raise ConfigError(f"{sec.path}: [grid] {e}") from None
+        raise sec.error(e) from None
 
 
 def _parse_generate(sec: _Section) -> GenerateSpec:
@@ -265,7 +286,7 @@ def _parse_generate(sec: _Section) -> GenerateSpec:
         noise_dims=sec.get("noise_dims", _int, required=True),
         noise_sigma=sec.get("noise_sigma", _float, required=True),
     )
-    seed = sec.get("seed", _int, required=True)
+    seed = sec.get("seed", _seed, required=True)
     sec.reject_unknown()
     try:
         return GenerateSpec(SyntheticSpec(**kwargs), seed)
@@ -301,7 +322,7 @@ def parse_config(path) -> ParsedConfig:
         sec.reject_unknown()
     if (sec := section("study")) is not None:
         fractions = sec.get("fractions", _float_list, required=True)
-        seeds = sec.get("seeds", _int_list, required=True)
+        seeds = sec.get("seeds", lambda v: _int_list(v, _seed), required=True)
         sec.reject_unknown()
         if any(not (0.0 < f <= 1.0) for f in fractions):
             raise ConfigError(
@@ -319,7 +340,7 @@ def parse_config(path) -> ParsedConfig:
             run=sec.get("run", str, required=True),
             mode=sec.get("mode", _mode, required=True),
             group=sec.get("group", _group),
-            seed=sec.get("seed", _int),
+            seed=sec.get("seed", _seed),
         )
         sec.reject_unknown()
     return ParsedConfig(**out)

@@ -21,6 +21,10 @@ any period >= epochs) reduces the dynamic variant to the static one.
 
 Trainers other than group DRO and minority upsampling never read training
 group annotations: they operate on a stripped view of their input.
+
+No trainer sees the validation split: each maps the training data and the
+config to per-epoch train losses, the trajectory and its extras, and `train`
+scores the trajectory on the validation split with `epoch_scores`.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ AVERAGE = "average"
 CRITERIA = (WORST_GROUP, AVERAGE)
 
 _MAIN_INIT, _MAIN_SHUFFLE, _ID_INIT, _ID_SHUFFLE = 0, 1, 2, 3
+_Run = tuple[list[float], list[Model], dict[str, Any]]  # losses, trajectory, extras
 
 
 def _seedseq(seed: int, stream: int) -> np.random.SeedSequence:
@@ -107,11 +112,14 @@ class TrainConfig:
             raise ConfigError("epochs: must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size: must be >= 1")
-        if self.learning_rate <= 0:
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
+        # Written so that NaN fails every range check.
+        if not self.learning_rate > 0:
             raise ConfigError("learning_rate: must be > 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum: must lie in [0, 1)")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ConfigError("l2: must be >= 0")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
@@ -130,7 +138,7 @@ class TrainConfig:
         if self.algorithm == LFF:
             if self.gce_q is None or not (0.0 <= self.gce_q < 1.0):
                 raise ConfigError("gce_q: required in [0, 1) for the LfF trainer")
-        if self.group_step_size < 0:
+        if not self.group_step_size >= 0:
             raise ConfigError("group_step_size: must be >= 0")
 
 
@@ -187,36 +195,38 @@ class TrainResult:
         return out
 
 
-def _initial_model(train: Dataset, val: Dataset, cfg: TrainConfig, init_stream: int) -> Model:
+def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float, float]]:
+    """Per-epoch (worst-group, average) accuracy on `data` of trajectory[1:]."""
+    metrics = (evaluate_groups(model, data) for model in trajectory[1:])
+    return [(m.worst_group_accuracy, m.average_accuracy) for m in metrics]
+
+
+def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int) -> Model:
     if len(train) == 0:
         raise InputError("training set is empty")
-    if not val.has_group_annotations:
-        raise InputError("validation set needs group annotations for worst-group tracking")
-    # The class count comes from the training labels only, so the validation
-    # split never changes the architecture or the init stream.
     arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
     return init_model(arch, _seedseq(cfg.seed, init_stream))
 
 
-def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int,
+def _weighted_sgd(train: Dataset, cfg: TrainConfig, *, epochs: int,
                   loss_spec: LossSpec, weight_fn: Callable[..., np.ndarray],
                   init_stream: int, shuffle_stream: int,
                   refresh_fn: Callable[[int, Model], Dataset | None] | None = None,
-                  ) -> TrainResult:
+                  ) -> tuple[list[float], list[Model]]:
     """Minibatch SGD over `train` with per-batch example weights.
 
     Per epoch the example order is one seeded permutation; batches are its
     consecutive slices (the last may be short), each taking one forward pass
     that the losses, the weights and the gradient share. The weights are
     ``weight_fn(losses, batch indices, features, labels, probabilities)``,
-    all pre-step; it may step a model of its own. The recorded train loss is
-    the mean over batches of the weighted batch objective. A non-finite
-    objective or non-finite parameters stop the run with FloatingPointError.
+    all pre-step; it may step a model of its own. Returns the per-epoch train
+    loss, the mean over batches of the weighted batch objective, and the
+    trajectory. Non-finite objectives or parameters raise FloatingPointError.
     """
-    model = _initial_model(train, val, cfg, init_stream)
+    model = _initial_model(train, cfg, init_stream)
     opt = fresh_optimizer(model, cfg.learning_rate, cfg.momentum, cfg.l2)
     shuffle = _rng(cfg.seed, shuffle_stream)
-    history, trajectory = [], [model]
+    train_losses, trajectory = [], [model]
     data = train
     for epoch in range(epochs):
         order = shuffle.permutation(len(data))
@@ -236,15 +246,13 @@ def _weighted_sgd(train: Dataset, val: Dataset, cfg: TrainConfig, *, epochs: int
         if not np.isfinite(model.params).all():
             raise FloatingPointError(
                 f"training diverged: non-finite parameters after epoch {epoch}")
-        val_metrics = evaluate_groups(model, val)
-        history.append(EpochMetrics(objective / n_batches, val_metrics.worst_group_accuracy,
-                                    val_metrics.average_accuracy))
+        train_losses.append(objective / n_batches)
         trajectory.append(model)
         if refresh_fn is not None:
             refreshed = refresh_fn(epoch, model)
             if refreshed is not None:
                 data = refreshed
-    return TrainResult(history, trajectory)
+    return train_losses, trajectory
 
 
 def _uniform(losses: np.ndarray, *_) -> np.ndarray:
@@ -254,12 +262,12 @@ def _uniform(losses: np.ndarray, *_) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Plain ERM
 
-def _erm(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _erm(train: Dataset, cfg: TrainConfig) -> _Run:
     """Minibatch SGD on the mean cross-entropy."""
-    base = strip_group_annotations(train)
-    return _weighted_sgd(
-        base, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
+    losses, trajectory = _weighted_sgd(
+        strip_group_annotations(train), cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
+    return losses, trajectory, {}
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +295,10 @@ def build_upsampled(train: Dataset, error_set: ErrorSet, upweight_factor: int) -
     return train.subset(idx, name=f"{train.name}-upsampled")
 
 
-def train_upweighted(train: Dataset, val: Dataset, cfg: TrainConfig,
-                     error_set: ErrorSet, refresh_every: int | None = None) -> TrainResult:
-    """The upweighting stage alone: ERM on the upsampled dataset, optionally
-    recomputing the error set from the current model every `refresh_every`
-    epochs. Useful directly for error-set manipulation experiments."""
+def _upweighted(train: Dataset, cfg: TrainConfig, error_set: ErrorSet,
+                refresh_every: int | None = None) -> _Run:
+    """ERM on the upsampled dataset, recomputing the error set from the
+    current model every `refresh_every` epochs (None: never)."""
     base = strip_group_annotations(train)
     if len(error_set) == 0:
         warnings.warn("error set is empty; upweighted training degenerates to ERM",
@@ -309,40 +316,28 @@ def train_upweighted(train: Dataset, val: Dataset, cfg: TrainConfig,
         refresh_sizes.append(len(new_set))
         return build_upsampled(base, new_set, cfg.upweight_factor)
 
-    result = _weighted_sgd(
-        upsampled, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
+    losses, trajectory = _weighted_sgd(
+        upsampled, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE,
         refresh_fn=refresh)
-    result.aux.update(error_set=error_set, refresh_epochs=refresh_epochs,
-                      refresh_sizes=refresh_sizes)
-    return result
+    return losses, trajectory, dict(error_set=error_set, refresh_epochs=refresh_epochs,
+                                    refresh_sizes=refresh_sizes)
 
 
-def _two_stage(train: Dataset, val: Dataset, cfg: TrainConfig,
-               refresh_every: int | None) -> TrainResult:
-    base = strip_group_annotations(train)
-    id_run = _weighted_sgd(
-        base, val, cfg, epochs=cfg.id_epochs, loss_spec=LossSpec(CROSS_ENTROPY),
-        weight_fn=_uniform, init_stream=_ID_INIT, shuffle_stream=_ID_SHUFFLE)
-    error_set = compute_error_set(id_run.model, base, source_epoch=cfg.id_epochs)
-    result = train_upweighted(base, val, cfg, error_set, refresh_every=refresh_every)
-    result.aux["identification_model"] = id_run.model
-    result.aux["identification_history"] = id_run.history
-    return result
-
-
-def _jtt(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _two_stage(train: Dataset, cfg: TrainConfig) -> _Run:
     """Two-stage training: fit an identification model for id_epochs, collect
-    its misclassified examples once, then retrain from scratch on the
-    upsampled data."""
-    return _two_stage(train, val, cfg, refresh_every=None)
-
-
-def _jtt_dynamic(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
-    """The two-stage trainer with the error set recomputed from the current
-    final model every refresh_every epochs (None never refreshes and matches
-    the static variant exactly)."""
-    return _two_stage(train, val, cfg, refresh_every=cfg.refresh_every)
+    its misclassified examples, then retrain from scratch on the upsampled
+    data. jtt-dynamic recomputes that set from the current model every
+    refresh_every epochs (None never does, which matches jtt exactly)."""
+    base = strip_group_annotations(train)
+    _, id_trajectory = _weighted_sgd(
+        base, cfg, epochs=cfg.id_epochs, loss_spec=LossSpec(CROSS_ENTROPY),
+        weight_fn=_uniform, init_stream=_ID_INIT, shuffle_stream=_ID_SHUFFLE)
+    error_set = compute_error_set(id_trajectory[-1], base, source_epoch=cfg.id_epochs)
+    refresh_every = cfg.refresh_every if cfg.algorithm == JTT_DYNAMIC else None
+    losses, trajectory, aux = _upweighted(base, cfg, error_set, refresh_every)
+    aux["identification_model"] = id_trajectory[-1]
+    return losses, trajectory, aux
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +368,20 @@ def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
     return weights
 
 
-def _cvar(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _cvar(train: Dataset, cfg: TrainConfig) -> _Run:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step. Per-example
     cross-entropy over the full training set is snapshotted every epoch for
     composition tracking."""
     base = strip_group_annotations(train)
     spec = LossSpec(CROSS_ENTROPY)
-    result = _weighted_sgd(
-        base, val, cfg, epochs=cfg.epochs, loss_spec=spec,
+    losses, trajectory = _weighted_sgd(
+        base, cfg, epochs=cfg.epochs, loss_spec=spec,
         weight_fn=lambda losses, *_: cvar_batch_weights(losses, cfg.alpha),
         init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
     snapshots = [loss_values(forward_batch(model, base.features), base.labels, spec)
-                 for model in result.trajectory[1:]]
-    result.aux.update(loss_snapshots=np.asarray(snapshots), alpha=cfg.alpha)
-    return result
+                 for model in trajectory[1:]]
+    return losses, trajectory, dict(loss_snapshots=np.asarray(snapshots), alpha=cfg.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +396,7 @@ def lff_weight(p_bias, p_main):
     return lb / (lb + lm)
 
 
-def _lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _lff(train: Dataset, cfg: TrainConfig) -> _Run:
     """Interleaved updates of a bias model (generalized cross-entropy, which
     gradient-weights examples by p^q and so favours easy ones) and the main
     model (cross-entropy with per-example weights from `lff_weight`, using
@@ -413,7 +407,7 @@ def _lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    bias = _initial_model(base, val, cfg, _MAIN_INIT)
+    bias = _initial_model(base, cfg, _MAIN_INIT)
     opt_b = fresh_optimizer(bias, cfg.learning_rate, cfg.momentum, cfg.l2)
     gce = LossSpec(GCE, cfg.gce_q)
 
@@ -427,11 +421,10 @@ def _lff(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
         bias, opt_b = sgd_step(bias, grad(bias, xb, yb, w_bias, gce, forward), opt_b)
         return raw / raw.sum()
 
-    result = _weighted_sgd(
-        base, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
+    losses, trajectory = _weighted_sgd(
+        base, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=step_bias, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    result.aux["bias_model"] = bias
-    return result
+    return losses, trajectory, {"bias_model": bias}
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +447,7 @@ def group_dro_update(group_losses: np.ndarray, weights: np.ndarray,
     return out / out.sum()
 
 
-def _group_dro(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _group_dro(train: Dataset, cfg: TrainConfig) -> _Run:
     """Oracle trainer with training group annotations: per batch, group mean
     losses update the adversarial group weights, then the model steps on the
     weight-averaged group losses."""
@@ -472,17 +465,17 @@ def _group_dro(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
         state["w"] = group_dro_update(means, state["w"], cfg.group_step_size)
         return state["w"][batch_codes] / counts[batch_codes]
 
-    result = _weighted_sgd(
-        train, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
+    losses, trajectory = _weighted_sgd(
+        train, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=weight_fn, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    result.aux["group_weights"] = {g: float(state["w"][i]) for i, g in enumerate(groups)}
-    return result
+    weights = {g: float(state["w"][i]) for i, g in enumerate(groups)}
+    return losses, trajectory, {"group_weights": weights}
 
 
 # ---------------------------------------------------------------------------
 # Ground-truth minority upsampling
 
-def _upsample_minority(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
+def _upsample_minority(train: Dataset, cfg: TrainConfig) -> _Run:
     """Duplicates every example whose attribute disagrees with its label
     upweight_factor times, then runs plain ERM. Binary labels/attributes
     only."""
@@ -493,19 +486,18 @@ def _upsample_minority(train: Dataset, val: Dataset, cfg: TrainConfig) -> TrainR
             raise InputError(f"upsample-minority requires binary {what}")
     minority = ErrorSet(np.flatnonzero(train.attributes != train.labels), source_epoch=-1)
     upsampled = build_upsampled(strip_group_annotations(train), minority, cfg.upweight_factor)
-    result = _weighted_sgd(
-        upsampled, val, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
+    losses, trajectory = _weighted_sgd(
+        upsampled, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
         weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    result.aux["minority_set"] = minority
-    return result
+    return losses, trajectory, {"minority_set": minority}
 
 
 # ---------------------------------------------------------------------------
 
 _TRAINERS = {
     ERM: _erm,
-    JTT: _jtt,
-    JTT_DYNAMIC: _jtt_dynamic,
+    JTT: _two_stage,
+    JTT_DYNAMIC: _two_stage,
     CVAR: _cvar,
     LFF: _lff,
     GROUP_DRO: _group_dro,
@@ -513,6 +505,24 @@ _TRAINERS = {
 }
 
 
+def _scored(trainer: Callable[..., _Run], val: Dataset, *args) -> TrainResult:
+    """Run `trainer(*args)`, then score its trajectory on `val`."""
+    if not val.has_group_annotations:
+        raise InputError("validation set needs group annotations for worst-group tracking")
+    losses, trajectory, aux = trainer(*args)
+    history = [EpochMetrics(loss, *score)
+               for loss, score in zip(losses, epoch_scores(trajectory, val))]
+    return TrainResult(history, trajectory, aux)
+
+
 def train(train_data: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
-    """Dispatch to the trainer selected by cfg.algorithm."""
-    return _TRAINERS[cfg.algorithm](train_data, val, cfg)
+    """Train cfg.algorithm on `train_data`. No trainer sees `val`: it only
+    scores each epoch's model for the history the checkpoints come from."""
+    return _scored(_TRAINERS[cfg.algorithm], val, train_data, cfg)
+
+
+def train_upweighted(train: Dataset, val: Dataset, cfg: TrainConfig,
+                     error_set: ErrorSet) -> TrainResult:
+    """The upweighting stage alone, `val` used as in `train`. Useful directly
+    for error-set manipulation experiments."""
+    return _scored(_upweighted, val, train, cfg, error_set)

@@ -5,10 +5,10 @@ Every run in a sweep records its metrics under both early-stopping criteria
 (worst-group and average validation accuracy), so one sweep supports both
 "tuned for worst-group" and "tuned for average" comparisons.
 
-Validation only selects checkpoints, so the study trains each grid point
-once and scores every epoch's model on each reduced split: that is the
-`evaluate_groups` call training on the reduced split would make, so the
-study's picks equal those of retraining exactly.
+No trainer sees the validation split, so the study trains each grid point
+once and scores its trajectory on each reduced split with `epoch_scores`,
+the function that fills the history of training on that split: the study's
+picks equal those of retraining exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .analysis import GroupMetrics, evaluate_groups
 from .data import Dataset, subsample_validation
 from .errors import InputError
 from .trainers import (AVERAGE, CRITERIA, WORST_GROUP, TrainConfig, TrainResult,
-                       select_checkpoint, train)
+                       epoch_scores, select_checkpoint, train)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +157,8 @@ def validation_size_study(fractions: Sequence[float], grid: Grid, train_data: Da
                           seeds: Sequence[int]) -> list[FractionResult]:
     """For each fraction and seed, subsample the validation set, tune on the
     reduced set by worst-group accuracy, and evaluate the selected model on
-    the full test set; report per-seed values and their median. Validation
-    only selects checkpoints, so this costs one training per grid point."""
+    the full test set; report per-seed values and their median. This costs
+    one training per grid point; at fraction 1 the histories hold the scores."""
     if any(not (0.0 < f <= 1.0) for f in fractions):
         raise InputError("fractions must lie in (0, 1]")
     if not seeds:
@@ -172,8 +172,8 @@ def validation_size_study(fractions: Sequence[float], grid: Grid, train_data: Da
             reduced = subsample_validation(val, fraction, seed)
             rows = []
             for cfg, run, test_at in runs:
-                metrics = (evaluate_groups(model, reduced) for model in run.trajectory[1:])
-                scores = [(m.worst_group_accuracy, m.average_accuracy) for m in metrics]
+                scores = ([entry[1:] for entry in run.history] if reduced is val
+                          else epoch_scores(run.trajectory, reduced))
                 rows.append(_evaluate_config(cfg, scores, test_at))
             per_seed.append(SweepResult(WORST_GROUP, rows).selected().test_worst_group)
         out.append(FractionResult(float(fraction), tuple(per_seed),

@@ -232,6 +232,24 @@ class TestFailureModes:
         assert run(["train", "--config", tmp_path / "none.ini",
                     "--out", tmp_path / "o", "--data", tmp_path]) == 1
 
+    @pytest.mark.parametrize("name", ["", "latin1.ini"])  # a directory, a non-UTF-8 file
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, name):
+        config = tmp_path / name
+        if name:
+            config.write_bytes(ERM.encode() + b"# caf\xe9\n")
+        assert run(["train", "--config", config, "--out", tmp_path / "o",
+                    "--data", tmp_path]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "config"
+        assert err["error"]["message"].startswith(f"{config}: cannot read config file")
+
+    def test_negative_seed_exits_1_before_loading_data(self, workspace, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert run(["train", "--config", workspace / "erm.ini", "--out", out,
+                    "--data", workspace / "data", "--seed", "-3"]) == 1
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error_exits_2_and_cleans_partial(self, workspace, tmp_path, capsys):
         out = tmp_path / "broken"
         assert run(["train", "--config", workspace / "erm.ini", "--out", out,

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptrain.config import parse_config
 from grouptrain.data import GroupId
@@ -78,9 +80,7 @@ class TestTrainSection:
         assert cfg.l2 == 0.001
 
 
-class TestOtherSections:
-    def test_generate_section(self, tmp_path):
-        path = write(tmp_path, """
+GENERATE = """
 [generate]
 n_train = 100
 n_val = 40
@@ -91,7 +91,12 @@ spurious_separation = 2.0
 noise_dims = 1
 noise_sigma = 0.5
 seed = 3
-""")
+"""
+
+
+class TestOtherSections:
+    def test_generate_section(self, tmp_path):
+        path = write(tmp_path, GENERATE)
         gen = parse_config(path).generate
         assert gen.spec.n_train == 100
         assert gen.spec.label_balance == (0.5, 0.5)
@@ -173,3 +178,78 @@ seed = 4
         assert parsed.require("train") is parsed.train
         with pytest.raises(ConfigError, match=r"\[generate\]"):
             parsed.require("generate")
+
+
+CVAR = MINIMAL_ERM.replace("algorithm = erm", "algorithm = cvar\nalpha = 0.5")
+
+
+class TestValuesThatCannotRun:
+    def test_invalid_grid_point_names_file_section_and_line(self, tmp_path):
+        path = write(tmp_path, CVAR + "[grid]\nalpha = 0.1, 0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == (
+            f"{path}: [grid] alpha: required in (0, 1] for the CVaR trainer (line 10)")
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("l2", "nan"),
+        ("group_step_size", "nan"), ("momentum", "-inf")])
+    def test_non_finite_value_names_key_and_line(self, tmp_path, key, value):
+        values = {"learning_rate": "0.05", key: value}
+        path = write(tmp_path, "[train]\nalgorithm = erm\nepochs = 5\nbatch_size = 32\nseed = 0\n"
+                     + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        line = 6 if key == "learning_rate" else 7
+        with pytest.raises(ConfigError, match=rf"{path}: line {line}: key '{key}': .*finite"):
+            parse_config(path)
+
+    def test_non_finite_grid_value_rejected(self, tmp_path):
+        path = write(tmp_path, MINIMAL_ERM + "[grid]\nlearning_rate = 0.1, nan\n")
+        with pytest.raises(ConfigError, match=r"line 9: key 'learning_rate'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("text, where", [
+        (MINIMAL_ERM.replace("seed = 0", "seed = -1"), r"\[train\] seed: must be >= 0 \(line 7\)"),
+        (MINIMAL_ERM + "[grid]\nseed = 0, -2\n", r"\[grid\] seed: must be >= 0 \(line 9\)"),
+        (MINIMAL_ERM + "[study]\nfractions = 1\nseeds = 0, -1\n", r"line 10: key 'seeds'"),
+        ("[ablate]\nrun = r\nmode = drop-group\nseed = -4\n", r"line 4: key 'seed'"),
+        (GENERATE.replace("seed = 3", "seed = -1"), r"line 11: key 'seed'"),
+    ])
+    def test_negative_seed_rejected(self, tmp_path, text, where):
+        with pytest.raises(ConfigError, match=where):
+            parse_config(write(tmp_path, text))
+
+    def test_unreadable_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match=rf"^{tmp_path}: cannot read config file"):
+            parse_config(tmp_path)
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(MINIMAL_ERM.encode() + b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match=rf"^{path}: cannot read config file"):
+            parse_config(path)
+
+
+_SECTIONS = ("generate", "train", "grid", "sweep", "study", "analyze", "ablate", "deploy", "")
+_KEYS = ("algorithm", "epochs", "batch_size", "learning_rate", "seed", "seeds", "momentum",
+         "l2", "hidden", "id_epochs", "upweight_factor", "refresh_every", "alpha", "gce_q",
+         "group_step_size", "fractions", "criterion", "mode", "group", "run", "erm_report",
+         "n_train", "majority_fraction", "label_balance", "noise_dims", "bogus", "")
+_VALUES = ("", "0", "1", "-1", "2, 4", "0.5", "1e-3", "nan", "inf", "-inf", "none", "1,",
+           ",", "erm", "jtt", "cvar", "lff", "group-dro", "worst-group", "shuffle", "0, 1",
+           "é", "１", "٣", "1e400", "99999999999999999999", "[train]", "= =")
+_line = st.one_of(
+    st.sampled_from(_SECTIONS).map(lambda s: f"[{s}]"),
+    st.tuples(st.sampled_from(_KEYS), st.sampled_from(_VALUES) | st.text(max_size=8))
+    .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_line, max_size=14), raw=st.binary(max_size=4), at=st.integers(0, 14))
+def test_fuzzed_config_parses_or_fails_naming_its_path(tmp_path_factory, lines, raw, at):
+    text = "\n".join(lines).encode("utf-8", "surrogatepass")
+    path = tmp_path_factory.mktemp("fuzz") / "run.ini"
+    path.write_bytes(text[:at] + raw + text[at:])
+    try:
+        parse_config(path)
+    except ConfigError as e:
+        assert str(e).startswith(f"{path}: ")

@@ -375,8 +375,9 @@ class TestJtt:
         expected = compute_error_set(id_model, strip_group_annotations(train),
                                      source_epoch=2)
         assert result.aux["error_set"] == expected
-        assert len(result.aux["identification_history"]) == 2
         assert result.aux["refresh_epochs"] == []
+        assert set(result.aux) == {"identification_model", "error_set", "refresh_epochs",
+                                   "refresh_sizes"}
 
     def test_identification_epochs_zero_uses_initialization(self, small_bench):
         train, val, _ = small_bench
@@ -516,6 +517,46 @@ class TestDivergence:
             gt.train(train, val, cfg(batch_size=len(train), learning_rate=1e200))
 
 
+class TestValidationOnlyScores:
+    def test_jtt_scores_val_once_per_main_stage_epoch(self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        scored, evaluate_groups = [], trainers_mod.evaluate_groups
+
+        def counting(model, data):
+            if data is val:
+                scored.append(model)
+            return evaluate_groups(model, data)
+
+        monkeypatch.setattr(trainers_mod, "evaluate_groups", counting)
+        result = gt.train(train, val, cfg("jtt", id_epochs=2, epochs=3, upweight_factor=4))
+        assert len(scored) == 3
+        assert all(a is b for a, b in zip(scored, result.trajectory[1:]))
+
+    @pytest.mark.parametrize("algorithm, extra", [
+        ("erm", {}), ("jtt", {"id_epochs": 1, "upweight_factor": 3}),
+        ("jtt-dynamic", {"id_epochs": 1, "upweight_factor": 3, "refresh_every": 1}),
+        ("cvar", {"alpha": 0.3}), ("lff", {"gce_q": 0.7}), ("group-dro", {}),
+        ("upsample-minority", {"upweight_factor": 2})])
+    def test_unannotated_val_raises_before_any_step(self, small_bench, monkeypatch,
+                                                    algorithm, extra):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+
+        def no_step(*_):
+            raise AssertionError("trained before checking the validation split")
+
+        monkeypatch.setattr(trainers_mod, "sgd_step", no_step)
+        # Stripped training data would fail group-dro and upsample-minority
+        # too; the validation split is checked first.
+        train, val = strip_group_annotations(train), strip_group_annotations(val)
+        with pytest.raises(InputError, match="validation set needs group annotations"):
+            gt.train(train, val, cfg(algorithm, **extra))
+        with pytest.raises(InputError, match="validation set needs group annotations"):
+            train_upweighted(train, val, cfg("jtt", id_epochs=1, upweight_factor=3),
+                             ErrorSet(np.arange(5), 1))
+
+
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -546,6 +587,11 @@ class TestConfigValidation:
             cfg(momentum=1.0)
         with pytest.raises(ConfigError):
             cfg("jtt", id_epochs=1, upweight_factor=2, refresh_every=0)
+        with pytest.raises(ConfigError, match="seed"):
+            cfg(seed=-1)
+        for key in ("learning_rate", "momentum", "l2", "group_step_size"):
+            with pytest.raises(ConfigError, match=key):
+                cfg(**{key: math.nan})
 
 
 def test_error_set_on_reference_benchmark_is_minority_enriched(reference_bench):

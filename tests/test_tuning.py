@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+import grouptrain.trainers as trainers
 import grouptrain.tuning as tuning
 from grouptrain.data import subsample_validation
 from grouptrain.errors import DataWarning, InputError, TrainingWarning
@@ -124,6 +125,20 @@ class TestValidationSizeStudy:
         grid = Grid(base_cfg(epochs=2), {"learning_rate": (0.01, 0.05), "seed": (0, 1)})
         validation_size_study([1.0, 0.2, 0.1], grid, train, val, test, seeds=(0, 1))
         assert trained == grid.configs()
+
+    def test_full_split_scored_only_by_training(self, small_bench, monkeypatch):
+        train, val, test = small_bench
+        full = []
+        for module in (trainers, tuning):
+            def counting(model, data, evaluate_groups=module.evaluate_groups):
+                if data is val:
+                    full.append(model)
+                return evaluate_groups(model, data)
+
+            monkeypatch.setattr(module, "evaluate_groups", counting)
+        grid = Grid(base_cfg(epochs=3), {"learning_rate": (0.01, 0.05)})
+        validation_size_study([1.0], grid, train, val, test, seeds=(0, 1))
+        assert len(full) == len(grid) * 3
 
     def test_warnings_once_per_subsample_and_per_training(self, toy_separable):
         train, val = toy_separable
