@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, GroupId
 from .errors import AnalysisWarning, InputError
-from .models import Model, predict
+from .models import CROSS_ENTROPY, LossSpec, Model, forward_batch, loss_values, predict
 
 SWAP_SAME_GROUP = "swap-same-group"
 DROP_GROUP = "drop-group"
@@ -203,6 +203,13 @@ def top_loss_indices(losses: np.ndarray, alpha: float) -> np.ndarray:
     k = min(n, max(1, int(np.ceil(alpha * n - 1e-9))))
     order = np.lexsort((np.arange(n), -losses))
     return order[:k]
+
+
+def loss_snapshots(trajectory: Sequence[Model], data: Dataset) -> np.ndarray:
+    """Per-example cross-entropy on `data`, one row per model of trajectory[1:]."""
+    spec = LossSpec(CROSS_ENTROPY)
+    return np.asarray([loss_values(forward_batch(model, data.features), data.labels, spec)
+                       for model in trajectory[1:]])
 
 
 def track_cvar_composition(snapshots: Sequence[np.ndarray], alpha: float,

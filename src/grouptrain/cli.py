@@ -23,7 +23,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analysis import enrichment_table, error_set_stats, evaluate_groups, replace_error_set, track_cvar_composition
+from .analysis import (enrichment_table, error_set_stats, evaluate_groups, loss_snapshots,
+                       replace_error_set, track_cvar_composition)
 from .config import ParsedConfig, parse_config
 from .data import Dataset, GroupId, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, InputError
@@ -46,8 +47,8 @@ from .reports import (
     write_study_csv,
     write_sweep_csv,
 )
-from .trainers import (AVERAGE, CRITERIA, JTT, JTT_DYNAMIC, WORST_GROUP, TrainConfig, train,
-                       train_upweighted)
+from .trainers import (AVERAGE, CRITERIA, CVAR, JTT, JTT_DYNAMIC, WORST_GROUP, TrainConfig,
+                       train, train_upweighted)
 from .tuning import Grid, grid_sweep, validation_size_study
 
 
@@ -116,20 +117,20 @@ def _grid(parsed: ParsedConfig, cfg: TrainConfig) -> Grid:
     return Grid(cfg, parsed.grid.axes if parsed.grid is not None else {})
 
 
-def _load_datasets(args) -> dict[str, Dataset]:
-    """The train, val and test splits of the --data directory, by split name."""
+def _load_datasets(args, splits: tuple[str, ...] = ("train", "val", "test")) -> dict[str, Dataset]:
+    """The named splits of the --data directory, by split name."""
     if not args.data:
         raise InputError(f"--data is required for the {args.command} command")
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise InputError(f"data directory {args.data!r} does not exist")
-    splits = {}
-    for split in ("train", "val", "test"):
+    datasets = {}
+    for split in splits:
         path = data_dir / f"{split}.csv"
         if not path.exists():
             raise InputError(f"missing dataset file {path}")
-        splits[split] = load_csv(path, name=f"{data_dir.name}/{split}")
-    return splits
+        datasets[split] = load_csv(path, name=f"{data_dir.name}/{split}")
+    return datasets
 
 
 def _dataset_block(datasets: dict[str, Dataset]) -> dict:
@@ -226,10 +227,11 @@ def _cmd_train(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     if "error_set" in result.aux:
         write_error_set_csv(out.path("error_set.csv"), result.aux["error_set"])
         outputs["error_set"] = "error_set.csv"
-        results["refresh_epochs"] = result.aux.get("refresh_epochs", [])
-        results["refresh_sizes"] = result.aux.get("refresh_sizes", [])
-    if "loss_snapshots" in result.aux:
-        write_loss_snapshots_csv(out.path("cvar_losses.csv"), result.aux["loss_snapshots"])
+        results["refresh_epochs"] = result.aux["refresh_epochs"]
+        results["refresh_sizes"] = result.aux["refresh_sizes"]
+    if cfg.algorithm == CVAR:
+        write_loss_snapshots_csv(out.path("cvar_losses.csv"),
+                                 loss_snapshots(result.trajectory, train_ds))
         outputs["loss_snapshots"] = "cvar_losses.csv"
     if "group_weights" in result.aux:
         results["group_weights"] = [
@@ -288,7 +290,7 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     run_report = read_report(run_dir / "report.json")
     reference = read_report(spec.erm_report)
     worst = _worst_test_group_from_report(reference)
-    train_ds = _load_datasets(args)["train"]
+    train_ds = _load_datasets(args, ("train",))["train"]
     if not train_ds.has_group_annotations:
         raise InputError("analyze needs a group-annotated stored training set")
 

@@ -157,6 +157,20 @@ def _int_list(v: str, convert=_int) -> tuple[int, ...]:
     return tuple(convert(p.strip()) for p in v.split(",") if p.strip())
 
 
+def _fractions(v: str) -> tuple[float, ...]:
+    fractions = _float_list(v)
+    if not fractions or any(not (0.0 < f <= 1.0) for f in fractions):
+        raise ValueError("expected at least one fraction, each in (0, 1]")
+    return fractions
+
+
+def _seeds(v: str) -> tuple[int, ...]:
+    seeds = _int_list(v, _seed)
+    if not seeds:
+        raise ValueError("expected at least one seed")
+    return seeds
+
+
 def _criterion(v: str) -> str:
     if v not in CRITERIA:
         raise ValueError(f"expected 'worst-group' or 'average', got {v!r}")
@@ -321,13 +335,9 @@ def parse_config(path) -> ParsedConfig:
         out["sweep"] = SweepSpec(sec.get("criterion", _criterion, default=WORST_GROUP))
         sec.reject_unknown()
     if (sec := section("study")) is not None:
-        fractions = sec.get("fractions", _float_list, required=True)
-        seeds = sec.get("seeds", lambda v: _int_list(v, _seed), required=True)
+        fractions = sec.get("fractions", _fractions, required=True)
+        seeds = sec.get("seeds", _seeds, required=True)
         sec.reject_unknown()
-        if any(not (0.0 < f <= 1.0) for f in fractions):
-            raise ConfigError(
-                f"{path}: line {sec.line_of('fractions')}: key 'fractions': "
-                "values must lie in (0, 1]")
         out["study"] = StudySpec(fractions, seeds)
     if (sec := section("analyze")) is not None:
         out["analyze"] = AnalyzeSpec(

@@ -24,7 +24,8 @@ group annotations: they operate on a stripped view of their input.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
-scores the trajectory on the validation split with `epoch_scores`.
+scores the trajectory on the validation split with `epoch_scores`. The
+extras (`aux`) hold only what training alone produced.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ WORST_GROUP = "worst-group"
 AVERAGE = "average"
 CRITERIA = (WORST_GROUP, AVERAGE)
 
-_MAIN_INIT, _MAIN_SHUFFLE, _ID_INIT, _ID_SHUFFLE = 0, 1, 2, 3
+_CROSS_ENTROPY = LossSpec(CROSS_ENTROPY)
 _Run = tuple[list[float], list[Model], dict[str, Any]]  # losses, trajectory, extras
 
 
@@ -201,19 +202,26 @@ def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float
     return [(m.worst_group_accuracy, m.average_accuracy) for m in metrics]
 
 
-def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int) -> Model:
+def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Model:
     if len(train) == 0:
         raise InputError("training set is empty")
     arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
     return init_model(arch, _seedseq(cfg.seed, init_stream))
 
 
-def _weighted_sgd(train: Dataset, cfg: TrainConfig, *, epochs: int,
-                  loss_spec: LossSpec, weight_fn: Callable[..., np.ndarray],
-                  init_stream: int, shuffle_stream: int,
+def _uniform(losses: np.ndarray, *_) -> np.ndarray:
+    return np.full(len(losses), 1.0 / len(losses))
+
+
+def _weighted_sgd(train: Dataset, cfg: TrainConfig,
+                  weight_fn: Callable[..., np.ndarray] = _uniform, *,
+                  identification: bool = False,
                   refresh_fn: Callable[[int, Model], Dataset | None] | None = None,
                   ) -> tuple[list[float], list[Model]]:
-    """Minibatch SGD over `train` with per-batch example weights.
+    """Minibatch SGD over `train` on the per-example cross-entropy, weighted
+    uniformly by default, for the main stage's cfg.epochs epochs on seed
+    streams 0 (initialization) and 1 (shuffling); identification=True runs
+    the identification stage, cfg.id_epochs epochs on streams 2 and 3.
 
     Per epoch the example order is one seeded permutation; batches are its
     consecutive slices (the last may be short), each taking one forward pass
@@ -223,9 +231,10 @@ def _weighted_sgd(train: Dataset, cfg: TrainConfig, *, epochs: int,
     loss, the mean over batches of the weighted batch objective, and the
     trajectory. Non-finite objectives or parameters raise FloatingPointError.
     """
-    model = _initial_model(train, cfg, init_stream)
+    epochs, streams = (cfg.id_epochs, (2, 3)) if identification else (cfg.epochs, (0, 1))
+    model = _initial_model(train, cfg, streams[0])
     opt = fresh_optimizer(model, cfg.learning_rate, cfg.momentum, cfg.l2)
-    shuffle = _rng(cfg.seed, shuffle_stream)
+    shuffle = _rng(cfg.seed, streams[1])
     train_losses, trajectory = [], [model]
     data = train
     for epoch in range(epochs):
@@ -235,9 +244,9 @@ def _weighted_sgd(train: Dataset, cfg: TrainConfig, *, epochs: int,
             bidx = order[start:start + cfg.batch_size]
             xb, yb = data.features[bidx], data.labels[bidx]
             forward = forward_batch(model, xb, activations=True)
-            losses = loss_values(forward[0], yb, loss_spec)
+            losses = loss_values(forward[0], yb, _CROSS_ENTROPY)
             w = weight_fn(losses, bidx, xb, yb, forward[0])
-            model, opt = sgd_step(model, grad(model, xb, yb, w, loss_spec, forward), opt)
+            model, opt = sgd_step(model, grad(model, xb, yb, w, _CROSS_ENTROPY, forward), opt)
             objective += float(w @ losses)
             if not math.isfinite(objective):
                 raise FloatingPointError(
@@ -255,18 +264,12 @@ def _weighted_sgd(train: Dataset, cfg: TrainConfig, *, epochs: int,
     return train_losses, trajectory
 
 
-def _uniform(losses: np.ndarray, *_) -> np.ndarray:
-    return np.full(len(losses), 1.0 / len(losses))
-
-
 # ---------------------------------------------------------------------------
 # Plain ERM
 
 def _erm(train: Dataset, cfg: TrainConfig) -> _Run:
     """Minibatch SGD on the mean cross-entropy."""
-    losses, trajectory = _weighted_sgd(
-        strip_group_annotations(train), cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
-        weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
+    losses, trajectory = _weighted_sgd(strip_group_annotations(train), cfg)
     return losses, trajectory, {}
 
 
@@ -295,10 +298,10 @@ def build_upsampled(train: Dataset, error_set: ErrorSet, upweight_factor: int) -
     return train.subset(idx, name=f"{train.name}-upsampled")
 
 
-def _upweighted(train: Dataset, cfg: TrainConfig, error_set: ErrorSet,
-                refresh_every: int | None = None) -> _Run:
-    """ERM on the upsampled dataset, recomputing the error set from the
-    current model every `refresh_every` epochs (None: never)."""
+def _upweighted(train: Dataset, cfg: TrainConfig, error_set: ErrorSet) -> _Run:
+    """ERM on the upsampled dataset; only jtt-dynamic recomputes the error set
+    from the current model, every cfg.refresh_every epochs (None: never)."""
+    refresh_every = cfg.refresh_every if cfg.algorithm == JTT_DYNAMIC else None
     base = strip_group_annotations(train)
     if len(error_set) == 0:
         warnings.warn("error set is empty; upweighted training degenerates to ERM",
@@ -316,10 +319,7 @@ def _upweighted(train: Dataset, cfg: TrainConfig, error_set: ErrorSet,
         refresh_sizes.append(len(new_set))
         return build_upsampled(base, new_set, cfg.upweight_factor)
 
-    losses, trajectory = _weighted_sgd(
-        upsampled, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
-        weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE,
-        refresh_fn=refresh)
+    losses, trajectory = _weighted_sgd(upsampled, cfg, refresh_fn=refresh)
     return losses, trajectory, dict(error_set=error_set, refresh_epochs=refresh_epochs,
                                     refresh_sizes=refresh_sizes)
 
@@ -327,15 +327,11 @@ def _upweighted(train: Dataset, cfg: TrainConfig, error_set: ErrorSet,
 def _two_stage(train: Dataset, cfg: TrainConfig) -> _Run:
     """Two-stage training: fit an identification model for id_epochs, collect
     its misclassified examples, then retrain from scratch on the upsampled
-    data. jtt-dynamic recomputes that set from the current model every
-    refresh_every epochs (None never does, which matches jtt exactly)."""
+    data as `_upweighted` does."""
     base = strip_group_annotations(train)
-    _, id_trajectory = _weighted_sgd(
-        base, cfg, epochs=cfg.id_epochs, loss_spec=LossSpec(CROSS_ENTROPY),
-        weight_fn=_uniform, init_stream=_ID_INIT, shuffle_stream=_ID_SHUFFLE)
+    _, id_trajectory = _weighted_sgd(base, cfg, identification=True)
     error_set = compute_error_set(id_trajectory[-1], base, source_epoch=cfg.id_epochs)
-    refresh_every = cfg.refresh_every if cfg.algorithm == JTT_DYNAMIC else None
-    losses, trajectory, aux = _upweighted(base, cfg, error_set, refresh_every)
+    losses, trajectory, aux = _upweighted(base, cfg, error_set)
     aux["identification_model"] = id_trajectory[-1]
     return losses, trajectory, aux
 
@@ -370,18 +366,11 @@ def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
 
 def _cvar(train: Dataset, cfg: TrainConfig) -> _Run:
     """Each minibatch step reweights examples by the capped top-loss
-    distribution at level alpha before the gradient step. Per-example
-    cross-entropy over the full training set is snapshotted every epoch for
-    composition tracking."""
-    base = strip_group_annotations(train)
-    spec = LossSpec(CROSS_ENTROPY)
+    distribution at level alpha before the gradient step."""
     losses, trajectory = _weighted_sgd(
-        base, cfg, epochs=cfg.epochs, loss_spec=spec,
-        weight_fn=lambda losses, *_: cvar_batch_weights(losses, cfg.alpha),
-        init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
-    snapshots = [loss_values(forward_batch(model, base.features), base.labels, spec)
-                 for model in trajectory[1:]]
-    return losses, trajectory, dict(loss_snapshots=np.asarray(snapshots), alpha=cfg.alpha)
+        strip_group_annotations(train), cfg,
+        lambda losses, *_: cvar_batch_weights(losses, cfg.alpha))
+    return losses, trajectory, {}
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +396,7 @@ def _lff(train: Dataset, cfg: TrainConfig) -> _Run:
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    bias = _initial_model(base, cfg, _MAIN_INIT)
+    bias = _initial_model(base, cfg)
     opt_b = fresh_optimizer(bias, cfg.learning_rate, cfg.momentum, cfg.l2)
     gce = LossSpec(GCE, cfg.gce_q)
 
@@ -421,9 +410,7 @@ def _lff(train: Dataset, cfg: TrainConfig) -> _Run:
         bias, opt_b = sgd_step(bias, grad(bias, xb, yb, w_bias, gce, forward), opt_b)
         return raw / raw.sum()
 
-    losses, trajectory = _weighted_sgd(
-        base, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
-        weight_fn=step_bias, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
+    losses, trajectory = _weighted_sgd(base, cfg, step_bias)
     return losses, trajectory, {"bias_model": bias}
 
 
@@ -465,9 +452,7 @@ def _group_dro(train: Dataset, cfg: TrainConfig) -> _Run:
         state["w"] = group_dro_update(means, state["w"], cfg.group_step_size)
         return state["w"][batch_codes] / counts[batch_codes]
 
-    losses, trajectory = _weighted_sgd(
-        train, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
-        weight_fn=weight_fn, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
+    losses, trajectory = _weighted_sgd(train, cfg, weight_fn)
     weights = {g: float(state["w"][i]) for i, g in enumerate(groups)}
     return losses, trajectory, {"group_weights": weights}
 
@@ -486,9 +471,7 @@ def _upsample_minority(train: Dataset, cfg: TrainConfig) -> _Run:
             raise InputError(f"upsample-minority requires binary {what}")
     minority = ErrorSet(np.flatnonzero(train.attributes != train.labels), source_epoch=-1)
     upsampled = build_upsampled(strip_group_annotations(train), minority, cfg.upweight_factor)
-    losses, trajectory = _weighted_sgd(
-        upsampled, cfg, epochs=cfg.epochs, loss_spec=LossSpec(CROSS_ENTROPY),
-        weight_fn=_uniform, init_stream=_MAIN_INIT, shuffle_stream=_MAIN_SHUFFLE)
+    losses, trajectory = _weighted_sgd(upsampled, cfg)
     return losses, trajectory, {"minority_set": minority}
 
 
@@ -523,6 +506,6 @@ def train(train_data: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
 
 def train_upweighted(train: Dataset, val: Dataset, cfg: TrainConfig,
                      error_set: ErrorSet) -> TrainResult:
-    """The upweighting stage alone, `val` used as in `train`. Useful directly
-    for error-set manipulation experiments."""
+    """The upweighting stage alone, refreshing as the full run does, `val`
+    used as in `train`. Useful directly for error-set manipulation experiments."""
     return _scored(_upweighted, val, train, cfg, error_set)

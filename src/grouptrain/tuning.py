@@ -92,10 +92,10 @@ class SweepResult:
         self.best_by_worst_group = int(np.argmax([b[WORST_GROUP].val_worst_group for b in by]))
         self.best_by_average = int(np.argmax([b[AVERAGE].val_average for b in by]))
 
-    def selected(self, criterion: str | None = None) -> SelectionMetrics:
-        criterion = criterion or self.criterion
-        idx = self.best_by_worst_group if criterion == WORST_GROUP else self.best_by_average
-        return self.rows[idx].by_criterion[criterion]
+    def selected(self) -> SelectionMetrics:
+        """The best row's metrics under the sweep's criterion."""
+        idx = self.best_by_worst_group if self.criterion == WORST_GROUP else self.best_by_average
+        return self.rows[idx].by_criterion[self.criterion]
 
 
 def _train_grid(grid: Grid, train_data: Dataset,

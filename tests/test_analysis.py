@@ -10,6 +10,7 @@ from grouptrain.analysis import (
     error_set_stats,
     evaluate_groups,
     group_metrics,
+    loss_snapshots,
     replace_error_set,
     top_loss_indices,
     track_cvar_composition,
@@ -363,8 +364,8 @@ class TestReferenceBenchmarkDiagnostics:
         cfg = dataclasses.replace(reference_config("cvar", seed=0), alpha=0.1)
         result = gt.train(train, val, cfg)
         worst = GroupId(0, 1)  # the group the tuned ERM reference is worst on
-        points = track_cvar_composition(result.aux["loss_snapshots"],
-                                        result.aux["alpha"], train, worst)
+        points = track_cvar_composition(loss_snapshots(result.trajectory, train),
+                                        cfg.alpha, train, worst)
         recalls = [p.recall for p in points]
         assert max(recalls) - min(recalls) > 0.2
         # a static error set is one fixed reference line by construction

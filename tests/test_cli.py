@@ -169,6 +169,17 @@ class TestSweepAnalyzeAblateStudy:
         assert 0 <= stats["precision"] <= 1
         assert (tmp_path / "an" / "enrichment.csv").exists()
 
+    def test_analyze_reads_only_the_training_split(self, workspace, tmp_path):
+        only_train = tmp_path / "only-train"
+        only_train.mkdir()
+        (only_train / "train.csv").write_bytes((workspace / "data" / "train.csv").read_bytes())
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {workspace / 'jtt'}\n"
+            f"erm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", only_train]) == 0
+        assert list(read_report(tmp_path / "an" / "report.json")["datasets"]) == ["train"]
+
     def test_analyze_cvar_composition(self, workspace, tmp_path):
         assert run(["train", "--config", workspace / "cvar.ini", "--out",
                     tmp_path / "cvar", "--data", workspace / "data"]) == 0
@@ -248,6 +259,20 @@ class TestFailureModes:
         assert run(["train", "--config", workspace / "erm.ini", "--out", out,
                     "--data", workspace / "data", "--seed", "-3"]) == 1
         assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["fractions", "seeds"])
+    def test_empty_study_list_exits_1_before_loading_data(self, tmp_path, capsys, key):
+        study = {"fractions": "1, 0.5", "seeds": "0, 1", key: ""}
+        config = tmp_path / "vs.ini"
+        config.write_text(ERM + "\n[study]\n" + "".join(f"{k} = {v}\n" for k, v in study.items()))
+        out = tmp_path / "vs"
+        assert run(["val-study", "--config", config, "--out", out,
+                    "--data", tmp_path / "no-data-here"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "config"
+        assert err["message"].startswith(f"{config}: line ")
+        assert f"key {key!r}" in err["message"]
         assert not out.exists()
 
     def test_runtime_error_exits_2_and_cleans_partial(self, workspace, tmp_path, capsys):

@@ -138,6 +138,18 @@ seeds = 0, 1, 2
         with pytest.raises(ConfigError, match="fractions"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("fractions =\nseeds = 0, 1\n", 9, "fractions"),
+        ("fractions = 1, 0.5\nseeds =\n", 10, "seeds"),
+        ("fractions = ,\nseeds = 0\n", 9, "fractions"),
+    ])
+    def test_empty_study_list_names_key_and_line(self, tmp_path, text, line, key):
+        path = write(tmp_path, MINIMAL_ERM + "[study]\n" + text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value).startswith(
+            f"{path}: line {line}: key {key!r}: expected at least one")
+
     def test_ablate_section(self, tmp_path):
         path = write(tmp_path, """
 [ablate]

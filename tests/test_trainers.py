@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouptrain as gt
+from grouptrain.analysis import loss_snapshots
 from grouptrain.data import Dataset, strip_group_annotations
 from grouptrain.errors import ConfigError, InputError, TrainingWarning
 from grouptrain.models import Architecture, init_model
@@ -408,18 +409,34 @@ class TestJtt:
 
     def test_train_upweighted_matches_stage_two(self, small_bench):
         train, val, _ = small_bench
-        c = cfg("jtt", id_epochs=1, upweight_factor=4)
-        full = gt.train(train, val, c)
-        stage2 = train_upweighted(train, val, c, full.aux["error_set"])
-        assert np.array_equal(full.model.params, stage2.model.params)
+        for c in (cfg("jtt", id_epochs=1, upweight_factor=4),
+                  cfg("jtt-dynamic", epochs=6, id_epochs=1, upweight_factor=4, refresh_every=2)):
+            full = gt.train(train, val, c)
+            stage2 = train_upweighted(train, val, c, full.aux["error_set"])
+            assert np.array_equal(full.model.params, stage2.model.params)
+            assert stage2.aux["refresh_epochs"] == full.aux["refresh_epochs"]
 
 
 class TestCvarTrainer:
     def test_snapshots_cover_every_epoch(self, small_bench):
         train, val, _ = small_bench
         result = gt.train(train, val, cfg("cvar", epochs=3, alpha=0.2))
-        assert result.aux["loss_snapshots"].shape == (3, len(train))
-        assert result.aux["alpha"] == 0.2
+        assert loss_snapshots(result.trajectory, train).shape == (3, len(train))
+        assert result.aux == {}
+
+    def test_training_makes_no_full_training_set_pass(self, small_bench, monkeypatch):
+        import grouptrain.models as models_mod
+        train, val, _ = small_bench
+        rows = []
+        original = models_mod._forward_cached
+
+        def counting(model, x):
+            rows.append(len(x))
+            return original(model, x)
+
+        monkeypatch.setattr(models_mod, "_forward_cached", counting)
+        gt.train(train, val, cfg("cvar", epochs=3, alpha=0.2))
+        assert rows and rows.count(len(train)) == 0
 
 
 class TestLffTrainer:
