@@ -10,6 +10,7 @@ outputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _adopt(cls, **fields):
     """A frozen dataclass from already valid, frozen fields: no __post_init__."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -64,6 +64,17 @@ class Architecture:
     @property
     def n_params(self) -> int:
         return sum(o * i + o for o, i in self.layer_shapes())
+
+    @functools.cached_property
+    def _layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per layer: fan_out, fan_in, and where W, b and the next layer
+        start in the flat parameter vector."""
+        out, pos = [], 0
+        for fan_out, fan_in in self.layer_shapes():
+            out.append((fan_out, fan_in, pos, pos + fan_out * fan_in,
+                        pos + fan_out * fan_in + fan_out))
+            pos = out[-1][-1]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -146,35 +157,98 @@ def init_model(arch: Architecture, seed) -> Model:
 
 
 def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into per-layer (W, b) views, W shaped (out, in)."""
-    out = []
-    pos = 0
-    for fan_out, fan_in in arch.layer_shapes():
-        w = params[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in)
-        pos += fan_out * fan_in
-        b = params[pos:pos + fan_out]
-        pos += fan_out
-        out.append((w, b))
-    return out
+    """Split a flat vector into per-layer (W, b) views, W shaped (out, in).
+    Leading axes of `params` (the lanes of a population) lead W and b too."""
+    lead = params.shape[:-1]
+    return [(params[..., w:b].reshape(lead + (fan_out, fan_in)), params[..., b:end])
+            for fan_out, fan_in, w, b, end in arch._layout]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
+
+# The private kernel below takes an optional leading lane axis: params
+# (K, P) with features (K, B, input_dim) run K models at once, one stacked
+# matmul per layer. Stacked matmul, gathers, elementwise ops and reductions
+# along one lane's axes equal the 2-D calls slice by slice, bit for bit
+# (np.einsum would not), so a lane computes exactly what a lone model does.
 
 def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Probabilities plus the per-layer activations needed for backprop."""
     layers = unpack_params(model.arch, model.params)
     acts = [x]
     for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w.T + b
+        z = acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
         if i < len(layers) - 1:
             acts.append(np.tanh(z))
         else:
             return _softmax(z), acts
     raise AssertionError("unreachable")
+
+
+def _label_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's probability of its label."""
+    rows = probs.reshape(-1, probs.shape[-1])
+    return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+
+
+def _exponent(spec: LossSpec) -> float:
+    """The GCE exponent q; 0 means cross-entropy."""
+    return spec.gce_q if spec.kind == GCE else 0.0
+
+
+def _losses(p_label: np.ndarray, q: float) -> np.ndarray:
+    """Per-example losses from label probabilities; q as `_exponent` gives it."""
+    p = np.clip(p_label, PROB_EPS, 1.0)
+    if q == 0.0:
+        return -np.log(p)
+    # (1 - p^q)/q, written via expm1 to stay accurate as q -> 0.
+    return -np.expm1(q * np.log(p)) / q
+
+
+def _grad_scale(p_label: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
+    """d(weighted loss)/d(label logit) up to the softmax factor: the weight,
+    zero at the clamp floor, times p^q for GCE. `q` is one exponent or one
+    per lane; each distinct value is applied as a scalar, since np.power
+    takes a sqrt fast path for the scalar 0.5 that an array of exponents
+    does not, and the two differ in the last bit."""
+    if isinstance(q, np.ndarray):
+        values = set(q.tolist())
+        if len(values) > 1:
+            scale = np.empty_like(p_label)
+            for value in values:
+                lanes = q == value
+                scale[lanes] = _grad_scale(p_label[lanes], weights[lanes], value)
+            return scale
+        (q,) = values
+    live = (p_label > PROB_EPS).astype(np.float64)
+    if q == 0.0:
+        return weights * live
+    return weights * live * np.power(np.clip(p_label, PROB_EPS, 1.0), q)
+
+
+def _backprop(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
+              labels: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the flat params of sum_i scale-weighted losses, from
+    the cached forward pass."""
+    probs, acts = forward
+    delta = probs * scale[..., None]
+    rows = delta.reshape(-1, delta.shape[-1])
+    rows[np.arange(len(rows)), labels.ravel()] -= scale.ravel()
+
+    layers = unpack_params(model.arch, model.params)
+    grads: list[np.ndarray] = [np.empty(0)] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        w_i, _ = layers[i]
+        g_w = delta.swapaxes(-1, -2) @ acts[i]
+        g_b = delta.sum(axis=-2)
+        grads[i] = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
+        if i > 0:
+            delta = (delta @ w_i) * (1.0 - acts[i] ** 2)
+    return np.concatenate(grads, axis=-1)
 
 
 def forward_batch(model: Model, features: np.ndarray, *, activations: bool = False):
@@ -203,12 +277,7 @@ def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
         raise InputError("labels must be one integer per probability row")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise InputError("label index out of range")
-    p = np.clip(probs[np.arange(n), labels], PROB_EPS, 1.0)
-    if spec.kind == CROSS_ENTROPY or spec.gce_q == 0.0:
-        return -np.log(p)
-    q = spec.gce_q
-    # (1 - p^q)/q, written via expm1 to stay accurate as q -> 0.
-    return -np.expm1(q * np.log(p)) / q
+    return _losses(_label_probs(probs, labels), _exponent(spec))
 
 
 def grad(model: Model, features: np.ndarray, labels: np.ndarray,
@@ -230,28 +299,9 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     if (w < 0).any():
         raise InputError("weights must be non-negative")
 
-    probs, acts = forward if forward is not None else forward_batch(model, x, activations=True)
-    rows = np.arange(x.shape[0])
-    p_label = probs[rows, y]
-    live = (p_label > PROB_EPS).astype(np.float64)
-    if spec.kind == CROSS_ENTROPY or spec.gce_q == 0.0:
-        scale = w * live
-    else:
-        scale = w * live * np.power(np.clip(p_label, PROB_EPS, 1.0), spec.gce_q)
-
-    delta = probs * scale[:, None]
-    delta[rows, y] -= scale
-
-    layers = unpack_params(model.arch, model.params)
-    grads: list[np.ndarray] = [np.empty(0)] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w_i, _ = layers[i]
-        g_w = delta.T @ acts[i]
-        g_b = delta.sum(axis=0)
-        grads[i] = np.concatenate([g_w.ravel(), g_b])
-        if i > 0:
-            delta = (delta @ w_i) * (1.0 - acts[i] ** 2)
-    return np.concatenate(grads)
+    forward = forward if forward is not None else forward_batch(model, x, activations=True)
+    scale = _grad_scale(_label_probs(forward[0], y), w, _exponent(spec))
+    return _backprop(model, forward, y, scale)
 
 
 def sgd_step(model: Model, gradient: np.ndarray, opt: OptimizerState) -> tuple[Model, OptimizerState]:
@@ -259,12 +309,16 @@ def sgd_step(model: Model, gradient: np.ndarray, opt: OptimizerState) -> tuple[M
 
     velocity <- momentum * velocity + (gradient + l2 * params)
     params   <- params - learning_rate * velocity
+
+    Elementwise, so a population's (K, P) params and velocity may step at
+    once, with (K, 1) arrays of hyperparameters.
     """
-    g = np.asarray(gradient, dtype=np.float64).ravel()
+    g = np.asarray(gradient, dtype=np.float64)
     if g.size != model.params.size:
         raise InputError("gradient length does not match parameter count")
     if opt.velocity.size != model.params.size:
         raise InputError("velocity length does not match parameter count")
+    g = g.reshape(model.params.shape)
     velocity = opt.momentum * opt.velocity + (g + opt.l2 * model.params)
     params = model.params - opt.learning_rate * velocity
     # Both arrays are fresh and sized by the checks above: freeze, don't copy.

@@ -22,6 +22,17 @@ any period >= epochs) reduces the dynamic variant to the static one.
 Trainers other than group DRO and minority upsampling never read training
 group annotations: they operate on a stripped view of their input.
 
+Lanes
+-----
+Every trainer runs a population: one lane per config, all lanes of one
+architecture stepping through one minibatch loop (`_weighted_sgd`), one
+stacked matmul per layer for the lanes whose batches have one length. A
+lane is a config plus its training view (an index map into the shared
+training rows, so upsampling copies no data), its own epoch and batch
+schedule, its weight-rule state and its own seed streams as above, so a
+lane computes bit for bit what training its config alone computes: `train`
+is a population of one, and `train_population` trains a grid.
+
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
 scores the trajectory on the validation split with `epoch_scores`. The
@@ -31,6 +42,7 @@ extras (`aux`) hold only what training alone produced.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,24 +50,22 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import models
 from .analysis import ErrorSet, evaluate_groups
 from .data import Dataset, strip_group_annotations
 from .errors import ConfigError, InputError, TrainingWarning
 from .models import (
     CROSS_ENTROPY,
-    GCE,
     PROB_EPS,
     Architecture,
     LossSpec,
     Model,
-    forward_batch,
-    fresh_optimizer,
-    grad,
+    OptimizerState,
     init_model,
-    loss_values,
     predict,
     sgd_step,
 )
+from .models import forward_batch, grad, loss_values  # noqa: F401 (bench/layers.py wraps these)
 
 ERM = "erm"
 JTT = "jtt"
@@ -70,8 +80,10 @@ WORST_GROUP = "worst-group"
 AVERAGE = "average"
 CRITERIA = (WORST_GROUP, AVERAGE)
 
-_CROSS_ENTROPY = LossSpec(CROSS_ENTROPY)
-_Run = tuple[list[float], list[Model], dict[str, Any]]  # losses, trajectory, extras
+_CROSS_ENTROPY = models._exponent(LossSpec(CROSS_ENTROPY))  # the main models' loss exponent
+# A lane's outcome: its (losses, trajectory, extras), its error, or None if
+# it was dropped after an earlier lane failed.
+_Outcome = tuple[list[float], list[Model], dict[str, Any]] | Exception | None
 
 
 def _seedseq(seed: int, stream: int) -> np.random.SeedSequence:
@@ -209,68 +221,224 @@ def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Mo
     return init_model(arch, _seedseq(cfg.seed, init_stream))
 
 
-def _uniform(losses: np.ndarray, *_) -> np.ndarray:
-    return np.full(len(losses), 1.0 / len(losses))
+class _Lane:
+    """One config's run in a population: its training view (an index map
+    into the population's base rows; all of them, in order, by default),
+    epochs, seed streams, refresh rule and extras. The loop fills in the
+    per-epoch losses, the trajectory, the lane's final weight-rule state and,
+    if the lane fails, its error."""
+
+    def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
+                 identification: bool = False,
+                 refresh: Callable[[int, Model], np.ndarray | None] | None = None,
+                 aux: dict[str, Any] | None = None):
+        self.cfg, self.rows, self.refresh = cfg, rows, refresh
+        self.size = len(base) if rows is None else len(rows)
+        self.epochs, (init, shuffle) = ((cfg.id_epochs, (2, 3)) if identification
+                                        else (cfg.epochs, (0, 1)))
+        self.shuffle = _rng(cfg.seed, shuffle)
+        self.losses: list[float] = []
+        self.trajectory = [_initial_model(base, cfg, init)]
+        self.aux: dict[str, Any] = {} if aux is None else aux
+        self.final: dict[str, np.ndarray] = {}
+        self.error: Exception | None = None
+
+    @property
+    def done(self) -> bool:
+        return len(self.losses) == self.epochs
+
+    def start_epoch(self) -> None:
+        """Draw the epoch's example order from the shuffle stream."""
+        order = self.shuffle.permutation(self.size)
+        self.order = order.astype(np.int32) if self.rows is None else self.rows[order]
+        self.pos, self.objective, self.n_batches = 0, 0.0, 0
+
+    def outcome(self) -> _Outcome:
+        """The run, the lane's error, or None if the lane was dropped."""
+        return (self.losses, self.trajectory, self.aux) if self.done else self.error
 
 
-def _weighted_sgd(train: Dataset, cfg: TrainConfig,
-                  weight_fn: Callable[..., np.ndarray] = _uniform, *,
-                  identification: bool = False,
-                  refresh_fn: Callable[[int, Model], Dataset | None] | None = None,
-                  ) -> tuple[list[float], list[Model]]:
-    """Minibatch SGD over `train` on the per-example cross-entropy, weighted
-    uniformly by default, for the main stage's cfg.epochs epochs on seed
-    streams 0 (initialization) and 1 (shuffling); identification=True runs
-    the identification stage, cfg.id_epochs epochs on streams 2 and 3.
+class _LaneFailure(Exception):
+    """Raised by a weight rule, before it replaces any state, to fail lane
+    `lane` of the step with `error`."""
 
-    Per epoch the example order is one seeded permutation; batches are its
-    consecutive slices (the last may be short), each taking one forward pass
-    that the losses, the weights and the gradient share. The weights are
-    ``weight_fn(losses, batch indices, features, labels, probabilities)``,
-    all pre-step; it may step a model of its own. Returns the per-epoch train
-    loss, the mean over batches of the weighted batch objective, and the
-    trajectory. Non-finite objectives or parameters raise FloatingPointError.
+    def __init__(self, lane: int, error: Exception):
+        super().__init__(lane, error)
+        self.lane, self.error = lane, error
+
+
+def _take(arrays: dict[str, np.ndarray], lanes) -> dict[str, np.ndarray]:
+    return {name: a[lanes] for name, a in arrays.items()}
+
+
+def _uniform(_state, losses: np.ndarray, *_) -> np.ndarray:
+    return np.full(losses.shape, 1.0 / losses.shape[-1])
+
+
+def _descend(state: dict[str, np.ndarray], prefix: str, model: Model,
+             forward: tuple[np.ndarray, list[np.ndarray]], labels: np.ndarray,
+             scale: np.ndarray) -> None:
+    """One `sgd_step` of the lanes' model whose parameters and velocity are
+    state[prefix + "params"] and state[prefix + "velocity"]."""
+    opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
+                        momentum=state["momentum"], l2=state["l2"],
+                        velocity=state[prefix + "velocity"])
+    model, opt = sgd_step(model, models._backprop(model, forward, labels, scale), opt)
+    state[prefix + "params"], state[prefix + "velocity"] = model.params, opt.velocity
+
+
+def _step(arch: Architecture, state: dict[str, np.ndarray], xb: np.ndarray, yb: np.ndarray,
+          ridx: np.ndarray, rule: Callable[..., np.ndarray]) -> np.ndarray:
+    """One SGD step of every lane in `state` on its batch; returns each
+    lane's weighted batch objective."""
+    model = models._adopt(Model, arch=arch, params=state["params"])
+    forward = models._forward_cached(model, xb)
+    p_label = models._label_probs(forward[0], yb)
+    losses = models._losses(p_label, _CROSS_ENTROPY)
+    w = rule(state, losses, ridx, xb, yb, forward[0], p_label)
+    _descend(state, "", model, forward, yb, models._grad_scale(p_label, w, _CROSS_ENTROPY))
+    return (w[:, None, :] @ losses[:, :, None])[:, 0, 0]
+
+
+def _step_group(arch: Architecture, state: dict[str, np.ndarray], sel, ridx: np.ndarray,
+                base: Dataset, rule: Callable[..., np.ndarray],
+                failed: dict[int, Exception]) -> tuple[Any, np.ndarray | None]:
+    """`_step` for lanes `sel` of `state` (a slice: all of them) on base rows
+    `ridx`, writing back what the step replaced. A lane the rule fails goes
+    into `failed`, and the lanes after it in `sel` sit the step out. Returns
+    the lanes that stepped and their objectives."""
+    while True:
+        sub = state if isinstance(sel, slice) else _take(state, sel)
+        try:
+            objective = _step(arch, sub, base.features[ridx], base.labels[ridx], ridx, rule)
+            break
+        except _LaneFailure as failure:
+            lanes = np.arange(len(state["params"]))[sel]
+            failed[int(lanes[failure.lane])] = failure.error
+            sel, ridx = lanes[:failure.lane], ridx[:failure.lane]
+            if not len(sel):
+                return sel, None
+    if sub is not state:
+        for name, a in sub.items():
+            merged = np.array(state[name])
+            merged[sel] = a
+            state[name] = merged
+    return sel, objective
+
+
+def _weighted_sgd(base: Dataset, lanes: list[_Lane],
+                  rule: Callable[..., np.ndarray] = _uniform,
+                  columns: dict[str, np.ndarray] | None = None) -> None:
+    """Minibatch SGD of a population of lanes (one architecture) over their
+    views of `base` on the per-example cross-entropy, weighted uniformly by
+    default. Lanes are independent: each computes exactly what it would
+    alone.
+
+    Per epoch a lane's example order is one permutation from its shuffle
+    stream; batches are its consecutive slices (the last may be short), each
+    taking one forward pass that the losses, the weights and the gradient
+    share. A step stacks the lanes whose current batches have one length,
+    one matmul per layer for all of them. The weights are ``rule(state,
+    losses, base rows, features, labels, probabilities, label
+    probabilities)``, all pre-step with a leading lane axis; `state` holds
+    the stepping lanes' parameters, velocity, (K, 1) hyperparameters and
+    `columns`, the rule's per-lane state, which the rule may replace. A
+    lane's train loss per epoch is the mean over its batches of the weighted
+    batch objective. A non-finite objective or parameters fail the lane with
+    FloatingPointError; the lanes after it are dropped and the ones before
+    it run on, so the first lane in order to fail has the population's error.
     """
-    epochs, streams = (cfg.id_epochs, (2, 3)) if identification else (cfg.epochs, (0, 1))
-    model = _initial_model(train, cfg, streams[0])
-    opt = fresh_optimizer(model, cfg.learning_rate, cfg.momentum, cfg.l2)
-    shuffle = _rng(cfg.seed, streams[1])
-    train_losses, trajectory = [], [model]
-    data = train
-    for epoch in range(epochs):
-        order = shuffle.permutation(len(data))
-        objective, n_batches = 0.0, 0
-        for start in range(0, len(data), cfg.batch_size):
-            bidx = order[start:start + cfg.batch_size]
-            xb, yb = data.features[bidx], data.labels[bidx]
-            forward = forward_batch(model, xb, activations=True)
-            losses = loss_values(forward[0], yb, _CROSS_ENTROPY)
-            w = weight_fn(losses, bidx, xb, yb, forward[0])
-            model, opt = sgd_step(model, grad(model, xb, yb, w, _CROSS_ENTROPY, forward), opt)
-            objective += float(w @ losses)
-            if not math.isfinite(objective):
-                raise FloatingPointError(
-                    f"training diverged: non-finite objective at epoch {epoch}, batch {n_batches}")
-            n_batches += 1
-        if not np.isfinite(model.params).all():
-            raise FloatingPointError(
-                f"training diverged: non-finite parameters after epoch {epoch}")
-        train_losses.append(objective / n_batches)
-        trajectory.append(model)
-        if refresh_fn is not None:
-            refreshed = refresh_fn(epoch, model)
-            if refreshed is not None:
-                data = refreshed
-    return train_losses, trajectory
+    arch = lanes[0].trajectory[0].arch
+    if base.labels.min() < 0 or base.labels.max() >= arch.n_classes:
+        raise InputError("label index out of range")
+    state = {"params": np.stack([lane.trajectory[0].params for lane in lanes]),
+             "velocity": np.zeros((len(lanes), arch.n_params)),
+             **{name: np.array([[getattr(lane.cfg, name)] for lane in lanes], dtype=np.float64)
+                for name in ("learning_rate", "momentum", "l2")},
+             **(columns or {})}
+    for lane in lanes:
+        if not lane.done:
+            lane.start_epoch()
+    running, failed = lanes, {}
+
+    while True:
+        # Lanes leave when done, or when they or a lane before them failed.
+        stop = min(failed, default=len(running))
+        if failed:
+            running[stop].error, failed = failed[stop], {}
+        for i, lane in enumerate(running[:stop]):
+            if lane.done:
+                lane.final = {name: state[name][i] for name in columns or ()}
+                lane.rows = lane.order = None
+        keep = [i for i, lane in enumerate(running[:stop]) if not lane.done]
+        if not keep:
+            return
+        if len(keep) < len(running):
+            running, state = [running[i] for i in keep], _take(state, keep)
+
+        # A segment: the steps over which no lane's batch length changes. A
+        # lane on full batches may take all it has left; a short one is last.
+        by_length: dict[int, list[int]] = {}
+        for i, lane in enumerate(running):
+            by_length.setdefault(min(lane.cfg.batch_size, len(lane.order) - lane.pos),
+                                 []).append(i)
+        n_steps = min((len(lane.order) - lane.pos) // lane.cfg.batch_size or 1
+                      for lane in running)
+        segment = [(members, slice(None) if len(members) == len(running) else np.array(members),
+                    b, np.stack([running[i].order[running[i].pos:][:n_steps * b]
+                                 for i in members]))
+                   for b, members in by_length.items()]
+        for t in range(n_steps):
+            for members, group, b, rows in segment:
+                sel, obj = _step_group(arch, state, group, rows[:, t * b:(t + 1) * b],
+                                       base, rule, failed)
+                if obj is None:
+                    continue
+                for i, value in zip(members if isinstance(sel, slice) else sel, obj.tolist()):
+                    lane = running[i]
+                    lane.objective += value
+                    if not math.isfinite(lane.objective):
+                        failed.setdefault(int(i), FloatingPointError(
+                            f"training diverged: non-finite objective at epoch "
+                            f"{len(lane.losses)}, batch {lane.n_batches + t}"))
+            if failed:
+                n_steps = t + 1
+                break
+        for members, _, b, _ in segment:
+            for i in members:
+                running[i].pos += n_steps * b
+                running[i].n_batches += n_steps
+
+        for i, lane in enumerate(running):
+            if i >= min(failed, default=len(running)):
+                break
+            if lane.pos < len(lane.order):
+                continue
+            params = state["params"][i]
+            if not np.isfinite(params).all():
+                failed[i] = FloatingPointError(
+                    f"training diverged: non-finite parameters after epoch {len(lane.losses)}")
+                break
+            model = Model(arch, params)
+            lane.losses.append(lane.objective / lane.n_batches)
+            lane.trajectory.append(model)
+            if lane.refresh is not None:
+                rows = lane.refresh(len(lane.losses) - 1, model)
+                if rows is not None:
+                    lane.rows, lane.size = rows, len(rows)
+            if not lane.done:
+                lane.start_epoch()
 
 
 # ---------------------------------------------------------------------------
 # Plain ERM
 
-def _erm(train: Dataset, cfg: TrainConfig) -> _Run:
+def _erm(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
     """Minibatch SGD on the mean cross-entropy."""
-    losses, trajectory = _weighted_sgd(strip_group_annotations(train), cfg)
-    return losses, trajectory, {}
+    base = strip_group_annotations(train)
+    lanes = [_Lane(base, cfg) for cfg in cfgs]
+    _weighted_sgd(base, lanes)
+    return [lane.outcome() for lane in lanes]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +451,15 @@ def compute_error_set(model: Model, train: Dataset, source_epoch: int = 0) -> Er
     return ErrorSet(np.flatnonzero(wrong), source_epoch)
 
 
+def _upsampled_rows(n: int, error_set: ErrorSet, upweight_factor: int) -> np.ndarray:
+    """The rows of `build_upsampled`'s output, as int32 indices into its
+    n-row input (half the memory of int64 for a population's views)."""
+    copies = upweight_factor - 1 if len(error_set) else 0
+    if copies and error_set.indices[-1] >= n:
+        raise InputError("error-set index out of range for this dataset")
+    return np.concatenate([np.arange(n)] + [error_set.indices] * copies, dtype=np.int32)
+
+
 def build_upsampled(train: Dataset, error_set: ErrorSet, upweight_factor: int) -> Dataset:
     """Original examples in order, followed by (upweight_factor - 1) full
     copies of the error-set examples in index order. A factor of 1 or an
@@ -291,53 +468,78 @@ def build_upsampled(train: Dataset, error_set: ErrorSet, upweight_factor: int) -
         raise InputError("upweight_factor must be >= 1")
     if upweight_factor == 1 or len(error_set) == 0:
         return train
-    if error_set.indices[-1] >= len(train):
-        raise InputError("error-set index out of range for this dataset")
-    idx = np.concatenate([np.arange(len(train))]
-                         + [error_set.indices] * (upweight_factor - 1))
-    return train.subset(idx, name=f"{train.name}-upsampled")
+    return train.subset(_upsampled_rows(len(train), error_set, upweight_factor),
+                        name=f"{train.name}-upsampled")
 
 
-def _upweighted(train: Dataset, cfg: TrainConfig, error_set: ErrorSet) -> _Run:
-    """ERM on the upsampled dataset; only jtt-dynamic recomputes the error set
-    from the current model, every cfg.refresh_every epochs (None: never)."""
-    refresh_every = cfg.refresh_every if cfg.algorithm == JTT_DYNAMIC else None
+def _upweighted(train: Dataset, cfgs: list[TrainConfig],
+                error_sets: list[ErrorSet]) -> list[_Outcome]:
+    """ERM on the upsampled data, a lane per config and error set; only
+    jtt-dynamic recomputes the error set from the current model, every
+    cfg.refresh_every epochs (None: never)."""
     base = strip_group_annotations(train)
-    if len(error_set) == 0:
-        warnings.warn("error set is empty; upweighted training degenerates to ERM",
-                      TrainingWarning, stacklevel=2)
-    upsampled = build_upsampled(base, error_set, cfg.upweight_factor)
-    refresh_epochs: list[int] = []
-    refresh_sizes: list[int] = []
+    lanes = []
+    for cfg, error_set in zip(cfgs, error_sets):
+        if len(error_set) == 0:
+            warnings.warn("error set is empty; upweighted training degenerates to ERM",
+                          TrainingWarning, stacklevel=2)
+        aux = dict(error_set=error_set, refresh_epochs=[], refresh_sizes=[])
+        lanes.append(_Lane(base, cfg, _upsampled_rows(len(base), error_set, cfg.upweight_factor),
+                           refresh=_refresher(base, cfg, aux), aux=aux))
+    _weighted_sgd(base, lanes)
+    return [lane.outcome() for lane in lanes]
 
-    def refresh(epoch: int, model: Model) -> Dataset | None:
+
+def _refresher(base: Dataset, cfg: TrainConfig,
+               aux: dict[str, Any]) -> Callable[[int, Model], np.ndarray | None] | None:
+    """jtt-dynamic's refresh rule: after every cfg.refresh_every epochs but
+    the last, the upsampled rows of the current model's error set."""
+    if cfg.algorithm != JTT_DYNAMIC or cfg.refresh_every is None:
+        return None
+
+    def refresh(epoch: int, model: Model) -> np.ndarray | None:
         done = epoch + 1
-        if refresh_every is None or done >= cfg.epochs or done % refresh_every:
+        if done >= cfg.epochs or done % cfg.refresh_every:
             return None
         new_set = compute_error_set(model, base, source_epoch=done)
-        refresh_epochs.append(done)
-        refresh_sizes.append(len(new_set))
-        return build_upsampled(base, new_set, cfg.upweight_factor)
+        aux["refresh_epochs"].append(done)
+        aux["refresh_sizes"].append(len(new_set))
+        return _upsampled_rows(len(base), new_set, cfg.upweight_factor)
 
-    losses, trajectory = _weighted_sgd(upsampled, cfg, refresh_fn=refresh)
-    return losses, trajectory, dict(error_set=error_set, refresh_epochs=refresh_epochs,
-                                    refresh_sizes=refresh_sizes)
+    return refresh
 
 
-def _two_stage(train: Dataset, cfg: TrainConfig) -> _Run:
+def _two_stage(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
     """Two-stage training: fit an identification model for id_epochs, collect
     its misclassified examples, then retrain from scratch on the upsampled
-    data as `_upweighted` does."""
+    data as `_upweighted` does. Lanes before the first failed
+    identification lane go on to the second stage."""
     base = strip_group_annotations(train)
-    _, id_trajectory = _weighted_sgd(base, cfg, identification=True)
-    error_set = compute_error_set(id_trajectory[-1], base, source_epoch=cfg.id_epochs)
-    losses, trajectory, aux = _upweighted(base, cfg, error_set)
-    aux["identification_model"] = id_trajectory[-1]
-    return losses, trajectory, aux
+    id_lanes = [_Lane(base, cfg, identification=True) for cfg in cfgs]
+    _weighted_sgd(base, id_lanes)
+    ready = list(itertools.takewhile(lambda lane: lane.done, id_lanes))
+    error_sets = [compute_error_set(lane.trajectory[-1], base, source_epoch=lane.cfg.id_epochs)
+                  for lane in ready]
+    outcomes = _upweighted(base, [lane.cfg for lane in ready], error_sets) if ready else []
+    for lane, outcome in zip(ready, outcomes):
+        if isinstance(outcome, tuple):
+            outcome[2]["identification_model"] = lane.trajectory[-1]
+    return outcomes + [lane.error for lane in id_lanes[len(ready):]]
 
 
 # ---------------------------------------------------------------------------
 # CVaR: per-batch top-loss reweighting
+
+def _cvar_weights(losses: np.ndarray, alpha) -> np.ndarray:
+    """`cvar_batch_weights` along the last axis, alpha broadcasting against
+    the leading ones: each row's rank in the stable descending order (ties
+    by lower index) decides its weight."""
+    ab = alpha * losses.shape[-1]
+    cap, k = 1.0 / ab, np.floor(ab)  # alpha <= 1, so k <= B
+    remainder = np.maximum(1.0 - k * cap, 0.0)
+    rank = np.argsort(np.argsort(-losses, axis=-1, kind="stable"), axis=-1)
+    return np.where(rank < k, cap, (rank == k) * remainder)
+
 
 def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
     """The loss-maximizing batch distribution under the cap 1/(alpha*B).
@@ -348,29 +550,24 @@ def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
     the cap exceeds 1 and all mass lands on the single highest loss.
     """
     losses = np.asarray(losses, dtype=np.float64).ravel()
-    b = len(losses)
-    if b < 1:
+    if len(losses) < 1:
         raise InputError("cvar_batch_weights needs at least one loss")
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-    cap = 1.0 / (alpha * b)
-    k = min(b, int(alpha * b))
-    order = np.lexsort((np.arange(b), -losses))
-    weights = np.zeros(b)
-    weights[order[:k]] = cap
-    remainder = 1.0 - k * cap
-    if k < b and remainder > 0.0:
-        weights[order[k]] = remainder
-    return weights
+    return _cvar_weights(losses, alpha)
 
 
-def _cvar(train: Dataset, cfg: TrainConfig) -> _Run:
+def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step."""
-    losses, trajectory = _weighted_sgd(
-        strip_group_annotations(train), cfg,
-        lambda losses, *_: cvar_batch_weights(losses, cfg.alpha))
-    return losses, trajectory, {}
+    base = strip_group_annotations(train)
+    lanes = [_Lane(base, cfg) for cfg in cfgs]
+
+    def rule(state: dict[str, np.ndarray], losses: np.ndarray, *_) -> np.ndarray:
+        return _cvar_weights(losses, state["alpha"])
+
+    _weighted_sgd(base, lanes, rule, {"alpha": np.array([[cfg.alpha] for cfg in cfgs])})
+    return [lane.outcome() for lane in lanes]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +582,21 @@ def lff_weight(p_bias, p_main):
     return lb / (lb + lm)
 
 
-def _lff(train: Dataset, cfg: TrainConfig) -> _Run:
+def _lff_rule(arch: Architecture, state: dict[str, np.ndarray], _losses, _ridx,
+              xb: np.ndarray, yb: np.ndarray, _probs, p_main: np.ndarray) -> np.ndarray:
+    """Steps each lane's bias model on the mean GCE at the lane's gce_q and
+    returns the main model's normalized LfF weights."""
+    bias = models._adopt(Model, arch=arch, params=state["bias_params"])
+    forward = models._forward_cached(bias, xb)
+    p_bias = models._label_probs(forward[0], yb)
+    raw = lff_weight(p_bias, p_main)
+    uniform = np.full(p_bias.shape, 1.0 / p_bias.shape[-1])
+    _descend(state, "bias_", bias, forward, yb,
+             models._grad_scale(p_bias, uniform, state["gce_q"]))
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
     """Interleaved updates of a bias model (generalized cross-entropy, which
     gradient-weights examples by p^q and so favours easy ones) and the main
     model (cross-entropy with per-example weights from `lff_weight`, using
@@ -396,22 +607,16 @@ def _lff(train: Dataset, cfg: TrainConfig) -> _Run:
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    bias = _initial_model(base, cfg)
-    opt_b = fresh_optimizer(bias, cfg.learning_rate, cfg.momentum, cfg.l2)
-    gce = LossSpec(GCE, cfg.gce_q)
-
-    def step_bias(_losses, _idx, xb: np.ndarray, yb: np.ndarray,
-                  probs_m: np.ndarray) -> np.ndarray:
-        nonlocal bias, opt_b
-        rows = np.arange(len(yb))
-        forward = forward_batch(bias, xb, activations=True)
-        raw = lff_weight(forward[0][rows, yb], probs_m[rows, yb])
-        w_bias = np.full(len(yb), 1.0 / len(yb))
-        bias, opt_b = sgd_step(bias, grad(bias, xb, yb, w_bias, gce, forward), opt_b)
-        return raw / raw.sum()
-
-    losses, trajectory = _weighted_sgd(base, cfg, step_bias)
-    return losses, trajectory, {"bias_model": bias}
+    lanes = [_Lane(base, cfg) for cfg in cfgs]
+    arch = lanes[0].trajectory[0].arch
+    init = np.stack([lane.trajectory[0].params for lane in lanes])
+    _weighted_sgd(base, lanes, functools.partial(_lff_rule, arch),
+                  {"bias_params": init, "bias_velocity": np.zeros_like(init),
+                   "gce_q": np.array([cfg.gce_q for cfg in cfgs], dtype=np.float64)})
+    for lane in lanes:
+        if lane.done:
+            lane.aux["bias_model"] = Model(arch, lane.final["bias_params"])
+    return [lane.outcome() for lane in lanes]
 
 
 # ---------------------------------------------------------------------------
@@ -421,46 +626,61 @@ def group_dro_update(group_losses: np.ndarray, weights: np.ndarray,
                      step_size: float) -> np.ndarray:
     """One exponentiated-gradient ascent step on the group-weight simplex:
     w_g <- w_g * exp(step_size * loss_g), renormalized. Groups absent from
-    the batch contribute loss 0 and keep their weight (up to renorm)."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    gl = np.asarray(group_losses, dtype=np.float64).ravel()
-    if len(w) != len(gl):
+    the batch contribute loss 0 and keep their weight (up to renorm). Works
+    along the last axis, step_size broadcasting against the leading ones."""
+    w = np.asarray(weights, dtype=np.float64)
+    gl = np.asarray(group_losses, dtype=np.float64)
+    if w.shape != gl.shape:
         raise InputError("group_losses and weights must have equal length")
     if np.any(w < 0):
         raise InputError("weights must be non-negative")
     if not np.all(np.isfinite(gl)):
         raise InputError("group losses must be finite")
     out = w * np.exp(step_size * gl)
-    return out / out.sum()
+    return out / out.sum(axis=-1, keepdims=True)
 
 
-def _group_dro(train: Dataset, cfg: TrainConfig) -> _Run:
+def _group_dro_rule(codes: np.ndarray, n_groups: int, state: dict[str, np.ndarray],
+                    losses: np.ndarray, ridx: np.ndarray, *_) -> np.ndarray:
+    """Per lane, the batch's group mean losses update the group weights; an
+    example's weight is its group's weight over its group's batch count."""
+    n_lanes = len(ridx)
+    bins = codes[ridx] + n_groups * np.arange(n_lanes)[:, None]  # (lane, group) bins
+    counts = np.bincount(bins.ravel(), minlength=n_lanes * n_groups)
+    sums = np.bincount(bins.ravel(), weights=losses.ravel(), minlength=n_lanes * n_groups)
+    means = np.divide(sums, counts, out=np.zeros(len(sums)), where=counts > 0)
+    means = means.reshape(n_lanes, n_groups)
+    try:
+        w = group_dro_update(means, state["group_weights"], state["group_step_size"])
+    except InputError as error:
+        raise _LaneFailure(int(np.argmin(np.isfinite(means).all(axis=-1))), error) from None
+    state["group_weights"] = w
+    return w.ravel()[bins] / counts[bins]
+
+
+def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
     """Oracle trainer with training group annotations: per batch, group mean
     losses update the adversarial group weights, then the model steps on the
     weight-averaged group losses."""
     if not train.has_group_annotations:
         raise InputError("group-dro needs training group annotations")
     groups, codes, _ = train.group_index()
-    n_groups = len(groups)
-    state = {"w": np.full(n_groups, 1.0 / n_groups)}
-
-    def weight_fn(losses: np.ndarray, bidx: np.ndarray, *_) -> np.ndarray:
-        batch_codes = codes[bidx]
-        counts = np.bincount(batch_codes, minlength=n_groups)
-        sums = np.bincount(batch_codes, weights=losses, minlength=n_groups)
-        means = np.divide(sums, counts, out=np.zeros(n_groups), where=counts > 0)
-        state["w"] = group_dro_update(means, state["w"], cfg.group_step_size)
-        return state["w"][batch_codes] / counts[batch_codes]
-
-    losses, trajectory = _weighted_sgd(train, cfg, weight_fn)
-    weights = {g: float(state["w"][i]) for i, g in enumerate(groups)}
-    return losses, trajectory, {"group_weights": weights}
+    lanes = [_Lane(train, cfg) for cfg in cfgs]
+    _weighted_sgd(train, lanes, functools.partial(_group_dro_rule, codes, len(groups)),
+                  {"group_weights": np.full((len(cfgs), len(groups)), 1.0 / len(groups)),
+                   "group_step_size": np.array([[cfg.group_step_size] for cfg in cfgs],
+                                               dtype=np.float64)})
+    for lane in lanes:
+        if lane.done:
+            lane.aux["group_weights"] = {g: float(lane.final["group_weights"][i])
+                                         for i, g in enumerate(groups)}
+    return [lane.outcome() for lane in lanes]
 
 
 # ---------------------------------------------------------------------------
 # Ground-truth minority upsampling
 
-def _upsample_minority(train: Dataset, cfg: TrainConfig) -> _Run:
+def _upsample_minority(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
     """Duplicates every example whose attribute disagrees with its label
     upweight_factor times, then runs plain ERM. Binary labels/attributes
     only."""
@@ -470,9 +690,11 @@ def _upsample_minority(train: Dataset, cfg: TrainConfig) -> _Run:
         if len(np.setdiff1d(np.unique(arr), [0, 1])):
             raise InputError(f"upsample-minority requires binary {what}")
     minority = ErrorSet(np.flatnonzero(train.attributes != train.labels), source_epoch=-1)
-    upsampled = build_upsampled(strip_group_annotations(train), minority, cfg.upweight_factor)
-    losses, trajectory = _weighted_sgd(upsampled, cfg)
-    return losses, trajectory, {"minority_set": minority}
+    base = strip_group_annotations(train)
+    lanes = [_Lane(base, cfg, _upsampled_rows(len(base), minority, cfg.upweight_factor),
+                   aux={"minority_set": minority}) for cfg in cfgs]
+    _weighted_sgd(base, lanes)
+    return [lane.outcome() for lane in lanes]
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +710,56 @@ _TRAINERS = {
 }
 
 
-def _scored(trainer: Callable[..., _Run], val: Dataset, *args) -> TrainResult:
-    """Run `trainer(*args)`, then score its trajectory on `val`."""
+def _require_annotated(val: Dataset) -> None:
     if not val.has_group_annotations:
         raise InputError("validation set needs group annotations for worst-group tracking")
-    losses, trajectory, aux = trainer(*args)
-    history = [EpochMetrics(loss, *score)
-               for loss, score in zip(losses, epoch_scores(trajectory, val))]
-    return TrainResult(history, trajectory, aux)
+
+
+def _scored(outcomes: list[_Outcome], val: Dataset) -> list[TrainResult]:
+    """Raise the first failure; otherwise score every run's trajectory on `val`."""
+    results = []
+    for outcome in outcomes:
+        if not isinstance(outcome, tuple):
+            raise outcome
+        losses, trajectory, aux = outcome
+        history = [EpochMetrics(loss, *score)
+                   for loss, score in zip(losses, epoch_scores(trajectory, val))]
+        results.append(TrainResult(history, trajectory, aux))
+    return results
+
+
+def train_population(train_data: Dataset, val: Dataset,
+                     configs: Sequence[TrainConfig]) -> list[TrainResult]:
+    """`train` for every config, configs with one trainer and hidden widths
+    trained as the lanes of one population. Results equal `train`'s bit for
+    bit, warnings included; the first config in order whose training fails
+    raises its error, as training them one by one would."""
+    _require_annotated(val)
+    populations: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        populations.setdefault((_TRAINERS[cfg.algorithm], cfg.hidden), []).append(i)
+    outcomes: list[_Outcome] = [None] * len(configs)
+    first_failure = len(configs)
+    for (trainer, _), members in populations.items():
+        members = [i for i in members if i < first_failure]
+        if members:
+            for i, outcome in zip(members, trainer(train_data, [configs[i] for i in members])):
+                outcomes[i] = outcome
+                if not isinstance(outcome, tuple):
+                    first_failure = min(first_failure, i)
+    return _scored(outcomes, val)
 
 
 def train(train_data: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:
-    """Train cfg.algorithm on `train_data`. No trainer sees `val`: it only
-    scores each epoch's model for the history the checkpoints come from."""
-    return _scored(_TRAINERS[cfg.algorithm], val, train_data, cfg)
+    """Train cfg.algorithm on `train_data`, a population of one. No trainer
+    sees `val`: it only scores each epoch's model for the history the
+    checkpoints come from."""
+    return train_population(train_data, val, [cfg])[0]
 
 
 def train_upweighted(train: Dataset, val: Dataset, cfg: TrainConfig,
                      error_set: ErrorSet) -> TrainResult:
     """The upweighting stage alone, refreshing as the full run does, `val`
     used as in `train`. Useful directly for error-set manipulation experiments."""
-    return _scored(_upweighted, val, train, cfg, error_set)
+    _require_annotated(val)
+    return _scored(_upweighted(train, [cfg], [error_set]), val)[0]

@@ -26,7 +26,8 @@ from .analysis import GroupMetrics, evaluate_groups
 from .data import Dataset, subsample_validation
 from .errors import InputError
 from .trainers import (AVERAGE, CRITERIA, WORST_GROUP, TrainConfig, TrainResult,
-                       epoch_scores, select_checkpoint, train)
+                       epoch_scores, select_checkpoint, train_population)
+from .trainers import train  # noqa: F401 (bench/hostspeed.py wraps tuning.train at start-up)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +101,12 @@ class SweepResult:
 
 def _train_grid(grid: Grid, train_data: Dataset,
                 val: Dataset) -> list[tuple[TrainConfig, TrainResult]]:
-    """Each grid point's config and its one run, in enumeration order. Calls
-    the module's `train`, so a wrapper set on `tuning.train` sees each run."""
+    """Each grid point's config and its one run, in enumeration order; the
+    grid trains in lockstep, its points the lanes of shared minibatch loops."""
     configs = grid.configs()
     if any(c.epochs < 1 for c in configs):
         raise InputError("sweeps need epochs >= 1")
-    return [(cfg, train(train_data, val, cfg)) for cfg in configs]
+    return list(zip(configs, train_population(train_data, val, configs)))
 
 
 def _test_metrics(run: TrainResult, test: Dataset) -> Callable[[int], GroupMetrics]:

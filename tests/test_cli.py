@@ -321,6 +321,23 @@ class TestFailureModes:
         assert not out.exists()
         assert not (tmp_path / "diverged.partial").exists()
 
+    def test_sweep_divergence_exits_2_with_the_first_diverging_points_error(
+            self, workspace, tmp_path, capsys):
+        lone = tmp_path / "lone.ini"
+        lone.write_text(ERM.replace("learning_rate = 0.02", "learning_rate = 1e200"))
+        assert run(["train", "--config", lone, "--out", tmp_path / "lone",
+                    "--data", workspace / "data"]) == 2
+        expected = json.loads(capsys.readouterr().err.strip())["error"]
+        config = tmp_path / "diverge.ini"
+        config.write_text(ERM + "\n[grid]\nlearning_rate = 0.05, 1e200, 1e300\n")
+        out = tmp_path / "diverged"
+        assert run(["sweep", "--config", config, "--out", out,
+                    "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == expected
+        assert not out.exists()
+        assert not (tmp_path / "diverged.partial").exists()
+
     def test_sigterm_exits_143_and_cleans_partial(self, workspace, tmp_path):
         config = tmp_path / "long.ini"
         config.write_text(ERM.replace("epochs = 6", "epochs = 1000000"))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouptrain.models as models_mod
+import grouptrain.trainers as trainers_mod
 from grouptrain.errors import InputError
 from grouptrain.models import (
     CROSS_ENTROPY,
@@ -20,6 +22,7 @@ from grouptrain.models import (
     predict,
     sgd_step,
 )
+from grouptrain.trainers import cvar_batch_weights
 from oracles import finite_difference_grad, relative_grad_error
 
 LOGISTIC = Architecture(3, (), 2)
@@ -240,3 +243,79 @@ def test_predict_ties_break_low():
     preds = predict(zero_model(), np.zeros((3, 3)))
     assert np.array_equal(preds, [0, 0, 0])
 
+
+
+class TestLaneAxis:
+    """The private kernel with a leading lane axis, as a population trains,
+    equals the public 2-D calls slice by slice, bit for bit."""
+
+    SPECS = (LossSpec(CROSS_ENTROPY), LossSpec(GCE, 0.5), LossSpec(GCE, 0.7))
+
+    @staticmethod
+    def population(hidden, k, b, seed):
+        rng = np.random.default_rng(seed)
+        arch = Architecture(10, hidden, 2)
+        params = rng.normal(size=(k, arch.n_params))
+        x = rng.normal(size=(k, b, 10)) * 3.0
+        y = rng.integers(0, 2, size=(k, b))
+        w = rng.random((k, b))
+        return arch, params, x, y, w / w.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+    @pytest.mark.parametrize("k", [1, 2, 6, 24])
+    @pytest.mark.parametrize("b", [64, 56, 1])
+    def test_forward_backprop_and_update_equal_the_2d_calls(self, hidden, k, b):
+        arch, params, x, y, w = self.population(hidden, k, b, seed=k * 100 + b)
+        lanes = models_mod._adopt(Model, arch=arch, params=params)
+        forward = models_mod._forward_cached(lanes, x)
+        p_label = models_mod._label_probs(forward[0], y)
+        rng = np.random.default_rng(b)
+        velocity = rng.normal(size=params.shape)
+        lr, momentum, l2 = (rng.random((k, 1)) for _ in range(3))
+        opt = models_mod._adopt(OptimizerState, learning_rate=lr, momentum=momentum, l2=l2,
+                                velocity=velocity)
+        # Per-lane exponents alternate 0.5 and 0.7, as an LfF population's may.
+        mixed = np.where(np.arange(k) % 2, 0.7, 0.5)
+        for spec in self.SPECS + (None,):
+            q = mixed if spec is None else models_mod._exponent(spec)
+            losses = models_mod._losses(p_label, 0.0 if spec is None else q)
+            gradient = models_mod._backprop(lanes, forward,
+                                            y, models_mod._grad_scale(p_label, w, q))
+            stepped, stepped_opt = sgd_step(lanes, gradient, opt)
+            for i in range(k):
+                lane_spec = LossSpec(GCE, mixed[i]) if spec is None else spec
+                model = Model(arch, params[i])
+                lane_forward = forward_batch(model, x[i], activations=True)
+                assert np.array_equal(lane_forward[0], forward[0][i])
+                for a, a_lanes in zip(lane_forward[1], forward[1]):
+                    assert np.array_equal(a, a_lanes[i])
+                if spec is not None:
+                    assert np.array_equal(loss_values(lane_forward[0], y[i], spec), losses[i])
+                lane_gradient = grad(model, x[i], y[i], w[i], lane_spec, lane_forward)
+                assert np.array_equal(lane_gradient, gradient[i])
+                lane_opt = OptimizerState(float(lr[i, 0]), float(momentum[i, 0]),
+                                          float(l2[i, 0]), velocity[i])
+                new_model, new_opt = sgd_step(model, lane_gradient, lane_opt)
+                assert np.array_equal(new_model.params, stepped.params[i])
+                assert np.array_equal(new_opt.velocity, stepped_opt.velocity[i])
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 24])
+    @pytest.mark.parametrize("b", [64, 56, 1])
+    def test_stacked_objective_equals_the_dot_product(self, k, b):
+        rng = np.random.default_rng(k * 100 + b)
+        for _ in range(20):
+            w, losses = rng.random((k, b)), rng.exponential(size=(k, b))
+            stacked = (w[:, None, :] @ losses[:, :, None])[:, 0, 0]
+            assert [float(w[i] @ losses[i]) for i in range(k)] == stacked.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 24])
+    @pytest.mark.parametrize("b", [64, 56, 1])
+    def test_stacked_cvar_weights_equal_the_per_lane_ones_with_ties(self, k, b):
+        rng = np.random.default_rng(k * 100 + b)
+        for _ in range(20):
+            losses = rng.integers(0, 4, size=(k, b)) / 2.0  # many ties
+            alpha = rng.choice([0.05, 0.1, 0.25, 0.5, 1.0], size=(k, 1))
+            stacked = trainers_mod._cvar_weights(losses, alpha)
+            for i in range(k):
+                assert np.array_equal(cvar_batch_weights(losses[i], float(alpha[i, 0])),
+                                      stacked[i])

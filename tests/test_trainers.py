@@ -431,7 +431,7 @@ class TestCvarTrainer:
         original = models_mod._forward_cached
 
         def counting(model, x):
-            rows.append(len(x))
+            rows.append(x.shape[-2])  # the batch axis, behind any lane axis
             return original(model, x)
 
         monkeypatch.setattr(models_mod, "_forward_cached", counting)
@@ -453,7 +453,8 @@ class TestLffTrainer:
 
         monkeypatch.setattr(trainers_mod, "lff_weight", recording)
         gt.train(train, val, cfg("lff", epochs=1, gce_q=0.7))
-        assert np.array_equal(captured[0], np.full(len(captured[0]), 0.5))
+        for lane in captured[0]:
+            assert np.array_equal(lane, np.full(len(lane), 0.5))
 
     def test_weights_stay_half_throughout_on_identical_examples(self, monkeypatch):
         # identical examples + shared initialization + q = 0: both models take
@@ -475,7 +476,8 @@ class TestLffTrainer:
         monkeypatch.setattr(trainers_mod, "lff_weight", recording)
         gt.train(train, val, cfg("lff", epochs=3, batch_size=16, gce_q=0.0))
         for batch in captured:
-            assert np.array_equal(batch, np.full(len(batch), 0.5))
+            for lane in batch:
+                assert np.array_equal(lane, np.full(len(lane), 0.5))
 
     @pytest.mark.parametrize("gce_q", [0.5, 0.7])
     def test_matches_the_reference_loop(self, small_bench, gce_q):
@@ -634,8 +636,9 @@ def test_one_forward_pass_per_model_per_step(small_bench, monkeypatch, algorithm
     forward_cached, sgd_step = models_mod._forward_cached, trainers_mod.sgd_step
 
     def counting_forward(model, x):
-        if len(x) <= c.batch_size:  # evaluation passes cover whole datasets
-            batch_rows.append(len(x))
+        rows = x.shape[-2]  # the batch axis, behind any lane axis
+        if rows <= c.batch_size:  # evaluation passes cover whole datasets
+            batch_rows.append(rows)
         return forward_cached(model, x)
 
     def counting_step(model, gradient, opt):
@@ -648,3 +651,24 @@ def test_one_forward_pass_per_model_per_step(small_bench, monkeypatch, algorithm
     n_models = 2 if algorithm == "lff" else 1
     assert len(steps) == n_models * c.epochs * math.ceil(len(train) / c.batch_size)
     assert len(batch_rows) == len(steps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("group-dro", {}),
+                                              ("jtt", {"id_epochs": 1, "upweight_factor": 4}),
+                                              ("lff", {"gce_q": 0.5})])
+def test_population_finishes_the_lanes_before_a_failure(
+        small_bench, algorithm, extra):
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = small_bench
+    # The 1e300 lane fails first in time, the 1e50 lane first in order.
+    cfgs = [cfg(algorithm, learning_rate=rate, **extra) for rate in (0.05, 1e50, 1e300)]
+    outcomes = trainers_mod._TRAINERS[algorithm](train, cfgs)
+    losses, trajectory, _ = outcomes[0]
+    lone = gt.train(train, val, cfgs[0])
+    assert losses == [entry.train_loss for entry in lone.history]
+    assert all(np.array_equal(a.params, b.params) for a, b in zip(trajectory, lone.trajectory))
+    with pytest.raises(type(outcomes[1])) as failure:
+        gt.train(train, val, cfgs[1])
+    assert str(failure.value) == str(outcomes[1])
+    assert not isinstance(outcomes[2], tuple)  # failed itself, or dropped

@@ -1,12 +1,16 @@
+import re
 import warnings
 
+import numpy as np
 import pytest
 
+import grouptrain as gt
 import grouptrain.trainers as trainers
 import grouptrain.tuning as tuning
 from grouptrain.data import subsample_validation
 from grouptrain.errors import DataWarning, InputError, TrainingWarning
-from grouptrain.trainers import AVERAGE, WORST_GROUP, TrainConfig
+from grouptrain.models import Model
+from grouptrain.trainers import ALGORITHMS, AVERAGE, WORST_GROUP, TrainConfig
 from grouptrain.tuning import Grid, grid_sweep, validation_size_study
 from oracles import reference_validation_size_study
 
@@ -116,12 +120,12 @@ class TestValidationSizeStudy:
         train, val, test = small_bench
         trained = []
 
-        def counting_train(train_data, val_data, cfg):
-            trained.append(cfg)
-            return real_train(train_data, val_data, cfg)
+        def counting_population(train_data, val_data, configs):
+            trained.extend(configs)
+            return real_population(train_data, val_data, configs)
 
-        real_train = tuning.train
-        monkeypatch.setattr(tuning, "train", counting_train)
+        real_population = tuning.train_population
+        monkeypatch.setattr(tuning, "train_population", counting_population)
         grid = Grid(base_cfg(epochs=2), {"learning_rate": (0.01, 0.05), "seed": (0, 1)})
         validation_size_study([1.0, 0.2, 0.1], grid, train, val, test, seeds=(0, 1))
         assert trained == grid.configs()
@@ -168,3 +172,109 @@ class TestValidationSizeStudy:
             validation_size_study([0.0], grid, train, val, test, seeds=(0,))
         with pytest.raises(InputError):
             validation_size_study([0.5], grid, train, val, test, seeds=())
+
+
+def assert_same_run(run, lone):
+    """Bit-for-bit equal histories, trajectories and extras."""
+    assert run.history == lone.history
+    assert len(run.trajectory) == len(lone.trajectory)
+    for a, b in zip(run.trajectory, lone.trajectory):
+        assert a.arch == b.arch and np.array_equal(a.params, b.params)
+    assert run.aux.keys() == lone.aux.keys()
+    for key, value in lone.aux.items():
+        if isinstance(value, Model):
+            assert np.array_equal(run.aux[key].params, value.params)
+        else:
+            assert run.aux[key] == value
+
+
+def swept_and_lone(grid, train, val, test, monkeypatch):
+    """The runs a grid_sweep trains and the warnings it raises, beside
+    those of training each grid point alone."""
+    runs = []
+
+    def capturing(*args):
+        results = real_population(*args)
+        runs.extend(results)
+        return results
+
+    real_population = tuning.train_population
+    monkeypatch.setattr(tuning, "train_population", capturing)
+    with warnings.catch_warnings(record=True) as swept:
+        warnings.simplefilter("always")
+        grid_sweep(grid, train, val, test)
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        expected = [gt.train(train, val, cfg) for cfg in grid.configs()]
+    assert [(w.category, str(w.message)) for w in swept] == \
+        [(w.category, str(w.message)) for w in alone]
+    assert len(runs) == len(expected)
+    for run, lone in zip(runs, expected):
+        assert_same_run(run, lone)
+    return runs, swept
+
+
+EVERY_FIELD = dict(id_epochs=1, upweight_factor=4, refresh_every=2, alpha=0.3, gce_q=0.5)
+
+LOCKSTEP_GRIDS = {
+    "erm": (base_cfg(), {"learning_rate": (0.01, 0.05), "seed": (0, 1)}),
+    "cvar": (base_cfg("cvar", alpha=0.2), {"alpha": (0.1, 0.2, 1.0),
+                                           "learning_rate": (0.01, 0.05)}),
+    "lff": (base_cfg("lff", gce_q=0.5), {"gce_q": (0.5, 0.7), "learning_rate": (0.01, 0.05)}),
+    "lff-hidden": (base_cfg("lff", gce_q=0.5, hidden=(4, 3)),
+                   {"gce_q": (0.5, 0.7), "seed": (0, 1)}),
+    "group-dro": (base_cfg("group-dro"), {"group_step_size": (0.01, 0.5),
+                                          "learning_rate": (0.01, 0.05)}),
+    "upsample-minority": (base_cfg("upsample-minority", upweight_factor=4),
+                          {"upweight_factor": (1, 4, 8), "batch_size": (32, 50)}),
+    "jtt": (base_cfg("jtt", id_epochs=1, upweight_factor=4),
+            {"upweight_factor": (1, 4, 8), "id_epochs": (0, 1, 2)}),
+    "jtt-dynamic": (base_cfg("jtt-dynamic", epochs=5, id_epochs=1, upweight_factor=4),
+                    {"upweight_factor": (1, 4, 8), "refresh_every": (1, 2)}),
+    "hidden": (base_cfg("jtt", id_epochs=1, upweight_factor=4),
+               {"hidden": ((), (4, 3)), "upweight_factor": (1, 8)}),
+    "mixed": (base_cfg(**EVERY_FIELD), {"algorithm": ALGORITHMS, "batch_size": (32, 50),
+                                        "seed": (0, 1)}),
+}
+
+
+class TestLockstep:
+    """A sweep trains its grid points as lanes of shared minibatch loops;
+    every lane computes exactly what training it alone does."""
+
+    @pytest.mark.parametrize("name", list(LOCKSTEP_GRIDS))
+    def test_every_lane_equals_its_lone_training(self, small_bench, monkeypatch, name):
+        train, val, test = small_bench
+        grid = Grid(*LOCKSTEP_GRIDS[name])
+        runs, _ = swept_and_lone(grid, train, val, test, monkeypatch)
+        if name in ("jtt", "jtt-dynamic", "upsample-minority"):
+            # The lanes are ragged: their upsampled lengths differ.
+            sets = (run.aux.get("error_set", run.aux.get("minority_set")) for run in runs)
+            lengths = {len(train) + (cfg.upweight_factor - 1) * len(s)
+                       for cfg, s in zip(grid.configs(), sets)}
+            assert len(lengths) > 2
+        if name == "jtt-dynamic":
+            assert all(run.aux["refresh_epochs"] for run in runs)
+
+    def test_warnings_come_per_lane_in_grid_order(self, toy_separable, monkeypatch):
+        train, val = toy_separable
+        # 200 identification epochs fit the toy set, so their error sets are
+        # empty and warn; 0 epochs leave the initial model's errors.
+        grid = Grid(TrainConfig("jtt", epochs=3, batch_size=4, learning_rate=0.5, seed=7,
+                                id_epochs=200, upweight_factor=5),
+                    {"id_epochs": (200, 0), "seed": (7, 8)})
+        _, caught = swept_and_lone(grid, train, val, val, monkeypatch)
+        assert [w.category for w in caught] == [TrainingWarning] * 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_first_diverging_grid_point_raises_its_error(self, small_bench, algorithm):
+        train, val, test = small_bench
+        # 1e50 diverges at a later batch than 1e300, after it in grid order.
+        for rates in ((0.05, 1e200, 1e300), (0.05, 1e50, 1e300)):
+            grid = Grid(base_cfg(**{**EVERY_FIELD, "algorithm": algorithm}),
+                        {"learning_rate": rates})
+            with pytest.raises(Exception) as lone:
+                gt.train(train, val, grid.configs()[1])
+            with pytest.raises(type(lone.value), match=f"^{re.escape(str(lone.value))}$"):
+                grid_sweep(grid, train, val, test)
