@@ -251,16 +251,19 @@ def _backprop(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
     return np.concatenate(grads, axis=-1)
 
 
-def forward_batch(model: Model, features: np.ndarray, *, activations: bool = False):
-    """Per-label probabilities for a (n, input_dim) feature matrix; with
-    activations=True, (probabilities, per-layer activations) for `grad`."""
+def _feature_matrix(model: Model, features: np.ndarray) -> np.ndarray:
+    """`features` as float64, checked to be a (n, input_dim) matrix."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
         raise InputError(
             f"features shape {x.shape} does not match input_dim {model.arch.input_dim}"
         )
-    cached = _forward_cached(model, x)
-    return cached if activations else cached[0]
+    return x
+
+
+def forward_batch(model: Model, features: np.ndarray) -> np.ndarray:
+    """Per-label probabilities for a (n, input_dim) feature matrix."""
+    return _forward_cached(model, _feature_matrix(model, features))[0]
 
 
 def predict(model: Model, features: np.ndarray) -> np.ndarray:
@@ -281,15 +284,13 @@ def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
 
 
 def grad(model: Model, features: np.ndarray, labels: np.ndarray,
-         weights: np.ndarray, spec: LossSpec,
-         forward: tuple[np.ndarray, list[np.ndarray]] | None = None) -> np.ndarray:
+         weights: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Gradient of sum_i weights[i] * loss(x_i, y_i) w.r.t. the flat params.
 
     The L2 term is the optimizer's job, not part of this gradient. Examples
     whose clamped label probability sits at the clamp floor contribute zero
     (the clamped loss is flat there), keeping this the exact derivative of
-    the loss actually computed. `forward`, if given, is
-    ``forward_batch(model, features, activations=True)``: only backprop runs.
+    the loss actually computed.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels).ravel()
@@ -299,7 +300,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     if (w < 0).any():
         raise InputError("weights must be non-negative")
 
-    forward = forward if forward is not None else forward_batch(model, x, activations=True)
+    forward = _forward_cached(model, _feature_matrix(model, x))
     scale = _grad_scale(_label_probs(forward[0], y), w, _exponent(spec))
     return _backprop(model, forward, y, scale)
 

@@ -31,7 +31,10 @@ lane is a config plus its training view (an index map into the shared
 training rows, so upsampling copies no data), its own epoch and batch
 schedule, its weight-rule state and its own seed streams as above, so a
 lane computes bit for bit what training its config alone computes: `train`
-is a population of one, and `train_population` trains a grid.
+is a population of one, and `train_population` trains a grid. Lanes fail
+alone: a lane whose objective or parameters turn non-finite records its
+error and leaves, the others run to their own ends, and `_scored` raises
+the error of the first failed config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -42,7 +45,6 @@ extras (`aux`) hold only what training alone produced.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -81,9 +83,6 @@ AVERAGE = "average"
 CRITERIA = (WORST_GROUP, AVERAGE)
 
 _CROSS_ENTROPY = models._exponent(LossSpec(CROSS_ENTROPY))  # the main models' loss exponent
-# A lane's outcome: its (losses, trajectory, extras), its error, or None if
-# it was dropped after an earlier lane failed.
-_Outcome = tuple[list[float], list[Model], dict[str, Any]] | Exception | None
 
 
 def _seedseq(seed: int, stream: int) -> np.random.SeedSequence:
@@ -244,27 +243,14 @@ class _Lane:
         self.error: Exception | None = None
 
     @property
-    def done(self) -> bool:
-        return len(self.losses) == self.epochs
+    def active(self) -> bool:
+        return self.error is None and len(self.losses) < self.epochs
 
     def start_epoch(self) -> None:
         """Draw the epoch's example order from the shuffle stream."""
         order = self.shuffle.permutation(self.size)
         self.order = order.astype(np.int32) if self.rows is None else self.rows[order]
         self.pos, self.objective, self.n_batches = 0, 0.0, 0
-
-    def outcome(self) -> _Outcome:
-        """The run, the lane's error, or None if the lane was dropped."""
-        return (self.losses, self.trajectory, self.aux) if self.done else self.error
-
-
-class _LaneFailure(Exception):
-    """Raised by a weight rule, before it replaces any state, to fail lane
-    `lane` of the step with `error`."""
-
-    def __init__(self, lane: int, error: Exception):
-        super().__init__(lane, error)
-        self.lane, self.error = lane, error
 
 
 def _take(arrays: dict[str, np.ndarray], lanes) -> dict[str, np.ndarray]:
@@ -301,29 +287,17 @@ def _step(arch: Architecture, state: dict[str, np.ndarray], xb: np.ndarray, yb: 
 
 
 def _step_group(arch: Architecture, state: dict[str, np.ndarray], sel, ridx: np.ndarray,
-                base: Dataset, rule: Callable[..., np.ndarray],
-                failed: dict[int, Exception]) -> tuple[Any, np.ndarray | None]:
+                base: Dataset, rule: Callable[..., np.ndarray]) -> np.ndarray:
     """`_step` for lanes `sel` of `state` (a slice: all of them) on base rows
-    `ridx`, writing back what the step replaced. A lane the rule fails goes
-    into `failed`, and the lanes after it in `sel` sit the step out. Returns
-    the lanes that stepped and their objectives."""
-    while True:
-        sub = state if isinstance(sel, slice) else _take(state, sel)
-        try:
-            objective = _step(arch, sub, base.features[ridx], base.labels[ridx], ridx, rule)
-            break
-        except _LaneFailure as failure:
-            lanes = np.arange(len(state["params"]))[sel]
-            failed[int(lanes[failure.lane])] = failure.error
-            sel, ridx = lanes[:failure.lane], ridx[:failure.lane]
-            if not len(sel):
-                return sel, None
+    `ridx`, writing back what the step replaced; returns their objectives."""
+    sub = state if isinstance(sel, slice) else _take(state, sel)
+    objective = _step(arch, sub, base.features[ridx], base.labels[ridx], ridx, rule)
     if sub is not state:
         for name, a in sub.items():
             merged = np.array(state[name])
             merged[sel] = a
             state[name] = merged
-    return sel, objective
+    return objective
 
 
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
@@ -344,9 +318,9 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     the stepping lanes' parameters, velocity, (K, 1) hyperparameters and
     `columns`, the rule's per-lane state, which the rule may replace. A
     lane's train loss per epoch is the mean over its batches of the weighted
-    batch objective. A non-finite objective or parameters fail the lane with
-    FloatingPointError; the lanes after it are dropped and the ones before
-    it run on, so the first lane in order to fail has the population's error.
+    batch objective. A non-finite objective or parameters fail the lane: it
+    records a FloatingPointError naming where and leaves, and the other
+    lanes run on.
     """
     arch = lanes[0].trajectory[0].arch
     if base.labels.min() < 0 or base.labels.max() >= arch.n_classes:
@@ -357,20 +331,17 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                 for name in ("learning_rate", "momentum", "l2")},
              **(columns or {})}
     for lane in lanes:
-        if not lane.done:
+        if lane.active:
             lane.start_epoch()
-    running, failed = lanes, {}
+    running = lanes
 
     while True:
-        # Lanes leave when done, or when they or a lane before them failed.
-        stop = min(failed, default=len(running))
-        if failed:
-            running[stop].error, failed = failed[stop], {}
-        for i, lane in enumerate(running[:stop]):
-            if lane.done:
+        # Lanes leave when done or failed.
+        for i, lane in enumerate(running):
+            if not lane.active:
                 lane.final = {name: state[name][i] for name in columns or ()}
                 lane.rows = lane.order = None
-        keep = [i for i, lane in enumerate(running[:stop]) if not lane.done]
+        keep = [i for i, lane in enumerate(running) if lane.active]
         if not keep:
             return
         if len(keep) < len(running):
@@ -390,35 +361,27 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                    for b, members in by_length.items()]
         for t in range(n_steps):
             for members, group, b, rows in segment:
-                sel, obj = _step_group(arch, state, group, rows[:, t * b:(t + 1) * b],
-                                       base, rule, failed)
-                if obj is None:
-                    continue
-                for i, value in zip(members if isinstance(sel, slice) else sel, obj.tolist()):
+                obj = _step_group(arch, state, group, rows[:, t * b:(t + 1) * b], base, rule)
+                for i, value in zip(members, obj.tolist()):
                     lane = running[i]
                     lane.objective += value
-                    if not math.isfinite(lane.objective):
-                        failed.setdefault(int(i), FloatingPointError(
+                    if lane.error is None and not math.isfinite(lane.objective):
+                        lane.error = FloatingPointError(
                             f"training diverged: non-finite objective at epoch "
-                            f"{len(lane.losses)}, batch {lane.n_batches + t}"))
-            if failed:
-                n_steps = t + 1
-                break
+                            f"{len(lane.losses)}, batch {lane.n_batches + t}")
         for members, _, b, _ in segment:
             for i in members:
                 running[i].pos += n_steps * b
                 running[i].n_batches += n_steps
 
         for i, lane in enumerate(running):
-            if i >= min(failed, default=len(running)):
-                break
-            if lane.pos < len(lane.order):
+            if lane.error is not None or lane.pos < len(lane.order):
                 continue
             params = state["params"][i]
             if not np.isfinite(params).all():
-                failed[i] = FloatingPointError(
+                lane.error = FloatingPointError(
                     f"training diverged: non-finite parameters after epoch {len(lane.losses)}")
-                break
+                continue
             model = Model(arch, params)
             lane.losses.append(lane.objective / lane.n_batches)
             lane.trajectory.append(model)
@@ -426,19 +389,19 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                 rows = lane.refresh(len(lane.losses) - 1, model)
                 if rows is not None:
                     lane.rows, lane.size = rows, len(rows)
-            if not lane.done:
+            if lane.active:
                 lane.start_epoch()
 
 
 # ---------------------------------------------------------------------------
 # Plain ERM
 
-def _erm(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
+def _erm(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Minibatch SGD on the mean cross-entropy."""
     base = strip_group_annotations(train)
     lanes = [_Lane(base, cfg) for cfg in cfgs]
     _weighted_sgd(base, lanes)
-    return [lane.outcome() for lane in lanes]
+    return lanes
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +436,7 @@ def build_upsampled(train: Dataset, error_set: ErrorSet, upweight_factor: int) -
 
 
 def _upweighted(train: Dataset, cfgs: list[TrainConfig],
-                error_sets: list[ErrorSet]) -> list[_Outcome]:
+                error_sets: list[ErrorSet]) -> list[_Lane]:
     """ERM on the upsampled data, a lane per config and error set; only
     jtt-dynamic recomputes the error set from the current model, every
     cfg.refresh_every epochs (None: never)."""
@@ -487,7 +450,7 @@ def _upweighted(train: Dataset, cfgs: list[TrainConfig],
         lanes.append(_Lane(base, cfg, _upsampled_rows(len(base), error_set, cfg.upweight_factor),
                            refresh=_refresher(base, cfg, aux), aux=aux))
     _weighted_sgd(base, lanes)
-    return [lane.outcome() for lane in lanes]
+    return lanes
 
 
 def _refresher(base: Dataset, cfg: TrainConfig,
@@ -509,22 +472,22 @@ def _refresher(base: Dataset, cfg: TrainConfig,
     return refresh
 
 
-def _two_stage(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
+def _two_stage(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Two-stage training: fit an identification model for id_epochs, collect
     its misclassified examples, then retrain from scratch on the upsampled
-    data as `_upweighted` does. Lanes before the first failed
-    identification lane go on to the second stage."""
+    data as `_upweighted` does. A failed identification lane is its
+    config's run."""
     base = strip_group_annotations(train)
     id_lanes = [_Lane(base, cfg, identification=True) for cfg in cfgs]
     _weighted_sgd(base, id_lanes)
-    ready = list(itertools.takewhile(lambda lane: lane.done, id_lanes))
+    ready = [lane for lane in id_lanes if lane.error is None]
     error_sets = [compute_error_set(lane.trajectory[-1], base, source_epoch=lane.cfg.id_epochs)
                   for lane in ready]
-    outcomes = _upweighted(base, [lane.cfg for lane in ready], error_sets) if ready else []
-    for lane, outcome in zip(ready, outcomes):
-        if isinstance(outcome, tuple):
-            outcome[2]["identification_model"] = lane.trajectory[-1]
-    return outcomes + [lane.error for lane in id_lanes[len(ready):]]
+    runs = _upweighted(base, [lane.cfg for lane in ready], error_sets) if ready else []
+    for lane, run in zip(ready, runs):
+        run.aux["identification_model"] = lane.trajectory[-1]
+    runs = iter(runs)
+    return [lane if lane.error is not None else next(runs) for lane in id_lanes]
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +520,7 @@ def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
     return _cvar_weights(losses, alpha)
 
 
-def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
+def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step."""
     base = strip_group_annotations(train)
@@ -567,7 +530,7 @@ def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
         return _cvar_weights(losses, state["alpha"])
 
     _weighted_sgd(base, lanes, rule, {"alpha": np.array([[cfg.alpha] for cfg in cfgs])})
-    return [lane.outcome() for lane in lanes]
+    return lanes
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +559,7 @@ def _lff_rule(arch: Architecture, state: dict[str, np.ndarray], _losses, _ridx,
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
+def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Interleaved updates of a bias model (generalized cross-entropy, which
     gradient-weights examples by p^q and so favours easy ones) and the main
     model (cross-entropy with per-example weights from `lff_weight`, using
@@ -614,9 +577,8 @@ def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
                   {"bias_params": init, "bias_velocity": np.zeros_like(init),
                    "gce_q": np.array([cfg.gce_q for cfg in cfgs], dtype=np.float64)})
     for lane in lanes:
-        if lane.done:
-            lane.aux["bias_model"] = Model(arch, lane.final["bias_params"])
-    return [lane.outcome() for lane in lanes]
+        lane.aux["bias_model"] = Model(arch, lane.final["bias_params"])
+    return lanes
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +598,12 @@ def group_dro_update(group_losses: np.ndarray, weights: np.ndarray,
         raise InputError("weights must be non-negative")
     if not np.all(np.isfinite(gl)):
         raise InputError("group losses must be finite")
-    out = w * np.exp(step_size * gl)
+    return _group_dro_weights(gl, w, step_size)
+
+
+def _group_dro_weights(group_losses: np.ndarray, weights: np.ndarray, step_size) -> np.ndarray:
+    """`group_dro_update` unchecked: non-finite losses give NaN weights."""
+    out = weights * np.exp(step_size * group_losses)
     return out / out.sum(axis=-1, keepdims=True)
 
 
@@ -649,16 +616,13 @@ def _group_dro_rule(codes: np.ndarray, n_groups: int, state: dict[str, np.ndarra
     counts = np.bincount(bins.ravel(), minlength=n_lanes * n_groups)
     sums = np.bincount(bins.ravel(), weights=losses.ravel(), minlength=n_lanes * n_groups)
     means = np.divide(sums, counts, out=np.zeros(len(sums)), where=counts > 0)
-    means = means.reshape(n_lanes, n_groups)
-    try:
-        w = group_dro_update(means, state["group_weights"], state["group_step_size"])
-    except InputError as error:
-        raise _LaneFailure(int(np.argmin(np.isfinite(means).all(axis=-1))), error) from None
+    w = _group_dro_weights(means.reshape(n_lanes, n_groups), state["group_weights"],
+                           state["group_step_size"])
     state["group_weights"] = w
     return w.ravel()[bins] / counts[bins]
 
 
-def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
+def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Oracle trainer with training group annotations: per batch, group mean
     losses update the adversarial group weights, then the model steps on the
     weight-averaged group losses."""
@@ -671,16 +635,15 @@ def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
                    "group_step_size": np.array([[cfg.group_step_size] for cfg in cfgs],
                                                dtype=np.float64)})
     for lane in lanes:
-        if lane.done:
-            lane.aux["group_weights"] = {g: float(lane.final["group_weights"][i])
-                                         for i, g in enumerate(groups)}
-    return [lane.outcome() for lane in lanes]
+        lane.aux["group_weights"] = {g: float(lane.final["group_weights"][i])
+                                     for i, g in enumerate(groups)}
+    return lanes
 
 
 # ---------------------------------------------------------------------------
 # Ground-truth minority upsampling
 
-def _upsample_minority(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome]:
+def _upsample_minority(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Duplicates every example whose attribute disagrees with its label
     upweight_factor times, then runs plain ERM. Binary labels/attributes
     only."""
@@ -694,7 +657,7 @@ def _upsample_minority(train: Dataset, cfgs: list[TrainConfig]) -> list[_Outcome
     lanes = [_Lane(base, cfg, _upsampled_rows(len(base), minority, cfg.upweight_factor),
                    aux={"minority_set": minority}) for cfg in cfgs]
     _weighted_sgd(base, lanes)
-    return [lane.outcome() for lane in lanes]
+    return lanes
 
 
 # ---------------------------------------------------------------------------
@@ -715,39 +678,47 @@ def _require_annotated(val: Dataset) -> None:
         raise InputError("validation set needs group annotations for worst-group tracking")
 
 
-def _scored(outcomes: list[_Outcome], val: Dataset) -> list[TrainResult]:
-    """Raise the first failure; otherwise score every run's trajectory on `val`."""
-    results = []
-    for outcome in outcomes:
-        if not isinstance(outcome, tuple):
-            raise outcome
-        losses, trajectory, aux = outcome
-        history = [EpochMetrics(loss, *score)
-                   for loss, score in zip(losses, epoch_scores(trajectory, val))]
-        results.append(TrainResult(history, trajectory, aux))
-    return results
+def _raise_first_failure(lanes: list[_Lane]) -> None:
+    """Raise the error of the first failed lane in order, the error training
+    their configs one by one would raise."""
+    for lane in lanes:
+        if lane.error is not None:
+            raise lane.error
+
+
+def _scored(lanes: list[_Lane], val: Dataset) -> list[TrainResult]:
+    """Raise the first failure; otherwise score every lane's trajectory on `val`."""
+    _raise_first_failure(lanes)
+    return [TrainResult([EpochMetrics(loss, *score) for loss, score
+                         in zip(lane.losses, epoch_scores(lane.trajectory, val))],
+                        lane.trajectory, lane.aux)
+            for lane in lanes]
 
 
 def train_population(train_data: Dataset, val: Dataset,
                      configs: Sequence[TrainConfig]) -> list[TrainResult]:
     """`train` for every config, configs with one trainer and hidden widths
     trained as the lanes of one population. Results equal `train`'s bit for
-    bit, warnings included; the first config in order whose training fails
-    raises its error, as training them one by one would."""
+    bit when every config trains, warnings included. A failing config
+    leaves its population and the others run on; then the first config in
+    order whose training fails raises its error, as training them one by one
+    would."""
     _require_annotated(val)
     populations: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):
         populations.setdefault((_TRAINERS[cfg.algorithm], cfg.hidden), []).append(i)
-    outcomes: list[_Outcome] = [None] * len(configs)
-    first_failure = len(configs)
+    lanes: list[_Lane] = [None] * len(configs)  # type: ignore[list-item]
     for (trainer, _), members in populations.items():
-        members = [i for i in members if i < first_failure]
-        if members:
-            for i, outcome in zip(members, trainer(train_data, [configs[i] for i in members])):
-                outcomes[i] = outcome
-                if not isinstance(outcome, tuple):
-                    first_failure = min(first_failure, i)
-    return _scored(outcomes, val)
+        try:
+            trained = trainer(train_data, [configs[i] for i in members])
+        except InputError:
+            # A trainer's data check rejects every member alike, so the
+            # population's first config fails here, after the earlier ones.
+            _raise_first_failure(lanes[:members[0]])
+            raise
+        for i, lane in zip(members, trained):
+            lanes[i] = lane
+    return _scored(lanes, val)
 
 
 def train(train_data: Dataset, val: Dataset, cfg: TrainConfig) -> TrainResult:

@@ -161,14 +161,19 @@ class TestGrad:
                                       LossSpec(GCE, 0.5)])
     @pytest.mark.parametrize("skewed", [False, True])
     def test_cached_forward_pass_gives_the_same_gradient(self, hidden, spec, skewed):
+        # The training loop backpropagates through its one cached forward
+        # pass with the private kernel instead of calling `grad`.
         rng = np.random.default_rng(23)
         model = init_model(Architecture(6, hidden, 3), 4)
         x = rng.normal(size=(16, 6), scale=2.0)
         y = rng.integers(0, 3, size=16)
         w = rng.exponential(size=16) ** 3 if skewed else np.full(16, 1.0 / 16)
-        cached = forward_batch(model, x, activations=True)
+        cached = models_mod._forward_cached(model, x)
         assert np.array_equal(cached[0], forward_batch(model, x))
-        assert np.array_equal(grad(model, x, y, w, spec, cached), grad(model, x, y, w, spec))
+        scale = models_mod._grad_scale(models_mod._label_probs(cached[0], y), w,
+                                       models_mod._exponent(spec))
+        assert np.array_equal(models_mod._backprop(model, cached, y, scale),
+                              grad(model, x, y, w, spec))
 
 
 class TestSgdStep:
@@ -285,13 +290,13 @@ class TestLaneAxis:
             for i in range(k):
                 lane_spec = LossSpec(GCE, mixed[i]) if spec is None else spec
                 model = Model(arch, params[i])
-                lane_forward = forward_batch(model, x[i], activations=True)
-                assert np.array_equal(lane_forward[0], forward[0][i])
+                lane_forward = models_mod._forward_cached(model, x[i])
+                assert np.array_equal(forward_batch(model, x[i]), forward[0][i])
                 for a, a_lanes in zip(lane_forward[1], forward[1]):
                     assert np.array_equal(a, a_lanes[i])
                 if spec is not None:
                     assert np.array_equal(loss_values(lane_forward[0], y[i], spec), losses[i])
-                lane_gradient = grad(model, x[i], y[i], w[i], lane_spec, lane_forward)
+                lane_gradient = grad(model, x[i], y[i], w[i], lane_spec)
                 assert np.array_equal(lane_gradient, gradient[i])
                 lane_opt = OptimizerState(float(lr[i, 0]), float(momentum[i, 0]),
                                           float(l2[i, 0]), velocity[i])

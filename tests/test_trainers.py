@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -523,11 +524,14 @@ class TestGroupTrainersRequireAnnotations:
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDivergence:
-    def test_non_finite_objective_stops_the_run(self, small_bench):
+    @pytest.mark.parametrize("algorithm", gt.ALGORITHMS)
+    def test_non_finite_objective_stops_the_run(self, small_bench, algorithm):
         train, val, _ = small_bench
+        extra = dict(id_epochs=1, upweight_factor=4, refresh_every=2, alpha=0.3, gce_q=0.5)
         with pytest.raises(FloatingPointError, match="objective at epoch 0, batch 2"):
-            gt.train(train, val, cfg(learning_rate=1e200))
+            gt.train(train, val, cfg(algorithm, learning_rate=1e200, **extra))
 
     def test_non_finite_parameters_stop_the_run(self, small_bench):
         # one batch per epoch: the overflowing step is the epoch's last
@@ -657,18 +661,52 @@ def test_one_forward_pass_per_model_per_step(small_bench, monkeypatch, algorithm
 @pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("group-dro", {}),
                                               ("jtt", {"id_epochs": 1, "upweight_factor": 4}),
                                               ("lff", {"gce_q": 0.5})])
-def test_population_finishes_the_lanes_before_a_failure(
-        small_bench, algorithm, extra):
+def test_lanes_fail_alone(small_bench, algorithm, extra):
     import grouptrain.trainers as trainers_mod
     train, val, _ = small_bench
-    # The 1e300 lane fails first in time, the 1e50 lane first in order.
-    cfgs = [cfg(algorithm, learning_rate=rate, **extra) for rate in (0.05, 1e50, 1e300)]
-    outcomes = trainers_mod._TRAINERS[algorithm](train, cfgs)
-    losses, trajectory, _ = outcomes[0]
-    lone = gt.train(train, val, cfgs[0])
-    assert losses == [entry.train_loss for entry in lone.history]
-    assert all(np.array_equal(a.params, b.params) for a, b in zip(trajectory, lone.trajectory))
-    with pytest.raises(type(outcomes[1])) as failure:
+    # Failing lanes come first and in between the healthy ones.
+    cfgs = [cfg(algorithm, learning_rate=rate, **extra) for rate in (1e300, 0.05, 1e50, 0.01)]
+    lanes = trainers_mod._TRAINERS[algorithm](train, cfgs)
+    assert [lane.error is None for lane in lanes] == [False, True, False, True]
+    for c, lane in zip(cfgs, lanes):
+        if lane.error is not None:
+            with pytest.raises(type(lane.error), match=f"^{re.escape(str(lane.error))}$"):
+                gt.train(train, val, c)
+            continue
+        lone = gt.train(train, val, c)
+        assert lane.losses == [entry.train_loss for entry in lone.history]
+        assert len(lane.trajectory) == len(lone.trajectory)
+        assert all(np.array_equal(a.params, b.params)
+                   for a, b in zip(lane.trajectory, lone.trajectory))
+        assert lane.aux.keys() == lone.aux.keys()
+        for key, value in lone.aux.items():
+            if isinstance(value, gt.Model):
+                assert np.array_equal(lane.aux[key].params, value.params)
+            else:
+                assert lane.aux[key] == value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_failure_in_order_across_populations(small_bench):
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = small_bench
+    # The ERM population trains first and fails first, at its 1e300 config;
+    # the CVaR config comes before that in order.
+    cfgs = [cfg(), cfg("cvar", alpha=0.3, learning_rate=1e50), cfg(learning_rate=1e300)]
+    with pytest.raises(FloatingPointError) as lone:
         gt.train(train, val, cfgs[1])
-    assert str(failure.value) == str(outcomes[1])
-    assert not isinstance(outcomes[2], tuple)  # failed itself, or dropped
+    with pytest.raises(FloatingPointError, match=f"^{re.escape(str(lone.value))}$"):
+        trainers_mod.train_population(train, val, cfgs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_rejected_population_fails_after_the_earlier_configs(small_bench):
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = small_bench
+    # Group DRO rejects the unannotated data before it trains.
+    train = strip_group_annotations(train)
+    with pytest.raises(FloatingPointError):
+        trainers_mod.train_population(train, val, [cfg(learning_rate=1e300), cfg("group-dro")])
+    with pytest.raises(InputError, match="group-dro needs training group annotations"):
+        trainers_mod.train_population(train, val, [cfg(), cfg("group-dro"),
+                                                   cfg(learning_rate=1e300)])
