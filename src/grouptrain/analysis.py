@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, GroupId
+from .data import Dataset, GroupId, require_binary_groups
 from .errors import AnalysisWarning, InputError
 from .models import CROSS_ENTROPY, LossSpec, Model, forward_batch, loss_values, predict
 
@@ -254,9 +254,7 @@ def replace_error_set(error_set: ErrorSet, train: Dataset, mode: str, *,
     attrs, labels = train.attributes, train.labels
 
     if mode in (DROP_Y_EQ_A, DROP_Y_NEQ_A):
-        for arr, what in ((attrs, "attributes"), (labels, "labels")):
-            if len(np.setdiff1d(np.unique(arr), [0, 1])):
-                raise InputError(f"{mode} requires binary {what}")
+        require_binary_groups(train, mode)
 
     if mode == DROP_GROUP:
         if group is None:

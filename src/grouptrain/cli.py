@@ -6,7 +6,10 @@ plus CSV tables and checkpoints), and is deterministic: re-running with the
 same config and data reproduces the report except for its "timing" block.
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure (including
 a diverging run), 128 + signal number on SIGTERM. A run that fails or is
-interrupted (Ctrl-C or SIGTERM) leaves no partial outputs behind.
+interrupted (Ctrl-C or SIGTERM) leaves no partial outputs behind. SIGTERM
+ends the process wherever it lands: its handler removes `<out>.partial` and
+exits, so no `finally` block or `atexit` hook runs and an in-process caller
+of `main` is ended, not handed a `SystemExit`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import shutil
 import signal
 import sys
@@ -90,10 +94,15 @@ class _OutputDir:
         self.final = Path(out)
         if self.final.exists() and any(self.final.iterdir()):
             raise InputError(f"output directory {out!r} already exists and is not empty")
-        self.staging = self.final.parent / (self.final.name + ".partial")
+        self.staging = self.staging_path(out)
         if self.staging.exists():
             shutil.rmtree(self.staging)
         self.staging.mkdir(parents=True)
+
+    @staticmethod
+    def staging_path(out: str) -> Path:
+        final = Path(out)
+        return final.parent / (final.name + ".partial")
 
     def path(self, name: str) -> Path:
         return self.staging / name
@@ -423,10 +432,6 @@ def _error_block(kind: str, exc: Exception) -> None:
     print(json.dumps(block, sort_keys=True), file=sys.stderr)
 
 
-def _terminate(signum, _frame):
-    raise SystemExit(128 + signum)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -442,8 +447,15 @@ def main(argv=None) -> int:
         return 1
 
     out = None
-    # SIGTERM unwinds like Ctrl-C, so the cleanup below runs for it too.
-    previous_sigterm = signal.signal(signal.SIGTERM, _terminate)
+    staging = _OutputDir.staging_path(args.out)
+
+    def terminate(signum, _frame):
+        # Ends the process here: an exception raised from a handler can land
+        # in code that swallows it (a finalizer, an import) and be lost.
+        shutil.rmtree(staging, ignore_errors=True)
+        os._exit(128 + signum)
+
+    previous_sigterm = signal.signal(signal.SIGTERM, terminate)
     try:
         out = _OutputDir(args.out)
         started = datetime.now(timezone.utc)

@@ -214,6 +214,14 @@ def strip_group_annotations(data: Dataset) -> Dataset:
     return Dataset(data.features, data.labels, None, data.name)
 
 
+def require_binary_groups(data: Dataset, what: str) -> None:
+    """Raise InputError("<what> requires binary attributes" or "... labels")
+    unless every attribute, then every label, of annotated `data` is 0 or 1."""
+    for arr, name in ((data.attributes, "attributes"), (data.labels, "labels")):
+        if len(np.setdiff1d(np.unique(arr), [0, 1])):
+            raise InputError(f"{what} requires binary {name}")
+
+
 def subsample_validation(val: Dataset, fraction: float, seed: int) -> Dataset:
     """Uniform sample without replacement of floor(fraction * m) examples
     (at least one), preserving relative order and group annotations.

@@ -135,12 +135,6 @@ class OptimizerState:
         object.__setattr__(self, "velocity", _frozen(self.velocity))
 
 
-def fresh_optimizer(model: Model, learning_rate: float, momentum: float = 0.9,
-                    l2: float = 0.0) -> OptimizerState:
-    """Optimizer state with zero velocity sized for `model`."""
-    return OptimizerState(learning_rate, momentum, l2, np.zeros(model.params.size))
-
-
 def init_model(arch: Architecture, seed) -> Model:
     """Seeded initialization: per layer, weights then biases drawn uniformly
     from [-s, s] with s = 1/sqrt(fan_in).

@@ -29,7 +29,9 @@ architecture stepping through one minibatch loop (`_weighted_sgd`), one
 stacked matmul per layer for the lanes whose batches have one length. A
 lane is a config plus its training view (an index map into the shared
 training rows, so upsampling copies no data), its own epoch and batch
-schedule, its weight-rule state and its own seed streams as above, so a
+schedule, its own seed streams as above and its own SGD state: parameters,
+velocity, hyperparameters and weight-rule state. The loop stacks a group's
+states once per segment of steps and hands each lane its rows back, so a
 lane computes bit for bit what training its config alone computes: `train`
 is a population of one, and `train_population` trains a grid. Lanes fail
 alone: a lane whose objective or parameters turn non-finite records its
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import models
 from .analysis import ErrorSet, evaluate_groups
-from .data import Dataset, strip_group_annotations
+from .data import Dataset, require_binary_groups, strip_group_annotations
 from .errors import ConfigError, InputError, TrainingWarning
 from .models import (
     CROSS_ENTROPY,
@@ -221,25 +223,34 @@ def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Mo
 
 
 class _Lane:
-    """One config's run in a population: its training view (an index map
-    into the population's base rows; all of them, in order, by default),
-    epochs, seed streams, refresh rule and extras. The loop fills in the
-    per-epoch losses, the trajectory, the lane's final weight-rule state and,
-    if the lane fails, its error."""
+    """One config's run in a population: its training view (an int32 index
+    map into the population's base rows; all of them, in order, by default),
+    epochs, seed streams, refresh rule, extras and SGD `state`: parameters,
+    velocity, (1,)-shaped learning_rate, momentum and l2, and the weight
+    rule's per-lane entries, which the trainer passes. The loop stacks the
+    states of a batch-length group once per segment and hands each lane its
+    rows back; it fills in the per-epoch losses, the trajectory and, if the
+    lane fails, its error, and leaves the final state in `state`."""
 
     def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
                  identification: bool = False,
                  refresh: Callable[[int, Model], np.ndarray | None] | None = None,
-                 aux: dict[str, Any] | None = None):
-        self.cfg, self.rows, self.refresh = cfg, rows, refresh
-        self.size = len(base) if rows is None else len(rows)
+                 aux: dict[str, Any] | None = None,
+                 state: dict[str, np.ndarray] | None = None):
+        self.cfg, self.refresh = cfg, refresh
+        self.rows = np.arange(len(base), dtype=np.int32) if rows is None else rows
         self.epochs, (init, shuffle) = ((cfg.id_epochs, (2, 3)) if identification
                                         else (cfg.epochs, (0, 1)))
         self.shuffle = _rng(cfg.seed, shuffle)
         self.losses: list[float] = []
         self.trajectory = [_initial_model(base, cfg, init)]
         self.aux: dict[str, Any] = {} if aux is None else aux
-        self.final: dict[str, np.ndarray] = {}
+        params = self.trajectory[0].params
+        self.state: dict[str, np.ndarray] = {
+            "params": params, "velocity": np.zeros(params.size),
+            **{name: np.array([getattr(cfg, name)], dtype=np.float64)
+               for name in ("learning_rate", "momentum", "l2")},
+            **(state or {})}
         self.error: Exception | None = None
 
     @property
@@ -248,13 +259,8 @@ class _Lane:
 
     def start_epoch(self) -> None:
         """Draw the epoch's example order from the shuffle stream."""
-        order = self.shuffle.permutation(self.size)
-        self.order = order.astype(np.int32) if self.rows is None else self.rows[order]
+        self.order = self.rows[self.shuffle.permutation(len(self.rows))]
         self.pos, self.objective, self.n_batches = 0, 0.0, 0
-
-
-def _take(arrays: dict[str, np.ndarray], lanes) -> dict[str, np.ndarray]:
-    return {name: a[lanes] for name, a in arrays.items()}
 
 
 def _uniform(_state, losses: np.ndarray, *_) -> np.ndarray:
@@ -286,23 +292,8 @@ def _step(arch: Architecture, state: dict[str, np.ndarray], xb: np.ndarray, yb: 
     return (w[:, None, :] @ losses[:, :, None])[:, 0, 0]
 
 
-def _step_group(arch: Architecture, state: dict[str, np.ndarray], sel, ridx: np.ndarray,
-                base: Dataset, rule: Callable[..., np.ndarray]) -> np.ndarray:
-    """`_step` for lanes `sel` of `state` (a slice: all of them) on base rows
-    `ridx`, writing back what the step replaced; returns their objectives."""
-    sub = state if isinstance(sel, slice) else _take(state, sel)
-    objective = _step(arch, sub, base.features[ridx], base.labels[ridx], ridx, rule)
-    if sub is not state:
-        for name, a in sub.items():
-            merged = np.array(state[name])
-            merged[sel] = a
-            state[name] = merged
-    return objective
-
-
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
-                  rule: Callable[..., np.ndarray] = _uniform,
-                  columns: dict[str, np.ndarray] | None = None) -> None:
+                  rule: Callable[..., np.ndarray] = _uniform) -> None:
     """Minibatch SGD of a population of lanes (one architecture) over their
     views of `base` on the per-example cross-entropy, weighted uniformly by
     default. Lanes are independent: each computes exactly what it would
@@ -311,73 +302,64 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     Per epoch a lane's example order is one permutation from its shuffle
     stream; batches are its consecutive slices (the last may be short), each
     taking one forward pass that the losses, the weights and the gradient
-    share. A step stacks the lanes whose current batches have one length,
-    one matmul per layer for all of them. The weights are ``rule(state,
-    losses, base rows, features, labels, probabilities, label
-    probabilities)``, all pre-step with a leading lane axis; `state` holds
-    the stepping lanes' parameters, velocity, (K, 1) hyperparameters and
-    `columns`, the rule's per-lane state, which the rule may replace. A
-    lane's train loss per epoch is the mean over its batches of the weighted
-    batch objective. A non-finite objective or parameters fail the lane: it
-    records a FloatingPointError naming where and leaves, and the other
-    lanes run on.
+    share. A segment is the steps over which no lane's batch length
+    changes; per segment the lanes whose batches have one length stack
+    their `state` once, step together, one matmul per layer for all of
+    them, and take their rows of the stacked state back. The weights are
+    ``rule(state, losses, base rows, features, labels, probabilities, label
+    probabilities)``, all pre-step with a leading lane axis; the rule may
+    replace its entries of `state`. A lane's train loss per epoch is the
+    mean over its batches of the weighted batch objective. A non-finite
+    objective or parameters fail the lane: it records a FloatingPointError
+    naming where and leaves, and the other lanes run on.
     """
     arch = lanes[0].trajectory[0].arch
     if base.labels.min() < 0 or base.labels.max() >= arch.n_classes:
         raise InputError("label index out of range")
-    state = {"params": np.stack([lane.trajectory[0].params for lane in lanes]),
-             "velocity": np.zeros((len(lanes), arch.n_params)),
-             **{name: np.array([[getattr(lane.cfg, name)] for lane in lanes], dtype=np.float64)
-                for name in ("learning_rate", "momentum", "l2")},
-             **(columns or {})}
     for lane in lanes:
         if lane.active:
             lane.start_epoch()
-    running = lanes
 
     while True:
         # Lanes leave when done or failed.
-        for i, lane in enumerate(running):
-            if not lane.active:
-                lane.final = {name: state[name][i] for name in columns or ()}
+        running = []
+        for lane in lanes:
+            if lane.active:
+                running.append(lane)
+            else:
                 lane.rows = lane.order = None
-        keep = [i for i, lane in enumerate(running) if lane.active]
-        if not keep:
+        if not running:
             return
-        if len(keep) < len(running):
-            running, state = [running[i] for i in keep], _take(state, keep)
 
-        # A segment: the steps over which no lane's batch length changes. A
-        # lane on full batches may take all it has left; a short one is last.
-        by_length: dict[int, list[int]] = {}
-        for i, lane in enumerate(running):
-            by_length.setdefault(min(lane.cfg.batch_size, len(lane.order) - lane.pos),
-                                 []).append(i)
+        # A lane on full batches may take all it has left; a short one is last.
         n_steps = min((len(lane.order) - lane.pos) // lane.cfg.batch_size or 1
                       for lane in running)
-        segment = [(members, slice(None) if len(members) == len(running) else np.array(members),
-                    b, np.stack([running[i].order[running[i].pos:][:n_steps * b]
-                                 for i in members]))
-                   for b, members in by_length.items()]
-        for t in range(n_steps):
-            for members, group, b, rows in segment:
-                obj = _step_group(arch, state, group, rows[:, t * b:(t + 1) * b], base, rule)
-                for i, value in zip(members, obj.tolist()):
-                    lane = running[i]
+        groups: dict[int, list[_Lane]] = {}
+        for lane in running:
+            groups.setdefault(min(lane.cfg.batch_size, len(lane.order) - lane.pos),
+                              []).append(lane)
+        for b, group in groups.items():
+            state = {name: np.stack([lane.state[name] for lane in group])
+                     for name in group[0].state}
+            rows = np.stack([lane.order[lane.pos:][:n_steps * b] for lane in group])
+            for t in range(n_steps):
+                ridx = rows[:, t * b:(t + 1) * b]
+                obj = _step(arch, state, base.features[ridx], base.labels[ridx], ridx, rule)
+                for lane, value in zip(group, obj.tolist()):
                     lane.objective += value
                     if lane.error is None and not math.isfinite(lane.objective):
                         lane.error = FloatingPointError(
                             f"training diverged: non-finite objective at epoch "
                             f"{len(lane.losses)}, batch {lane.n_batches + t}")
-        for members, _, b, _ in segment:
-            for i in members:
-                running[i].pos += n_steps * b
-                running[i].n_batches += n_steps
+            for i, lane in enumerate(group):
+                lane.state = {name: a[i] for name, a in state.items()}
+                lane.pos += n_steps * b
+                lane.n_batches += n_steps
 
-        for i, lane in enumerate(running):
+        for lane in running:
             if lane.error is not None or lane.pos < len(lane.order):
                 continue
-            params = state["params"][i]
+            params = lane.state["params"]
             if not np.isfinite(params).all():
                 lane.error = FloatingPointError(
                     f"training diverged: non-finite parameters after epoch {len(lane.losses)}")
@@ -388,7 +370,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
             if lane.refresh is not None:
                 rows = lane.refresh(len(lane.losses) - 1, model)
                 if rows is not None:
-                    lane.rows, lane.size = rows, len(rows)
+                    lane.rows = rows
             if lane.active:
                 lane.start_epoch()
 
@@ -524,12 +506,12 @@ def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step."""
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg) for cfg in cfgs]
+    lanes = [_Lane(base, cfg, state={"alpha": np.array([cfg.alpha])}) for cfg in cfgs]
 
     def rule(state: dict[str, np.ndarray], losses: np.ndarray, *_) -> np.ndarray:
         return _cvar_weights(losses, state["alpha"])
 
-    _weighted_sgd(base, lanes, rule, {"alpha": np.array([[cfg.alpha] for cfg in cfgs])})
+    _weighted_sgd(base, lanes, rule)
     return lanes
 
 
@@ -570,14 +552,13 @@ def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg) for cfg in cfgs]
+    lanes = [_Lane(base, cfg, state={"gce_q": np.float64(cfg.gce_q)}) for cfg in cfgs]
+    for lane in lanes:  # the bias model starts where the main model does
+        lane.state.update(bias_params=lane.state["params"], bias_velocity=lane.state["velocity"])
     arch = lanes[0].trajectory[0].arch
-    init = np.stack([lane.trajectory[0].params for lane in lanes])
-    _weighted_sgd(base, lanes, functools.partial(_lff_rule, arch),
-                  {"bias_params": init, "bias_velocity": np.zeros_like(init),
-                   "gce_q": np.array([cfg.gce_q for cfg in cfgs], dtype=np.float64)})
+    _weighted_sgd(base, lanes, functools.partial(_lff_rule, arch))
     for lane in lanes:
-        lane.aux["bias_model"] = Model(arch, lane.final["bias_params"])
+        lane.aux["bias_model"] = Model(arch, lane.state["bias_params"])
     return lanes
 
 
@@ -629,13 +610,12 @@ def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     if not train.has_group_annotations:
         raise InputError("group-dro needs training group annotations")
     groups, codes, _ = train.group_index()
-    lanes = [_Lane(train, cfg) for cfg in cfgs]
-    _weighted_sgd(train, lanes, functools.partial(_group_dro_rule, codes, len(groups)),
-                  {"group_weights": np.full((len(cfgs), len(groups)), 1.0 / len(groups)),
-                   "group_step_size": np.array([[cfg.group_step_size] for cfg in cfgs],
-                                               dtype=np.float64)})
+    lanes = [_Lane(train, cfg, state={
+        "group_weights": np.full(len(groups), 1.0 / len(groups)),
+        "group_step_size": np.array([cfg.group_step_size], dtype=np.float64)}) for cfg in cfgs]
+    _weighted_sgd(train, lanes, functools.partial(_group_dro_rule, codes, len(groups)))
     for lane in lanes:
-        lane.aux["group_weights"] = {g: float(lane.final["group_weights"][i])
+        lane.aux["group_weights"] = {g: float(lane.state["group_weights"][i])
                                      for i, g in enumerate(groups)}
     return lanes
 
@@ -649,9 +629,7 @@ def _upsample_minority(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     only."""
     if not train.has_group_annotations:
         raise InputError("upsample-minority needs training group annotations")
-    for arr, what in ((train.attributes, "attributes"), (train.labels, "labels")):
-        if len(np.setdiff1d(np.unique(arr), [0, 1])):
-            raise InputError(f"upsample-minority requires binary {what}")
+    require_binary_groups(train, UPSAMPLE_MINORITY)
     minority = ErrorSet(np.flatnonzero(train.attributes != train.labels), source_epoch=-1)
     base = strip_group_annotations(train)
     lanes = [_Lane(base, cfg, _upsampled_rows(len(base), minority, cfg.upweight_factor),

@@ -14,8 +14,8 @@ from grouptrain.models import (
     Architecture,
     LossSpec,
     Model,
+    OptimizerState,
     forward_batch,
-    fresh_optimizer,
     grad,
     init_model,
     loss_values,
@@ -71,8 +71,8 @@ def reference_lff(train, val, cfg):
     arch = Architecture(train.n_features, cfg.hidden,
                         max(2, int(max(train.labels.max(), val.labels.max())) + 1))
     model_b = model_m = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    opt_b = fresh_optimizer(model_b, cfg.learning_rate, cfg.momentum, cfg.l2)
-    opt_m = fresh_optimizer(model_m, cfg.learning_rate, cfg.momentum, cfg.l2)
+    opt_b = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
+    opt_m = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
     gce, ce = LossSpec(GCE, cfg.gce_q), LossSpec(CROSS_ENTROPY)
     shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
     history = []

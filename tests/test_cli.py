@@ -360,6 +360,30 @@ class TestFailureModes:
         assert not out.exists()
         assert not partial.exists()
 
+    def test_sigterm_in_a_finalizer_still_exits_143_and_cleans_partial(self, workspace, tmp_path):
+        # A handler that raised would raise inside __del__, where Python
+        # prints the exception and carries on with the run.
+        script = (
+            "import signal, sys\n"
+            "from grouptrain import cli\n"
+            "class Finalizer:\n"
+            "    def __del__(self):\n"
+            "        signal.raise_signal(signal.SIGTERM)\n"
+            "def train(*args):\n"
+            "    Finalizer()\n"
+            "    return real_train(*args)\n"
+            "real_train, cli.train = cli.train, train\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        out = tmp_path / "terminated"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "train", "--config", str(workspace / "erm.ini"),
+             "--out", str(out), "--data", str(workspace / "data")],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 128 + signal.SIGTERM, proc.stderr.decode()
+        assert not out.exists()
+        assert not (tmp_path / "terminated.partial").exists()
+
     def test_missing_data_files_exit_2(self, workspace, tmp_path, capsys):
         empty = tmp_path / "emptydir"
         empty.mkdir()

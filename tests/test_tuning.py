@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grouptrain as gt
 import grouptrain.trainers as trainers
@@ -278,3 +280,82 @@ class TestLockstep:
                 gt.train(train, val, grid.configs()[1])
             with pytest.raises(type(lone.value), match=f"^{re.escape(str(lone.value))}$"):
                 grid_sweep(grid, train, val, test)
+
+
+@st.composite
+def populations(draw):
+    """Two to five configs over one or two algorithms, every field drawn,
+    learning rates from healthy to diverging."""
+    algorithms = draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=2))
+    cfgs = []
+    for _ in range(draw(st.integers(2, 5))):
+        algorithm = draw(st.sampled_from(algorithms))
+        fields = dict(epochs=draw(st.integers(0, 3)),
+                      batch_size=draw(st.sampled_from((50, 64, 100, 256, 600))),
+                      learning_rate=draw(st.sampled_from((0.01, 0.05, 0.5, 1e50, 1e300))),
+                      seed=draw(st.integers(0, 3)), l2=1e-3,
+                      hidden=draw(st.sampled_from(((), (3,)))))
+        if algorithm in ("jtt", "jtt-dynamic"):
+            fields.update(id_epochs=draw(st.integers(0, 2)),
+                          refresh_every=draw(st.sampled_from((None, 1, 2))))
+        if algorithm in ("jtt", "jtt-dynamic", "upsample-minority"):
+            fields["upweight_factor"] = draw(st.integers(1, 5))
+        if algorithm == "cvar":
+            fields["alpha"] = draw(st.sampled_from((0.1, 0.3, 1.0)))
+        if algorithm == "lff":
+            fields["gce_q"] = draw(st.sampled_from((0.0, 0.5, 0.7)))
+        if algorithm == "group-dro":
+            fields["group_step_size"] = draw(st.sampled_from((0.0, 0.01, 0.5)))
+        cfgs.append(TrainConfig(algorithm, **fields))
+    return cfgs
+
+
+def _outcome(call):
+    """call()'s result or error, and the warnings it raised other than
+    numpy's RuntimeWarnings, whose count depends on how lanes stack."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = call()
+        except Exception as e:  # compared with the other side's error
+            outcome = e
+    return outcome, [(w.category, str(w.message)) for w in caught
+                     if w.category is not RuntimeWarning]
+
+
+def _same_error(a, b):
+    return type(a) is type(b) and str(a) == str(b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(cfgs=populations())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_populations_equal_lone_trainings(small_bench, cfgs):
+    train, val, _ = small_bench
+    lone = [_outcome(lambda c=c: gt.train(train, val, c)) for c in cfgs]
+    lanes, scored = [], trainers._scored
+
+    def capturing(population, v):
+        lanes.extend(population)
+        return scored(population, v)
+
+    trainers._scored = capturing
+    try:
+        runs, caught = _outcome(lambda: trainers.train_population(train, val, cfgs))
+    finally:
+        trainers._scored = scored
+    # Populations train in order of first appearance, so only the multiset
+    # of warnings matches the lone runs'.
+    assert sorted(caught, key=str) == sorted((w for _, ws in lone for w in ws), key=str)
+    failures = [outcome for outcome, _ in lone if isinstance(outcome, Exception)]
+    if not failures:
+        for run, (expected, _) in zip(runs, lone, strict=True):
+            assert_same_run(run, expected)
+        return
+    assert _same_error(runs, failures[0])
+    for lane, (expected, _) in zip(lanes, lone, strict=True):
+        if isinstance(expected, Exception):
+            assert _same_error(lane.error, expected)
+        else:
+            assert lane.error is None
+            assert_same_run(trainers._scored([lane], val)[0], expected)
