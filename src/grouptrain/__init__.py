@@ -43,7 +43,6 @@ from .trainers import (
     ALGORITHMS,
     TrainConfig,
     TrainResult,
-    build_upsampled,
     compute_error_set,
     cvar_batch_weights,
     group_dro_update,

@@ -158,17 +158,39 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
             for fan_out, fan_in, w, b, end in arch._layout]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 # The private kernel below takes an optional leading lane axis: params
 # (K, P) with features (K, B, input_dim) run K models at once, one stacked
 # matmul per layer. Stacked matmul, gathers, elementwise ops and reductions
 # along one lane's axes equal the 2-D calls slice by slice, bit for bit
 # (np.einsum would not), so a lane computes exactly what a lone model does.
+#
+# Reducing a short last axis costs NumPy a loop per row, so the softmax
+# reduces over its C classes as a fold of C column operations over all rows
+# at once. The max fold is exact for any C: max does not round, NaN
+# propagates as in `max`, and a signed-zero difference vanishes in `exp`.
+# NumPy's `sum` adds a last axis of up to 7 entries left to right, so the
+# sum fold equals it bit for bit up to _SUM_FOLD_MAX classes; from 8 on it
+# sums in pairwise blocks, and `sum` stays. `tests/oracles.py` keeps the
+# reduce form, and `TestClassAxisKernel` fails if a NumPy release changes
+# that order. The label entries are read and written through one flat
+# index per row.
+
+_SUM_FOLD_MAX = 7
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    n_classes = logits.shape[-1]
+    top = logits[..., :1]
+    for c in range(1, n_classes):
+        top = np.maximum(top, logits[..., c:c + 1])
+    e = np.exp(logits - top)
+    if n_classes > _SUM_FOLD_MAX:
+        return e / e.sum(axis=-1, keepdims=True)
+    total = e[..., :1]
+    for c in range(1, n_classes):
+        total = total + e[..., c:c + 1]
+    return e / total
+
 
 def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Probabilities plus the per-layer activations needed for backprop."""
@@ -183,10 +205,14 @@ def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.nd
     raise AssertionError("unreachable")
 
 
+def _label_index(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Where each row's label entry sits in a (..., n_classes) array's ravel."""
+    return np.arange(0, labels.size * n_classes, n_classes) + labels.ravel()
+
+
 def _label_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Each row's probability of its label."""
-    rows = probs.reshape(-1, probs.shape[-1])
-    return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+    return np.take(probs, _label_index(labels, probs.shape[-1])).reshape(labels.shape)
 
 
 def _exponent(spec: LossSpec) -> float:
@@ -230,8 +256,7 @@ def _backprop(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
     the cached forward pass."""
     probs, acts = forward
     delta = probs * scale[..., None]
-    rows = delta.reshape(-1, delta.shape[-1])
-    rows[np.arange(len(rows)), labels.ravel()] -= scale.ravel()
+    delta.reshape(-1)[_label_index(labels, delta.shape[-1])] -= scale.ravel()
 
     layers = unpack_params(model.arch, model.params)
     grads: list[np.ndarray] = [np.empty(0)] * len(layers)
@@ -265,6 +290,15 @@ def predict(model: Model, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward_batch(model, features), axis=1)
 
 
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Labels index the class axis through `_label_index`: a negative one
+    would read another class and one of n_classes or more another row."""
+    if labels.dtype.kind not in "iu":
+        raise InputError("labels must be integers")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
+        raise InputError("label index out of range")
+
+
 def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Per-example losses for (n, C) probabilities and (n,) integer labels."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -272,8 +306,7 @@ def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
     n, c = probs.shape
     if labels.shape != (n,):
         raise InputError("labels must be one integer per probability row")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
-        raise InputError("label index out of range")
+    _check_labels(labels, c)
     return _losses(_label_probs(probs, labels), _exponent(spec))
 
 
@@ -293,6 +326,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
         raise InputError("features, labels and weights must have equal length")
     if (w < 0).any():
         raise InputError("weights must be non-negative")
+    _check_labels(y, model.arch.n_classes)
 
     forward = _forward_cached(model, _feature_matrix(model, x))
     scale = _grad_scale(_label_probs(forward[0], y), w, _exponent(spec))

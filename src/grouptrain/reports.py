@@ -176,11 +176,14 @@ def write_composition_csv(path, points: Sequence[CompositionPoint]) -> None:
 
 
 def write_loss_snapshots_csv(path, snapshots: np.ndarray) -> None:
-    """One row per epoch, one column per training example."""
-    snapshots = np.asarray(snapshots)
-    header = ["epoch"] + [f"x{i}" for i in range(snapshots.shape[1])]
-    _write_rows(path, header,
-                [[e] + [_f(v) for v in row] for e, row in enumerate(snapshots)])
+    """One row per epoch, one column per training example. Each row is one
+    format call, with csv.writer's line terminator; the cells need no quotes."""
+    snapshots = np.asarray(snapshots, dtype=np.float64)
+    n = snapshots.shape[1]
+    row_format = "%d" + ("," + _FMT) * n + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["epoch"] + [f"x{i}" for i in range(n)])
+        fh.writelines(row_format % (e, *row) for e, row in enumerate(snapshots.tolist()))
 
 
 def read_loss_snapshots_csv(path) -> np.ndarray:

@@ -314,8 +314,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     naming where and leaves, and the other lanes run on.
     """
     arch = lanes[0].trajectory[0].arch
-    if base.labels.min() < 0 or base.labels.max() >= arch.n_classes:
-        raise InputError("label index out of range")
+    models._check_labels(base.labels, arch.n_classes)
     for lane in lanes:
         if lane.active:
             lane.start_epoch()
@@ -344,7 +343,8 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
             rows = np.stack([lane.order[lane.pos:][:n_steps * b] for lane in group])
             for t in range(n_steps):
                 ridx = rows[:, t * b:(t + 1) * b]
-                obj = _step(arch, state, base.features[ridx], base.labels[ridx], ridx, rule)
+                obj = _step(arch, state, np.take(base.features, ridx, axis=0),
+                            np.take(base.labels, ridx, axis=0), ridx, rule)
                 for lane, value in zip(group, obj.tolist()):
                     lane.objective += value
                     if lane.error is None and not math.isfinite(lane.objective):
@@ -397,8 +397,9 @@ def compute_error_set(model: Model, train: Dataset, source_epoch: int = 0) -> Er
 
 
 def _upsampled_rows(n: int, error_set: ErrorSet, upweight_factor: int) -> np.ndarray:
-    """The rows of `build_upsampled`'s output, as int32 indices into its
-    n-row input (half the memory of int64 for a population's views)."""
+    """The n rows in order, then (upweight_factor - 1) copies of the error
+    set in index order: a factor of 1 or an empty set leaves the n rows. As
+    int32 indices (half the memory of int64 for a population's views)."""
     copies = upweight_factor - 1 if len(error_set) else 0
     if copies and error_set.indices[-1] >= n:
         raise InputError("error-set index out of range for this dataset")
@@ -406,9 +407,8 @@ def _upsampled_rows(n: int, error_set: ErrorSet, upweight_factor: int) -> np.nda
 
 
 def build_upsampled(train: Dataset, error_set: ErrorSet, upweight_factor: int) -> Dataset:
-    """Original examples in order, followed by (upweight_factor - 1) full
-    copies of the error-set examples in index order. A factor of 1 or an
-    empty set returns the input unchanged."""
+    """`_upsampled_rows` as a dataset. Training never builds one: this is
+    kept only because bench/layers.py wraps the name."""
     if upweight_factor < 1:
         raise InputError("upweight_factor must be >= 1")
     if upweight_factor == 1 or len(error_set) == 0:

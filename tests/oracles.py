@@ -20,6 +20,7 @@ from grouptrain.models import (
     init_model,
     loss_values,
     sgd_step,
+    unpack_params,
 )
 from grouptrain.trainers import WORST_GROUP, lff_weight
 from grouptrain.tuning import FractionResult, grid_sweep
@@ -61,6 +62,36 @@ def cvar_lp_optimum(losses, alpha):
                   bounds=[(0.0, cap)] * b, method="highs")
     assert res.success, res.message
     return -res.fun
+
+
+def reference_softmax(logits):
+    """The softmax through NumPy's own last-axis max and sum reductions."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_label_probs(probs, labels):
+    """Each row's label probability by 2-D fancy indexing."""
+    rows = probs.reshape(-1, probs.shape[-1])
+    return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+
+
+def reference_backprop(model, forward, labels, scale):
+    """The kernel's backward pass with the label entries subtracted by 2-D
+    fancy indexing; the parameters may carry a leading lane axis."""
+    probs, acts = forward
+    delta = probs * scale[..., None]
+    rows = delta.reshape(-1, delta.shape[-1])
+    rows[np.arange(len(rows)), labels.ravel()] -= scale.ravel()
+    layers = unpack_params(model.arch, model.params)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        g_w = delta.swapaxes(-1, -2) @ acts[i]
+        g_b = delta.sum(axis=-2)
+        grads[i] = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
+        if i > 0:
+            delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
+    return np.concatenate(grads, axis=-1)
 
 
 def reference_lff(train, val, cfg):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import signal
@@ -22,6 +23,7 @@ from grouptrain.reports import (
     save_model,
     strip_timing,
     write_error_set_csv,
+    write_loss_snapshots_csv,
 )
 from grouptrain.trainers import ErrorSet
 
@@ -421,6 +423,18 @@ class TestPersistence:
         flipped = type(ds)(ds.features, 1 - ds.labels, ds.attributes, ds.name)
         assert fingerprint(flipped) != fingerprint(ds)
         assert fingerprint(strip_group_annotations(ds)) != fingerprint(ds)
+
+    def test_loss_snapshots_csv_is_csv_writer_bytes(self, tmp_path):
+        snapshots = np.array([[0.0, -0.0, 5e-324, 1e-300, 1e300],
+                              [1e300, 1e-300, 5e-324, -0.0, 0.0],
+                              [0.1, 1 / 3, 2.5, 7.0, 123456789.123]])
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch"] + [f"x{i}" for i in range(5)])
+            writer.writerows([e] + ["%.17g" % v for v in row] for e, row in enumerate(snapshots))
+        write_loss_snapshots_csv(tmp_path / "snapshots.csv", snapshots)
+        assert (tmp_path / "snapshots.csv").read_bytes() == expected.read_bytes()
 
     def test_error_set_csv_roundtrip(self, tmp_path):
         e = ErrorSet(np.array([3, 1, 8]), source_epoch=2)

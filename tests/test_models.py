@@ -23,7 +23,13 @@ from grouptrain.models import (
     sgd_step,
 )
 from grouptrain.trainers import cvar_batch_weights
-from oracles import finite_difference_grad, relative_grad_error
+from oracles import (
+    finite_difference_grad,
+    reference_backprop,
+    reference_label_probs,
+    reference_softmax,
+    relative_grad_error,
+)
 
 LOGISTIC = Architecture(3, (), 2)
 
@@ -137,6 +143,19 @@ class TestGrad:
     def test_zero_one_is_not_a_loss_kind(self):
         with pytest.raises(InputError):
             LossSpec("zero-one")
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2]])
+    def test_label_outside_the_classes_rejected(self, labels):
+        # Unchecked, -1 would read class 1 and 2 the next row's first class.
+        model = init_model(LOGISTIC, 0)
+        with pytest.raises(InputError, match="label index out of range"):
+            grad(model, np.ones((2, 3)), np.array(labels), np.ones(2), LossSpec(CROSS_ENTROPY))
+
+    def test_non_integer_labels_rejected(self):
+        model = init_model(LOGISTIC, 0)
+        with pytest.raises(InputError, match="integers"):
+            grad(model, np.ones((2, 3)), np.array([0.0, 1.0]), np.ones(2),
+                 LossSpec(CROSS_ENTROPY))
 
     def test_one_dimensional_features_rejected(self):
         model = init_model(LOGISTIC, 0)
@@ -324,3 +343,47 @@ class TestLaneAxis:
             for i in range(k):
                 assert np.array_equal(cvar_batch_weights(losses[i], float(alpha[i, 0])),
                                       stacked[i])
+
+
+class TestClassAxisKernel:
+    """The softmax's column folds and the flat label index equal NumPy's
+    last-axis reductions and 2-D fancy indexing bit for bit, on both sides
+    of the class count where the sum fold stops. A NumPy release that
+    changes the order in which it sums a short axis fails here."""
+
+    SHAPES = [(b,) for b in (1, 56, 64)] + [(k, b) for k in (1, 6, 24) for b in (1, 56, 64)]
+
+    @staticmethod
+    def logits(rng, shape):
+        """Rows at scales from 1 to 1e300, with scattered +-inf and NaN."""
+        scale = rng.choice([1.0, 3.0, 30.0, 1e300], size=shape[:-1] + (1,))
+        z = rng.normal(size=shape) * scale
+        odd = rng.random(shape)
+        z[odd < 0.03] = np.inf
+        z[(odd >= 0.03) & (odd < 0.06)] = -np.inf
+        z[(odd >= 0.06) & (odd < 0.08)] = np.nan
+        return z
+
+    @pytest.mark.parametrize("n_classes", range(2, 11))
+    @np.errstate(invalid="ignore")  # inf - inf in both forms
+    def test_softmax_label_gather_and_backprop_equal_the_reductions(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        for lead in self.SHAPES:
+            for hidden in [(), (4,)]:
+                arch = Architecture(5, hidden, n_classes)
+                params = rng.normal(size=lead[:-1] + (arch.n_params,))
+                x = rng.normal(size=lead + (5,))
+                z = self.logits(rng, lead + (n_classes,))
+                probs = models_mod._softmax(z)
+                assert np.array_equal(probs, reference_softmax(z), equal_nan=True)
+                finite = rng.normal(size=z.shape) * 30.0
+                assert np.array_equal(models_mod._softmax(finite), reference_softmax(finite))
+                y = rng.integers(0, n_classes, size=lead)
+                assert np.array_equal(models_mod._label_probs(probs, y),
+                                      reference_label_probs(probs, y), equal_nan=True)
+                model = models_mod._adopt(Model, arch=arch, params=params)
+                forward = (probs, models_mod._forward_cached(model, x)[1])
+                scale = rng.random(lead) * (rng.random(lead) < 0.9)
+                assert np.array_equal(models_mod._backprop(model, forward, y, scale),
+                                      reference_backprop(model, forward, y, scale),
+                                      equal_nan=True)

@@ -17,7 +17,7 @@ from grouptrain.trainers import (
     ErrorSet,
     TrainConfig,
     _seedseq,
-    build_upsampled,
+    _upsampled_rows,
     compute_error_set,
     cvar_batch_weights,
     group_dro_update,
@@ -193,36 +193,37 @@ class TestErrorSet:
 
 
 class TestBuildUpsampled:
-    def test_factor_one_is_identity(self, small_bench):
-        train, _, _ = small_bench
-        e = ErrorSet(np.array([0, 1]))
-        assert build_upsampled(train, e, 1) is train
+    """The upsampled training view as training builds it: `_upsampled_rows`,
+    an index map into the training rows."""
 
-    def test_empty_set_is_identity(self, small_bench):
-        train, _, _ = small_bench
-        assert build_upsampled(train, ErrorSet(np.array([], dtype=int)), 5) is train
+    def test_factor_one_is_identity(self):
+        rows = _upsampled_rows(10, ErrorSet(np.array([0, 1])), 1)
+        assert rows.dtype == np.int32
+        assert np.array_equal(rows, np.arange(10))
+
+    def test_empty_set_is_identity(self):
+        assert np.array_equal(_upsampled_rows(10, ErrorSet(np.array([], dtype=int)), 5),
+                              np.arange(10))
 
     def test_size_formula(self, small_bench):
         train, _, _ = small_bench
         ten = train.subset(np.arange(10))
-        e = ErrorSet(np.array([2, 7]))
-        up = build_upsampled(ten, e, 5)
-        assert len(up) == 10 + 4 * 2
-        assert np.array_equal(up.features[:10], ten.features)
-        assert np.array_equal(up.features[10:12], ten.features[[2, 7]])
+        rows = _upsampled_rows(len(ten), ErrorSet(np.array([2, 7])), 5)
+        assert len(rows) == 10 + 4 * 2
+        assert np.array_equal(rows, np.concatenate([np.arange(10)] + [[2, 7]] * 4))
+        assert np.array_equal(ten.features[rows[:10]], ten.features)
+        assert np.array_equal(ten.features[rows[10:12]], ten.features[[2, 7]])
 
     def test_everything_twice(self, small_bench):
         train, _, _ = small_bench
         five = train.subset(np.arange(5))
-        up = build_upsampled(five, ErrorSet(np.arange(5)), 2)
-        assert len(up) == 10
-        assert np.array_equal(up.features, np.vstack([five.features, five.features]))
+        rows = _upsampled_rows(len(five), ErrorSet(np.arange(5)), 2)
+        assert len(rows) == 10
+        assert np.array_equal(five.features[rows], np.vstack([five.features, five.features]))
 
-    def test_out_of_range_rejected(self, small_bench):
-        train, _, _ = small_bench
-        five = train.subset(np.arange(5))
+    def test_out_of_range_rejected(self):
         with pytest.raises(InputError):
-            build_upsampled(five, ErrorSet(np.array([7])), 2)
+            _upsampled_rows(5, ErrorSet(np.array([7])), 2)
 
 
 class TestTrainErm:
