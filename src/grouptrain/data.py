@@ -4,6 +4,10 @@ group-annotation management and validation subsampling.
 All randomness flows through numpy's PCG64 generator seeded from explicit
 integers, so every dataset is reproducible bit-for-bit for a given
 (spec, seed) on any platform running the same numpy version.
+
+CSV ingestion reads a plain file in one NumPy pass. Files with quoted
+cells, text columns, blank lines or lone carriage returns take the per-row
+reader instead; values and error messages are the same either way.
 """
 
 from __future__ import annotations
@@ -274,23 +278,62 @@ def load_csv(path, name: str | None = None) -> Dataset:
     """Read a dataset from CSV: the `label` column, the `attribute` column
     (group annotations) if present, and every column named f<number> as a
     feature, in file order. Row numbers in errors are 1-based data rows.
+
+    A plain file is parsed in one NumPy pass (`read_plain_csv`); any other
+    file goes through the per-row reader, which gives the same values and
+    the same errors.
     """
     path = Path(path)
+    parsed = _read_plain_dataset(path)
+    values, labels, attrs, feat_names = parsed if parsed is not None else _read_rows(path)
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise IngestionError(f"{path}: row {row + 1}, column {feat_names[col]!r}: "
+                             f"non-finite feature {float(values[row, col])!r}")
+    return Dataset(values, labels, attrs, name if name is not None else path.stem)
+
+
+def _columns(path: Path, reader) -> tuple[list[str], int, int | None, list[str], list[int]]:
+    """The stripped header cells, the label column, the attribute column (or
+    None), and the feature names with their columns."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if "label" not in header:
+        raise IngestionError(f"{path}: missing label column 'label'")
+    attr_col = header.index("attribute") if "attribute" in header else None
+    feat_names = [h for h in header if h.startswith("f") and h[1:].isdigit()]
+    if not feat_names:
+        raise IngestionError(f"{path}: no feature columns found")
+    return header, header.index("label"), attr_col, feat_names, [header.index(c) for c in feat_names]
+
+
+def _read_plain_dataset(path: Path):
+    """`_read_rows`' result from one NumPy pass, or None where the per-row
+    reader must decide: the file is not plain, or a label or attribute is
+    negative (the reader rejects those; NumPy reads them)."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, label_col, attr_col, feat_names, feat_cols = _columns(path, csv.reader(fh))
+    ints = (label_col, attr_col)
+    table = read_plain_csv(path, [(f"c{i}", np.int64 if i in ints else np.float64)
+                                  for i in range(len(header))])
+    if table is None:
+        return None
+    labels = table[f"c{label_col}"]
+    attrs = table[f"c{attr_col}"] if attr_col is not None else None
+    if labels.min() < 0 or (attrs is not None and attrs.min() < 0):
+        return None
+    return np.column_stack([table[f"c{c}"] for c in feat_cols]), labels, attrs, feat_names
+
+
+def _read_rows(path: Path):
+    """The per-row reader: Python's int() and float() on each cell, raising
+    an IngestionError that names the first bad row and column."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise IngestionError(f"{path}: missing label column 'label'")
-        attr_col = header.index("attribute") if "attribute" in header else None
-        feat_names = [h for h in header if h.startswith("f") and h[1:].isdigit()]
-        if not feat_names:
-            raise IngestionError(f"{path}: no feature columns found")
-        label_col = header.index("label")
-        feat_cols = [header.index(c) for c in feat_names]
+        header, label_col, attr_col, feat_names, feat_cols = _columns(path, reader)
 
         labels, attrs, rows = [], [], []
         for rownum, row in enumerate(reader, start=1):
@@ -327,11 +370,45 @@ def load_csv(path, name: str | None = None) -> Dataset:
 
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    values = np.asarray(rows)
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise IngestionError(f"{path}: row {row + 1}, column {feat_names[col]!r}: "
-                             f"non-finite feature {float(values[row, col])!r}")
-    return Dataset(values, np.asarray(labels),
-                   np.asarray(attrs) if attr_col is not None else None,
-                   name if name is not None else path.stem)
+    return (np.asarray(rows), np.asarray(labels),
+            np.asarray(attrs) if attr_col is not None else None, feat_names)
+
+
+def read_plain_csv(path, fields) -> np.ndarray | None:
+    """The data rows of a plain CSV file as a structured array with the given
+    fields, in one NumPy pass; the header line is skipped. Plain means: no
+    quote, no carriage return outside a CRLF line end, no blank line, every
+    row one cell per (flattened) field, every cell a number that NumPy reads
+    as Python's int() or float() would. Returns None for any other file, so
+    that the caller's per-row reader reads or rejects it.
+    """
+    lines = _plain_line_count(Path(path))
+    if lines is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows warns; like any file NumPy warns
+            # about, it goes to the per-row reader
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=np.dtype(fields), delimiter=",", comments=None,
+                               quotechar=None, skiprows=1, ndmin=1, encoding="utf-8")
+    except (ValueError, Warning):
+        return None
+    # NumPy skips blank lines, which the per-row readers reject
+    return table if len(table) == lines - 1 else None
+
+
+def _plain_line_count(path: Path) -> int | None:
+    """The number of lines in the file, or None if it holds a quote or a
+    carriage return that does not end a CRLF line."""
+    lines, last = 0, b"\n"
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 16):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)
+            if b'"' in chunk or (b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
+                return None
+            # bytes.count of one byte is ~6x slower than this compare
+            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            last = chunk[-1:]
+    return lines + (last != b"\n")

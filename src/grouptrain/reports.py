@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, ErrorSetStats, GroupMetrics
-from .data import Dataset, dataset_csv_text
+from .data import Dataset, dataset_csv_text, read_plain_csv
 from .errors import IngestionError
 from .models import Architecture, Model
 from .trainers import AVERAGE, WORST_GROUP, EpochMetrics, TrainConfig
@@ -74,7 +74,15 @@ def load_model(path) -> Model:
     values = lines[6:6 + count]
     if len(values) != count:
         raise IngestionError(f"{path}: expected {count} parameters, found {len(values)}")
-    return Model(arch, np.array([float(v) for v in values]))
+    params = np.empty(count)
+    for i, v in enumerate(values):
+        try:
+            params[i] = float(v)
+        except ValueError:
+            raise IngestionError(f"{path}: line {i + 7}: non-numeric parameter {v!r}") from None
+        if not np.isfinite(params[i]):
+            raise IngestionError(f"{path}: line {i + 7}: non-finite parameter {v!r}")
+    return Model(arch, params)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +160,14 @@ def read_error_set_csv(path) -> ErrorSet:
         raise IngestionError(f"{path}: not an error-set file")
     source_epoch = -1
     indices = []
-    for line in lines[1:]:
-        if line.startswith("# source_epoch="):
-            source_epoch = int(line.partition("=")[2])
-            continue
-        if line.strip():
-            indices.append(int(line))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            if line.startswith("# source_epoch="):
+                source_epoch = int(line.partition("=")[2])
+            elif line.strip():
+                indices.append(int(line))
+        except ValueError:
+            raise IngestionError(f"{path}: line {lineno}: not an integer: {line!r}") from None
     return ErrorSet(np.asarray(indices, dtype=np.int64), source_epoch)
 
 
@@ -187,12 +197,36 @@ def write_loss_snapshots_csv(path, snapshots: np.ndarray) -> None:
 
 
 def read_loss_snapshots_csv(path) -> np.ndarray:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    """The (epochs, examples) losses of a loss-snapshot file. A plain file is
+    parsed in one NumPy pass; any other goes through a per-row reader that
+    names the first bad row and column. Epoch cells are not checked."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+    if not header or header[0] != "epoch":
+        raise IngestionError(f"{path}: not a loss-snapshot file")
+    table = read_plain_csv(path, [("epoch", np.float64), ("x", np.float64, (len(header) - 1,))])
+    if table is not None:
+        return np.ascontiguousarray(table["x"])
+    rows = []
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "epoch":
-            raise IngestionError(f"{path}: not a loss-snapshot file")
-        rows = [[float(v) for v in row[1:]] for row in reader]
+        next(reader)
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                col = repr(header[len(row)]) if len(row) < len(header) else len(header) + 1
+                raise IngestionError(f"{path}: row {rownum}, column {col}: "
+                                     f"{len(row)} cells, expected {len(header)}")
+            vals = []
+            for cname, cell in zip(header[1:], row[1:]):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise IngestionError(f"{path}: row {rownum}, column {cname!r}: "
+                                         f"non-numeric loss {cell!r}") from None
+            rows.append(vals)
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
     return np.asarray(rows)
 
 

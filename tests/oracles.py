@@ -1,13 +1,16 @@
 """Independent oracles the test suite checks the implementation against.
 These deliberately avoid the code paths they verify."""
 
+import csv
 import statistics
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
 
 from grouptrain.analysis import evaluate_groups
-from grouptrain.data import subsample_validation
+from grouptrain.data import Dataset, subsample_validation
+from grouptrain.errors import IngestionError
 from grouptrain.models import (
     CROSS_ENTROPY,
     GCE,
@@ -143,6 +146,74 @@ def reference_csv_text(data):
         row += [f"{v:.17g}" for v in data.features[i]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def reference_load_csv(path, name: str | None = None) -> Dataset:
+    """The per-row dataset reader, Python's int() and float() on every cell.
+    Read a dataset from CSV: the `label` column, the `attribute` column
+    (group annotations) if present, and every column named f<number> as a
+    feature, in file order. Row numbers in errors are 1-based data rows.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if "label" not in header:
+            raise IngestionError(f"{path}: missing label column 'label'")
+        attr_col = header.index("attribute") if "attribute" in header else None
+        feat_names = [h for h in header if h.startswith("f") and h[1:].isdigit()]
+        if not feat_names:
+            raise IngestionError(f"{path}: no feature columns found")
+        label_col = header.index("label")
+        feat_cols = [header.index(c) for c in feat_names]
+
+        labels, attrs, rows = [], [], []
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
+            try:
+                y = int(row[label_col])
+                if y < 0:
+                    raise ValueError
+            except ValueError:
+                raise IngestionError(
+                    f"{path}: row {rownum}, column 'label': unknown label value {row[label_col]!r}"
+                ) from None
+            labels.append(y)
+            if attr_col is not None:
+                try:
+                    a = int(row[attr_col])
+                    if a < 0:
+                        raise ValueError
+                except ValueError:
+                    raise IngestionError(
+                        f"{path}: row {rownum}, column 'attribute': bad attribute value {row[attr_col]!r}"
+                    ) from None
+                attrs.append(a)
+            vals = []
+            for cname, c in zip(feat_names, feat_cols):
+                try:
+                    vals.append(float(row[c]))
+                except ValueError:
+                    raise IngestionError(
+                        f"{path}: row {rownum}, column {cname!r}: non-numeric feature {row[c]!r}"
+                    ) from None
+            rows.append(vals)
+
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    values = np.asarray(rows)
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise IngestionError(f"{path}: row {row + 1}, column {feat_names[col]!r}: "
+                             f"non-finite feature {float(values[row, col])!r}")
+    return Dataset(values, np.asarray(labels),
+                   np.asarray(attrs) if attr_col is not None else None,
+                   name if name is not None else path.stem)
 
 
 def reference_validation_size_study(fractions, grid, train, val, test, seeds):

@@ -19,6 +19,7 @@ from grouptrain.reports import (
     fingerprint,
     load_model,
     read_error_set_csv,
+    read_loss_snapshots_csv,
     read_report,
     save_model,
     strip_timing,
@@ -441,3 +442,47 @@ class TestPersistence:
         write_error_set_csv(tmp_path / "e.csv", e)
         again = read_error_set_csv(tmp_path / "e.csv")
         assert again == e
+
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_checkpoint_bad_parameter_names_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "m.txt"
+        save_model(init_model(Architecture(5, (4,), 3), 123), path)
+        lines = path.read_text().splitlines()
+        lines[8] = cell
+        path.write_text("\n".join(lines) + "\n")
+        kind = "non-numeric" if cell == "abc" else "non-finite"
+        with pytest.raises(IngestionError, match=rf"m\.txt: line 9: {kind} parameter '{cell}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("line", ["x", "# source_epoch=two"])
+    def test_error_set_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "e.csv"
+        path.write_text(f"index\n3\n{line}\n")
+        with pytest.raises(IngestionError, match=rf"e\.csv: line 3: not an integer: '{line}'"):
+            read_error_set_csv(path)
+
+    def test_loss_snapshots_round_trip_bit_for_bit(self, tmp_path):
+        snapshots = np.array([[0.0, -0.0, 5e-324, 1e-300, 1e300],
+                              [1e300, 1e-300, 5e-324, -0.0, 0.0]])
+        write_loss_snapshots_csv(tmp_path / "s.csv", snapshots)
+        again = read_loss_snapshots_csv(tmp_path / "s.csv")
+        assert again.flags.c_contiguous
+        assert np.array_equal(again.view(np.int64), snapshots.view(np.int64))
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,0.5\r\n", r"row 2, column 'x1': 2 cells, expected 3"),
+        ("1,0.5,0.5,0.5\r\n", r"row 2, column 4: 4 cells, expected 3"),
+        ("1,0.5,abc\r\n", r"row 2, column 'x1': non-numeric loss 'abc'"),
+        ("\r\n", r"row 2, column 'epoch': 0 cells, expected 3"),
+    ])
+    def test_loss_snapshots_bad_row_names_file_row_and_column(self, tmp_path, row, message):
+        path = tmp_path / "s.csv"
+        path.write_bytes(f"epoch,x0,x1\r\n0,0.5,0.5\r\n{row}".encode())
+        with pytest.raises(IngestionError, match=r"s\.csv: " + message):
+            read_loss_snapshots_csv(path)
+
+    def test_loss_snapshots_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("epoch,x0\n")
+        with pytest.raises(IngestionError, match="no data rows"):
+            read_loss_snapshots_csv(path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
+import grouptrain.data as data_module
 from grouptrain.data import (
     Dataset,
     GroupId,
@@ -19,7 +20,7 @@ from grouptrain.data import (
     subsample_validation,
 )
 from grouptrain.errors import DataWarning, IngestionError, InputError
-from oracles import reference_csv_text
+from oracles import reference_csv_text, reference_load_csv
 
 
 def spec(**overrides):
@@ -171,6 +172,127 @@ class TestCsv:
         path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{cell}\n")
         with pytest.raises(IngestionError, match=r"row 2, column 'f1': non-finite"):
             load_csv(path)
+
+
+_PLAIN_INTS = ["0", "1", "2", "01", "+1", " 1", "1 ", "-0", str(2**63 - 1)]
+_INTS = _PLAIN_INTS + ["1.0", "-1", "1_0", "2**63", str(2**63), "x", "", "\u30001"]
+_PLAIN_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v) \
+    | st.sampled_from(["-0.0", "5e-324", " 2.5 ", ".5", "1e400", "nan", "infinity", "-inf"])
+_FLOATS = _PLAIN_FLOATS | st.sampled_from(["1_0", "0x1p3", "abc", "", " ", '"1.5"', "\ufeff1"])
+_TEXTS = st.sampled_from(["a", "b c", '"x,y"', '"q"', "3", "nan", ""])
+_COLUMNS = ["attribute", "f0", "f1", " f2", "name", '"f1"']
+
+
+@st.composite
+def csv_texts(draw):
+    """Dataset CSV text, plain (every cell a number NumPy reads as Python
+    does, one line end throughout) or malformed in the ways files go wrong:
+    rare cells, quotes, ragged rows, blank lines, mixed line ends, a BOM, a
+    missing label column or a duplicated f0."""
+    noisy = draw(st.booleans())
+
+    def rare():
+        return noisy and not draw(st.integers(0, 3))
+
+    header = draw(st.lists(st.sampled_from(_COLUMNS), max_size=3)) + ["f0"]
+    if not rare():
+        header.append("label")
+    header = draw(st.permutations(header))
+    ints = st.sampled_from(_INTS if noisy else _PLAIN_INTS)
+    floats = _FLOATS if noisy else _PLAIN_FLOATS
+    cells = {"label": ints, "attribute": ints, "name": _TEXTS}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(cells.get(h, floats)) for h in header]
+        if rare():
+            row = row[:draw(st.integers(0, len(row)))] + ["0"] * draw(st.integers(0, 1))
+        if rare():
+            lines.append(draw(st.sampled_from(["", "  "])))
+        lines.append(",".join(row))
+    if noisy:
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    else:
+        ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return ("\ufeff" if rare() else "") + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, path):
+    """What a reader makes of the file: the dataset's arrays, features as
+    bits, or the type and text of what it raised."""
+    try:
+        ds = read(path, name="d")
+    except Exception as e:  # the contract is the same exception, whatever it is
+        return type(e), str(e)
+    attrs = None if ds.attributes is None else ds.attributes.tolist()
+    return ds.name, ds.labels.tolist(), attrs, ds.features.shape, ds.features.view(np.int64).tolist()
+
+
+def _no_fallback(path):
+    raise AssertionError(f"{path} went to the per-row reader")
+
+
+class TestCsvOnePass:
+    @given(text=csv_texts())
+    @example(text="label,f0\n1,0.5\n\n0,1.5\n")
+    @example(text="label,f0\n1,0.5\n  \n")
+    @example(text="label,f0\r\n1,0.5\r0,1.5\r\n")
+    @example(text="label,f0")
+    @example(text="label,f0\n")
+    @example(text="\ufefflabel,f0\n1,0.5\n")
+    @example(text="label,f0,f0\n1,0.5,1.5\n")
+    @example(text="label,attribute,f0\n1,-1,0.5\n")
+    @example(text=f"label,f0\n{2**63},0.5\n")
+    @example(text="label,f0\n1,0.5,\n")
+    @example(text='label,name,f0\n1,"a,b",0.5\n')
+    @example(text='f0,label,"f1\n1,2,3\n')
+    @example(text="label,f0\n1,0.5\r\r\n")
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_per_row_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+
+    def test_random_bit_patterns_round_trip(self, tmp_path):
+        rng = np.random.default_rng(20000)
+        bits = rng.integers(0, 2**64, size=21000, dtype=np.uint64)
+        bits[:3000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # subnormals
+        values = bits.view(np.float64)
+        specials = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+        values = np.concatenate([specials, values[np.isfinite(values)]])[:20000]
+        assert len(values) == 20000
+        ds = Dataset(values.reshape(2000, 10), rng.integers(0, 2, 2000), rng.integers(0, 2, 2000), "bits")
+        save_csv(ds, tmp_path / "bits.csv")
+        again = load_csv(tmp_path / "bits.csv", name="bits")
+        assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
+        assert again == ds
+
+    def test_small_bench_takes_the_one_pass(self, tmp_path, small_bench, monkeypatch):
+        monkeypatch.setattr(data_module, "_read_rows", _no_fallback)
+        for ds in small_bench:
+            save_csv(ds, tmp_path / "split.csv")
+            assert load_csv(tmp_path / "split.csv", name=ds.name) == ds
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_line_ends_take_the_one_pass(self, tmp_path, small_bench, monkeypatch, end, final):
+        monkeypatch.setattr(data_module, "_read_rows", _no_fallback)
+        _, val, _ = small_bench
+        text = dataset_csv_text(val).replace("\n", end)
+        (tmp_path / "val.csv").write_bytes((text if final else text[:-len(end)]).encode())
+        assert load_csv(tmp_path / "val.csv", name=val.name) == val
+
+    @given(ds=extreme_datasets())
+    @settings(max_examples=50, deadline=None)
+    def test_extreme_datasets_take_the_one_pass(self, tmp_path_factory, ds):
+        path = tmp_path_factory.getbasetemp() / "extreme-one-pass.csv"
+        save_csv(ds, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_module, "_read_rows", _no_fallback)
+            again = load_csv(path, name=ds.name)
+        assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
+        assert again == ds
 
 
 class TestStrip:
