@@ -215,9 +215,13 @@ def loss_snapshots(trajectory: Sequence[Model], data: Dataset) -> np.ndarray:
 def track_cvar_composition(snapshots: Sequence[np.ndarray], alpha: float,
                            train: Dataset, worst: GroupId) -> list[CompositionPoint]:
     """Worst-group precision/recall of the top alpha-fraction loss set for
-    each recorded per-example loss snapshot."""
+    each recorded per-example loss snapshot (one loss per training example)."""
     if not train.has_group_annotations:
         raise InputError("track_cvar_composition needs a group-annotated training set")
+    for epoch, losses in enumerate(snapshots):
+        if len(losses) != len(train):
+            raise InputError(f"loss snapshot {epoch} has {len(losses)} losses; "
+                             f"the training set has {len(train)} examples")
     worst = GroupId(*worst)
     in_group = (train.attributes == worst.attribute) & (train.labels == worst.label)
     n_worst = int(in_group.sum())

@@ -8,16 +8,22 @@ integers, so every dataset is reproducible bit-for-bit for a given
 CSV ingestion reads a plain file in one NumPy pass. Files with quoted
 cells, text columns, blank lines or lone carriage returns take the per-row
 reader instead; values and error messages are the same either way.
+
+CSV output (`csv_rows`, and through it `dataset_csv_text`, `save_csv` and
+the fingerprints) is Python's `%d` / `%.17g` text of every cell, made in
+NumPy blocks: fixed-notation floats (1e-4 <= |v| < 1e16) and integers
+0 <= v < 10**17 exactly by table, every other cell by `%` itself.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -256,6 +262,207 @@ def subsample_validation(val: Dataset, fraction: float, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
+# CSV text: `%d` integer cells and `%.17g` float cells, formatted in blocks.
+#
+# A cell is rendered into a frame of three little-endian uint64 words (24
+# bytes, NUL where no text goes); the block's frames are joined and their NULs
+# deleted. A fast cell's 17 significant digits come from one integer N with
+# 10**16 <= N < 10**17, written at bytes 1..17 of the frame by a table of
+# 4-digit chunks. Its layout -- sign at byte 0, which digits stay in place,
+# the decimal point, leading "0.000", which digits move right and how far,
+# trailing zeros cut -- is one row of the _layouts() tables, picked by the
+# cell's key. Integers 0 <= v < 10**17 take the same route with N = v. Every
+# other cell (0, -0, nan, inf, |v| < 1e-4, |v| >= 1e16, negative or larger
+# integers) is formatted by Python's `%` and copied into its frame.
+
+_CELLS_PER_BLOCK = 4096  # keeps a block's temporaries in cache
+
+_LEAD, _TAIL = 10000, 11000  # first rows of the 3- and 2-digit chunks
+
+
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The chunk table as uint32: "dddd" for 0..9999, then "\\0ddd" for the
+    leading three digits and "dd\\0\\0" for the last two; and the trailing
+    zeros of each entry's digits."""
+    n = np.arange(10000)
+    digits = (n[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    chunks = np.concatenate([digits, np.pad(digits[:1000, 1:], ((0, 0), (1, 0))),
+                             np.pad(digits[:100, 2:], ((0, 0), (0, 2)))])
+    zeros = [sum(n[:count] % 10**k == 0 for k in range(1, width + 1))
+             for count, width in ((10000, 4), (1000, 3), (100, 2))]
+    return chunks.view(np.uint32).ravel(), np.concatenate(zeros).astype(np.int8)
+
+
+_CHUNKS, _CHUNK_ZEROS = _chunk_tables()
+
+# 10**k and its Veltkamp split into two 26-bit halves, k = 0..22 (all exact)
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_PARTS = np.stack([_POW10, _POW10_HI, _POW10 - _POW10_HI])
+_INT_POW10 = 10 ** np.arange(1, 17, dtype=np.int64)
+
+_INT_KEY = 680 - 1  # after the 20 * 2 * 17 float keys
+_OTHER_KEY = _INT_KEY + 18
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per key, the frame words of the fixed text (a fast text has at most
+    23 bytes, so every frame can end in its separator, ","), of the mask of
+    digit bytes kept in place, of the mask of digit bytes moved right, and
+    the move in bits (repeated per word).
+
+    Keys: ((e + 4) * 2 + negative) * 17 + t for a float with decimal exponent
+    -4 <= e <= 15 whose N has t trailing zeros; _INT_KEY + d for an integer
+    of d digits; _OTHER_KEY for a cell formatted by `%`."""
+    fixed, still, moved = (np.zeros((_OTHER_KEY + 1, 24), np.uint8) for _ in range(3))
+    fixed[:, 23] = ord(",")
+    shift = np.full(_OTHER_KEY + 1, 8, np.uint64)
+    for key, (e, negative, t) in enumerate(itertools.product(range(-4, 16), (0, 1), range(17))):
+        fixed[key, 0] = negative * ord("-")
+        if e >= 0:  # digits 0..e stay, "." at byte e + 2, the rest move one byte
+            kept = max(16 - e - t, 0)
+            if kept:
+                fixed[key, e + 2] = ord(".")
+            still[key, 1:e + 2] = 0xFF
+            moved[key, e + 2:e + 2 + kept] = 0xFF
+        else:  # "0.000" then every digit, moved 1 - e bytes
+            fixed[key, 1:2 - e] = ord("0")
+            fixed[key, 2] = ord(".")
+            moved[key, 1:18 - t] = 0xFF
+            shift[key] = 8 * (1 - e)
+    for d in range(1, 18):
+        still[_INT_KEY + d, 18 - d:18] = 0xFF
+    return (fixed.view(np.uint64), still.view(np.uint64), moved.view(np.uint64),
+            np.repeat(shift[:, None], 3, axis=1))
+
+
+_FIXED, _STILL, _MOVED, _SHIFT = _layouts()
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**p) as int64, exact for products below 2**63.
+
+    Dekker's two-product: hi + lo is the exact product. Where hi >= 2**53 it
+    is an even integer, so rounding lo half-to-even rounds the sum so."""
+    pw, pw_hi, pw_lo = _POW10_PARTS.take(p, axis=1)
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    hi = a * pw
+    lo = ((a_hi * pw_hi - hi) + a_hi * pw_lo + a_lo * pw_hi) + a_lo * pw_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _float_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per value: N, the 17 significant digits of |v| as an integer, and
+    p = 16 - e for its decimal exponent e; and which values are in the fast
+    range 1e-4 <= |v| < 1e16 (N and p are meaningless elsewhere)."""
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16)
+    if not fast.all():
+        a[~fast] = 1.0
+    # floor(log10 a) = trunc(log10 a + 5) - 5 here; off by one near a power of
+    # ten, which shows as N outside [10**16, 10**17) and is redone
+    p = 21 - (np.log10(a) + 5).astype(np.int64)
+    digits = _scaled(a, p)
+    redo = np.flatnonzero((digits - 10**16).view(np.uint64) >= 9 * 10**16)
+    if len(redo):
+        p[redo] += np.where(digits[redo] < 10**16, 1, -1)
+        digits[redo] = _scaled(a[redo], p[redo])
+    return digits, p, fast
+
+
+def _digit_words(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) frame words with each value's 17 digits (leading zeros
+    included) at bytes 1..17, and the (n, 5) chunk-table rows they came from."""
+    chunks = np.empty((len(digits), 6), np.int64)  # table rows of bytes 0..3, 4..7, ...
+    q = digits // 100
+    np.add(digits - q * 100, _TAIL, out=chunks[:, 4])
+    chunks[:, 5] = 0  # bytes 20..23, outside every mask
+    lead = q // 10**12
+    np.add(lead, _LEAD, out=chunks[:, 0])
+    q -= lead * 10**12
+    np.floor_divide(q, 10**8, out=chunks[:, 1])
+    q -= chunks[:, 1] * 10**8
+    np.floor_divide(q, 10**4, out=chunks[:, 2])
+    np.subtract(q, chunks[:, 2] * 10**4, out=chunks[:, 3])
+    return _CHUNKS.take(chunks).view(np.uint64), chunks[:, :5]
+
+
+def _trailing_zeros(chunks: np.ndarray) -> np.ndarray:
+    """Per row of `_digit_words`' chunk-table rows, the trailing zeros of
+    its 17 digits: the last chunk's, then the next chunk's where that one is
+    all zeros, and so on."""
+    zeros = _CHUNK_ZEROS.take(chunks[:, 4])
+    more = np.flatnonzero(zeros == 2)
+    for col, width in ((3, 4), (2, 4), (1, 4), (0, 3)):
+        if not len(more):
+            break
+        z = _CHUNK_ZEROS.take(chunks[more, col])
+        zeros[more] += z
+        more = more[z == width]
+    return zeros
+
+
+def _csv_block(ints: list[np.ndarray], floats: np.ndarray) -> bytes:
+    """`csv_rows` for one block. Cells are rendered float cells first, then
+    integer cells, and framed in row order."""
+    rows, n_float = floats.shape
+    n_int = len(ints)
+    values = floats.reshape(-1)
+    integers = np.stack(ints, axis=1).reshape(-1) if n_int else np.empty(0, np.int64)
+    n = len(values)
+
+    float_digits, p, float_fast = _float_digits(values)
+    int_fast = (integers >= 0) & (integers < 10**17)
+    words, chunks = _digit_words(np.concatenate([float_digits, np.where(int_fast, integers, 0)]))
+    key = np.concatenate([((20 - p) * 2 + np.signbit(values)) * 17 + _trailing_zeros(chunks[:n]),
+                          _INT_KEY + 1 + np.searchsorted(_INT_POW10, integers, side="right")])
+    other = np.flatnonzero(~np.concatenate([float_fast, int_fast]))
+    key[other] = _OTHER_KEY
+
+    text = _FIXED.take(key, axis=0)  # every frame ends in "," (byte 23)
+    text |= words & _STILL.take(key, axis=0)
+    moved = words & _MOVED.take(key, axis=0)
+    shift = _SHIFT.take(key, axis=0)
+    carry = moved >> (np.uint64(64) - shift)
+    text |= moved << shift
+    text.reshape(-1)[1:] |= carry.reshape(-1)[:-1]  # word 2's carry is 0
+    last = text[n_float - 1:n:n_float] if n_float else text[n + n_int - 1::n_int]
+    last[:, 2] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
+
+    width = 3
+    if len(other):  # Python's text, then the separator
+        column = np.where(other < n, n_int + other % max(n_float, 1), (other - n) % max(n_int, 1))
+        texts = (["%.17g" % v for v in values[other[other < n]].tolist()]
+                 + ["%d" % v for v in integers[other[other >= n] - n].tolist()])
+        texts = [t + ("\n" if end else ",")
+                 for t, end in zip(texts, (column == n_int + n_float - 1).tolist())]
+        if any(len(t) > 24 for t in texts):  # negative, with a three-digit exponent
+            width = 4
+            text = np.pad(text, ((0, 0), (0, 1)))
+        text[other] = np.frombuffer(np.array(texts, f"S{8 * width}").tobytes(),
+                                    np.uint64).reshape(-1, width)
+    frames = np.empty((rows, n_int + n_float, width), np.uint64)
+    frames[:, n_int:] = text[:n].reshape(rows, n_float, width)
+    frames[:, :n_int] = text[n:].reshape(rows, n_int, width)
+    return frames.tobytes().translate(None, b"\0")
+
+
+def csv_rows(ints: list[np.ndarray], floats: np.ndarray) -> Iterator[bytes]:
+    """The CSV rows of the given columns as ASCII, in blocks: per row, the
+    `%d` text of each integer column, then the `%.17g` text of each column of
+    the 2-D `floats`, comma-separated, the row ended by "\\n". The text is
+    byte-identical to Python's `%` formatting of each value."""
+    ints = [np.asarray(col, dtype=np.int64) for col in ints]
+    floats = np.asarray(floats, dtype=np.float64)
+    step = max(1, _CELLS_PER_BLOCK // (len(ints) + floats.shape[1]))
+    for start in range(0, len(floats), step):
+        yield _csv_block([col[start:start + step] for col in ints], floats[start:start + step])
+
+
+# ---------------------------------------------------------------------------
 # CSV schema: header row with `label`, optional `attribute`, features f0..fk.
 
 def save_csv(data: Dataset, path) -> None:
@@ -263,15 +470,19 @@ def save_csv(data: Dataset, path) -> None:
     Path(path).write_text(dataset_csv_text(data), encoding="utf-8")
 
 
-def dataset_csv_text(data: Dataset) -> str:
-    header, columns = ["label"], [data.labels.tolist()]
+def dataset_csv_blocks(data: Dataset) -> Iterator[bytes]:
+    """The canonical CSV text as ASCII, header first, in blocks."""
+    header, columns = ["label"], [data.labels]
     if data.attributes is not None:
         header.append("attribute")
-        columns.append(data.attributes.tolist())
+        columns.append(data.attributes)
     header += [f"f{j}" for j in range(data.n_features)]
-    template = ",".join(["%d"] * len(columns) + ["%.17g"] * data.n_features)
-    rows = zip(*columns, *data.features.T.tolist())
-    return "\n".join([",".join(header)] + [template % row for row in rows]) + "\n"
+    yield (",".join(header) + "\n").encode("ascii")
+    yield from csv_rows(columns, data.features)
+
+
+def dataset_csv_text(data: Dataset) -> str:
+    return b"".join(dataset_csv_blocks(data)).decode("ascii")
 
 
 def load_csv(path, name: str | None = None) -> Dataset:

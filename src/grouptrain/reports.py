@@ -15,24 +15,25 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, ErrorSetStats, GroupMetrics
-from .data import Dataset, dataset_csv_text, read_plain_csv
+from .data import Dataset, csv_rows, dataset_csv_blocks, read_plain_csv
 from .errors import IngestionError
 from .models import Architecture, Model
 from .trainers import AVERAGE, WORST_GROUP, EpochMetrics, TrainConfig
 from .tuning import FractionResult, SweepResult
 
-_FMT = "%.17g"
-
 
 def _f(x: float) -> str:
-    return _FMT % float(x)
+    return "%.17g" % float(x)
 
 
 def fingerprint(data: Dataset) -> str:
     """Stable content hash over the canonical CSV serialization. Annotations
     are content: stripping them changes the hash. The dataset name does not
     participate."""
-    return "sha256:" + hashlib.sha256(dataset_csv_text(data).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    for block in dataset_csv_blocks(data):
+        digest.update(block)
+    return "sha256:" + digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +187,14 @@ def write_composition_csv(path, points: Sequence[CompositionPoint]) -> None:
 
 
 def write_loss_snapshots_csv(path, snapshots: np.ndarray) -> None:
-    """One row per epoch, one column per training example. Each row is one
-    format call, with csv.writer's line terminator; the cells need no quotes."""
+    """One row per epoch, one column per training example, with csv.writer's
+    line terminator; the cells need no quotes."""
     snapshots = np.asarray(snapshots, dtype=np.float64)
-    n = snapshots.shape[1]
-    row_format = "%d" + ("," + _FMT) * n + "\r\n"
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["epoch"] + [f"x{i}" for i in range(n)])
-        fh.writelines(row_format % (e, *row) for e, row in enumerate(snapshots.tolist()))
+    header = ",".join(["epoch"] + [f"x{i}" for i in range(snapshots.shape[1])])
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode("ascii") + b"\r\n")
+        fh.writelines(block.replace(b"\n", b"\r\n")
+                      for block in csv_rows([np.arange(len(snapshots))], snapshots))
 
 
 def read_loss_snapshots_csv(path) -> np.ndarray:

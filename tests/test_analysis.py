@@ -225,6 +225,14 @@ class TestCvarComposition:
             assert p.precision == pytest.approx(0.25)
             assert p.recall == 1.0
 
+    @pytest.mark.parametrize("width", [60, 150])
+    def test_snapshot_width_must_match_the_training_set(self, width):
+        data = grouped_dataset({GroupId(0, 0): 50, GroupId(1, 1): 50})
+        snapshots = [np.arange(100.0), np.arange(float(width))]
+        with pytest.raises(InputError, match=f"loss snapshot 1 has {width} losses; "
+                                             "the training set has 100 examples"):
+            track_cvar_composition(snapshots, 0.5, data, GroupId(1, 1))
+
     def test_top_loss_ties_break_by_index(self):
         idx = top_loss_indices(np.array([1.0, 3.0, 3.0, 0.0]), 0.5)
         assert np.array_equal(idx, [1, 2])

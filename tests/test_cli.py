@@ -197,6 +197,24 @@ class TestSweepAnalyzeAblateStudy:
         assert lines[0] == "epoch,set_size,precision,recall"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("extra", [-40, 50])
+    def test_analyze_rejects_snapshots_of_another_width(self, workspace, tmp_path, capsys, extra):
+        n_train = len(load_csv(workspace / "data" / "train.csv"))
+        width = n_train + extra
+        run_dir = tmp_path / "cvar"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(
+            json.dumps({"effective_config": {"train": {"algorithm": "cvar", "alpha": 0.25}}}))
+        write_loss_snapshots_csv(run_dir / "cvar_losses.csv", np.ones((2, width)))
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {run_dir}\nerm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "InputError"
+        assert err["message"] == (f"loss snapshot 0 has {width} losses; "
+                                  f"the training set has {n_train} examples")
+
     def test_ablate(self, workspace, tmp_path):
         (tmp_path / "ab.ini").write_text(
             f"[ablate]\nrun = {workspace / 'jtt'}\nmode = drop-y-neq-a\n")

@@ -12,6 +12,7 @@ from grouptrain.data import (
     Dataset,
     GroupId,
     SyntheticSpec,
+    csv_rows,
     dataset_csv_text,
     generate_synthetic,
     load_csv,
@@ -293,6 +294,60 @@ class TestCsvOnePass:
             again = load_csv(path, name=ds.name)
         assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
         assert again == ds
+
+
+def _percent_rows(ints, floats):
+    """Each row formatted by one `%` call, the old way."""
+    template = ",".join(["%d"] * len(ints) + ["%.17g"] * floats.shape[1]) + "\n"
+    return "".join(template % row for row in zip(*[c.tolist() for c in ints], *floats.T.tolist()))
+
+
+def _assert_rows_match(ints, floats):
+    got, want = b"".join(csv_rows(ints, floats)).decode(), _percent_rows(ints, floats)
+    if got != want:
+        line = next(i for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))) if g != w)
+        assert got.split("\n")[line] == want.split("\n")[line], f"row {line}"
+    assert got == want
+
+
+class TestCsvRows:
+    """csv_rows against Python's `%` formatting, value by value."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(14)
+        bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+        bits[:100_000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # subnormals
+        values = bits.view(np.float64)
+        values[100_000:100_006] = [0.0, -0.0, np.finfo(np.float64).max,
+                                   -np.finfo(np.float64).max, 5e-324, -5e-324]
+        rng.shuffle(values)
+        floats = values.reshape(-1, 8)
+        ints = [rng.integers(0, 2, len(floats)), rng.integers(-2**63, 2**63 - 1, len(floats))]
+        _assert_rows_match(ints, floats)
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-7, 19)])
+        ulps = np.arange(-40, 41)
+        values = (powers.view(np.int64)[:, None] + ulps).view(np.float64).ravel()
+        _assert_rows_match([], np.concatenate([values, -values])[:, None])
+
+    def test_ties_at_the_17th_digit_round_half_to_even(self):
+        rng = np.random.default_rng(17)
+        k16 = np.concatenate([[1e15, 1e16 - 1], rng.integers(10**15, 10**16, 200_000)]).astype(float)
+        k15 = np.concatenate([[1e14, 1e15 - 1], rng.integers(10**14, 10**15, 200_000)]).astype(float)
+        assert "%.17g" % (1e15 + 0.25) == "1000000000000000.2"
+        values = np.concatenate([k16 + 0.25, k16 + 0.75, k15 + 0.0625])
+        _assert_rows_match([], np.concatenate([values, -values]).reshape(-1, 2))
+
+    def test_int64_columns(self):
+        rng = np.random.default_rng(63)
+        edges = [0, 1, 9, 10, 99, 100, 10**16 - 1, 10**16, 10**17 - 1, 10**17,
+                 2**63 - 1, -1, -2**63]
+        powers = [10**k + d for k in range(19) for d in (-1, 0, 1)]
+        ints = np.concatenate([edges, powers, rng.integers(0, 2**63 - 1, 100_000, endpoint=True),
+                               2 ** rng.integers(0, 63, 10_000) - 1])
+        _assert_rows_match([ints, ints[::-1]], np.empty((len(ints), 0)))
+        _assert_rows_match([ints], rng.normal(size=(len(ints), 1)))
 
 
 class TestStrip:
