@@ -33,9 +33,6 @@ from .config import ParsedConfig, parse_config
 from .data import Dataset, GroupId, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, InputError
 from .reports import (
-    config_from_dict,
-    config_to_dict,
-    error_set_stats_to_dict,
     fingerprint,
     group_metrics_to_dict,
     read_error_set_csv,
@@ -88,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 class _OutputDir:
     """Stages all writes in a sibling directory and renames it into place on
-    success, so failed runs leave no partial outputs behind."""
+    success, so failed runs leave no partial outputs behind. It also keeps
+    what the report names: the config sections the command used, the splits
+    it loaded or made, and its outputs by key."""
 
     def __init__(self, out: str):
         self.final = Path(out)
@@ -98,6 +97,9 @@ class _OutputDir:
         if self.staging.exists():
             shutil.rmtree(self.staging)
         self.staging.mkdir(parents=True)
+        self.config: dict = {}
+        self.datasets: dict[str, Dataset] = {}
+        self.outputs: dict[str, str] = {}
 
     @staticmethod
     def staging_path(out: str) -> Path:
@@ -106,6 +108,11 @@ class _OutputDir:
 
     def path(self, name: str) -> Path:
         return self.staging / name
+
+    def output(self, key: str, name: str) -> Path:
+        """The staging path of output file `name`, listed in the report as `key`."""
+        self.outputs[key] = name
+        return self.path(name)
 
     def finalize(self):
         if self.final.exists():
@@ -116,30 +123,37 @@ class _OutputDir:
         shutil.rmtree(self.staging, ignore_errors=True)
 
 
-def _train_config(parsed: ParsedConfig, args) -> TrainConfig:
-    """The [train] section, with --seed applied."""
-    cfg = parsed.require("train")
-    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
+def _seeded(section, args):
+    """A parsed section with --seed applied."""
+    return section if args.seed is None else dataclasses.replace(section, seed=args.seed)
 
 
-def _grid(parsed: ParsedConfig, cfg: TrainConfig) -> Grid:
-    return Grid(cfg, parsed.grid.axes if parsed.grid is not None else {})
+def _train_config(parsed: ParsedConfig, args, out: _OutputDir) -> TrainConfig:
+    """The [train] section with --seed applied, recorded for the report."""
+    out.config["train"] = cfg = _seeded(parsed.require("train"), args)
+    return cfg
 
 
-def _load_datasets(args, splits: tuple[str, ...] = ("train", "val", "test")) -> dict[str, Dataset]:
+def _grid(parsed: ParsedConfig, cfg: TrainConfig, out: _OutputDir) -> Grid:
+    grid = Grid(cfg, parsed.grid.axes if parsed.grid is not None else {})
+    out.config["grid"] = grid.axes
+    return grid
+
+
+def _load_datasets(args, out: _OutputDir,
+                   splits: tuple[str, ...] = ("train", "val", "test")) -> dict[str, Dataset]:
     """The named splits of the --data directory, by split name."""
     if not args.data:
         raise InputError(f"--data is required for the {args.command} command")
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise InputError(f"data directory {args.data!r} does not exist")
-    datasets = {}
     for split in splits:
         path = data_dir / f"{split}.csv"
         if not path.exists():
             raise InputError(f"missing dataset file {path}")
-        datasets[split] = load_csv(path, name=f"{data_dir.name}/{split}")
-    return datasets
+        out.datasets[split] = load_csv(path, name=f"{data_dir.name}/{split}")
+    return out.datasets
 
 
 def _dataset_block(datasets: dict[str, Dataset]) -> dict:
@@ -172,24 +186,17 @@ def _metrics_block(result, val: Dataset, test: Dataset) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers. Each returns the report body (everything but the shared
-# artifact/command/warnings/timing keys).
+# Command handlers. Each returns its report's "results" block and records on
+# `out` the config sections it used, the splits it loaded or made and the
+# files it wrote; `main` builds the rest of the report from those records.
 
 def _cmd_generate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    gen = parsed.require("generate")
-    seed = args.seed if args.seed is not None else gen.seed
-    train_ds, val_ds, test_ds = generate_synthetic(gen.spec, seed)
-    datasets = {"train": train_ds, "val": val_ds, "test": test_ds}
-    for split, ds in datasets.items():
-        save_csv(ds, out.path(f"{split}.csv"))
-    spec_dict = {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in vars(gen.spec).items()}
-    return {
-        "effective_config": {"generate": {**spec_dict, "seed": seed}},
-        "datasets": _dataset_block(datasets),
-        "results": {"names": {split: ds.name for split, ds in datasets.items()}},
-        "outputs": {split: f"{split}.csv" for split in datasets},
-    }
+    gen = _seeded(parsed.require("generate"), args)
+    out.config["generate"] = {**dataclasses.asdict(gen.spec), "seed": gen.seed}
+    out.datasets.update(zip(("train", "val", "test"), generate_synthetic(gen.spec, gen.seed)))
+    for split, ds in out.datasets.items():
+        save_csv(ds, out.output(split, f"{split}.csv"))
+    return {"names": {split: ds.name for split, ds in out.datasets.items()}}
 
 
 def _train_diagnostics(result, train_ds: Dataset, out: _OutputDir) -> dict:
@@ -199,9 +206,7 @@ def _train_diagnostics(result, train_ds: Dataset, out: _OutputDir) -> dict:
     if error_set is None or not train_ds.has_group_annotations:
         return {}
     table = enrichment_table(error_set, train_ds)
-    write_enrichment_csv(out.path("enrichment.csv"), table)
-    per_group = [error_set_stats_to_dict(error_set_stats(error_set, train_ds, row.group))
-                 for row in table.rows]
+    write_enrichment_csv(out.output("enrichment", "enrichment.csv"), table)
     return {
         "error_set_size": len(error_set),
         "error_set_source_epoch": error_set.source_epoch,
@@ -211,37 +216,34 @@ def _train_diagnostics(result, train_ds: Dataset, out: _OutputDir) -> dict:
              "error_set_share": r.error_set_share, "enrichment": r.enrichment}
             for r in table.rows
         ],
-        "error_set_stats": per_group,
+        "error_set_stats": [dataclasses.asdict(error_set_stats(error_set, train_ds, r.group))
+                            for r in table.rows],
     }
 
 
 def _cmd_train(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    cfg = _train_config(parsed, args)
-    splits = _load_datasets(args)
+    cfg = _train_config(parsed, args, out)
+    splits = _load_datasets(args, out)
     train_ds, val_ds, test_ds = splits["train"], splits["val"], splits["test"]
     result = train(train_ds, val_ds, cfg)
 
-    outputs = {"history": "history.csv", "model_final": "model_final.txt",
-               "model_best_worst_group": "model_best_worst_group.txt",
-               "model_best_average": "model_best_average.txt"}
-    write_history_csv(out.path("history.csv"), result.history)
-    save_model(result.model, out.path("model_final.txt"))
-    save_model(result.checkpoints[WORST_GROUP].model, out.path("model_best_worst_group.txt"))
-    save_model(result.checkpoints[AVERAGE].model, out.path("model_best_average.txt"))
+    write_history_csv(out.output("history", "history.csv"), result.history)
+    save_model(result.model, out.output("model_final", "model_final.txt"))
+    for key, criterion in (("model_best_worst_group", WORST_GROUP),
+                           ("model_best_average", AVERAGE)):
+        save_model(result.checkpoints[criterion].model, out.output(key, f"{key}.txt"))
 
     results: dict = {"metrics": _metrics_block(result, val_ds, test_ds)}
     if "identification_model" in result.aux:
-        save_model(result.aux["identification_model"], out.path("model_identification.txt"))
-        outputs["model_identification"] = "model_identification.txt"
+        save_model(result.aux["identification_model"],
+                   out.output("model_identification", "model_identification.txt"))
     if "error_set" in result.aux:
-        write_error_set_csv(out.path("error_set.csv"), result.aux["error_set"])
-        outputs["error_set"] = "error_set.csv"
+        write_error_set_csv(out.output("error_set", "error_set.csv"), result.aux["error_set"])
         results["refresh_epochs"] = result.aux["refresh_epochs"]
         results["refresh_sizes"] = result.aux["refresh_sizes"]
     if cfg.algorithm == CVAR:
-        write_loss_snapshots_csv(out.path("cvar_losses.csv"),
+        write_loss_snapshots_csv(out.output("loss_snapshots", "cvar_losses.csv"),
                                  loss_snapshots(result.trajectory, train_ds))
-        outputs["loss_snapshots"] = "cvar_losses.csv"
     if "group_weights" in result.aux:
         results["group_weights"] = [
             {"attribute": g.attribute, "label": g.label, "weight": w}
@@ -252,37 +254,24 @@ def _cmd_train(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     diagnostics = _train_diagnostics(result, train_ds, out)
     if diagnostics:
         results["diagnostics"] = diagnostics
-        outputs["enrichment"] = "enrichment.csv"
-
-    return {
-        "effective_config": {"train": config_to_dict(cfg)},
-        "datasets": _dataset_block(splits),
-        "results": results,
-        "outputs": outputs,
-    }
+    return results
 
 
 def _cmd_sweep(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    cfg = _train_config(parsed, args)
-    grid = _grid(parsed, cfg)
+    cfg = _train_config(parsed, args, out)
+    grid = _grid(parsed, cfg, out)
+    out.config["sweep"] = parsed.sweep
     criterion = parsed.sweep.criterion
-    splits = _load_datasets(args)
+    splits = _load_datasets(args, out)
     sweep = grid_sweep(grid, splits["train"], splits["val"], splits["test"], criterion=criterion)
-    write_sweep_csv(out.path("sweep.csv"), sweep)
+    write_sweep_csv(out.output("sweep", "sweep.csv"), sweep)
     results = {"criterion": criterion, "n_configs": len(sweep.rows)}
     for key, by, index in (("best_by_worst_group", WORST_GROUP, sweep.best_by_worst_group),
                            ("best_by_average", AVERAGE, sweep.best_by_average)):
         row = sweep.rows[index]
-        results[key] = {"index": index, "config": config_to_dict(row.config),
+        results[key] = {"index": index, "config": dataclasses.asdict(row.config),
                         "metrics": dataclasses.asdict(row.by_criterion[by])}
-    return {
-        "effective_config": {"train": config_to_dict(cfg),
-                             "grid": {k: list(v) for k, v in grid.axes.items()},
-                             "sweep": {"criterion": criterion}},
-        "datasets": _dataset_block(splits),
-        "results": results,
-        "outputs": {"sweep": "sweep.csv"},
-    }
+    return results
 
 
 def _worst_test_group_from_report(report: dict) -> GroupId:
@@ -294,27 +283,25 @@ def _worst_test_group_from_report(report: dict) -> GroupId:
 
 
 def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    spec = parsed.require("analyze")
+    out.config["analyze"] = spec = parsed.require("analyze")
     run_dir = Path(spec.run)
     run_report = read_report(run_dir / "report.json")
     reference = read_report(spec.erm_report)
     worst = _worst_test_group_from_report(reference)
-    train_ds = _load_datasets(args, ("train",))["train"]
+    train_ds = _load_datasets(args, out, ("train",))["train"]
     if not train_ds.has_group_annotations:
         raise InputError("analyze needs a group-annotated stored training set")
 
     results: dict = {"worst_group": list(worst),
                      "analyzed_run": str(run_dir),
                      "analyzed_algorithm": run_report["effective_config"]["train"]["algorithm"]}
-    outputs: dict = {}
     error_set_file = run_dir / "error_set.csv"
     if error_set_file.exists():
         error_set = read_error_set_csv(error_set_file)
         table = enrichment_table(error_set, train_ds)
-        write_enrichment_csv(out.path("enrichment.csv"), table)
-        outputs["enrichment"] = "enrichment.csv"
-        results["error_set_stats"] = error_set_stats_to_dict(
-            error_set_stats(error_set, train_ds, worst))
+        write_enrichment_csv(out.output("enrichment", "enrichment.csv"), table)
+        stats = error_set_stats(error_set, train_ds, worst)
+        results["error_set_stats"] = dataclasses.asdict(stats)
         results["enrichment"] = [
             {"attribute": r.group.attribute, "label": r.group.label,
              "enrichment": r.enrichment, "error_set_share": r.error_set_share}
@@ -325,8 +312,7 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         snapshots = read_loss_snapshots_csv(snapshots_file)
         alpha = run_report["effective_config"]["train"]["alpha"]
         points = track_cvar_composition(snapshots, alpha, train_ds, worst)
-        write_composition_csv(out.path("composition.csv"), points)
-        outputs["composition"] = "composition.csv"
+        write_composition_csv(out.output("composition", "composition.csv"), points)
         results["composition"] = {
             "alpha": alpha,
             "epochs": len(points),
@@ -335,44 +321,39 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
             "recall_min": min(p.recall for p in points),
             "recall_max": max(p.recall for p in points),
         }
-    if not outputs:
+    if not out.outputs:
         raise InputError(f"run {run_dir} has neither an error set nor loss snapshots")
-    return {
-        "effective_config": {"analyze": {"run": spec.run, "erm_report": spec.erm_report}},
-        "datasets": _dataset_block({"train": train_ds}),
-        "results": results,
-        "outputs": outputs,
-    }
+    return results
 
 
 def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    spec = parsed.require("ablate")
-    seed = args.seed if args.seed is not None else spec.seed
+    out.config["ablate"] = spec = _seeded(parsed.require("ablate"), args)
     run_dir = Path(spec.run)
     run_report = read_report(run_dir / "report.json")
-    cfg = config_from_dict(run_report["effective_config"]["train"])
+    out.config["train"] = cfg = TrainConfig(**run_report["effective_config"]["train"])
     if cfg.algorithm not in (JTT, JTT_DYNAMIC):
         raise InputError("ablate needs a run of the two-stage trainer")
     error_set_file = run_dir / "error_set.csv"
     if not error_set_file.exists():
         raise InputError(f"run {run_dir} has no error_set.csv")
     original_set = read_error_set_csv(error_set_file)
-    splits = _load_datasets(args)
+    splits = _load_datasets(args, out)
     train_ds, val_ds, test_ds = splits["train"], splits["val"], splits["test"]
     modified_set = replace_error_set(original_set, train_ds, spec.mode,
-                                     group=spec.group, seed=seed)
+                                     group=spec.group, seed=spec.seed)
     result = train_upweighted(train_ds, val_ds, cfg, modified_set)
-    write_error_set_csv(out.path("error_set_modified.csv"), modified_set)
-    write_history_csv(out.path("history.csv"), result.history)
-    save_model(result.checkpoints[WORST_GROUP].model, out.path("model_best_worst_group.txt"))
+    write_error_set_csv(out.output("error_set_modified", "error_set_modified.csv"), modified_set)
+    write_history_csv(out.output("history", "history.csv"), result.history)
+    save_model(result.checkpoints[WORST_GROUP].model,
+               out.output("model_best_worst_group", "model_best_worst_group.txt"))
 
     original_wg = run_report["results"]["metrics"][WORST_GROUP]["test"]["worst_group_accuracy"]
     modified = _metrics_block(result, val_ds, test_ds)
     modified_wg = modified[WORST_GROUP]["test"]["worst_group_accuracy"]
-    results = {
+    return {
         "mode": spec.mode,
-        "group": list(spec.group) if spec.group is not None else None,
-        "seed": seed,
+        "group": spec.group,
+        "seed": spec.seed,
         "original_error_set_size": len(original_set),
         "modified_error_set_size": len(modified_set),
         "original_test_worst_group_accuracy": original_wg,
@@ -380,41 +361,22 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         "delta": modified_wg - original_wg,
         "modified_metrics": modified,
     }
-    return {
-        "effective_config": {"ablate": {"run": spec.run, "mode": spec.mode,
-                                        "group": list(spec.group) if spec.group else None,
-                                        "seed": seed},
-                             "train": config_to_dict(cfg)},
-        "datasets": _dataset_block(splits),
-        "results": results,
-        "outputs": {"error_set_modified": "error_set_modified.csv",
-                    "history": "history.csv",
-                    "model_best_worst_group": "model_best_worst_group.txt"},
-    }
 
 
 def _cmd_val_study(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
-    cfg = _train_config(parsed, args)
-    study = parsed.require("study")
-    grid = _grid(parsed, cfg)
-    splits = _load_datasets(args)
+    cfg = _train_config(parsed, args, out)
+    out.config["study"] = study = parsed.require("study")
+    grid = _grid(parsed, cfg, out)
+    splits = _load_datasets(args, out)
     results = validation_size_study(study.fractions, grid, splits["train"], splits["val"],
                                     splits["test"], study.seeds)
-    write_study_csv(out.path("study.csv"), results)
-    return {
-        "effective_config": {"train": config_to_dict(cfg),
-                             "grid": {k: list(v) for k, v in grid.axes.items()},
-                             "study": {"fractions": list(study.fractions),
-                                       "seeds": list(study.seeds)}},
-        "datasets": _dataset_block(splits),
-        "results": {"rows": [
-            {"fraction": r.fraction,
-             "median_test_worst_group": r.median_test_worst_group,
-             "per_seed": list(r.per_seed_test_worst_group)}
-            for r in results
-        ]},
-        "outputs": {"study": "study.csv"},
-    }
+    write_study_csv(out.output("study", "study.csv"), results)
+    return {"rows": [
+        {"fraction": r.fraction,
+         "median_test_worst_group": r.median_test_worst_group,
+         "per_seed": list(r.per_seed_test_worst_group)}
+        for r in results
+    ]}
 
 
 _HANDLERS = {
@@ -462,7 +424,11 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = _HANDLERS[args.command](parsed, args, out)
+            results = _HANDLERS[args.command](parsed, args, out)
+            config = {name: dataclasses.asdict(section) if dataclasses.is_dataclass(section)
+                      else section for name, section in out.config.items()}
+            report = {"effective_config": config, "datasets": _dataset_block(out.datasets),
+                      "results": results, "outputs": out.outputs}
         report["warnings"] = [str(w.message) for w in caught]
         report["artifact"] = {"name": "grouptrain", "version": __version__}
         report["command"] = args.command

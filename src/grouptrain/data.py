@@ -9,10 +9,10 @@ CSV ingestion reads a plain file in one NumPy pass. Files with quoted
 cells, text columns, blank lines or lone carriage returns take the per-row
 reader instead; values and error messages are the same either way.
 
-CSV output (`csv_rows`, and through it `dataset_csv_text`, `save_csv` and
-the fingerprints) is Python's `%d` / `%.17g` text of every cell, made in
-NumPy blocks: fixed-notation floats (1e-4 <= |v| < 1e16) and integers
-0 <= v < 10**17 exactly by table, every other cell by `%` itself.
+CSV output (`csv_rows`, and through it `save_csv` and the fingerprints) is
+Python's `%d` / `%.17g` text of every cell, made in NumPy blocks:
+fixed-notation floats (1e-4 <= |v| < 1e16) and integers 0 <= v < 10**17
+exactly by table, every other cell by `%` itself.
 """
 
 from __future__ import annotations
@@ -467,7 +467,8 @@ def csv_rows(ints: list[np.ndarray], floats: np.ndarray) -> Iterator[bytes]:
 
 def save_csv(data: Dataset, path) -> None:
     """Write the canonical CSV form (floats at 17 significant digits)."""
-    Path(path).write_text(dataset_csv_text(data), encoding="utf-8")
+    with Path(path).open("wb") as fh:
+        fh.writelines(dataset_csv_blocks(data))
 
 
 def dataset_csv_blocks(data: Dataset) -> Iterator[bytes]:
@@ -479,10 +480,6 @@ def dataset_csv_blocks(data: Dataset) -> Iterator[bytes]:
     header += [f"f{j}" for j in range(data.n_features)]
     yield (",".join(header) + "\n").encode("ascii")
     yield from csv_rows(columns, data.features)
-
-
-def dataset_csv_text(data: Dataset) -> str:
-    return b"".join(dataset_csv_blocks(data)).decode("ascii")
 
 
 def load_csv(path, name: str | None = None) -> Dataset:

@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, ErrorSetStats, GroupMetrics
+from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, GroupMetrics
 from .data import Dataset, csv_rows, dataset_csv_blocks, read_plain_csv
 from .errors import IngestionError
 from .models import Architecture, Model
-from .trainers import AVERAGE, WORST_GROUP, EpochMetrics, TrainConfig
+from .trainers import AVERAGE, WORST_GROUP, EpochMetrics
 from .tuning import FractionResult, SweepResult
 
 
@@ -89,18 +89,6 @@ def load_model(path) -> Model:
 # ---------------------------------------------------------------------------
 # Dict views for the JSON report
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["hidden"] = list(cfg.hidden)
-    return d
-
-
-def config_from_dict(d: dict) -> TrainConfig:
-    kwargs = dict(d)
-    kwargs["hidden"] = tuple(kwargs.get("hidden") or ())
-    return TrainConfig(**kwargs)
-
-
 def group_metrics_to_dict(gm: GroupMetrics) -> dict:
     return {
         "average_accuracy": gm.average_accuracy,
@@ -112,12 +100,6 @@ def group_metrics_to_dict(gm: GroupMetrics) -> dict:
             for g, acc in sorted(gm.per_group.items())
         ],
     }
-
-
-def error_set_stats_to_dict(stats: ErrorSetStats) -> dict:
-    d = dataclasses.asdict(stats)
-    d["target_group"] = list(stats.target_group)
-    return d
 
 
 def write_report(path, report: dict) -> None:
@@ -246,7 +228,7 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
               + [f"avg_{c}" for c in _SWEEP_METRIC_COLS])
     rows = []
     for i, row in enumerate(sweep.rows):
-        d = config_to_dict(row.config)
+        d = dataclasses.asdict(row.config)
         cells = [i]
         for col in _SWEEP_CONFIG_COLS:
             v = d[col]

@@ -287,7 +287,7 @@ def _step(arch: Architecture, state: dict[str, np.ndarray], xb: np.ndarray, yb: 
     forward = models._forward_cached(model, xb)
     p_label = models._label_probs(forward[0], yb)
     losses = models._losses(p_label, _CROSS_ENTROPY)
-    w = rule(state, losses, ridx, xb, yb, forward[0], p_label)
+    w = rule(state, losses, ridx, xb, yb, p_label)
     _descend(state, "", model, forward, yb, models._grad_scale(p_label, w, _CROSS_ENTROPY))
     return (w[:, None, :] @ losses[:, :, None])[:, 0, 0]
 
@@ -306,12 +306,12 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     changes; per segment the lanes whose batches have one length stack
     their `state` once, step together, one matmul per layer for all of
     them, and take their rows of the stacked state back. The weights are
-    ``rule(state, losses, base rows, features, labels, probabilities, label
-    probabilities)``, all pre-step with a leading lane axis; the rule may
-    replace its entries of `state`. A lane's train loss per epoch is the
-    mean over its batches of the weighted batch objective. A non-finite
-    objective or parameters fail the lane: it records a FloatingPointError
-    naming where and leaves, and the other lanes run on.
+    ``rule(state, losses, base rows, features, labels, label probabilities)``,
+    all pre-step with a leading lane axis; the rule may replace its entries
+    of `state`. A lane's train loss per epoch is the mean over its batches of
+    the weighted batch objective. A non-finite objective or parameters fail
+    the lane: it records a FloatingPointError naming where and leaves, and
+    the other lanes run on.
     """
     arch = lanes[0].trajectory[0].arch
     models._check_labels(base.labels, arch.n_classes)
@@ -528,7 +528,7 @@ def lff_weight(p_bias, p_main):
 
 
 def _lff_rule(arch: Architecture, state: dict[str, np.ndarray], _losses, _ridx,
-              xb: np.ndarray, yb: np.ndarray, _probs, p_main: np.ndarray) -> np.ndarray:
+              xb: np.ndarray, yb: np.ndarray, p_main: np.ndarray) -> np.ndarray:
     """Steps each lane's bias model on the mean GCE at the lane's gce_q and
     returns the main model's normalized LfF weights."""
     bias = models._adopt(Model, arch=arch, params=state["bias_params"])

@@ -12,6 +12,7 @@ import pytest
 
 from grouptrain import cli
 from grouptrain.cli import main
+from grouptrain.config import parse_config
 from grouptrain.data import load_csv, save_csv, strip_group_annotations
 from grouptrain.errors import IngestionError
 from grouptrain.models import Architecture, init_model
@@ -26,7 +27,7 @@ from grouptrain.reports import (
     write_error_set_csv,
     write_loss_snapshots_csv,
 )
-from grouptrain.trainers import ErrorSet
+from grouptrain.trainers import ErrorSet, train
 
 GENERATE = """
 [generate]
@@ -53,6 +54,8 @@ seed = 0
 ERM = "[train]\nalgorithm = erm\n" + TRAIN_COMMON
 JTT = "[train]\nalgorithm = jtt\n" + TRAIN_COMMON + "id_epochs = 1\nupweight_factor = 6\n"
 CVAR = "[train]\nalgorithm = cvar\n" + TRAIN_COMMON + "alpha = 0.25\n"
+GROUP_DRO = "[train]\nalgorithm = group-dro\n" + TRAIN_COMMON
+UPSAMPLE = "[train]\nalgorithm = upsample-minority\n" + TRAIN_COMMON + "upweight_factor = 6\n"
 
 
 def run(args):
@@ -251,6 +254,96 @@ class TestSweepAnalyzeAblateStudy:
         assert len(lines) == 3
 
 
+def _train_config(**changes):
+    cfg = {"algorithm": "erm", "epochs": 6, "batch_size": 32, "learning_rate": 0.02,
+           "momentum": 0.9, "l2": 0.001, "seed": 0, "hidden": [], "id_epochs": None,
+           "upweight_factor": None, "refresh_every": None, "alpha": None, "gce_q": None,
+           "group_step_size": 0.01}
+    return {**cfg, **changes}
+
+
+@pytest.fixture(scope="module")
+def commands(workspace):
+    """A finished run of every command beyond the workspace's own, by name."""
+    root = workspace
+    data = ["--data", root / "data"]
+    configs = {
+        "sweep": (JTT + "\n[grid]\nupweight_factor = 1, 6\n\n[sweep]\ncriterion = average\n",
+                  ["--seed", "3"] + data),
+        "val-study": (ERM + "\n[study]\nfractions = 1, 0.5\nseeds = 0, 1\n", data),
+        "analyze": (f"[analyze]\nrun = {root / 'jtt'}\n"
+                    f"erm_report = {root / 'erm' / 'report.json'}\n", data),
+        "ablate": (f"[ablate]\nrun = {root / 'jtt'}\nmode = drop-group\ngroup = 1, 0\n"
+                   "seed = 4\n", ["--seed", "7"] + data),
+        "generate": (GENERATE, ["--seed", "99"]),
+        "cvar": (CVAR, data),
+        "group-dro": (GROUP_DRO, data),
+        "upsample-minority": (UPSAMPLE, data),
+    }
+    runs = {}
+    for name, (text, extra) in configs.items():
+        (root / f"cmd-{name}.ini").write_text(text)
+        command = name if name in cli._HANDLERS else "train"
+        runs[name] = root / f"cmd-{name}"
+        assert run([command, "--config", root / f"cmd-{name}.ini", "--out", runs[name]]
+                   + extra) == 0
+    runs["analyze-cvar"] = root / "cmd-analyze-cvar"
+    (root / "cmd-analyze-cvar.ini").write_text(
+        f"[analyze]\nrun = {runs['cvar']}\nerm_report = {root / 'erm' / 'report.json'}\n")
+    assert run(["analyze", "--config", root / "cmd-analyze-cvar.ini",
+                "--out", runs["analyze-cvar"]] + data) == 0
+    return runs
+
+
+class TestReportAssembly:
+    @pytest.mark.parametrize("name", [
+        "data", "erm", "jtt", "cmd-sweep", "cmd-val-study", "cmd-analyze", "cmd-ablate",
+        "cmd-generate", "cmd-cvar", "cmd-group-dro", "cmd-upsample-minority",
+        "cmd-analyze-cvar"])
+    def test_outputs_name_every_file_but_the_report(self, workspace, commands, name):
+        out = workspace / name
+        files = sorted(p.name for p in out.iterdir() if p.name != "report.json")
+        assert sorted(read_report(out / "report.json")["outputs"].values()) == files
+
+    def test_group_weights_and_minority_set_size_match_the_runs_aux(self, workspace, commands):
+        train_ds = load_csv(workspace / "data" / "train.csv")
+        val_ds = load_csv(workspace / "data" / "val.csv")
+
+        def aux(name):
+            return train(train_ds, val_ds, parse_config(workspace / f"cmd-{name}.ini").train).aux
+
+        weights = aux("group-dro")["group_weights"]
+        reported = read_report(commands["group-dro"] / "report.json")["results"]["group_weights"]
+        assert [(r["attribute"], r["label"]) for r in reported] == sorted(weights)
+        assert [r["weight"] for r in reported] == [weights[g] for g in sorted(weights)]
+        minority = aux("upsample-minority")["minority_set"]
+        report = read_report(commands["upsample-minority"] / "report.json")
+        assert report["results"]["minority_set_size"] == len(minority)
+        assert len(minority) == int((train_ds.attributes != train_ds.labels).sum())
+
+    def test_effective_config_of_every_other_command(self, workspace, commands):
+        jtt = _train_config(algorithm="jtt", id_epochs=1, upweight_factor=6)
+        expected = {
+            "cmd-sweep": {"train": {**jtt, "seed": 3}, "grid": {"upweight_factor": [1, 6]},
+                          "sweep": {"criterion": "average"}},
+            "cmd-val-study": {"train": _train_config(), "grid": {},
+                              "study": {"fractions": [1.0, 0.5], "seeds": [0, 1]}},
+            "cmd-analyze": {"analyze": {"run": str(workspace / "jtt"),
+                                        "erm_report": str(workspace / "erm" / "report.json")}},
+            "cmd-ablate": {"ablate": {"run": str(workspace / "jtt"), "mode": "drop-group",
+                                      "group": [1, 0], "seed": 7},
+                           "train": jtt},
+            "cmd-generate": {"generate": {
+                "n_train": 400, "n_val": 160, "n_test": 240, "majority_fraction": 0.95,
+                "label_balance": [0.75, 0.25], "core_separation": 2.0,
+                "spurious_separation": 4.0, "noise_dims": 2, "noise_sigma": 1.0, "seed": 99}},
+        }
+        for name, config in expected.items():
+            assert read_report(workspace / name / "report.json")["effective_config"] == config
+        ablate = read_report(commands["ablate"] / "report.json")["results"]
+        assert (ablate["group"], ablate["seed"]) == ([1, 0], 7)
+
+
 class TestFailureModes:
     def test_config_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -316,6 +409,24 @@ class TestFailureModes:
         assert run(["train", "--config", workspace / "erm.ini", "--out", out,
                     "--data", workspace / "data"]) == 2
         capsys.readouterr()
+
+    def test_stale_partial_is_replaced(self, workspace, tmp_path):
+        stale = tmp_path / "data.partial"
+        stale.mkdir()
+        (stale / "leftover.csv").write_text("x")
+        out = tmp_path / "data"
+        assert run(["generate", "--config", workspace / "gen.ini", "--out", out]) == 0
+        assert not stale.exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report.json", "test.csv", "train.csv", "val.csv"]
+
+    def test_empty_output_directory_is_filled(self, workspace, tmp_path):
+        out = tmp_path / "data"
+        out.mkdir()
+        assert run(["generate", "--config", workspace / "gen.ini", "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report.json", "test.csv", "train.csv", "val.csv"]
+        assert not (tmp_path / "data.partial").exists()
 
     def test_interrupt_propagates_and_cleans_partial(self, workspace, tmp_path, monkeypatch):
         def interrupted(parsed, args, out):

@@ -116,6 +116,29 @@ epochs = 2, 4
         assert grid.axes == {"learning_rate": (0.01, 0.05), "epochs": (2, 4)}
         assert len(grid.configs()) == 4
 
+    def test_grid_axes_over_algorithm_and_refresh_every(self, tmp_path):
+        path = write(tmp_path, MINIMAL_ERM + """id_epochs = 1
+upweight_factor = 3
+
+[grid]
+algorithm = jtt, jtt-dynamic
+refresh_every = inf, 2
+""")
+        grid = parse_config(path).grid
+        assert grid.axes == {"algorithm": ("jtt", "jtt-dynamic"), "refresh_every": (None, 2)}
+        assert [(c.algorithm, c.refresh_every) for c in grid.configs()] == [
+            ("jtt", None), ("jtt", 2), ("jtt-dynamic", None), ("jtt-dynamic", 2)]
+
+    @pytest.mark.parametrize("key, message", [
+        ("hidden", "'hidden' cannot be swept"),
+        ("optimizer", "unknown grid axis 'optimizer'"),
+    ])
+    def test_axis_that_cannot_be_swept_names_its_line(self, tmp_path, key, message):
+        path = write(tmp_path, MINIMAL_ERM + f"[grid]\nepochs = 2, 4\n{key} = 4, 8\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: line 10: {message}"
+
     def test_sweep_criterion(self, tmp_path):
         path = write(tmp_path, MINIMAL_ERM + "[sweep]\ncriterion = worst-group\n")
         assert parse_config(path).sweep.criterion == WORST_GROUP

@@ -13,7 +13,7 @@ from grouptrain.data import (
     GroupId,
     SyntheticSpec,
     csv_rows,
-    dataset_csv_text,
+    dataset_csv_blocks,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -124,7 +124,7 @@ class TestCsv:
                                    -2.2250738585072014e-308]]), [2**63 - 1], [0], "extreme"))
     @settings(max_examples=100, deadline=None)
     def test_extreme_floats_round_trip_bit_for_bit(self, tmp_path_factory, ds):
-        assert dataset_csv_text(ds) == reference_csv_text(ds)
+        assert b"".join(dataset_csv_blocks(ds)).decode() == reference_csv_text(ds)
         path = tmp_path_factory.getbasetemp() / "extreme.csv"
         save_csv(ds, path)
         again = load_csv(path, name=ds.name)
@@ -280,7 +280,7 @@ class TestCsvOnePass:
     def test_line_ends_take_the_one_pass(self, tmp_path, small_bench, monkeypatch, end, final):
         monkeypatch.setattr(data_module, "_read_rows", _no_fallback)
         _, val, _ = small_bench
-        text = dataset_csv_text(val).replace("\n", end)
+        text = b"".join(dataset_csv_blocks(val)).decode().replace("\n", end)
         (tmp_path / "val.csv").write_bytes((text if final else text[:-len(end)]).encode())
         assert load_csv(tmp_path / "val.csv", name=val.name) == val
 
