@@ -76,10 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, help="path to the config file")
         sp.add_argument("--out", required=True, help="output directory (created fresh)")
-        sp.add_argument("--seed", type=_seed, default=None,
-                        help="override the config's seed")
-        sp.add_argument("--data", default=None,
-                        help="directory holding train.csv/val.csv/test.csv")
+        if name != "analyze":  # the only command without a seed to override
+            sp.add_argument("--seed", type=_seed, default=None,
+                            help="override the config's seed")
+        if name != "generate":
+            sp.add_argument("--data", required=True,
+                            help="directory holding train.csv/val.csv/test.csv")
     return parser
 
 
@@ -143,8 +145,6 @@ def _grid(parsed: ParsedConfig, cfg: TrainConfig, out: _OutputDir) -> Grid:
 def _load_datasets(args, out: _OutputDir,
                    splits: tuple[str, ...] = ("train", "val", "test")) -> dict[str, Dataset]:
     """The named splits of the --data directory, by split name."""
-    if not args.data:
-        raise InputError(f"--data is required for the {args.command} command")
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise InputError(f"data directory {args.data!r} does not exist")
@@ -274,27 +274,41 @@ def _cmd_sweep(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     return results
 
 
-def _worst_test_group_from_report(report: dict) -> GroupId:
-    try:
-        pair = report["results"]["metrics"][WORST_GROUP]["test"]["worst_group"]
-        return GroupId(int(pair[0]), int(pair[1]))
-    except (KeyError, IndexError, TypeError):
-        raise InputError("reference report lacks worst-group test metrics") from None
+class _Report:
+    """A report.json read back, for the commands that read finished runs."""
+
+    def __init__(self, path):
+        self.path = path
+        self.data = read_report(path)
+
+    def get(self, keys: str):
+        """The value at dotted key path `keys`; a missing key raises an
+        InputError naming the file and the key path."""
+        value = self.data
+        for key in keys.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise InputError(f"{self.path}: report has no key {keys!r}")
+            value = value[key]
+        return value
 
 
 def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     out.config["analyze"] = spec = parsed.require("analyze")
     run_dir = Path(spec.run)
-    run_report = read_report(run_dir / "report.json")
-    reference = read_report(spec.erm_report)
-    worst = _worst_test_group_from_report(reference)
+    run_report = _Report(run_dir / "report.json")
+    reference = _Report(spec.erm_report)
+    worst_key = f"results.metrics.{WORST_GROUP}.test.worst_group"
+    pair = reference.get(worst_key)
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)):
+        raise InputError(f"{reference.path}: {worst_key!r} is not an [attribute, label] pair")
+    worst = GroupId(*pair)
     train_ds = _load_datasets(args, out, ("train",))["train"]
     if not train_ds.has_group_annotations:
         raise InputError("analyze needs a group-annotated stored training set")
 
     results: dict = {"worst_group": list(worst),
                      "analyzed_run": str(run_dir),
-                     "analyzed_algorithm": run_report["effective_config"]["train"]["algorithm"]}
+                     "analyzed_algorithm": run_report.get("effective_config.train.algorithm")}
     error_set_file = run_dir / "error_set.csv"
     if error_set_file.exists():
         error_set = read_error_set_csv(error_set_file)
@@ -310,7 +324,7 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     snapshots_file = run_dir / "cvar_losses.csv"
     if snapshots_file.exists():
         snapshots = read_loss_snapshots_csv(snapshots_file)
-        alpha = run_report["effective_config"]["train"]["alpha"]
+        alpha = run_report.get("effective_config.train.alpha")
         points = track_cvar_composition(snapshots, alpha, train_ds, worst)
         write_composition_csv(out.output("composition", "composition.csv"), points)
         results["composition"] = {
@@ -329,8 +343,8 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
 def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     out.config["ablate"] = spec = _seeded(parsed.require("ablate"), args)
     run_dir = Path(spec.run)
-    run_report = read_report(run_dir / "report.json")
-    out.config["train"] = cfg = TrainConfig(**run_report["effective_config"]["train"])
+    run_report = _Report(run_dir / "report.json")
+    out.config["train"] = cfg = TrainConfig(**run_report.get("effective_config.train"))
     if cfg.algorithm not in (JTT, JTT_DYNAMIC):
         raise InputError("ablate needs a run of the two-stage trainer")
     error_set_file = run_dir / "error_set.csv"
@@ -347,7 +361,7 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     save_model(result.checkpoints[WORST_GROUP].model,
                out.output("model_best_worst_group", "model_best_worst_group.txt"))
 
-    original_wg = run_report["results"]["metrics"][WORST_GROUP]["test"]["worst_group_accuracy"]
+    original_wg = run_report.get(f"results.metrics.{WORST_GROUP}.test.worst_group_accuracy")
     modified = _metrics_block(result, val_ds, test_ds)
     modified_wg = modified[WORST_GROUP]["test"]["worst_group_accuracy"]
     return {

@@ -2,7 +2,7 @@
 
 The format is a flat key = value text file with one section per pipeline
 stage, comments starting with '#', and values that are numbers, words, or
-comma-separated lists::
+comma-separated lists (empty list parts are skipped)::
 
     [train]
     algorithm = jtt
@@ -12,6 +12,9 @@ comma-separated lists::
     [grid]
     upweight_factor = 5, 10, 20
 
+Every section but [grid] is read through one table (`_SECTIONS`) that gives
+its keys in reading order, each key's converter and default, and the object
+the section builds. Each [grid] axis is a list of its [train] key's values.
 Unknown sections or keys are rejected, missing required keys are reported
 with the section name, and every error names the offending key and line.
 Defaults (momentum 0.9, group_step_size 0.01, ...) are applied here and
@@ -21,7 +24,7 @@ echoed into run reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .analysis import REPLACE_MODES
@@ -149,23 +152,21 @@ def _int_or_inf(v: str):
     return _int(v)
 
 
-def _float_list(v: str) -> tuple[float, ...]:
-    return tuple(_float(p.strip()) for p in v.split(",") if p.strip())
-
-
-def _int_list(v: str, convert=_int) -> tuple[int, ...]:
-    return tuple(convert(p.strip()) for p in v.split(",") if p.strip())
+def _list(convert):
+    """The converter of a comma-separated list of `convert`'s values; empty
+    parts are skipped."""
+    return lambda v: tuple(convert(p.strip()) for p in v.split(",") if p.strip())
 
 
 def _fractions(v: str) -> tuple[float, ...]:
-    fractions = _float_list(v)
+    fractions = _list(_float)(v)
     if not fractions or any(not (0.0 < f <= 1.0) for f in fractions):
         raise ValueError("expected at least one fraction, each in (0, 1]")
     return fractions
 
 
 def _seeds(v: str) -> tuple[int, ...]:
-    seeds = _int_list(v, _seed)
+    seeds = _list(_seed)(v)
     if not seeds:
         raise ValueError("expected at least one seed")
     return seeds
@@ -184,24 +185,25 @@ def _mode(v: str) -> str:
 
 
 def _group(v: str) -> GroupId:
-    parts = _int_list(v)
+    parts = _list(_int)(v)
     if len(parts) != 2:
         raise ValueError(f"expected 'attribute, label', got {v!r}")
     return GroupId(*parts)
 
 
+_REQUIRED = MISSING  # the default of a key that has none
+
+
 class _Section:
     def __init__(self, path: Path, name: str, raw: dict[str, tuple[str, int]]):
         self.path, self.name, self.raw = path, name, raw
-        self.used: set[str] = set()
 
-    def get(self, key: str, convert, default=..., required=False):
+    def get(self, key: str, convert, default=_REQUIRED):
         if key not in self.raw:
-            if required:
+            if default is _REQUIRED:
                 raise ConfigError(
                     f"{self.path}: [{self.name}] missing required key {key!r}")
-            return None if default is ... else default
-        self.used.add(key)
+            return default
         value, lineno = self.raw[key]
         try:
             return convert(value)
@@ -218,14 +220,6 @@ class _Section:
         suffix = f" (line {where})" if where else ""
         return ConfigError(f"{self.path}: [{self.name}] {e}{suffix}")
 
-    def reject_unknown(self):
-        unknown = set(self.raw) - self.used
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(
-                f"{self.path}: line {self.raw[key][1]}: unknown key {key!r} "
-                f"in [{self.name}]")
-
 
 # Per-key converters shared by [train] and [grid].
 _TRAIN_KEYS = {
@@ -236,7 +230,7 @@ _TRAIN_KEYS = {
     "seed": _int,
     "momentum": _float,
     "l2": _float,
-    "hidden": _int_list,
+    "hidden": _list(_int),
     "id_epochs": _int,
     "upweight_factor": _int,
     "refresh_every": _int_or_inf,
@@ -244,24 +238,49 @@ _TRAIN_KEYS = {
     "gce_q": _float,
     "group_step_size": _float,
 }
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
-_TRAIN_REQUIRED = ("algorithm", "epochs", "batch_size", "learning_rate", "seed")
+# Every section but [grid]: the object it builds, and its keys in reading
+# order with each key's converter and default.
+_SECTIONS = {
+    "generate": (lambda seed, **spec: GenerateSpec(SyntheticSpec(**spec), seed), {
+        "n_train": (_int, _REQUIRED),
+        "n_val": (_int, _REQUIRED),
+        "n_test": (_int, _REQUIRED),
+        "majority_fraction": (_float, _REQUIRED),
+        "label_balance": (_list(_float), (0.5, 0.5)),
+        "core_separation": (_float, _REQUIRED),
+        "spurious_separation": (_float, _REQUIRED),
+        "noise_dims": (_int, _REQUIRED),
+        "noise_sigma": (_float, _REQUIRED),
+        "seed": (_seed, _REQUIRED),
+    }),
+    "train": (TrainConfig, {key: (convert, _TRAIN_DEFAULTS[key])
+                            for key, convert in _TRAIN_KEYS.items()}),
+    "sweep": (SweepSpec, {"criterion": (_criterion, WORST_GROUP)}),
+    "study": (StudySpec, {"fractions": (_fractions, _REQUIRED), "seeds": (_seeds, _REQUIRED)}),
+    "analyze": (AnalyzeSpec, {"run": (str, _REQUIRED), "erm_report": (str, _REQUIRED)}),
+    "ablate": (AblateSpec, {"run": (str, _REQUIRED), "mode": (_mode, _REQUIRED),
+                            "group": (_group, None), "seed": (_seed, None)}),
+}
 
 
-def _parse_train(sec: _Section) -> TrainConfig:
-    kwargs = {}
-    for key, convert in _TRAIN_KEYS.items():
-        value = sec.get(key, convert, required=key in _TRAIN_REQUIRED)
-        if value is not None:
-            kwargs[key] = value
-    sec.reject_unknown()
+def _parse_section(sec: _Section):
+    build, keys = _SECTIONS[sec.name]
+    values = {key: sec.get(key, convert, default) for key, (convert, default) in keys.items()}
+    unknown = sorted(set(sec.raw) - set(keys))
+    if unknown:
+        raise ConfigError(f"{sec.path}: line {sec.raw[unknown[0]][1]}: unknown key "
+                          f"{unknown[0]!r} in [{sec.name}]")
     try:
-        return TrainConfig(**kwargs)
-    except ConfigError as e:
+        return build(**values)
+    except ValueError as e:
         raise sec.error(e) from None
 
 
-def _parse_grid(sec: _Section, base: TrainConfig) -> Grid:
+def _parse_grid(sec: _Section, base: TrainConfig | None) -> Grid:
+    if base is None:
+        raise ConfigError(f"{sec.path}: [grid] requires a [train] section as its base")
     axes = {}
     for key in sorted(sec.raw):
         if key not in _TRAIN_KEYS:
@@ -270,16 +289,7 @@ def _parse_grid(sec: _Section, base: TrainConfig) -> Grid:
         if key == "hidden":
             raise ConfigError(
                 f"{sec.path}: line {sec.raw[key][1]}: 'hidden' cannot be swept")
-        convert = _TRAIN_KEYS[key]
-        if key == "algorithm":
-            values = sec.get(key, lambda v: tuple(p.strip() for p in v.split(",") if p.strip()))
-        elif key == "refresh_every":
-            values = sec.get(key, lambda v: tuple(_int_or_inf(p.strip()) for p in v.split(",")))
-        elif convert is _int:
-            values = sec.get(key, _int_list)
-        else:
-            values = sec.get(key, _float_list)
-        axes[key] = values
+        axes[key] = sec.get(key, _list(_TRAIN_KEYS[key]))
     try:
         grid = Grid(base, axes)
         grid.configs()  # every grid point must be a valid TrainConfig
@@ -288,69 +298,20 @@ def _parse_grid(sec: _Section, base: TrainConfig) -> Grid:
         raise sec.error(e) from None
 
 
-def _parse_generate(sec: _Section) -> GenerateSpec:
-    kwargs = dict(
-        n_train=sec.get("n_train", _int, required=True),
-        n_val=sec.get("n_val", _int, required=True),
-        n_test=sec.get("n_test", _int, required=True),
-        majority_fraction=sec.get("majority_fraction", _float, required=True),
-        label_balance=sec.get("label_balance", _float_list, default=(0.5, 0.5)),
-        core_separation=sec.get("core_separation", _float, required=True),
-        spurious_separation=sec.get("spurious_separation", _float, required=True),
-        noise_dims=sec.get("noise_dims", _int, required=True),
-        noise_sigma=sec.get("noise_sigma", _float, required=True),
-    )
-    seed = sec.get("seed", _seed, required=True)
-    sec.reject_unknown()
-    try:
-        return GenerateSpec(SyntheticSpec(**kwargs), seed)
-    except Exception as e:
-        raise ConfigError(f"{sec.path}: [generate] {e}") from None
-
-
 def parse_config(path) -> ParsedConfig:
     """Parse and validate a configuration file into typed sections."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: no such config file")
     sections = _read_sections(path)
-    known = {"generate", "train", "grid", "sweep", "study", "analyze", "ablate"}
     for name in sections:
-        if name not in known:
+        if name not in _SECTIONS and name != "grid":
             raise ConfigError(f"{path}: unknown section [{name}]")
 
-    def section(name: str) -> _Section | None:
-        return _Section(path, name, sections[name]) if name in sections else None
-
     out: dict = {"path": str(path)}
-    if (sec := section("generate")) is not None:
-        out["generate"] = _parse_generate(sec)
-    if (sec := section("train")) is not None:
-        out["train"] = _parse_train(sec)
-    if (sec := section("grid")) is not None:
-        if "train" not in out:
-            raise ConfigError(f"{path}: [grid] requires a [train] section as its base")
-        out["grid"] = _parse_grid(sec, out["train"])
-    if (sec := section("sweep")) is not None:
-        out["sweep"] = SweepSpec(sec.get("criterion", _criterion, default=WORST_GROUP))
-        sec.reject_unknown()
-    if (sec := section("study")) is not None:
-        fractions = sec.get("fractions", _fractions, required=True)
-        seeds = sec.get("seeds", _seeds, required=True)
-        sec.reject_unknown()
-        out["study"] = StudySpec(fractions, seeds)
-    if (sec := section("analyze")) is not None:
-        out["analyze"] = AnalyzeSpec(
-            run=sec.get("run", str, required=True),
-            erm_report=sec.get("erm_report", str, required=True),
-        )
-        sec.reject_unknown()
-    if (sec := section("ablate")) is not None:
-        out["ablate"] = AblateSpec(
-            run=sec.get("run", str, required=True),
-            mode=sec.get("mode", _mode, required=True),
-            group=sec.get("group", _group),
-            seed=sec.get("seed", _seed),
-        )
-        sec.reject_unknown()
+    for name in _SECTIONS:
+        if name in sections:
+            out[name] = _parse_section(_Section(path, name, sections[name]))
+        if name == "train" and "grid" in sections:  # [grid] sweeps its base, [train]
+            out["grid"] = _parse_grid(_Section(path, "grid", sections["grid"]), out.get("train"))
     return ParsedConfig(**out)

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DataWarning, IngestionError, InputError
+from .errors import DataWarning, IngestionError, InputError, reads_file
 
 
 class GroupId(NamedTuple):
@@ -482,6 +482,7 @@ def dataset_csv_blocks(data: Dataset) -> Iterator[bytes]:
     yield from csv_rows(columns, data.features)
 
 
+@reads_file
 def load_csv(path, name: str | None = None) -> Dataset:
     """Read a dataset from CSV: the `label` column, the `attribute` column
     (group annotations) if present, and every column named f<number> as a

@@ -1,12 +1,16 @@
 """Exception and warning types shared across the package."""
 
+import functools
+import json
+
 
 class InputError(ValueError):
     """An operation received structurally invalid inputs."""
 
 
 class IngestionError(ValueError):
-    """A CSV file could not be parsed into a dataset."""
+    """An input file could not be read or parsed: a dataset CSV, a checkpoint,
+    an error-set or loss-snapshot file, or a run report."""
 
 
 class ConfigError(ValueError):
@@ -23,3 +27,15 @@ class TrainingWarning(UserWarning):
 
 class AnalysisWarning(UserWarning):
     """Non-fatal analysis fallback, e.g. sampling with replacement."""
+
+
+def reads_file(read):
+    """Decorates `read(path, ...)` so that a file that is not UTF-8 text, or
+    not the JSON it should hold, raises an IngestionError naming the path."""
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise IngestionError(f"{path}: {e}") from None
+    return reader

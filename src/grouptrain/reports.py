@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, GroupMetrics
 from .data import Dataset, csv_rows, dataset_csv_blocks, read_plain_csv
-from .errors import IngestionError
+from .errors import IngestionError, reads_file
 from .models import Architecture, Model
 from .trainers import AVERAGE, WORST_GROUP, EpochMetrics
 from .tuning import FractionResult, SweepResult
@@ -56,6 +56,7 @@ def save_model(model: Model, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@reads_file
 def load_model(path) -> Model:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
@@ -107,6 +108,7 @@ def write_report(path, report: dict) -> None:
                           encoding="utf-8")
 
 
+@reads_file
 def read_report(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
@@ -137,6 +139,7 @@ def write_error_set_csv(path, error_set: ErrorSet) -> None:
                 + [[i] for i in error_set.indices.tolist()])
 
 
+@reads_file
 def read_error_set_csv(path) -> ErrorSet:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "index":
@@ -179,6 +182,7 @@ def write_loss_snapshots_csv(path, snapshots: np.ndarray) -> None:
                       for block in csv_rows([np.arange(len(snapshots))], snapshots))
 
 
+@reads_file
 def read_loss_snapshots_csv(path) -> np.ndarray:
     """The (epochs, examples) losses of a loss-snapshot file. A plain file is
     parsed in one NumPy pass; any other goes through a per-row reader that

@@ -218,6 +218,35 @@ class TestSweepAnalyzeAblateStudy:
         assert err["message"] == (f"loss snapshot 0 has {width} losses; "
                                   f"the training set has {n_train} examples")
 
+    def test_analyze_of_a_run_without_a_train_config_names_report_and_key(
+            self, workspace, tmp_path, capsys):
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {workspace / 'data'}\n"
+            f"erm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "InputError"
+        assert err["message"] == (f"{workspace / 'data' / 'report.json'}: report has no key "
+                                  "'effective_config.train.algorithm'")
+        assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize("worst_group, message", [
+        (None, "report has no key 'results.metrics.worst-group.test.worst_group'"),
+        ([1], "'results.metrics.worst-group.test.worst_group' is not an [attribute, label] pair"),
+    ], ids=["missing", "malformed"])
+    def test_analyze_names_the_reference_reports_bad_worst_group(
+            self, workspace, tmp_path, capsys, worst_group, message):
+        test = {} if worst_group is None else {"worst_group": worst_group}
+        reference = tmp_path / "erm.json"
+        reference.write_text(json.dumps({"results": {"metrics": {"worst-group": {"test": test}}}}))
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {workspace / 'jtt'}\nerm_report = {reference}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == ("InputError", f"{reference}: {message}")
+
     def test_ablate(self, workspace, tmp_path):
         (tmp_path / "ab.ini").write_text(
             f"[ablate]\nrun = {workspace / 'jtt'}\nmode = drop-y-neq-a\n")
@@ -401,6 +430,24 @@ class TestFailureModes:
     def test_usage_error_exits_1(self, capsys):
         assert run(["train"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, config, extra", [
+        ("generate", "gen.ini", ["--data", "nowhere"]),
+        ("analyze", None, ["--seed", "5"]),
+        ("train", "erm.ini", []),
+    ], ids=["generate-with-data", "analyze-with-seed", "train-without-data"])
+    def test_flag_a_command_does_not_take_or_lacks_is_a_usage_error(
+            self, workspace, tmp_path, capsys, command, config, extra):
+        if config is None:
+            config = tmp_path / "an.ini"
+            config.write_text(f"[analyze]\nrun = {workspace / 'jtt'}\n"
+                              f"erm_report = {workspace / 'erm' / 'report.json'}\n")
+            extra = extra + ["--data", workspace / "data"]
+        out = tmp_path / "o"
+        assert run([command, "--config", workspace / config, "--out", out] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error: " in err
+        assert not out.exists()
 
     def test_occupied_output_rejected(self, workspace, tmp_path, capsys):
         out = tmp_path / "occupied"
@@ -615,3 +662,29 @@ class TestPersistence:
         path.write_text("epoch,x0\n")
         with pytest.raises(IngestionError, match="no data rows"):
             read_loss_snapshots_csv(path)
+
+    @pytest.mark.parametrize("reader, good", [
+        (load_csv, b"label,attribute,f0\n1,0,0.5\n0,1,1.5\n"),
+        (read_loss_snapshots_csv, b"epoch,x0,x1\r\n0,0.5,1.5\r\n"),
+        (read_error_set_csv, b"index\n# source_epoch=1\n3\n"),
+        (load_model, None),
+        (read_report, b'{"command": "train", "results": {}}\n'),
+    ], ids=["load_csv", "read_loss_snapshots_csv", "read_error_set_csv", "load_model",
+            "read_report"])
+    def test_reader_of_undecodable_file_names_it(self, tmp_path, reader, good):
+        path = tmp_path / "input"
+        if good is None:
+            save_model(init_model(Architecture(2, (), 2), 0), path)
+            good = path.read_bytes()
+        path.write_bytes(good[:11] + b"\xff" + good[11:])
+        with pytest.raises(IngestionError) as err:
+            reader(path)
+        assert str(err.value).startswith(
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 11")
+
+    def test_truncated_report_names_the_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"command": "train", "results": {')
+        with pytest.raises(IngestionError) as err:
+            read_report(path)
+        assert str(err.value).startswith(f"{path}: Expecting")

@@ -288,3 +288,84 @@ def test_fuzzed_config_parses_or_fails_naming_its_path(tmp_path_factory, lines, 
         parse_config(path)
     except ConfigError as e:
         assert str(e).startswith(f"{path}: ")
+
+
+_SECTION_TEXTS = {
+    "generate": GENERATE,
+    "sweep": "\n[sweep]\ncriterion = average\n",
+    "study": "\n[study]\nfractions = 1\nseeds = 0\n",
+    "analyze": "\n[analyze]\nrun = runs/jtt\nerm_report = runs/erm/report.json\n",
+    "ablate": "\n[ablate]\nrun = runs/jtt\nmode = drop-group\ngroup = 1, 0\nseed = 4\n",
+}
+
+
+class TestSectionTable:
+    @pytest.mark.parametrize("section, key", [
+        ("generate", "n_train"), ("generate", "noise_sigma"), ("generate", "seed"),
+        ("study", "seeds"), ("analyze", "run"), ("ablate", "mode"),
+    ])
+    def test_missing_required_key_names_file_section_and_key(self, tmp_path, section, key):
+        text = "".join(line + "\n" for line in _SECTION_TEXTS[section].splitlines()
+                       if not line.startswith(f"{key} ="))
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: [{section}] missing required key {key!r}"
+
+    @pytest.mark.parametrize("section", list(_SECTION_TEXTS))
+    def test_unknown_key_names_file_key_and_line(self, tmp_path, section):
+        text = _SECTION_TEXTS[section] + "bogus = 1\n"
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        line = text.count("\n")
+        assert str(err.value) == f"{path}: line {line}: unknown key 'bogus' in [{section}]"
+
+    def test_missing_key_is_reported_before_an_unknown_one(self, tmp_path):
+        path = write(tmp_path, "[ablate]\nbogus = 1\nrun = r\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: [ablate] missing required key 'mode'"
+
+    def test_sections_are_checked_in_pipeline_order_not_file_order(self, tmp_path):
+        path = write(tmp_path, "[ablate]\nrun = r\n" + GENERATE.replace("n_val = 40\n", ""))
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: [generate] missing required key 'n_val'"
+
+    @pytest.mark.parametrize("change, message", [
+        (("majority_fraction = 0.9", "majority_fraction = 0.3"),
+         "majority_fraction must lie in (0.5, 1)"),
+        (("seed = 3", "label_balance = 0.5\nseed = 3"),
+         "label_balance must have one entry per binary label"),
+    ])
+    def test_generate_spec_error_names_file_and_section(self, tmp_path, change, message):
+        path = write(tmp_path, GENERATE.replace(*change))
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: [generate] {message}"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("[ablate]\nrun = r\nmode = drop-group\ngroup = 1\n", 4,
+         "key 'group': expected 'attribute, label', got '1'"),
+        (MINIMAL_ERM.replace("0.05", "fast"), 6,
+         "key 'learning_rate': expected a number, got 'fast'"),
+    ])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, text, line, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: line {line}: {message}"
+
+    @pytest.mark.parametrize("axis, values", [
+        ("refresh_every = 2,", (2,)),
+        ("refresh_every = inf, , 2", (None, 2)),
+        ("learning_rate = 0.01, 0.05,", (0.01, 0.05)),
+        ("algorithm = jtt, , jtt-dynamic", ("jtt", "jtt-dynamic")),
+    ])
+    def test_every_grid_axis_skips_empty_list_parts(self, tmp_path, axis, values):
+        text = MINIMAL_ERM.replace("algorithm = erm", "algorithm = jtt-dynamic")
+        path = write(tmp_path, text + "id_epochs = 1\nupweight_factor = 3\n[grid]\n" + axis + "\n")
+        grid = parse_config(path).grid
+        assert grid.axes == {axis.split(" =")[0]: values}
+        assert len(grid) == len(values)
