@@ -291,6 +291,16 @@ class _Report:
             value = value[key]
         return value
 
+    def build(self, cls, keys: str):
+        """`cls` from the fields at dotted key path `keys`; a field `cls`
+        does not take or a value it rejects raises an InputError naming the
+        file and the key path."""
+        fields = self.get(keys)
+        try:
+            return cls(**fields)
+        except (TypeError, ValueError) as e:
+            raise InputError(f"{self.path}: {keys!r} is not a valid {cls.__name__}: {e}") from None
+
 
 def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     out.config["analyze"] = spec = parsed.require("analyze")
@@ -344,7 +354,7 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     out.config["ablate"] = spec = _seeded(parsed.require("ablate"), args)
     run_dir = Path(spec.run)
     run_report = _Report(run_dir / "report.json")
-    out.config["train"] = cfg = TrainConfig(**run_report.get("effective_config.train"))
+    out.config["train"] = cfg = run_report.build(TrainConfig, "effective_config.train")
     if cfg.algorithm not in (JTT, JTT_DYNAMIC):
         raise InputError("ablate needs a run of the two-stage trainer")
     error_set_file = run_dir / "error_set.csv"

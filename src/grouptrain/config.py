@@ -290,6 +290,9 @@ def _parse_grid(sec: _Section, base: TrainConfig | None) -> Grid:
             raise ConfigError(
                 f"{sec.path}: line {sec.raw[key][1]}: 'hidden' cannot be swept")
         axes[key] = sec.get(key, _list(_TRAIN_KEYS[key]))
+        if not axes[key]:
+            raise ConfigError(
+                f"{sec.path}: line {sec.raw[key][1]}: grid axis {key!r} has no values")
     try:
         grid = Grid(base, axes)
         grid.configs()  # every grid point must be a valid TrainConfig

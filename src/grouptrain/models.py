@@ -11,6 +11,7 @@ outputs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,6 +175,13 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
 # reduce form, and `TestClassAxisKernel` fails if a NumPy release changes
 # that order. The label entries are read and written through one flat
 # index per row.
+#
+# The bias gradient sums a layer's deltas over the batch rows. Reducing
+# the middle axis of (K, b, C) deltas runs NumPy's inner loop over one
+# row's C entries at a time; in a (b, K, C) copy it runs over all K * C
+# entries of a row. Both add the rows in order, so they give the same bits,
+# and from a few lanes on the copy plus the row-major sum costs less.
+# `TestStepKernel` fails if a NumPy release changes either order.
 
 _SUM_FOLD_MAX = 7
 
@@ -205,14 +213,21 @@ def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.nd
     raise AssertionError("unreachable")
 
 
+def _label_offsets(shape: tuple[int, ...], n_classes: int) -> np.ndarray:
+    """Where each row's class-0 entry sits in a (*shape, n_classes) array's
+    ravel, shaped `shape`."""
+    return np.arange(0, math.prod(shape) * n_classes, n_classes).reshape(shape)
+
+
 def _label_index(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Where each row's label entry sits in a (..., n_classes) array's ravel."""
-    return np.arange(0, labels.size * n_classes, n_classes) + labels.ravel()
+    """Where each row's label entry sits in a (..., n_classes) array's ravel,
+    shaped as `labels`."""
+    return _label_offsets(labels.shape, n_classes) + labels
 
 
 def _label_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Each row's probability of its label."""
-    return np.take(probs, _label_index(labels, probs.shape[-1])).reshape(labels.shape)
+    return probs.take(_label_index(labels, probs.shape[-1]))
 
 
 def _exponent(spec: LossSpec) -> float:
@@ -220,9 +235,18 @@ def _exponent(spec: LossSpec) -> float:
     return spec.gce_q if spec.kind == GCE else 0.0
 
 
+def _clamp(p_label: np.ndarray) -> np.ndarray:
+    """Label probabilities clamped to [PROB_EPS, 1], NaN kept, as np.clip does."""
+    return p_label.clip(PROB_EPS, 1.0)
+
+
 def _losses(p_label: np.ndarray, q: float) -> np.ndarray:
     """Per-example losses from label probabilities; q as `_exponent` gives it."""
-    p = np.clip(p_label, PROB_EPS, 1.0)
+    return _clamped_losses(_clamp(p_label), q)
+
+
+def _clamped_losses(p: np.ndarray, q: float) -> np.ndarray:
+    """`_losses` of label probabilities `_clamp` has clamped."""
     if q == 0.0:
         return -np.log(p)
     # (1 - p^q)/q, written via expm1 to stay accurate as q -> 0.
@@ -231,43 +255,62 @@ def _losses(p_label: np.ndarray, q: float) -> np.ndarray:
 
 def _grad_scale(p_label: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
     """d(weighted loss)/d(label logit) up to the softmax factor: the weight,
-    zero at the clamp floor, times p^q for GCE. `q` is one exponent or one
-    per lane; each distinct value is applied as a scalar, since np.power
-    takes a sqrt fast path for the scalar 0.5 that an array of exponents
-    does not, and the two differ in the last bit."""
+    zero at the clamp floor, times p^q for GCE."""
+    return _clamped_scale(_clamp(p_label), weights, q)
+
+
+def _clamped_scale(p: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
+    """`_grad_scale` of label probabilities `_clamp` has clamped. `q` is one
+    exponent or one per lane; each distinct value is applied as a scalar,
+    since np.power takes a sqrt fast path for the scalar 0.5 that an array
+    of exponents does not, and the two differ in the last bit."""
     if isinstance(q, np.ndarray):
         values = set(q.tolist())
         if len(values) > 1:
-            scale = np.empty_like(p_label)
+            scale = np.empty_like(p)
             for value in values:
                 lanes = q == value
-                scale[lanes] = _grad_scale(p_label[lanes], weights[lanes], value)
+                scale[lanes] = _clamped_scale(p[lanes], weights[lanes], value)
             return scale
         (q,) = values
-    live = (p_label > PROB_EPS).astype(np.float64)
+    live = p > PROB_EPS  # the clamp floor; a bool factor multiplies as 0.0 or 1.0
     if q == 0.0:
         return weights * live
-    return weights * live * np.power(np.clip(p_label, PROB_EPS, 1.0), q)
+    return weights * live * np.power(p, q)
 
 
 def _backprop(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
               labels: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the flat params of sum_i scale-weighted losses, from
     the cached forward pass."""
+    return _backprop_at(model, forward, _label_index(labels, forward[0].shape[-1]), scale)
+
+
+def _backprop_at(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
+                 index: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`_backprop` with the labels given as their `_label_index`."""
     probs, acts = forward
     delta = probs * scale[..., None]
-    delta.reshape(-1)[_label_index(labels, delta.shape[-1])] -= scale.ravel()
+    delta.reshape(-1)[index] -= scale
 
     layers = unpack_params(model.arch, model.params)
-    grads: list[np.ndarray] = [np.empty(0)] * len(layers)
+    grads: list[np.ndarray] = []
     for i in range(len(layers) - 1, -1, -1):
         w_i, _ = layers[i]
         g_w = delta.swapaxes(-1, -2) @ acts[i]
-        g_b = delta.sum(axis=-2)
-        grads[i] = np.concatenate([g_w.reshape(g_b.shape[:-1] + (-1,)), g_b], axis=-1)
+        g_b = _row_sum(delta)
+        grads[:0] = (g_w.reshape(g_b.shape[:-1] + (-1,)), g_b)
         if i > 0:
             delta = (delta @ w_i) * (1.0 - acts[i] ** 2)
     return np.concatenate(grads, axis=-1)
+
+
+def _row_sum(delta: np.ndarray) -> np.ndarray:
+    """delta.sum(axis=-2), bit for bit; more than one lane's (K, b, C) rows
+    are summed in a (b, K, C) copy."""
+    if delta.ndim != 3 or len(delta) == 1:
+        return delta.sum(axis=-2)
+    return delta.swapaxes(0, 1).copy().sum(axis=0)
 
 
 def _feature_matrix(model: Model, features: np.ndarray) -> np.ndarray:

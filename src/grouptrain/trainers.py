@@ -30,13 +30,16 @@ stacked matmul per layer for the lanes whose batches have one length. A
 lane is a config plus its training view (an index map into the shared
 training rows, so upsampling copies no data), its own epoch and batch
 schedule, its own seed streams as above and its own SGD state: parameters,
-velocity, hyperparameters and weight-rule state. The loop stacks a group's
-states once per segment of steps and hands each lane its rows back, so a
-lane computes bit for bit what training its config alone computes: `train`
-is a population of one, and `train_population` trains a grid. Lanes fail
-alone: a lane whose objective or parameters turn non-finite records its
-error and leaves, the others run to their own ends, and `_scored` raises
-the error of the first failed config in order.
+velocity, hyperparameters and weight-rule state. Once per segment of steps
+the loop stacks a group's states, builds the stacked model and optimizer
+state that each step's `sgd_step` hands on to the next, and sets out the
+steps' objectives as one array, folded down the steps at the segment's end;
+then it hands each lane its rows back. So a lane computes bit for bit what
+training its config alone computes: `train` is a population of one, and
+`train_population` trains a grid. Lanes fail alone: a lane whose objective
+or parameters turn non-finite records its error and leaves, the others run
+to their own ends, and `_scored` raises the error of the first failed
+config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -263,33 +266,39 @@ class _Lane:
         self.pos, self.objective, self.n_batches = 0, 0.0, 0
 
 
+@functools.lru_cache(maxsize=4)
+def _uniform_weights(shape: tuple[int, int]) -> np.ndarray:
+    """Read-only 1/b weights for (K, b) batches."""
+    w = np.full(shape, 1.0 / shape[-1])
+    w.setflags(write=False)
+    return w
+
+
 def _uniform(_state, losses: np.ndarray, *_) -> np.ndarray:
-    return np.full(losses.shape, 1.0 / losses.shape[-1])
+    return _uniform_weights(losses.shape)
 
 
-def _descend(state: dict[str, np.ndarray], prefix: str, model: Model,
-             forward: tuple[np.ndarray, list[np.ndarray]], labels: np.ndarray,
-             scale: np.ndarray) -> None:
-    """One `sgd_step` of the lanes' model whose parameters and velocity are
-    state[prefix + "params"] and state[prefix + "velocity"]."""
-    opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
-                        momentum=state["momentum"], l2=state["l2"],
-                        velocity=state[prefix + "velocity"])
-    model, opt = sgd_step(model, models._backprop(model, forward, labels, scale), opt)
-    state[prefix + "params"], state[prefix + "velocity"] = model.params, opt.velocity
+def _descend(model: Model, opt: OptimizerState, forward: tuple[np.ndarray, list[np.ndarray]],
+             index: np.ndarray, scale: np.ndarray) -> tuple[Model, OptimizerState]:
+    """One `sgd_step` of stacked lanes from their cached forward pass, the
+    labels given as their flat `_label_index`."""
+    return sgd_step(model, models._backprop_at(model, forward, index, scale), opt)
 
 
-def _step(arch: Architecture, state: dict[str, np.ndarray], xb: np.ndarray, yb: np.ndarray,
-          ridx: np.ndarray, rule: Callable[..., np.ndarray]) -> np.ndarray:
-    """One SGD step of every lane in `state` on its batch; returns each
-    lane's weighted batch objective."""
-    model = models._adopt(Model, arch=arch, params=state["params"])
+def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], xb: np.ndarray,
+          index: np.ndarray, ridx: np.ndarray,
+          rule: Callable[..., np.ndarray]) -> tuple[Model, OptimizerState, np.ndarray]:
+    """One SGD step of the stacked lanes on their batches; returns the
+    stepped model and optimizer state and each lane's weighted batch
+    objective."""
     forward = models._forward_cached(model, xb)
-    p_label = models._label_probs(forward[0], yb)
-    losses = models._losses(p_label, _CROSS_ENTROPY)
-    w = rule(state, losses, ridx, xb, yb, p_label)
-    _descend(state, "", model, forward, yb, models._grad_scale(p_label, w, _CROSS_ENTROPY))
-    return (w[:, None, :] @ losses[:, :, None])[:, 0, 0]
+    p_label = forward[0].take(index)
+    p = models._clamp(p_label)
+    losses = models._clamped_losses(p, _CROSS_ENTROPY)
+    w = rule(state, losses, ridx, xb, index, p_label)
+    model, opt = _descend(model, opt, forward, index,
+                          models._clamped_scale(p, w, _CROSS_ENTROPY))
+    return model, opt, (w[:, None, :] @ losses[:, :, None])[:, 0, 0]
 
 
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
@@ -305,13 +314,19 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     share. A segment is the steps over which no lane's batch length
     changes; per segment the lanes whose batches have one length stack
     their `state` once, step together, one matmul per layer for all of
-    them, and take their rows of the stacked state back. The weights are
-    ``rule(state, losses, base rows, features, labels, label probabilities)``,
-    all pre-step with a leading lane axis; the rule may replace its entries
-    of `state`. A lane's train loss per epoch is the mean over its batches of
-    the weighted batch objective. A non-finite objective or parameters fail
-    the lane: it records a FloatingPointError naming where and leaves, and
-    the other lanes run on.
+    them, and take their rows of the stacked state back. Per segment they
+    also build once the stacked `Model` and `OptimizerState`, which each
+    step's `sgd_step` hands on to the next, and the flat offsets of their
+    label entries. The weights are ``rule(state, losses, base rows,
+    features, label index, label probabilities)``, all pre-step with a
+    leading lane axis; `state` holds the stacked entries other than params
+    and velocity, and the rule may replace its own. A lane's train loss per
+    epoch is the mean over its batches of the weighted batch objective.
+    Per segment, the lanes' running objectives and their steps' objectives
+    fill one (steps + 1, lanes) array, folded down the step axis: the same
+    sequential sum as adding step by step. A non-finite objective or
+    parameters fail the lane: it records a FloatingPointError naming where
+    and leaves, and the other lanes run on.
     """
     arch = lanes[0].trajectory[0].arch
     models._check_labels(base.labels, arch.n_classes)
@@ -340,19 +355,29 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
         for b, group in groups.items():
             state = {name: np.stack([lane.state[name] for lane in group])
                      for name in group[0].state}
+            model = models._adopt(Model, arch=arch, params=state.pop("params"))
+            opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
+                                momentum=state["momentum"], l2=state["l2"],
+                                velocity=state.pop("velocity"))
             rows = np.stack([lane.order[lane.pos:][:n_steps * b] for lane in group])
+            offsets = models._label_offsets((len(group), b), arch.n_classes)
+            objectives = np.empty((n_steps + 1, len(group)))
+            objectives[0] = [lane.objective for lane in group]
             for t in range(n_steps):
                 ridx = rows[:, t * b:(t + 1) * b]
-                obj = _step(arch, state, np.take(base.features, ridx, axis=0),
-                            np.take(base.labels, ridx, axis=0), ridx, rule)
-                for lane, value in zip(group, obj.tolist()):
-                    lane.objective += value
-                    if lane.error is None and not math.isfinite(lane.objective):
-                        lane.error = FloatingPointError(
-                            f"training diverged: non-finite objective at epoch "
-                            f"{len(lane.losses)}, batch {lane.n_batches + t}")
+                model, opt, objectives[t + 1] = _step(
+                    model, opt, state, base.features.take(ridx, axis=0),
+                    offsets + base.labels.take(ridx, axis=0), ridx, rule)
+            state.update(params=model.params, velocity=opt.velocity)
+            objectives = np.add.accumulate(objectives)
+            finite = np.isfinite(objectives[1:])
             for i, lane in enumerate(group):
                 lane.state = {name: a[i] for name, a in state.items()}
+                if not finite[:, i].all():
+                    lane.error = FloatingPointError(
+                        f"training diverged: non-finite objective at epoch "
+                        f"{len(lane.losses)}, batch {lane.n_batches + finite[:, i].argmin()}")
+                lane.objective = float(objectives[-1, i])
                 lane.pos += n_steps * b
                 lane.n_batches += n_steps
 
@@ -528,16 +553,20 @@ def lff_weight(p_bias, p_main):
 
 
 def _lff_rule(arch: Architecture, state: dict[str, np.ndarray], _losses, _ridx,
-              xb: np.ndarray, yb: np.ndarray, p_main: np.ndarray) -> np.ndarray:
+              xb: np.ndarray, index: np.ndarray, p_main: np.ndarray) -> np.ndarray:
     """Steps each lane's bias model on the mean GCE at the lane's gce_q and
     returns the main model's normalized LfF weights."""
     bias = models._adopt(Model, arch=arch, params=state["bias_params"])
+    opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
+                        momentum=state["momentum"], l2=state["l2"],
+                        velocity=state["bias_velocity"])
     forward = models._forward_cached(bias, xb)
-    p_bias = models._label_probs(forward[0], yb)
+    p_bias = forward[0].take(index)
     raw = lff_weight(p_bias, p_main)
-    uniform = np.full(p_bias.shape, 1.0 / p_bias.shape[-1])
-    _descend(state, "bias_", bias, forward, yb,
-             models._grad_scale(p_bias, uniform, state["gce_q"]))
+    bias, opt = _descend(bias, opt, forward, index,
+                         models._grad_scale(p_bias, _uniform_weights(p_bias.shape),
+                                            state["gce_q"]))
+    state["bias_params"], state["bias_velocity"] = bias.params, opt.velocity
     return raw / raw.sum(axis=-1, keepdims=True)
 
 

@@ -97,6 +97,15 @@ def reference_backprop(model, forward, labels, scale):
     return np.concatenate(grads, axis=-1)
 
 
+def reference_row_fold(delta):
+    """Sum over the batch axis, (..., b, C) -> (..., C), as a left fold of
+    row additions."""
+    out = delta[..., 0, :]
+    for i in range(1, delta.shape[-2]):
+        out = out + delta[..., i, :]
+    return out
+
+
 def reference_lff(train, val, cfg):
     """LfF as its own minibatch loop: per batch, forward passes of the bias
     and the main model, both gradients recomputed from scratch, then the
@@ -132,6 +141,29 @@ def reference_lff(train, val, cfg):
         history.append((objective / n_batches, metrics.worst_group_accuracy,
                         metrics.average_accuracy))
     return model_m, model_b, history
+
+
+def reference_divergence(train, rows, cfg):
+    """(epoch, batch) at which the running mean-cross-entropy objective of
+    plain minibatch SGD over `train`'s `rows` (as the main model's seed
+    streams order them) first turns non-finite, or None."""
+    arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
+    model = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    opt = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
+    shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
+    ce = LossSpec(CROSS_ENTROPY)
+    for epoch in range(cfg.epochs):
+        order = rows[shuffle.permutation(len(rows))]
+        objective = 0.0
+        for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
+            bidx = order[start:start + cfg.batch_size]
+            xb, yb = train.features[bidx], train.labels[bidx]
+            w = np.full(len(yb), 1.0 / len(yb))
+            objective += float(w @ loss_values(forward_batch(model, xb), yb, ce))
+            if not np.isfinite(objective):
+                return epoch, batch
+            model, opt = sgd_step(model, grad(model, xb, yb, w, ce), opt)
+    return None
 
 
 def reference_csv_text(data):

@@ -261,6 +261,28 @@ class TestSweepAnalyzeAblateStudy:
             - res["original_test_worst_group_accuracy"])
         assert (tmp_path / "ab" / "error_set_modified.csv").exists()
 
+    @pytest.mark.parametrize("change, reason", [
+        ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ({"epochs": "5"}, "'<' not supported between instances of 'str' and 'int'"),
+        ({"epochs": -1}, "epochs: must be >= 0"),
+    ], ids=["unknown-key", "wrong-type", "out-of-range"])
+    def test_ablate_names_the_report_whose_train_config_it_cannot_build(
+            self, workspace, tmp_path, capsys, change, reason):
+        report = json.loads((workspace / "jtt" / "report.json").read_text())
+        report["effective_config"]["train"].update(change)
+        run_dir = tmp_path / "jtt"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(json.dumps(report))
+        (tmp_path / "ab.ini").write_text(f"[ablate]\nrun = {run_dir}\nmode = drop-y-neq-a\n")
+        assert run(["ablate", "--config", tmp_path / "ab.ini", "--out",
+                    tmp_path / "ab", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "InputError"
+        prefix = f"{run_dir / 'report.json'}: 'effective_config.train' is not a valid TrainConfig: "
+        assert err["message"].startswith(prefix)
+        assert reason in err["message"]
+        assert not (tmp_path / "ab").exists()
+
     def test_ablate_drop_majority_alignment(self, workspace, tmp_path):
         (tmp_path / "ab2.ini").write_text(
             f"[ablate]\nrun = {workspace / 'jtt'}\nmode = drop-y-eq-a\n")

@@ -139,6 +139,13 @@ refresh_every = inf, 2
             parse_config(path)
         assert str(err.value) == f"{path}: line 10: {message}"
 
+    @pytest.mark.parametrize("axis", ["epochs", "refresh_every"])
+    def test_empty_axis_names_its_line(self, tmp_path, axis):
+        path = write(tmp_path, MINIMAL_ERM + f"[grid]\nseed = 0, 1\n{axis} = ,\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}: line 10: grid axis {axis!r} has no values"
+
     def test_sweep_criterion(self, tmp_path):
         path = write(tmp_path, MINIMAL_ERM + "[sweep]\ncriterion = worst-group\n")
         assert parse_config(path).sweep.criterion == WORST_GROUP

@@ -11,6 +11,7 @@ from grouptrain.errors import InputError
 from grouptrain.models import (
     CROSS_ENTROPY,
     GCE,
+    PROB_EPS,
     Architecture,
     LossSpec,
     Model,
@@ -27,6 +28,7 @@ from oracles import (
     finite_difference_grad,
     reference_backprop,
     reference_label_probs,
+    reference_row_fold,
     reference_softmax,
     relative_grad_error,
 )
@@ -387,3 +389,60 @@ class TestClassAxisKernel:
                 assert np.array_equal(models_mod._backprop(model, forward, y, scale),
                                       reference_backprop(model, forward, y, scale),
                                       equal_nan=True)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStepKernel:
+    """The step's one clamp of the label probabilities equals np.clip, and
+    the bias gradient's row-major sum equals NumPy's reduction over the
+    batch axis and a left fold over the rows, bit for bit. A NumPy release
+    that changes the order in which it sums an outer axis fails here."""
+
+    SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                        np.nextafter(PROB_EPS, 0.0), PROB_EPS, np.nextafter(PROB_EPS, 1.0),
+                        0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+    SHAPES = [(b,) for b in (1, 56, 64)] + [(k, b) for k in (1, 6, 24) for b in (1, 56, 64)]
+
+    @np.errstate(invalid="ignore", divide="ignore")
+    def test_one_clamp_equals_np_clip_in_losses_and_gradient_scale(self):
+        rng = np.random.default_rng(0)
+        for shape in self.SHAPES:
+            p = np.where(rng.random(shape) < 0.5, rng.choice(self.SPECIAL, size=shape),
+                         rng.random(shape))
+            clipped = np.clip(p, PROB_EPS, 1.0)
+            clamped = models_mod._clamp(p)
+            assert same_bits(clamped, clipped)
+            w = rng.random(shape)
+            for q in (0.0, 0.5, 0.7):
+                assert same_bits(models_mod._clamped_losses(clamped, q),
+                                 models_mod._losses(p, q))
+                power = np.power(clipped, q) if q else 1.0
+                assert same_bits(models_mod._clamped_scale(clamped, w, q),
+                                 w * (p > PROB_EPS).astype(np.float64) * power)
+
+    @pytest.mark.parametrize("hidden", [(), (4, 3)])
+    @pytest.mark.parametrize("k", [1, 6, 24])
+    @pytest.mark.parametrize("b", [1, 56, 64])
+    def test_row_major_bias_sum_equals_the_batch_axis_reduction(self, hidden, k, b):
+        rng = np.random.default_rng(k * 100 + b)
+        for n_classes in (2, 3, 10):
+            arch = Architecture(5, hidden, n_classes)
+            for width in (n_classes,) + hidden:
+                # Rows at scales from 1e-3 to 1e3, so that the order of the
+                # additions shows in the last bits.
+                delta = rng.normal(size=(k, b, width)) * rng.choice([1e-3, 1.0, 1e3],
+                                                                    size=(k, b, 1))
+                summed = models_mod._row_sum(delta)
+                assert same_bits(summed, delta.sum(axis=-2))
+                assert same_bits(summed, reference_row_fold(delta))
+            model = models_mod._adopt(Model, arch=arch,
+                                      params=rng.normal(size=(k, arch.n_params)))
+            x = rng.normal(size=(k, b, 5))
+            forward = models_mod._forward_cached(model, x)
+            y = rng.integers(0, n_classes, size=(k, b))
+            scale = rng.random((k, b))
+            assert same_bits(models_mod._backprop(model, forward, y, scale),
+                             reference_backprop(model, forward, y, scale))

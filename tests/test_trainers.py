@@ -24,7 +24,7 @@ from grouptrain.trainers import (
     lff_weight,
     train_upweighted,
 )
-from oracles import cvar_lp_optimum, reference_lff
+from oracles import cvar_lp_optimum, reference_divergence, reference_lff
 
 
 def cfg(algorithm="erm", **overrides):
@@ -658,6 +658,34 @@ def test_one_forward_pass_per_model_per_step(small_bench, monkeypatch, algorithm
     assert len(batch_rows) == len(steps)
 
 
+@pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("cvar", {"alpha": 0.2}),
+                                              ("lff", {"gce_q": 0.7})])
+def test_one_forward_pass_per_model_per_stacked_step(small_bench, monkeypatch, algorithm, extra):
+    import grouptrain.models as models_mod
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = small_bench
+    cfgs = [cfg(algorithm, epochs=2, learning_rate=rate, **extra) for rate in (0.01, 0.05, 0.1)]
+    batch_lanes, step_lanes = [], []
+    forward_cached, sgd_step = models_mod._forward_cached, trainers_mod.sgd_step
+
+    def counting_forward(model, x):
+        if x.shape[-2] <= cfgs[0].batch_size:  # evaluation passes cover whole datasets
+            batch_lanes.append(x.shape[0])
+        return forward_cached(model, x)
+
+    def counting_step(model, gradient, opt):
+        step_lanes.append(len(model.params))
+        return sgd_step(model, gradient, opt)
+
+    monkeypatch.setattr(models_mod, "_forward_cached", counting_forward)
+    monkeypatch.setattr(trainers_mod, "sgd_step", counting_step)
+    trainers_mod.train_population(train, val, cfgs)
+    n_models = 2 if algorithm == "lff" else 1
+    stacked_steps = cfgs[0].epochs * math.ceil(len(train) / cfgs[0].batch_size)
+    assert step_lanes == [len(cfgs)] * n_models * stacked_steps
+    assert batch_lanes == step_lanes
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("group-dro", {}),
                                               ("jtt", {"id_epochs": 1, "upweight_factor": 4}),
@@ -670,21 +698,51 @@ def test_lanes_fail_alone(small_bench, algorithm, extra):
     lanes = trainers_mod._TRAINERS[algorithm](train, cfgs)
     assert [lane.error is None for lane in lanes] == [False, True, False, True]
     for c, lane in zip(cfgs, lanes):
-        if lane.error is not None:
-            with pytest.raises(type(lane.error), match=f"^{re.escape(str(lane.error))}$"):
-                gt.train(train, val, c)
-            continue
-        lone = gt.train(train, val, c)
-        assert lane.losses == [entry.train_loss for entry in lone.history]
-        assert len(lane.trajectory) == len(lone.trajectory)
-        assert all(np.array_equal(a.params, b.params)
-                   for a, b in zip(lane.trajectory, lone.trajectory))
-        assert lane.aux.keys() == lone.aux.keys()
-        for key, value in lone.aux.items():
-            if isinstance(value, gt.Model):
-                assert np.array_equal(lane.aux[key].params, value.params)
-            else:
-                assert lane.aux[key] == value
+        assert_lane_equals_lone_run(train, val, c, lane)
+
+
+def assert_lane_equals_lone_run(train, val, c, lane):
+    """A population's lane failed as training `c` alone fails, or equals
+    that run."""
+    if lane.error is not None:
+        with pytest.raises(type(lane.error), match=f"^{re.escape(str(lane.error))}$"):
+            gt.train(train, val, c)
+        return
+    lone = gt.train(train, val, c)
+    assert lane.losses == [entry.train_loss for entry in lone.history]
+    assert len(lane.trajectory) == len(lone.trajectory)
+    assert all(np.array_equal(a.params, b.params)
+               for a, b in zip(lane.trajectory, lone.trajectory))
+    assert lane.aux.keys() == lone.aux.keys()
+    for key, value in lone.aux.items():
+        if isinstance(value, gt.Model):
+            assert np.array_equal(lane.aux[key].params, value.params)
+        else:
+            assert lane.aux[key] == value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lane_failing_in_a_later_segment_names_its_lone_epoch_and_batch(small_bench):
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = small_bench
+    # No identification epochs, so every lane upweights the initial model's
+    # error set and the lanes' epochs have different lengths. The 200-row
+    # lane cuts the first segments to 4 steps, then 1, then 4, while the
+    # diverging lane shares its 32-row steps with the first.
+    runs = [(32, 1, 0.05), (32, 5, 1e50), (50, 3, 0.05), (200, 2, 0.01)]
+    cfgs = [cfg("jtt", epochs=3, batch_size=b, upweight_factor=factor, learning_rate=rate,
+                id_epochs=0) for b, factor, rate in runs]
+    lanes = trainers_mod._TRAINERS["jtt"](train, cfgs)
+    assert [lane.error is None for lane in lanes] == [True, False, True, True]
+    error_rows = len(lanes[0].aux["error_set"])
+    first_segment = min((len(train) + (c.upweight_factor - 1) * error_rows) // c.batch_size
+                        for c in cfgs)
+    epoch, batch = map(int, re.search(r"epoch (\d+), batch (\d+)$", str(lanes[1].error)).groups())
+    assert (epoch, batch) > (0, first_segment)
+    rows = _upsampled_rows(len(train), lanes[0].aux["error_set"], cfgs[1].upweight_factor)
+    assert reference_divergence(train, rows, cfgs[1]) == (epoch, batch)
+    for c, lane in zip(cfgs, lanes):
+        assert_lane_equals_lone_run(train, val, c, lane)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
