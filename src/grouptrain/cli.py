@@ -334,11 +334,14 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     snapshots_file = run_dir / "cvar_losses.csv"
     if snapshots_file.exists():
         snapshots = read_loss_snapshots_csv(snapshots_file)
-        alpha = run_report.get("effective_config.train.alpha")
-        points = track_cvar_composition(snapshots, alpha, train_ds, worst)
+        cfg = run_report.build(TrainConfig, "effective_config.train")
+        if cfg.algorithm != CVAR:
+            raise InputError(f"{run_report.path}: loss snapshots need a cvar run, "
+                             f"not {cfg.algorithm!r}")
+        points = track_cvar_composition(snapshots, cfg.alpha, train_ds, worst)
         write_composition_csv(out.output("composition", "composition.csv"), points)
         results["composition"] = {
-            "alpha": alpha,
+            "alpha": cfg.alpha,
             "epochs": len(points),
             "precision_min": min(p.precision for p in points),
             "precision_max": max(p.precision for p in points),
@@ -361,6 +364,10 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     if not error_set_file.exists():
         raise InputError(f"run {run_dir} has no error_set.csv")
     original_set = read_error_set_csv(error_set_file)
+    wg_key = f"results.metrics.{WORST_GROUP}.test.worst_group_accuracy"
+    original_wg = run_report.get(wg_key)
+    if type(original_wg) not in (int, float):
+        raise InputError(f"{run_report.path}: {wg_key!r} is not a number")
     splits = _load_datasets(args, out)
     train_ds, val_ds, test_ds = splits["train"], splits["val"], splits["test"]
     modified_set = replace_error_set(original_set, train_ds, spec.mode,
@@ -371,7 +378,6 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     save_model(result.checkpoints[WORST_GROUP].model,
                out.output("model_best_worst_group", "model_best_worst_group.txt"))
 
-    original_wg = run_report.get(f"results.metrics.{WORST_GROUP}.test.worst_group_accuracy")
     modified = _metrics_block(result, val_ds, test_ds)
     modified_wg = modified[WORST_GROUP]["test"]["worst_group_accuracy"]
     return {

@@ -164,70 +164,85 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
 # matmul per layer. Stacked matmul, gathers, elementwise ops and reductions
 # along one lane's axes equal the 2-D calls slice by slice, bit for bit
 # (np.einsum would not), so a lane computes exactly what a lone model does.
+# Features without the lane axis broadcast: K models score the same rows at
+# once, each as it would alone.
 #
-# Reducing a short last axis costs NumPy a loop per row, so the softmax
-# reduces over its C classes as a fold of C column operations over all rows
-# at once. The max fold is exact for any C: max does not round, NaN
+# The output layer is class-major: its logits, probabilities and deltas are
+# (..., C, rows). Row-major, the short class axis comes last, and each op
+# that broadcasts over it (the bias add, the softmax's subtraction and
+# division, the delta scaling) runs one NumPy inner loop per row; class-major
+# it runs one per class, over all rows. The logits are w @ x^T, which gives
+# the bits of (x @ w^T)^T. The softmax reduces over the classes as a fold of
+# class rows. The max fold is exact for any C: max does not round, NaN
 # propagates as in `max`, and a signed-zero difference vanishes in `exp`.
 # NumPy's `sum` adds a last axis of up to 7 entries left to right, so the
 # sum fold equals it bit for bit up to _SUM_FOLD_MAX classes; from 8 on it
-# sums in pairwise blocks, and `sum` stays. `tests/oracles.py` keeps the
-# reduce form, and `TestClassAxisKernel` fails if a NumPy release changes
-# that order. The label entries are read and written through one flat
-# index per row.
+# sums in pairwise blocks, so the sum runs over a row-major copy. The label
+# entries are read and written through one flat index per row.
 #
-# The bias gradient sums a layer's deltas over the batch rows. Reducing
-# the middle axis of (K, b, C) deltas runs NumPy's inner loop over one
-# row's C entries at a time; in a (b, K, C) copy it runs over all K * C
+# Backprop keeps the bits of the row-major form delta^T @ x for the output
+# weights by computing (x^T @ delta^T)^T; the plainer delta @ x rounds
+# differently. The output bias gradient is np.add.accumulate along the rows:
+# the same left fold over rows as a row-major delta's sum(axis=-2), in one
+# inner loop per class. Hidden layers stay row-major, as their tanh
+# activations are: the output delta is copied to (..., rows, C) once, and
+# their bias gradients sum rows as `_row_sum` does. `tests/oracles.py` keeps
+# the row-major reductions, and `TestClassAxisKernel`, `TestStepKernel` and
+# `TestKernelLayout` fail if a NumPy or BLAS release changes any of these
+# orders.
+#
+# The hidden bias gradient sums a layer's deltas over the batch rows.
+# Reducing the middle axis of (K, b, h) deltas runs NumPy's inner loop over
+# one row's h entries at a time; in a (b, K, h) copy it runs over all K * h
 # entries of a row. Both add the rows in order, so they give the same bits,
 # and from a few lanes on the copy plus the row-major sum costs less.
-# `TestStepKernel` fails if a NumPy release changes either order.
 
 _SUM_FOLD_MAX = 7
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    n_classes = logits.shape[-1]
-    top = logits[..., :1]
+    """Softmax over the class axis of class-major (..., C, rows) logits."""
+    n_classes = logits.shape[-2]
+    top = logits[..., :1, :]
     for c in range(1, n_classes):
-        top = np.maximum(top, logits[..., c:c + 1])
+        top = np.maximum(top, logits[..., c:c + 1, :])
     e = np.exp(logits - top)
     if n_classes > _SUM_FOLD_MAX:
-        return e / e.sum(axis=-1, keepdims=True)
-    total = e[..., :1]
+        return e / e.swapaxes(-1, -2).copy().sum(axis=-1)[..., None, :]
+    total = e[..., :1, :]
     for c in range(1, n_classes):
-        total = total + e[..., c:c + 1]
+        total = total + e[..., c:c + 1, :]
     return e / total
 
 
 def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Probabilities plus the per-layer activations needed for backprop."""
-    layers = unpack_params(model.arch, model.params)
+    """Class-major (..., C, rows) probabilities plus the per-layer row-major
+    activations needed for backprop."""
+    *hidden, (w, b) = unpack_params(model.arch, model.params)
     acts = [x]
-    for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
-        if i < len(layers) - 1:
-            acts.append(np.tanh(z))
-        else:
-            return _softmax(z), acts
-    raise AssertionError("unreachable")
+    for w_h, b_h in hidden:
+        acts.append(np.tanh(acts[-1] @ w_h.swapaxes(-1, -2) + b_h[..., None, :]))
+    return _softmax(w @ acts[-1].swapaxes(-1, -2) + b[..., None]), acts
 
 
 def _label_offsets(shape: tuple[int, ...], n_classes: int) -> np.ndarray:
-    """Where each row's class-0 entry sits in a (*shape, n_classes) array's
-    ravel, shaped `shape`."""
-    return np.arange(0, math.prod(shape) * n_classes, n_classes).reshape(shape)
+    """Where each row's class-0 entry sits in the ravel of class-major
+    (*lanes, n_classes, rows) probabilities, for labels shaped `shape` =
+    (*lanes, rows)."""
+    rows = shape[-1]
+    lanes = np.arange(math.prod(shape[:-1])) * (n_classes * rows)
+    return (lanes[:, None] + np.arange(rows)).reshape(shape)
 
 
 def _label_index(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Where each row's label entry sits in a (..., n_classes) array's ravel,
-    shaped as `labels`."""
-    return _label_offsets(labels.shape, n_classes) + labels
+    """Where each row's label entry sits in the ravel of class-major
+    probabilities, shaped as `labels`: lane * C * rows + label * rows + row."""
+    return _label_offsets(labels.shape, n_classes) + labels * labels.shape[-1]
 
 
 def _label_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's probability of its label."""
-    return probs.take(_label_index(labels, probs.shape[-1]))
+    """Each row's probability of its label, from class-major probabilities."""
+    return probs.take(_label_index(labels, probs.shape[-2]))
 
 
 def _exponent(spec: LossSpec) -> float:
@@ -283,31 +298,33 @@ def _backprop(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
               labels: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the flat params of sum_i scale-weighted losses, from
     the cached forward pass."""
-    return _backprop_at(model, forward, _label_index(labels, forward[0].shape[-1]), scale)
+    return _backprop_at(model, forward, _label_index(labels, forward[0].shape[-2]), scale)
 
 
 def _backprop_at(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
                  index: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """`_backprop` with the labels given as their `_label_index`."""
     probs, acts = forward
-    delta = probs * scale[..., None]
+    delta = probs * scale[..., None, :]
     delta.reshape(-1)[index] -= scale
 
     layers = unpack_params(model.arch, model.params)
-    grads: list[np.ndarray] = []
-    for i in range(len(layers) - 1, -1, -1):
-        w_i, _ = layers[i]
-        g_w = delta.swapaxes(-1, -2) @ acts[i]
+    g_w = (acts[-1].swapaxes(-1, -2) @ delta.swapaxes(-1, -2)).swapaxes(-1, -2)
+    g_b = np.add.accumulate(delta, axis=-1)[..., -1]
+    grads = [g_w.reshape(g_b.shape[:-1] + (-1,)), g_b]
+    if len(layers) > 1:
+        delta = delta.swapaxes(-1, -2).copy()
+    for i in range(len(layers) - 1, 0, -1):
+        delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
+        g_w = delta.swapaxes(-1, -2) @ acts[i - 1]
         g_b = _row_sum(delta)
         grads[:0] = (g_w.reshape(g_b.shape[:-1] + (-1,)), g_b)
-        if i > 0:
-            delta = (delta @ w_i) * (1.0 - acts[i] ** 2)
     return np.concatenate(grads, axis=-1)
 
 
 def _row_sum(delta: np.ndarray) -> np.ndarray:
-    """delta.sum(axis=-2), bit for bit; more than one lane's (K, b, C) rows
-    are summed in a (b, K, C) copy."""
+    """delta.sum(axis=-2), bit for bit; more than one lane's (K, b, h) rows
+    are summed in a (b, K, h) copy."""
     if delta.ndim != 3 or len(delta) == 1:
         return delta.sum(axis=-2)
     return delta.swapaxes(0, 1).copy().sum(axis=0)
@@ -324,8 +341,8 @@ def _feature_matrix(model: Model, features: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(model: Model, features: np.ndarray) -> np.ndarray:
-    """Per-label probabilities for a (n, input_dim) feature matrix."""
-    return _forward_cached(model, _feature_matrix(model, features))[0]
+    """Per-label probabilities, (n, C), for a (n, input_dim) feature matrix."""
+    return _forward_cached(model, _feature_matrix(model, features))[0].swapaxes(-1, -2)
 
 
 def predict(model: Model, features: np.ndarray) -> np.ndarray:
@@ -334,8 +351,9 @@ def predict(model: Model, features: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
-    """Labels index the class axis through `_label_index`: a negative one
-    would read another class and one of n_classes or more another row."""
+    """Labels index the class axis through `_label_index`: one outside
+    [0, n_classes) would index another lane's entries, or wrap round or
+    run past the array's ends."""
     if labels.dtype.kind not in "iu":
         raise InputError("labels must be integers")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
@@ -350,7 +368,7 @@ def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
     if labels.shape != (n,):
         raise InputError("labels must be one integer per probability row")
     _check_labels(labels, c)
-    return _losses(_label_probs(probs, labels), _exponent(spec))
+    return _losses(_label_probs(probs.swapaxes(-1, -2), labels), _exponent(spec))
 
 
 def grad(model: Model, features: np.ndarray, labels: np.ndarray,
@@ -370,6 +388,8 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     if (w < 0).any():
         raise InputError("weights must be non-negative")
     _check_labels(y, model.arch.n_classes)
+    if len(y) == 0:  # the bias gradient folds the rows from the first one
+        return np.zeros(model.params.size)
 
     forward = _forward_cached(model, _feature_matrix(model, x))
     scale = _grad_scale(_label_probs(forward[0], y), w, _exponent(spec))

@@ -30,16 +30,18 @@ stacked matmul per layer for the lanes whose batches have one length. A
 lane is a config plus its training view (an index map into the shared
 training rows, so upsampling copies no data), its own epoch and batch
 schedule, its own seed streams as above and its own SGD state: parameters,
-velocity, hyperparameters and weight-rule state. Once per segment of steps
-the loop stacks a group's states, builds the stacked model and optimizer
-state that each step's `sgd_step` hands on to the next, and sets out the
-steps' objectives as one array, folded down the steps at the segment's end;
-then it hands each lane its rows back. So a lane computes bit for bit what
-training its config alone computes: `train` is a population of one, and
-`train_population` trains a grid. Lanes fail alone: a lane whose objective
-or parameters turn non-finite records its error and leaves, the others run
-to their own ends, and `_scored` raises the error of the first failed
-config in order.
+velocity, hyperparameters and weight-rule state. The loop stacks every
+lane's state once into a pool, one row (the lane's slot) per lane. Once per
+segment of steps it gathers a group's rows by slot, builds the stacked model
+and optimizer state that each step's `sgd_step` hands on to the next, and
+sets out the steps' objectives as one array, folded down the steps at the
+segment's end; then it scatters the group's rows back into the pool, and
+when the loop ends each lane gets its rows back. So a lane computes bit for
+bit what training its config alone computes: `train` is a population of
+one, and `train_population` trains a grid. Lanes fail alone: a lane whose
+objective or parameters turn non-finite records its error and leaves, the
+others run to their own ends, and `_scored` raises the error of the first
+failed config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -58,7 +60,8 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import models
-from .analysis import ErrorSet, evaluate_groups
+from .analysis import ErrorSet
+from .analysis import evaluate_groups  # noqa: F401 (bench/layers.py wraps this binding)
 from .data import Dataset, require_binary_groups, strip_group_annotations
 from .errors import ConfigError, InputError, TrainingWarning
 from .models import (
@@ -212,10 +215,34 @@ class TrainResult:
         return out
 
 
+# A scoring pass holds at most this many cells per activation or
+# probability array, as many as one model's evaluation of a 2000-row,
+# 2-class split: long runs and big splits score in several passes, and no
+# pass holds more memory than a one-model evaluation does.
+_SCORE_CELLS = 1 << 12
+
+
 def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float, float]]:
-    """Per-epoch (worst-group, average) accuracy on `data` of trajectory[1:]."""
-    metrics = (evaluate_groups(model, data) for model in trajectory[1:])
-    return [(m.worst_group_accuracy, m.average_accuracy) for m in metrics]
+    """Per-epoch (worst-group, average) accuracy on `data` of trajectory[1:],
+    the values `evaluate_groups` gives: the models' predictions come from
+    stacked forward passes over the split, their per-group hits from one
+    bincount per pass."""
+    scored = trajectory[1:]
+    if not scored:
+        return []
+    groups, codes, counts = data.group_index()
+    arch = scored[0].arch
+    per_pass = max(1, _SCORE_CELLS // (len(data) * max(arch.hidden + (arch.n_classes,))))
+    out = []
+    for start in range(0, len(scored), per_pass):
+        chunk = scored[start:start + per_pass]
+        stacked = models._adopt(Model, arch=arch, params=np.stack([m.params for m in chunk]))
+        correct = models._forward_cached(stacked, data.features)[0].argmax(axis=-2) == data.labels
+        bins = codes + len(groups) * np.arange(len(chunk))[:, None]  # (model, group) bins
+        hits = np.bincount(bins[correct], minlength=len(chunk) * len(groups))
+        worst = (hits.reshape(len(chunk), len(groups)) / counts).min(axis=1)
+        out += zip(worst.tolist(), (correct.sum(axis=1) / len(data)).tolist())
+    return out
 
 
 def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Model:
@@ -230,9 +257,10 @@ class _Lane:
     map into the population's base rows; all of them, in order, by default),
     epochs, seed streams, refresh rule, extras and SGD `state`: parameters,
     velocity, (1,)-shaped learning_rate, momentum and l2, and the weight
-    rule's per-lane entries, which the trainer passes. The loop stacks the
-    states of a batch-length group once per segment and hands each lane its
-    rows back; it fills in the per-epoch losses, the trajectory and, if the
+    rule's per-lane entries, which the trainer passes. The loop stacks all
+    lanes' states into one pool, steps a batch-length group on its rows,
+    gathered by each lane's `slot`, and hands each lane its rows back when
+    it ends; it fills in the per-epoch losses, the trajectory and, if the
     lane fails, its error, and leaves the final state in `state`."""
 
     def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
@@ -311,13 +339,16 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     Per epoch a lane's example order is one permutation from its shuffle
     stream; batches are its consecutive slices (the last may be short), each
     taking one forward pass that the losses, the weights and the gradient
-    share. A segment is the steps over which no lane's batch length
-    changes; per segment the lanes whose batches have one length stack
-    their `state` once, step together, one matmul per layer for all of
-    them, and take their rows of the stacked state back. Per segment they
-    also build once the stacked `Model` and `OptimizerState`, which each
-    step's `sgd_step` hands on to the next, and the flat offsets of their
-    label entries. The weights are ``rule(state, losses, base rows,
+    share. The lanes' `state`s are stacked once per call into a pool of
+    arrays, one row per lane, at the lane's `slot`. A segment is the steps
+    over which no lane's batch length changes; per segment the lanes whose
+    batches have one length gather their slots' rows (`a[slots]`), step
+    together, one matmul per layer for all of them, and scatter the stepped
+    rows back (`pool[name][slots] = a`). When the loop ends, each lane's
+    `state` holds its rows of the pool. Per segment the group also builds
+    once the stacked `Model` and `OptimizerState`, which each step's
+    `sgd_step` hands on to the next, and the flat offsets of their label
+    entries. The weights are ``rule(state, losses, base rows,
     features, label index, label probabilities)``, all pre-step with a
     leading lane axis; `state` holds the stacked entries other than params
     and velocity, and the rule may replace its own. A lane's train loss per
@@ -330,7 +361,9 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     """
     arch = lanes[0].trajectory[0].arch
     models._check_labels(base.labels, arch.n_classes)
-    for lane in lanes:
+    pool = {name: np.stack([lane.state[name] for lane in lanes]) for name in lanes[0].state}
+    for slot, lane in enumerate(lanes):
+        lane.slot = slot
         if lane.active:
             lane.start_epoch()
 
@@ -343,7 +376,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
             else:
                 lane.rows = lane.order = None
         if not running:
-            return
+            break
 
         # A lane on full batches may take all it has left; a short one is last.
         n_steps = min((len(lane.order) - lane.pos) // lane.cfg.batch_size or 1
@@ -353,8 +386,8 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
             groups.setdefault(min(lane.cfg.batch_size, len(lane.order) - lane.pos),
                               []).append(lane)
         for b, group in groups.items():
-            state = {name: np.stack([lane.state[name] for lane in group])
-                     for name in group[0].state}
+            slots = np.array([lane.slot for lane in group])
+            state = {name: a[slots] for name, a in pool.items()}
             model = models._adopt(Model, arch=arch, params=state.pop("params"))
             opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
                                 momentum=state["momentum"], l2=state["l2"],
@@ -367,12 +400,13 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                 ridx = rows[:, t * b:(t + 1) * b]
                 model, opt, objectives[t + 1] = _step(
                     model, opt, state, base.features.take(ridx, axis=0),
-                    offsets + base.labels.take(ridx, axis=0), ridx, rule)
+                    offsets + base.labels.take(ridx, axis=0) * b, ridx, rule)
             state.update(params=model.params, velocity=opt.velocity)
+            for name, a in state.items():
+                pool[name][slots] = a
             objectives = np.add.accumulate(objectives)
             finite = np.isfinite(objectives[1:])
             for i, lane in enumerate(group):
-                lane.state = {name: a[i] for name, a in state.items()}
                 if not finite[:, i].all():
                     lane.error = FloatingPointError(
                         f"training diverged: non-finite objective at epoch "
@@ -384,7 +418,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
         for lane in running:
             if lane.error is not None or lane.pos < len(lane.order):
                 continue
-            params = lane.state["params"]
+            params = pool["params"][lane.slot]
             if not np.isfinite(params).all():
                 lane.error = FloatingPointError(
                     f"training diverged: non-finite parameters after epoch {len(lane.losses)}")
@@ -398,6 +432,9 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                     lane.rows = rows
             if lane.active:
                 lane.start_epoch()
+
+    for lane in lanes:
+        lane.state = {name: a[lane.slot] for name, a in pool.items()}
 
 
 # ---------------------------------------------------------------------------

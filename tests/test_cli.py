@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import signal
@@ -27,7 +28,7 @@ from grouptrain.reports import (
     write_error_set_csv,
     write_loss_snapshots_csv,
 )
-from grouptrain.trainers import ErrorSet, train
+from grouptrain.trainers import ErrorSet, TrainConfig, train
 
 GENERATE = """
 [generate]
@@ -60,6 +61,13 @@ UPSAMPLE = "[train]\nalgorithm = upsample-minority\n" + TRAIN_COMMON + "upweight
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def cvar_report(**change):
+    """A cvar run's report, as far as analyze reads it: its train config."""
+    train = {**dataclasses.asdict(TrainConfig("cvar", epochs=6, batch_size=32, learning_rate=0.02,
+                                              seed=0, l2=0.001, alpha=0.25)), **change}
+    return {"effective_config": {"train": train}}
 
 
 @pytest.fixture(scope="module")
@@ -206,8 +214,7 @@ class TestSweepAnalyzeAblateStudy:
         width = n_train + extra
         run_dir = tmp_path / "cvar"
         run_dir.mkdir()
-        (run_dir / "report.json").write_text(
-            json.dumps({"effective_config": {"train": {"algorithm": "cvar", "alpha": 0.25}}}))
+        (run_dir / "report.json").write_text(json.dumps(cvar_report()))
         write_loss_snapshots_csv(run_dir / "cvar_losses.csv", np.ones((2, width)))
         (tmp_path / "an.ini").write_text(
             f"[analyze]\nrun = {run_dir}\nerm_report = {workspace / 'erm' / 'report.json'}\n")
@@ -217,6 +224,27 @@ class TestSweepAnalyzeAblateStudy:
         assert err["type"] == "InputError"
         assert err["message"] == (f"loss snapshot 0 has {width} losses; "
                                   f"the training set has {n_train} examples")
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"alpha": "0.25"}, "'effective_config.train' is not a valid TrainConfig: "
+                            "'<' not supported between instances of 'float' and 'str'"),
+        ({"algorithm": "erm"}, "loss snapshots need a cvar run, not 'erm'"),
+    ], ids=["string-alpha", "not-cvar"])
+    def test_analyze_names_the_report_whose_cvar_config_it_cannot_read(
+            self, workspace, tmp_path, capsys, change, reason):
+        run_dir = tmp_path / "cvar"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(json.dumps(cvar_report(**change)))
+        n_train = len(load_csv(workspace / "data" / "train.csv"))
+        write_loss_snapshots_csv(run_dir / "cvar_losses.csv", np.ones((2, n_train)))
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {run_dir}\nerm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == ("InputError",
+                                                 f"{run_dir / 'report.json'}: {reason}")
+        assert not (tmp_path / "an").exists()
 
     def test_analyze_of_a_run_without_a_train_config_names_report_and_key(
             self, workspace, tmp_path, capsys):
@@ -281,6 +309,26 @@ class TestSweepAnalyzeAblateStudy:
         prefix = f"{run_dir / 'report.json'}: 'effective_config.train' is not a valid TrainConfig: "
         assert err["message"].startswith(prefix)
         assert reason in err["message"]
+        assert not (tmp_path / "ab").exists()
+
+    def test_ablate_checks_the_runs_worst_group_accuracy_before_retraining(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        report = json.loads((workspace / "jtt" / "report.json").read_text())
+        report["results"]["metrics"]["worst-group"]["test"]["worst_group_accuracy"] = "0.5"
+        run_dir = tmp_path / "jtt"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(json.dumps(report))
+        (run_dir / "error_set.csv").write_bytes((workspace / "jtt" / "error_set.csv").read_bytes())
+        retrained = []
+        monkeypatch.setattr(cli, "train_upweighted", lambda *a: retrained.append(a))
+        (tmp_path / "ab.ini").write_text(f"[ablate]\nrun = {run_dir}\nmode = drop-y-neq-a\n")
+        assert run(["ablate", "--config", tmp_path / "ab.ini", "--out",
+                    tmp_path / "ab", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == (
+            "InputError", f"{run_dir / 'report.json'}: "
+                          "'results.metrics.worst-group.test.worst_group_accuracy' is not a number")
+        assert retrained == []
         assert not (tmp_path / "ab").exists()
 
     def test_ablate_drop_majority_alignment(self, workspace, tmp_path):

@@ -159,6 +159,12 @@ class TestGrad:
             grad(model, np.ones((2, 3)), np.array([0.0, 1.0]), np.ones(2),
                  LossSpec(CROSS_ENTROPY))
 
+    def test_no_rows_give_a_zero_gradient(self):
+        model = init_model(Architecture(3, (4,), 2), 0)
+        g = grad(model, np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0),
+                 LossSpec(CROSS_ENTROPY))
+        assert same_bits(g, np.zeros(model.params.size))
+
     def test_one_dimensional_features_rejected(self):
         model = init_model(LOGISTIC, 0)
         with pytest.raises(InputError):
@@ -190,7 +196,7 @@ class TestGrad:
         y = rng.integers(0, 3, size=16)
         w = rng.exponential(size=16) ** 3 if skewed else np.full(16, 1.0 / 16)
         cached = models_mod._forward_cached(model, x)
-        assert np.array_equal(cached[0], forward_batch(model, x))
+        assert np.array_equal(cached[0].swapaxes(-1, -2), forward_batch(model, x))
         scale = models_mod._grad_scale(models_mod._label_probs(cached[0], y), w,
                                        models_mod._exponent(spec))
         assert np.array_equal(models_mod._backprop(model, cached, y, scale),
@@ -312,11 +318,12 @@ class TestLaneAxis:
                 lane_spec = LossSpec(GCE, mixed[i]) if spec is None else spec
                 model = Model(arch, params[i])
                 lane_forward = models_mod._forward_cached(model, x[i])
-                assert np.array_equal(forward_batch(model, x[i]), forward[0][i])
+                assert np.array_equal(forward_batch(model, x[i]), forward[0][i].swapaxes(-1, -2))
                 for a, a_lanes in zip(lane_forward[1], forward[1]):
                     assert np.array_equal(a, a_lanes[i])
                 if spec is not None:
-                    assert np.array_equal(loss_values(lane_forward[0], y[i], spec), losses[i])
+                    assert np.array_equal(
+                        loss_values(lane_forward[0].swapaxes(-1, -2), y[i], spec), losses[i])
                 lane_gradient = grad(model, x[i], y[i], w[i], lane_spec)
                 assert np.array_equal(lane_gradient, gradient[i])
                 lane_opt = OptimizerState(float(lr[i, 0]), float(momentum[i, 0]),
@@ -347,11 +354,17 @@ class TestLaneAxis:
                                       stacked[i])
 
 
+def row_major(a):
+    """A class-major (..., C, rows) array as a contiguous (..., rows, C) one."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
+
+
 class TestClassAxisKernel:
-    """The softmax's column folds and the flat label index equal NumPy's
-    last-axis reductions and 2-D fancy indexing bit for bit, on both sides
-    of the class count where the sum fold stops. A NumPy release that
-    changes the order in which it sums a short axis fails here."""
+    """The softmax's class-row folds and the flat label index, on class-major
+    arrays, equal NumPy's last-axis reductions and 2-D fancy indexing on the
+    row-major ones bit for bit, on both sides of the class count where the
+    sum fold stops. A NumPy release that changes the order in which it sums
+    a short axis fails here."""
 
     SHAPES = [(b,) for b in (1, 56, 64)] + [(k, b) for k in (1, 6, 24) for b in (1, 56, 64)]
 
@@ -376,18 +389,20 @@ class TestClassAxisKernel:
                 params = rng.normal(size=lead[:-1] + (arch.n_params,))
                 x = rng.normal(size=lead + (5,))
                 z = self.logits(rng, lead + (n_classes,))
-                probs = models_mod._softmax(z)
-                assert np.array_equal(probs, reference_softmax(z), equal_nan=True)
+                probs = models_mod._softmax(row_major(z))
+                assert np.array_equal(row_major(probs), reference_softmax(z), equal_nan=True)
                 finite = rng.normal(size=z.shape) * 30.0
-                assert np.array_equal(models_mod._softmax(finite), reference_softmax(finite))
+                assert np.array_equal(row_major(models_mod._softmax(row_major(finite))),
+                                      reference_softmax(finite))
                 y = rng.integers(0, n_classes, size=lead)
                 assert np.array_equal(models_mod._label_probs(probs, y),
-                                      reference_label_probs(probs, y), equal_nan=True)
+                                      reference_label_probs(row_major(probs), y), equal_nan=True)
                 model = models_mod._adopt(Model, arch=arch, params=params)
-                forward = (probs, models_mod._forward_cached(model, x)[1])
+                acts = models_mod._forward_cached(model, x)[1]
                 scale = rng.random(lead) * (rng.random(lead) < 0.9)
-                assert np.array_equal(models_mod._backprop(model, forward, y, scale),
-                                      reference_backprop(model, forward, y, scale),
+                assert np.array_equal(models_mod._backprop(model, (probs, acts), y, scale),
+                                      reference_backprop(model, (row_major(probs), acts),
+                                                         y, scale),
                                       equal_nan=True)
 
 
@@ -397,9 +412,11 @@ def same_bits(a, b):
 
 class TestStepKernel:
     """The step's one clamp of the label probabilities equals np.clip, and
-    the bias gradient's row-major sum equals NumPy's reduction over the
-    batch axis and a left fold over the rows, bit for bit. A NumPy release
-    that changes the order in which it sums an outer axis fails here."""
+    the bias gradients' row folds (the class-major output layer's
+    accumulate, the hidden layers' row-major sum) equal NumPy's reduction
+    over a row-major batch axis and a left fold over the rows, bit for bit.
+    A NumPy release that changes the order in which it sums an outer axis
+    fails here."""
 
     SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
                         np.nextafter(PROB_EPS, 0.0), PROB_EPS, np.nextafter(PROB_EPS, 1.0),
@@ -435,14 +452,86 @@ class TestStepKernel:
                 # additions shows in the last bits.
                 delta = rng.normal(size=(k, b, width)) * rng.choice([1e-3, 1.0, 1e3],
                                                                     size=(k, b, 1))
-                summed = models_mod._row_sum(delta)
+                summed = (np.add.accumulate(row_major(delta), axis=-1)[..., -1]
+                          if width == n_classes else models_mod._row_sum(delta))
                 assert same_bits(summed, delta.sum(axis=-2))
                 assert same_bits(summed, reference_row_fold(delta))
             model = models_mod._adopt(Model, arch=arch,
                                       params=rng.normal(size=(k, arch.n_params)))
             x = rng.normal(size=(k, b, 5))
-            forward = models_mod._forward_cached(model, x)
+            probs, acts = models_mod._forward_cached(model, x)
             y = rng.integers(0, n_classes, size=(k, b))
             scale = rng.random((k, b))
-            assert same_bits(models_mod._backprop(model, forward, y, scale),
-                             reference_backprop(model, forward, y, scale))
+            assert same_bits(models_mod._backprop(model, (probs, acts), y, scale),
+                             reference_backprop(model, (row_major(probs), acts), y, scale))
+
+
+class TestKernelLayout:
+    """The layout identities the class-major kernel rests on, bit for bit,
+    and the kernel built on them against the row-major oracles:
+    - the forward role swap: w @ x^T equals (x @ w^T)^T;
+    - the output weight gradient (x^T @ delta^T)^T equals the row-major
+      delta^T @ x (the plainer delta @ x does not);
+    - np.add.accumulate along a class-major delta's rows equals a left fold
+      over the rows and a row-major delta's sum(axis=-2);
+    - over more than _SUM_FOLD_MAX classes, the softmax's sum of a row-major
+      copy equals NumPy's pairwise last-axis sum;
+    - K models scoring the same 2-D features in one broadcast pass equal K
+      lone calls.
+    A NumPy or BLAS release that changes any of them fails here."""
+
+    @staticmethod
+    def scaled(rng, shape):
+        """Rows at scales from 1e-3 to 1e3, so that the rounding order shows."""
+        return rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3], size=shape[:-1] + (1,))
+
+    @pytest.mark.parametrize("k", [1, 6, 24])
+    @pytest.mark.parametrize("b", [1, 56, 64])
+    @pytest.mark.parametrize("n_classes", [2, 3, 10])
+    def test_output_layer_forms(self, k, b, n_classes):
+        rng = np.random.default_rng(k * 1000 + b * 10 + n_classes)
+        for lead in ((), (k,)):
+            for fan_in in (3, 5, 10):
+                x = self.scaled(rng, lead + (b, fan_in))
+                w = rng.normal(size=lead + (n_classes, fan_in))
+                assert same_bits(w @ x.swapaxes(-1, -2), (x @ w.swapaxes(-1, -2)).swapaxes(-1, -2))
+                delta = self.scaled(rng, lead + (b, n_classes))
+                delta_cm = row_major(delta)  # the contiguous class-major copy
+                g_w = (x.swapaxes(-1, -2) @ delta_cm.swapaxes(-1, -2)).swapaxes(-1, -2)
+                assert same_bits(g_w, delta.swapaxes(-1, -2) @ x)
+                g_b = np.add.accumulate(delta_cm, axis=-1)[..., -1]
+                assert same_bits(g_b, delta.sum(axis=-2))
+                assert same_bits(g_b, reference_row_fold(delta))
+
+                # The kernel, built on these forms, against the row-major oracles.
+                arch = Architecture(fan_in, (), n_classes)
+                model = models_mod._adopt(Model, arch=arch,
+                                          params=rng.normal(size=lead + (arch.n_params,)))
+                probs, acts = models_mod._forward_cached(model, x)
+                (w, bias), = models_mod.unpack_params(arch, model.params)
+                assert same_bits(row_major(probs),
+                                 reference_softmax(x @ w.swapaxes(-1, -2) + bias[..., None, :]))
+                y = rng.integers(0, n_classes, size=lead + (b,))
+                scale = rng.random(lead + (b,))
+                assert same_bits(models_mod._backprop(model, (probs, acts), y, scale),
+                                 reference_backprop(model, (row_major(probs), acts), y, scale))
+            z = self.scaled(rng, lead + (b, n_classes))
+            assert same_bits(row_major(models_mod._softmax(row_major(z))), reference_softmax(z))
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+    @pytest.mark.parametrize("n_classes", [2, 3, 10])
+    @pytest.mark.parametrize("rows", [600, 2000])
+    def test_broadcast_evaluation_equals_lone_calls(self, hidden, n_classes, rows):
+        rng = np.random.default_rng(rows + n_classes)
+        arch = Architecture(10, hidden, n_classes)
+        x = rng.normal(size=(rows, 10)) * 3.0
+        for k in (1, 6, 24):
+            params = rng.normal(size=(k, arch.n_params))
+            probs, acts = models_mod._forward_cached(
+                models_mod._adopt(Model, arch=arch, params=params), x)
+            for i in range(k):
+                lone = models_mod._forward_cached(Model(arch, params[i]), x)
+                assert same_bits(probs[i], lone[0])
+                assert all(same_bits(a[i], a_lone) for a, a_lone in zip(acts[1:], lone[1][1:]))
+                assert same_bits(probs[i].swapaxes(-1, -2),
+                                 forward_batch(Model(arch, params[i]), x))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 import grouptrain as gt
 from grouptrain.analysis import loss_snapshots
-from grouptrain.data import Dataset, strip_group_annotations
-from grouptrain.errors import ConfigError, InputError, TrainingWarning
-from grouptrain.models import Architecture, init_model
+from grouptrain.benchmark import REFERENCE_GRIDS, reference_config, reference_grid_axes
+from grouptrain.data import Dataset, strip_group_annotations, subsample_validation
+from grouptrain.errors import ConfigError, DataWarning, InputError, TrainingWarning
+from grouptrain.models import Architecture, Model, init_model
 from grouptrain.trainers import (
     AVERAGE,
     WORST_GROUP,
@@ -20,10 +22,12 @@ from grouptrain.trainers import (
     _upsampled_rows,
     compute_error_set,
     cvar_batch_weights,
+    epoch_scores,
     group_dro_update,
     lff_weight,
     train_upweighted,
 )
+from grouptrain.tuning import Grid
 from oracles import cvar_lp_optimum, reference_divergence, reference_lff
 
 
@@ -545,17 +549,18 @@ class TestValidationOnlyScores:
     def test_jtt_scores_val_once_per_main_stage_epoch(self, small_bench, monkeypatch):
         import grouptrain.trainers as trainers_mod
         train, val, _ = small_bench
-        scored, evaluate_groups = [], trainers_mod.evaluate_groups
+        scored, epoch_scores = [], trainers_mod.epoch_scores
 
-        def counting(model, data):
+        def counting(trajectory, data):
             if data is val:
-                scored.append(model)
-            return evaluate_groups(model, data)
+                scored.append(trajectory)
+            return epoch_scores(trajectory, data)
 
-        monkeypatch.setattr(trainers_mod, "evaluate_groups", counting)
+        monkeypatch.setattr(trainers_mod, "epoch_scores", counting)
         result = gt.train(train, val, cfg("jtt", id_epochs=2, epochs=3, upweight_factor=4))
-        assert len(scored) == 3
-        assert all(a is b for a, b in zip(scored, result.trajectory[1:]))
+        assert len(scored) == 1
+        assert len(scored[0]) == 3 + 1
+        assert all(a is b for a, b in zip(scored[0], result.trajectory, strict=True))
 
     @pytest.mark.parametrize("algorithm, extra", [
         ("erm", {}), ("jtt", {"id_epochs": 1, "upweight_factor": 3}),
@@ -579,6 +584,79 @@ class TestValidationOnlyScores:
         with pytest.raises(InputError, match="validation set needs group annotations"):
             train_upweighted(train, val, cfg("jtt", id_epochs=1, upweight_factor=3),
                              ErrorSet(np.arange(5), 1))
+
+
+def scores_by_evaluate_groups(trajectory, data):
+    """Per-epoch (worst-group, average) accuracy, one model at a time."""
+    metrics = [gt.evaluate_groups(model, data) for model in trajectory[1:]]
+    return [(m.worst_group_accuracy, m.average_accuracy) for m in metrics]
+
+
+class TestStackedEpochScores:
+    """`epoch_scores` scores a trajectory in stacked forward passes and one
+    bincount per pass; its values equal per-model `evaluate_groups` calls."""
+
+    def test_reference_grid_trajectories(self, reference_bench):
+        import grouptrain.trainers as trainers_mod
+        train, val, test = reference_bench
+        for algorithm in REFERENCE_GRIDS:
+            grid = Grid(dataclasses.replace(reference_config(algorithm, 0), epochs=3),
+                        reference_grid_axes(algorithm))
+            for run in trainers_mod.train_population(train, val, grid.configs()):
+                for data in (val, test):
+                    assert (epoch_scores(run.trajectory, data)
+                            == scores_by_evaluate_groups(run.trajectory, data))
+
+    def test_split_that_lost_a_group(self, small_bench):
+        train, val, _ = small_bench
+        with pytest.warns(DataWarning, match="lost group"):
+            reduced = subsample_validation(val, 0.05, 3)
+        run = gt.train(train, val, cfg(epochs=5))
+        assert epoch_scores(run.trajectory, reduced) == scores_by_evaluate_groups(
+            run.trajectory, reduced)
+
+    def test_one_class_predictors_and_three_classes(self):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.normal(size=(300, 4)), rng.integers(0, 3, 300),
+                       rng.integers(0, 2, 300), "three-class")
+        arch = Architecture(4, (5,), 3)
+        favour_two = np.zeros(arch.n_params)
+        favour_two[-1] = 1.0  # zero weights, the last class's bias up: always class 2
+        trajectory = [init_model(arch, 0), Model(arch, favour_two),
+                      Model(arch, np.zeros(arch.n_params))]  # all ties: always class 0
+        trajectory += [init_model(arch, seed) for seed in range(1, 6)]
+        scores = epoch_scores(trajectory, data)
+        assert scores == scores_by_evaluate_groups(trajectory, data)
+        assert scores[0][0] == 0.0 and scores[1][0] == 0.0
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_short_runs(self, small_bench, epochs):
+        train, val, _ = small_bench
+        run = gt.train(train, val, cfg(epochs=epochs))
+        assert len(run.history) == epochs
+        assert epoch_scores(run.trajectory, val) == scores_by_evaluate_groups(
+            run.trajectory, val)
+
+    @pytest.mark.parametrize("cells, passes", [(1, [1] * 6), (2400, [3, 3]),
+                                               (10 ** 9, [6])])
+    def test_hidden_layers_and_the_cell_budget(self, small_bench, monkeypatch, cells, passes):
+        import grouptrain.models as models_mod
+        import grouptrain.trainers as trainers_mod
+        train, val, test = small_bench
+        run = gt.train(train, val, cfg(epochs=6, hidden=(4, 3)))
+        # A pass holds at most `cells` cells per array: 200 rows of width 4.
+        monkeypatch.setattr(trainers_mod, "_SCORE_CELLS", cells)
+        stacked, forward_cached = [], models_mod._forward_cached
+
+        def counting(model, x):
+            stacked.append(len(model.params))
+            return forward_cached(model, x)
+
+        monkeypatch.setattr(models_mod, "_forward_cached", counting)
+        assert epoch_scores(run.trajectory, val) == scores_by_evaluate_groups(run.trajectory, val)
+        assert stacked[:len(passes)] == passes
+        assert epoch_scores(run.trajectory, test) == scores_by_evaluate_groups(
+            run.trajectory, test)
 
 
 class TestConfigValidation:

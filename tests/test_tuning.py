@@ -136,15 +136,16 @@ class TestValidationSizeStudy:
         train, val, test = small_bench
         full = []
         for module in (trainers, tuning):
-            def counting(model, data, evaluate_groups=module.evaluate_groups):
+            def counting(trajectory, data, epoch_scores=module.epoch_scores):
                 if data is val:
-                    full.append(model)
-                return evaluate_groups(model, data)
+                    full.append(trajectory)
+                return epoch_scores(trajectory, data)
 
-            monkeypatch.setattr(module, "evaluate_groups", counting)
+            monkeypatch.setattr(module, "epoch_scores", counting)
         grid = Grid(base_cfg(epochs=3), {"learning_rate": (0.01, 0.05)})
         validation_size_study([1.0], grid, train, val, test, seeds=(0, 1))
-        assert len(full) == len(grid) * 3
+        assert len(full) == len(grid)
+        assert [len(trajectory) for trajectory in full] == [3 + 1] * len(grid)
 
     def test_warnings_once_per_subsample_and_per_training(self, toy_separable):
         train, val = toy_separable
