@@ -196,6 +196,14 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
 # one row's h entries at a time; in a (b, K, h) copy it runs over all K * h
 # entries of a row. Both add the rows in order, so they give the same bits,
 # and from a few lanes on the copy plus the row-major sum costs less.
+#
+# Clamps call the ndarray.clip method, one ufunc pass behind a thin Python
+# wrapper. The np.clip function adds an array-function dispatch that costs
+# more than the clamp itself on a batch, and np.maximum then np.minimum (the
+# same values, NaN included) a second pass that costs more than the wrapper.
+# The softmax and `sgd_step` write results into temporaries they already
+# own (out=), and a training step's losses go straight into its chunk's
+# buffer: the same operations in the same order, fewer allocations.
 
 _SUM_FOLD_MAX = 7
 
@@ -206,13 +214,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     top = logits[..., :1, :]
     for c in range(1, n_classes):
         top = np.maximum(top, logits[..., c:c + 1, :])
-    e = np.exp(logits - top)
+    e = np.subtract(logits, top)
+    np.exp(e, out=e)
     if n_classes > _SUM_FOLD_MAX:
-        return e / e.swapaxes(-1, -2).copy().sum(axis=-1)[..., None, :]
-    total = e[..., :1, :]
-    for c in range(1, n_classes):
-        total = total + e[..., c:c + 1, :]
-    return e / total
+        return np.divide(e, e.swapaxes(-1, -2).copy().sum(axis=-1)[..., None, :], out=e)
+    total = e[..., :1, :] + e[..., 1:2, :]
+    for c in range(2, n_classes):
+        total += e[..., c:c + 1, :]
+    return np.divide(e, total, out=e)
 
 
 def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -222,7 +231,9 @@ def _forward_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, list[np.nd
     acts = [x]
     for w_h, b_h in hidden:
         acts.append(np.tanh(acts[-1] @ w_h.swapaxes(-1, -2) + b_h[..., None, :]))
-    return _softmax(w @ acts[-1].swapaxes(-1, -2) + b[..., None]), acts
+    logits = w @ acts[-1].swapaxes(-1, -2)
+    logits += b[..., None]
+    return _softmax(logits), acts
 
 
 def _label_offsets(shape: tuple[int, ...], n_classes: int) -> np.ndarray:
@@ -260,12 +271,12 @@ def _losses(p_label: np.ndarray, q: float) -> np.ndarray:
     return _clamped_losses(_clamp(p_label), q)
 
 
-def _clamped_losses(p: np.ndarray, q: float) -> np.ndarray:
-    """`_losses` of label probabilities `_clamp` has clamped."""
+def _clamped_losses(p: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """`_losses` of label probabilities `_clamp` has clamped, into `out` if given."""
     if q == 0.0:
-        return -np.log(p)
+        return np.negative(np.log(p, out=out), out=out)
     # (1 - p^q)/q, written via expm1 to stay accurate as q -> 0.
-    return -np.expm1(q * np.log(p)) / q
+    return np.divide(-np.expm1(q * np.log(p)), q, out=out)
 
 
 def _grad_scale(p_label: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
@@ -308,17 +319,17 @@ def _backprop_at(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
     delta = probs * scale[..., None, :]
     delta.reshape(-1)[index] -= scale
 
-    layers = unpack_params(model.arch, model.params)
     g_w = (acts[-1].swapaxes(-1, -2) @ delta.swapaxes(-1, -2)).swapaxes(-1, -2)
     g_b = np.add.accumulate(delta, axis=-1)[..., -1]
     grads = [g_w.reshape(g_b.shape[:-1] + (-1,)), g_b]
-    if len(layers) > 1:
+    if model.arch.hidden:
+        layers = unpack_params(model.arch, model.params)
         delta = delta.swapaxes(-1, -2).copy()
-    for i in range(len(layers) - 1, 0, -1):
-        delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
-        g_w = delta.swapaxes(-1, -2) @ acts[i - 1]
-        g_b = _row_sum(delta)
-        grads[:0] = (g_w.reshape(g_b.shape[:-1] + (-1,)), g_b)
+        for i in range(len(layers) - 1, 0, -1):
+            delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
+            g_w = delta.swapaxes(-1, -2) @ acts[i - 1]
+            g_b = _row_sum(delta)
+            grads[:0] = (g_w.reshape(g_b.shape[:-1] + (-1,)), g_b)
     return np.concatenate(grads, axis=-1)
 
 
@@ -411,8 +422,13 @@ def sgd_step(model: Model, gradient: np.ndarray, opt: OptimizerState) -> tuple[M
     if opt.velocity.size != model.params.size:
         raise InputError("velocity length does not match parameter count")
     g = g.reshape(model.params.shape)
-    velocity = opt.momentum * opt.velocity + (g + opt.l2 * model.params)
-    params = model.params - opt.learning_rate * velocity
+    # momentum * velocity + (g + l2 * params), then params - learning_rate
+    # * velocity, in that order, into temporaries the step owns.
+    velocity = opt.l2 * model.params
+    np.add(g, velocity, out=velocity)
+    np.add(opt.momentum * opt.velocity, velocity, out=velocity)
+    params = opt.learning_rate * velocity
+    np.subtract(model.params, params, out=params)
     # Both arrays are fresh and sized by the checks above: freeze, don't copy.
     velocity.setflags(write=False)
     params.setflags(write=False)

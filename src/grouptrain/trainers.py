@@ -32,16 +32,20 @@ training rows, so upsampling copies no data), its own epoch and batch
 schedule, its own seed streams as above and its own SGD state: parameters,
 velocity, hyperparameters and weight-rule state. The loop stacks every
 lane's state once into a pool, one row (the lane's slot) per lane. Once per
-segment of steps it gathers a group's rows by slot, builds the stacked model
-and optimizer state that each step's `sgd_step` hands on to the next, and
-sets out the steps' objectives as one array, folded down the steps at the
-segment's end; then it scatters the group's rows back into the pool, and
-when the loop ends each lane gets its rows back. So a lane computes bit for
-bit what training its config alone computes: `train` is a population of
-one, and `train_population` trains a grid. Lanes fail alone: a lane whose
-objective or parameters turn non-finite records its error and leaves, the
-others run to their own ends, and `_scored` raises the error of the first
-failed config in order.
+segment of steps it gathers a group's rows by slot and builds the stacked
+model and optimizer state that each step's `sgd_step` hands on to the next.
+It takes the segment's steps in chunks whose buffers hold at most
+`_CHUNK_CELLS` cells (256 KB) each: per chunk, one gather of every step's
+features and label indices, and one stacked matmul of the per-example
+losses and weights the steps leave behind for every step's objective. The
+objectives are folded down the steps at the segment's end; then the loop
+scatters the group's rows back into the pool, and when the loop ends each
+lane gets its rows back. So a lane computes bit for bit what training its
+config alone computes: `train` is a population of one, and
+`train_population` trains a grid. Lanes fail alone: a lane whose objective
+or parameters turn non-finite records its error and leaves, the others run
+to their own ends, and `_scored` raises the error of the first failed
+config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -313,20 +317,25 @@ def _descend(model: Model, opt: OptimizerState, forward: tuple[np.ndarray, list[
     return sgd_step(model, models._backprop_at(model, forward, index, scale), opt)
 
 
-def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], xb: np.ndarray,
-          index: np.ndarray, ridx: np.ndarray,
-          rule: Callable[..., np.ndarray]) -> tuple[Model, OptimizerState, np.ndarray]:
+def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray],
+          rule: Callable[..., np.ndarray], xb: np.ndarray, index: np.ndarray, ridx: np.ndarray,
+          losses: np.ndarray, weights: np.ndarray) -> tuple[Model, OptimizerState]:
     """One SGD step of the stacked lanes on their batches; returns the
-    stepped model and optimizer state and each lane's weighted batch
-    objective."""
+    stepped model and optimizer state, and leaves the lanes' per-example
+    losses and weights in `losses` and `weights`."""
     forward = models._forward_cached(model, xb)
     p_label = forward[0].take(index)
     p = models._clamp(p_label)
-    losses = models._clamped_losses(p, _CROSS_ENTROPY)
-    w = rule(state, losses, ridx, xb, index, p_label)
-    model, opt = _descend(model, opt, forward, index,
-                          models._clamped_scale(p, w, _CROSS_ENTROPY))
-    return model, opt, (w[:, None, :] @ losses[:, :, None])[:, 0, 0]
+    models._clamped_losses(p, _CROSS_ENTROPY, out=losses)
+    weights[...] = w = rule(state, losses, ridx, xb, index, p_label)
+    return _descend(model, opt, forward, index, models._clamped_scale(p, w, _CROSS_ENTROPY))
+
+
+# A chunk's buffers hold at most this many cells (256 KB of float64) each.
+# On the reference data (10 features) that is the gathered features of 51
+# steps of one 64-row lane, or of 2 steps of 24 lanes; a chunk always takes at
+# least one step.
+_CHUNK_CELLS = 1 << 15
 
 
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
@@ -351,13 +360,21 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     entries. The weights are ``rule(state, losses, base rows,
     features, label index, label probabilities)``, all pre-step with a
     leading lane axis; `state` holds the stacked entries other than params
-    and velocity, and the rule may replace its own. A lane's train loss per
-    epoch is the mean over its batches of the weighted batch objective.
-    Per segment, the lanes' running objectives and their steps' objectives
-    fill one (steps + 1, lanes) array, folded down the step axis: the same
-    sequential sum as adding step by step. A non-finite objective or
-    parameters fail the lane: it records a FloatingPointError naming where
-    and leaves, and the other lanes run on.
+    and velocity, and the rule may replace its own.
+
+    A chunk is a run of a segment's steps whose buffers hold at most
+    `_CHUNK_CELLS` cells each. Per chunk the group gathers its batches'
+    features as one (steps, lanes, rows, features) array, so that each step
+    reads a contiguous slice, and their flat label indices in one
+    expression; each step leaves its per-example losses and weights in the
+    chunk's buffers, and one stacked (1, b) @ (b, 1) matmul gives every
+    step's weighted batch objective, the products a lone step takes. A
+    lane's train loss per epoch is the mean over its batches of that
+    objective. Per segment, the lanes' running objectives and their steps'
+    objectives fill one (steps + 1, lanes) array, folded down the step axis:
+    the same sequential sum as adding step by step. A non-finite objective
+    or parameters fail the lane: it records a FloatingPointError naming
+    where and leaves, and the other lanes run on.
     """
     arch = lanes[0].trajectory[0].arch
     models._check_labels(base.labels, arch.n_classes)
@@ -386,6 +403,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
             groups.setdefault(min(lane.cfg.batch_size, len(lane.order) - lane.pos),
                               []).append(lane)
         for b, group in groups.items():
+            k = len(group)
             slots = np.array([lane.slot for lane in group])
             state = {name: a[slots] for name, a in pool.items()}
             model = models._adopt(Model, arch=arch, params=state.pop("params"))
@@ -393,25 +411,33 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                                 momentum=state["momentum"], l2=state["l2"],
                                 velocity=state.pop("velocity"))
             rows = np.stack([lane.order[lane.pos:][:n_steps * b] for lane in group])
-            offsets = models._label_offsets((len(group), b), arch.n_classes)
-            objectives = np.empty((n_steps + 1, len(group)))
+            offsets = models._label_offsets((k, b), arch.n_classes)
+            objectives = np.empty((n_steps + 1, k))
             objectives[0] = [lane.objective for lane in group]
-            for t in range(n_steps):
-                ridx = rows[:, t * b:(t + 1) * b]
-                model, opt, objectives[t + 1] = _step(
-                    model, opt, state, base.features.take(ridx, axis=0),
-                    offsets + base.labels.take(ridx, axis=0) * b, ridx, rule)
+            per_chunk = max(1, _CHUNK_CELLS // (k * b * base.n_features))
+            for start in range(0, n_steps, per_chunk):
+                stop = min(start + per_chunk, n_steps)
+                ridx = rows[:, start * b:stop * b].reshape(k, stop - start, b).swapaxes(0, 1)
+                xs = base.features.take(ridx, axis=0)
+                index = offsets + base.labels.take(ridx) * b
+                losses, weights = np.empty(ridx.shape), np.empty(ridx.shape)
+                for step in zip(xs, index, ridx, losses, weights):
+                    model, opt = _step(model, opt, state, rule, *step)
+                objectives[start + 1:stop + 1] = (weights[:, :, None, :]
+                                                  @ losses[:, :, :, None])[:, :, 0, 0]
             state.update(params=model.params, velocity=opt.velocity)
             for name, a in state.items():
                 pool[name][slots] = a
             objectives = np.add.accumulate(objectives)
             finite = np.isfinite(objectives[1:])
-            for i, lane in enumerate(group):
-                if not finite[:, i].all():
+            failed, first_bad = (~finite.all(axis=0)).tolist(), finite.argmin(axis=0).tolist()
+            for lane, bad, first, objective in zip(group, failed, first_bad,
+                                                    objectives[-1].tolist()):
+                if bad:
                     lane.error = FloatingPointError(
                         f"training diverged: non-finite objective at epoch "
-                        f"{len(lane.losses)}, batch {lane.n_batches + finite[:, i].argmin()}")
-                lane.objective = float(objectives[-1, i])
+                        f"{len(lane.losses)}, batch {lane.n_batches + first}")
+                lane.objective = objective
                 lane.pos += n_steps * b
                 lane.n_batches += n_steps
 
@@ -583,8 +609,8 @@ def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
 def lff_weight(p_bias, p_main):
     """log(p_bias) / (log(p_bias) + log(p_main)), probabilities clamped away
     from 0 and 1. Scalar or elementwise on arrays; W(a, b) + W(b, a) = 1."""
-    pb = np.clip(np.asarray(p_bias, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    pm = np.clip(np.asarray(p_main, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    pb = np.asarray(p_bias, dtype=np.float64).clip(PROB_EPS, 1.0 - PROB_EPS)
+    pm = np.asarray(p_main, dtype=np.float64).clip(PROB_EPS, 1.0 - PROB_EPS)
     lb, lm = np.log(pb), np.log(pm)
     return lb / (lb + lm)
 
@@ -720,6 +746,8 @@ _TRAINERS = {
 def _require_annotated(val: Dataset) -> None:
     if not val.has_group_annotations:
         raise InputError("validation set needs group annotations for worst-group tracking")
+    if len(val) == 0:
+        raise InputError(f"validation set {val.name!r} has no rows to score epochs on")
 
 
 def _raise_first_failure(lanes: list[_Lane]) -> None:

@@ -143,15 +143,20 @@ def reference_lff(train, val, cfg):
     return model_m, model_b, history
 
 
-def reference_divergence(train, rows, cfg):
-    """(epoch, batch) at which the running mean-cross-entropy objective of
-    plain minibatch SGD over `train`'s `rows` (as the main model's seed
-    streams order them) first turns non-finite, or None."""
+def reference_sgd(train, rows, cfg):
+    """Plain minibatch SGD on the mean cross-entropy over `train`'s `rows`
+    (as the main model's seed streams order them), through the public calls:
+    forward_batch, loss_values, grad and sgd_step. Returns (per-epoch train
+    losses, trajectory, divergence): the losses are each epoch's mean batch
+    objective, the trajectory the initial model and each epoch's, and
+    divergence the (epoch, batch) at which the running objective first turns
+    non-finite, where training stops, or None."""
     arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
     model = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     opt = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
     shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
     ce = LossSpec(CROSS_ENTROPY)
+    losses, trajectory = [], [model]
     for epoch in range(cfg.epochs):
         order = rows[shuffle.permutation(len(rows))]
         objective = 0.0
@@ -161,9 +166,17 @@ def reference_divergence(train, rows, cfg):
             w = np.full(len(yb), 1.0 / len(yb))
             objective += float(w @ loss_values(forward_batch(model, xb), yb, ce))
             if not np.isfinite(objective):
-                return epoch, batch
+                return losses, trajectory, (epoch, batch)
             model, opt = sgd_step(model, grad(model, xb, yb, w, ce), opt)
-    return None
+        losses.append(objective / (batch + 1))
+        trajectory.append(model)
+    return losses, trajectory, None
+
+
+def reference_divergence(train, rows, cfg):
+    """(epoch, batch) at which the running mean-cross-entropy objective of
+    `reference_sgd` first turns non-finite, or None."""
+    return reference_sgd(train, rows, cfg)[2]
 
 
 def reference_csv_text(data):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from grouptrain.trainers import (
     lff_weight,
     train_upweighted,
 )
-from grouptrain.tuning import Grid
-from oracles import cvar_lp_optimum, reference_divergence, reference_lff
+from grouptrain.tuning import Grid, grid_sweep
+from oracles import cvar_lp_optimum, reference_divergence, reference_lff, reference_sgd
 
 
 def cfg(algorithm="erm", **overrides):
@@ -266,6 +267,19 @@ class TestTrainErm:
         train, val, _ = small_bench
         with pytest.raises(InputError):
             gt.train(train, strip_group_annotations(val), cfg())
+
+    @pytest.mark.parametrize("run", [
+        lambda train, val, test: gt.train(train, val, cfg()),
+        lambda train, val, test: grid_sweep(Grid(cfg(), {"seed": (0,)}), train, val, test),
+        lambda train, val, test: train_upweighted(train, val, cfg("jtt", id_epochs=1,
+                                                                  upweight_factor=4),
+                                                  ErrorSet(np.arange(3), 1)),
+    ], ids=["train", "grid_sweep", "train_upweighted"])
+    def test_val_without_rows_rejected(self, small_bench, run):
+        train, val, test = small_bench
+        empty = val.subset(np.arange(0), name="val-empty")
+        with pytest.raises(InputError, match="^validation set 'val-empty' has no rows"):
+            run(train, empty, test)
 
     @pytest.mark.parametrize("algorithm, extra", [("erm", {}), ("lff", {"gce_q": 0.7})])
     def test_validation_labels_never_shape_the_model(self, small_bench, algorithm, extra):
@@ -847,3 +861,106 @@ def test_a_rejected_population_fails_after_the_earlier_configs(small_bench):
     with pytest.raises(InputError, match="group-dro needs training group annotations"):
         trainers_mod.train_population(train, val, [cfg(), cfg("group-dro"),
                                                    cfg(learning_rate=1e300)])
+
+
+def chunk_lengths(monkeypatch) -> list[int]:
+    """Records how many steps each chunk of the lockstep loop takes: a
+    step's features are a slice of its chunk's (steps, lanes, rows,
+    features) gather."""
+    import grouptrain.models as models_mod
+    lengths, last = [], [None]
+    forward_cached = models_mod._forward_cached
+
+    def recording(model, x):
+        chunk = x.base
+        if chunk is not None and chunk.ndim == 4 and chunk is not last[0]:
+            last[0] = chunk
+            lengths.append(len(chunk))
+        return forward_cached(model, x)
+
+    monkeypatch.setattr(models_mod, "_forward_cached", recording)
+    return lengths
+
+
+class TestChunks:
+    """Segments that span several chunks, the cell cap cut down, give every
+    lane the bits of a plain loop over the public calls. This guard does not
+    rest on the lockstep loop, which `gt.train` also runs."""
+
+    def test_ragged_upsampled_population_equals_the_reference_loop(self, small_bench,
+                                                                  monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, _, _ = small_bench
+        # 3 steps of one 32-row lane per chunk; the 50- and 200-row lanes'
+        # chunks take one step each.
+        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 32 * train.n_features)
+        lengths = chunk_lengths(monkeypatch)
+        cfgs = [cfg("upsample-minority", epochs=3, batch_size=b, upweight_factor=factor)
+                for b, factor in ((32, 4), (50, 2), (200, 8))]
+        lanes = trainers_mod._TRAINERS["upsample-minority"](train, cfgs)
+        assert {1, 3} <= set(lengths)
+        minority = lanes[0].aux["minority_set"]
+        for c, lane in zip(cfgs, lanes):
+            rows = _upsampled_rows(len(train), minority, c.upweight_factor)
+            losses, trajectory, divergence = reference_sgd(train, rows, c)
+            assert lane.error is None and divergence is None
+            assert lane.losses == losses
+            assert all(np.array_equal(a.params, b.params)
+                       for a, b in zip(lane.trajectory, trajectory, strict=True))
+
+    def test_lff_population_equals_the_reference_loop(self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        # Two 32-row lanes with different exponents step together, 3 steps
+        # per chunk; the 50-row lane's chunks take 3 steps too, the short
+        # last batches one.
+        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 2 * 32 * train.n_features)
+        lengths = chunk_lengths(monkeypatch)
+        cfgs = [cfg("lff", batch_size=b, gce_q=q) for b, q in ((32, 0.5), (32, 0.7), (50, 0.7))]
+        results = trainers_mod.train_population(train, val, cfgs)
+        assert {1, 3} <= set(lengths)
+        for c, result in zip(cfgs, results):
+            main, bias, history = reference_lff(train, val, c)
+            assert np.array_equal(result.model.params, main.params)
+            assert np.array_equal(result.aux["bias_model"].params, bias.params)
+            assert result.history == history
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lane_diverging_after_a_chunk_boundary_names_its_lone_epoch_and_batch(
+            self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 2 * 32 * train.n_features)
+        cfgs = [cfg(learning_rate=0.05), cfg(learning_rate=1e10)]
+        with pytest.raises(FloatingPointError) as lone:
+            gt.train(train, val, cfgs[1])
+        lanes = trainers_mod._TRAINERS["erm"](train, cfgs)
+        assert str(lanes[1].error) == str(lone.value)
+        epoch, batch = map(int, re.search(r"epoch (\d+), batch (\d+)$",
+                                          str(lanes[1].error)).groups())
+        # An epoch's 18 full batches are one segment, cut into chunks of 3
+        # steps; the failing step starts a chunk, past the first.
+        assert batch > 0 and batch % 3 == 0 and batch < len(train) // 32
+        rows = np.arange(len(train))
+        assert reference_divergence(train, rows, cfgs[1]) == (epoch, batch)
+        losses, trajectory, _ = reference_sgd(train, rows, cfgs[0])
+        assert lanes[0].error is None and lanes[0].losses == losses
+        assert np.array_equal(lanes[0].trajectory[-1].params, trajectory[-1].params)
+
+
+def test_jtt_reference_grid_heap_peak(reference_bench):
+    """The cell cap keeps training's heap peak near that of one-step
+    chunks: this grid peaks at about 2.2 MiB with one-step chunks, 2.5 MiB
+    with the cap and 9 MiB with one chunk per segment."""
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = reference_bench
+    base = dataclasses.replace(reference_config("jtt", seed=0), epochs=2)
+    configs = Grid(base, reference_grid_axes("jtt")).configs()
+    trainers_mod.train_population(train, val, configs)  # warm-up: caches, lazy imports
+    tracemalloc.start()
+    try:
+        trainers_mod.train_population(train, val, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 2**20
