@@ -27,8 +27,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analysis import (enrichment_table, error_set_stats, evaluate_groups, loss_snapshots,
-                       replace_error_set, track_cvar_composition)
+from .analysis import (ErrorSet, enrichment_table, error_set_stats, evaluate_groups,
+                       loss_snapshots, replace_error_set, track_cvar_composition)
 from .config import ParsedConfig, parse_config
 from .data import Dataset, GroupId, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, InputError
@@ -301,6 +301,25 @@ class _Report:
         except (TypeError, ValueError) as e:
             raise InputError(f"{self.path}: {keys!r} is not a valid {cls.__name__}: {e}") from None
 
+    def check_splits(self, fingerprints: dict[str, str], source: str | Path) -> None:
+        """Each split named in `fingerprints` must be the one the run
+        loaded: a fingerprint other than the report's raises an InputError
+        naming the split, both fingerprints, this report and `source`."""
+        for split, found in fingerprints.items():
+            recorded = self.get(f"datasets.{split}.fingerprint")
+            if found != recorded:
+                raise InputError(f"{self.path}: the run's {split} split has fingerprint "
+                                 f"{recorded}, but {source} has {found}")
+
+
+def _read_error_set(path: Path, train_ds: Dataset) -> ErrorSet:
+    """A run's error set, checked to index rows of `train_ds`."""
+    error_set = read_error_set_csv(path)
+    if len(error_set) and error_set.indices[-1] >= len(train_ds):
+        raise InputError(f"{path}: index {error_set.indices[-1]} is past the training "
+                         f"set's {len(train_ds)} rows")
+    return error_set
+
 
 def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     out.config["analyze"] = spec = parsed.require("analyze")
@@ -321,7 +340,7 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
                      "analyzed_algorithm": run_report.get("effective_config.train.algorithm")}
     error_set_file = run_dir / "error_set.csv"
     if error_set_file.exists():
-        error_set = read_error_set_csv(error_set_file)
+        error_set = _read_error_set(error_set_file, train_ds)
         table = enrichment_table(error_set, train_ds)
         write_enrichment_csv(out.output("enrichment", "enrichment.csv"), table)
         stats = error_set_stats(error_set, train_ds, worst)
@@ -350,6 +369,12 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         }
     if not out.outputs:
         raise InputError(f"run {run_dir} has neither an error set nor loss snapshots")
+    # Last, so that a run's malformed files are named first: the analysis
+    # holds only for the run's own training split and the test split that
+    # the reference's worst group was measured on.
+    run_report.check_splits({"train": fingerprint(train_ds)}, f"--data {args.data}")
+    reference.check_splits({"test": run_report.get("datasets.test.fingerprint")},
+                           run_report.path)
     return results
 
 
@@ -363,13 +388,15 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     error_set_file = run_dir / "error_set.csv"
     if not error_set_file.exists():
         raise InputError(f"run {run_dir} has no error_set.csv")
-    original_set = read_error_set_csv(error_set_file)
     wg_key = f"results.metrics.{WORST_GROUP}.test.worst_group_accuracy"
     original_wg = run_report.get(wg_key)
     if type(original_wg) not in (int, float):
         raise InputError(f"{run_report.path}: {wg_key!r} is not a number")
     splits = _load_datasets(args, out)
+    run_report.check_splits({split: fingerprint(ds) for split, ds in splits.items()},
+                            f"--data {args.data}")
     train_ds, val_ds, test_ds = splits["train"], splits["val"], splits["test"]
+    original_set = _read_error_set(error_set_file, train_ds)
     modified_set = replace_error_set(original_set, train_ds, spec.mode,
                                      group=spec.group, seed=spec.seed)
     result = train_upweighted(train_ds, val_ds, cfg, modified_set)

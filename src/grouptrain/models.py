@@ -186,16 +186,10 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
 # the same left fold over rows as a row-major delta's sum(axis=-2), in one
 # inner loop per class. Hidden layers stay row-major, as their tanh
 # activations are: the output delta is copied to (..., rows, C) once, and
-# their bias gradients sum rows as `_row_sum` does. `tests/oracles.py` keeps
-# the row-major reductions, and `TestClassAxisKernel`, `TestStepKernel` and
-# `TestKernelLayout` fail if a NumPy or BLAS release changes any of these
-# orders.
-#
-# The hidden bias gradient sums a layer's deltas over the batch rows.
-# Reducing the middle axis of (K, b, h) deltas runs NumPy's inner loop over
-# one row's h entries at a time; in a (b, K, h) copy it runs over all K * h
-# entries of a row. Both add the rows in order, so they give the same bits,
-# and from a few lanes on the copy plus the row-major sum costs less.
+# each hidden layer's bias gradient is its delta's sum(axis=-2).
+# `tests/oracles.py` keeps the row-major reductions, and
+# `TestClassAxisKernel`, `TestStepKernel` and `TestKernelLayout` fail if a
+# NumPy or BLAS release changes any of these orders.
 #
 # Clamps call the ndarray.clip method, one ufunc pass behind a thin Python
 # wrapper. The np.clip function adds an array-function dispatch that costs
@@ -251,11 +245,6 @@ def _label_index(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return _label_offsets(labels.shape, n_classes) + labels * labels.shape[-1]
 
 
-def _label_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's probability of its label, from class-major probabilities."""
-    return probs.take(_label_index(labels, probs.shape[-2]))
-
-
 def _exponent(spec: LossSpec) -> float:
     """The GCE exponent q; 0 means cross-entropy."""
     return spec.gce_q if spec.kind == GCE else 0.0
@@ -266,37 +255,29 @@ def _clamp(p_label: np.ndarray) -> np.ndarray:
     return p_label.clip(PROB_EPS, 1.0)
 
 
-def _losses(p_label: np.ndarray, q: float) -> np.ndarray:
-    """Per-example losses from label probabilities; q as `_exponent` gives it."""
-    return _clamped_losses(_clamp(p_label), q)
-
-
-def _clamped_losses(p: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
-    """`_losses` of label probabilities `_clamp` has clamped, into `out` if given."""
+def _losses(p: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-example losses from label probabilities `_clamp` has clamped, into
+    `out` if given; q as `_exponent` gives it."""
     if q == 0.0:
         return np.negative(np.log(p, out=out), out=out)
     # (1 - p^q)/q, written via expm1 to stay accurate as q -> 0.
     return np.divide(-np.expm1(q * np.log(p)), q, out=out)
 
 
-def _grad_scale(p_label: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
-    """d(weighted loss)/d(label logit) up to the softmax factor: the weight,
-    zero at the clamp floor, times p^q for GCE."""
-    return _clamped_scale(_clamp(p_label), weights, q)
-
-
-def _clamped_scale(p: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
-    """`_grad_scale` of label probabilities `_clamp` has clamped. `q` is one
-    exponent or one per lane; each distinct value is applied as a scalar,
-    since np.power takes a sqrt fast path for the scalar 0.5 that an array
-    of exponents does not, and the two differ in the last bit."""
+def _grad_scale(p: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
+    """d(weighted loss)/d(label logit) up to the softmax factor, from label
+    probabilities `_clamp` has clamped: the weight, zero at the clamp floor,
+    times p^q for GCE. `q` is one exponent or one per lane; each distinct
+    value is applied as a scalar, since np.power takes a sqrt fast path for
+    the scalar 0.5 that an array of exponents does not, and the two differ
+    in the last bit."""
     if isinstance(q, np.ndarray):
         values = set(q.tolist())
         if len(values) > 1:
             scale = np.empty_like(p)
             for value in values:
                 lanes = q == value
-                scale[lanes] = _clamped_scale(p[lanes], weights[lanes], value)
+                scale[lanes] = _grad_scale(p[lanes], weights[lanes], value)
             return scale
         (q,) = values
     live = p > PROB_EPS  # the clamp floor; a bool factor multiplies as 0.0 or 1.0
@@ -306,15 +287,9 @@ def _clamped_scale(p: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
 
 
 def _backprop(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
-              labels: np.ndarray, scale: np.ndarray) -> np.ndarray:
+              index: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the flat params of sum_i scale-weighted losses, from
-    the cached forward pass."""
-    return _backprop_at(model, forward, _label_index(labels, forward[0].shape[-2]), scale)
-
-
-def _backprop_at(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
-                 index: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`_backprop` with the labels given as their `_label_index`."""
+    the cached forward pass, the labels given as their `_label_index`."""
     probs, acts = forward
     delta = probs * scale[..., None, :]
     delta.reshape(-1)[index] -= scale
@@ -328,17 +303,9 @@ def _backprop_at(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
         for i in range(len(layers) - 1, 0, -1):
             delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
             g_w = delta.swapaxes(-1, -2) @ acts[i - 1]
-            g_b = _row_sum(delta)
+            g_b = delta.sum(axis=-2)
             grads[:0] = (g_w.reshape(g_b.shape[:-1] + (-1,)), g_b)
     return np.concatenate(grads, axis=-1)
-
-
-def _row_sum(delta: np.ndarray) -> np.ndarray:
-    """delta.sum(axis=-2), bit for bit; more than one lane's (K, b, h) rows
-    are summed in a (b, K, h) copy."""
-    if delta.ndim != 3 or len(delta) == 1:
-        return delta.sum(axis=-2)
-    return delta.swapaxes(0, 1).copy().sum(axis=0)
 
 
 def _feature_matrix(model: Model, features: np.ndarray) -> np.ndarray:
@@ -379,7 +346,8 @@ def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.nda
     if labels.shape != (n,):
         raise InputError("labels must be one integer per probability row")
     _check_labels(labels, c)
-    return _losses(_label_probs(probs.swapaxes(-1, -2), labels), _exponent(spec))
+    p_label = probs.swapaxes(-1, -2).take(_label_index(labels, c))
+    return _losses(_clamp(p_label), _exponent(spec))
 
 
 def grad(model: Model, features: np.ndarray, labels: np.ndarray,
@@ -403,8 +371,9 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
         return np.zeros(model.params.size)
 
     forward = _forward_cached(model, _feature_matrix(model, x))
-    scale = _grad_scale(_label_probs(forward[0], y), w, _exponent(spec))
-    return _backprop(model, forward, y, scale)
+    index = _label_index(y, model.arch.n_classes)
+    scale = _grad_scale(_clamp(forward[0].take(index)), w, _exponent(spec))
+    return _backprop(model, forward, index, scale)
 
 
 def sgd_step(model: Model, gradient: np.ndarray, opt: OptimizerState) -> tuple[Model, OptimizerState]:

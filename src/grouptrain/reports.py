@@ -154,6 +154,8 @@ def read_error_set_csv(path) -> ErrorSet:
                 indices.append(int(line))
         except ValueError:
             raise IngestionError(f"{path}: line {lineno}: not an integer: {line!r}") from None
+        if indices and indices[-1] < 0:
+            raise IngestionError(f"{path}: line {lineno}: negative index {indices[-1]}")
     return ErrorSet(np.asarray(indices, dtype=np.int64), source_epoch)
 
 

@@ -24,28 +24,13 @@ group annotations: they operate on a stripped view of their input.
 
 Lanes
 -----
-Every trainer runs a population: one lane per config, all lanes of one
-architecture stepping through one minibatch loop (`_weighted_sgd`), one
-stacked matmul per layer for the lanes whose batches have one length. A
-lane is a config plus its training view (an index map into the shared
-training rows, so upsampling copies no data), its own epoch and batch
-schedule, its own seed streams as above and its own SGD state: parameters,
-velocity, hyperparameters and weight-rule state. The loop stacks every
-lane's state once into a pool, one row (the lane's slot) per lane. Once per
-segment of steps it gathers a group's rows by slot and builds the stacked
-model and optimizer state that each step's `sgd_step` hands on to the next.
-It takes the segment's steps in chunks whose buffers hold at most
-`_CHUNK_CELLS` cells (256 KB) each: per chunk, one gather of every step's
-features and label indices, and one stacked matmul of the per-example
-losses and weights the steps leave behind for every step's objective. The
-objectives are folded down the steps at the segment's end; then the loop
-scatters the group's rows back into the pool, and when the loop ends each
-lane gets its rows back. So a lane computes bit for bit what training its
-config alone computes: `train` is a population of one, and
-`train_population` trains a grid. Lanes fail alone: a lane whose objective
-or parameters turn non-finite records its error and leaves, the others run
-to their own ends, and `_scored` raises the error of the first failed
-config in order.
+Every trainer runs a population: one lane (`_Lane`) per config, all lanes
+of one architecture stepping through one minibatch loop (`_weighted_sgd`),
+one stacked matmul per layer for the lanes whose batches have one length.
+A lane computes bit for bit what training its config alone computes:
+`train` is a population of one, and `train_population` trains a grid.
+Lanes fail alone, and `_scored` raises the error of the first failed config
+in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -258,14 +243,13 @@ def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Mo
 
 class _Lane:
     """One config's run in a population: its training view (an int32 index
-    map into the population's base rows; all of them, in order, by default),
-    epochs, seed streams, refresh rule, extras and SGD `state`: parameters,
-    velocity, (1,)-shaped learning_rate, momentum and l2, and the weight
-    rule's per-lane entries, which the trainer passes. The loop stacks all
-    lanes' states into one pool, steps a batch-length group on its rows,
-    gathered by each lane's `slot`, and hands each lane its rows back when
-    it ends; it fills in the per-epoch losses, the trajectory and, if the
-    lane fails, its error, and leaves the final state in `state`."""
+    map into the population's base rows, so upsampling copies no data; all
+    of them, in order, by default), epochs, seed streams, refresh rule,
+    extras and SGD `state`: parameters, velocity, (1,)-shaped
+    learning_rate, momentum and l2, and the weight rule's per-lane entries,
+    which the trainer passes. `_weighted_sgd` fills in the per-epoch
+    losses, the trajectory and, if the lane fails, its error, and leaves
+    the final state in `state`."""
 
     def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
                  identification: bool = False,
@@ -310,13 +294,6 @@ def _uniform(_state, losses: np.ndarray, *_) -> np.ndarray:
     return _uniform_weights(losses.shape)
 
 
-def _descend(model: Model, opt: OptimizerState, forward: tuple[np.ndarray, list[np.ndarray]],
-             index: np.ndarray, scale: np.ndarray) -> tuple[Model, OptimizerState]:
-    """One `sgd_step` of stacked lanes from their cached forward pass, the
-    labels given as their flat `_label_index`."""
-    return sgd_step(model, models._backprop_at(model, forward, index, scale), opt)
-
-
 def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray],
           rule: Callable[..., np.ndarray], xb: np.ndarray, index: np.ndarray, ridx: np.ndarray,
           losses: np.ndarray, weights: np.ndarray) -> tuple[Model, OptimizerState]:
@@ -326,9 +303,10 @@ def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray],
     forward = models._forward_cached(model, xb)
     p_label = forward[0].take(index)
     p = models._clamp(p_label)
-    models._clamped_losses(p, _CROSS_ENTROPY, out=losses)
+    models._losses(p, _CROSS_ENTROPY, out=losses)
     weights[...] = w = rule(state, losses, ridx, xb, index, p_label)
-    return _descend(model, opt, forward, index, models._clamped_scale(p, w, _CROSS_ENTROPY))
+    scale = models._grad_scale(p, w, _CROSS_ENTROPY)
+    return sgd_step(model, models._backprop(model, forward, index, scale), opt)
 
 
 # A chunk's buffers hold at most this many cells (256 KB of float64) each.
@@ -342,8 +320,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                   rule: Callable[..., np.ndarray] = _uniform) -> None:
     """Minibatch SGD of a population of lanes (one architecture) over their
     views of `base` on the per-example cross-entropy, weighted uniformly by
-    default. Lanes are independent: each computes exactly what it would
-    alone.
+    default.
 
     Per epoch a lane's example order is one permutation from its shuffle
     stream; batches are its consecutive slices (the last may be short), each
@@ -374,7 +351,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     objectives fill one (steps + 1, lanes) array, folded down the step axis:
     the same sequential sum as adding step by step. A non-finite objective
     or parameters fail the lane: it records a FloatingPointError naming
-    where and leaves, and the other lanes run on.
+    where and leaves, and the other lanes run to their own ends.
     """
     arch = lanes[0].trajectory[0].arch
     models._check_labels(base.labels, arch.n_classes)
@@ -626,9 +603,9 @@ def _lff_rule(arch: Architecture, state: dict[str, np.ndarray], _losses, _ridx,
     forward = models._forward_cached(bias, xb)
     p_bias = forward[0].take(index)
     raw = lff_weight(p_bias, p_main)
-    bias, opt = _descend(bias, opt, forward, index,
-                         models._grad_scale(p_bias, _uniform_weights(p_bias.shape),
-                                            state["gce_q"]))
+    scale = models._grad_scale(models._clamp(p_bias), _uniform_weights(p_bias.shape),
+                               state["gce_q"])
+    bias, opt = sgd_step(bias, models._backprop(bias, forward, index, scale), opt)
     state["bias_params"], state["bias_velocity"] = bias.params, opt.velocity
     return raw / raw.sum(axis=-1, keepdims=True)
 

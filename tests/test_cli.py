@@ -340,6 +340,71 @@ class TestSweepAnalyzeAblateStudy:
         assert {"original_test_worst_group_accuracy",
                 "modified_test_worst_group_accuracy"} <= set(res)
 
+    @pytest.mark.parametrize("command", ["analyze", "ablate"])
+    def test_run_readers_reject_another_dataset_before_retraining(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        other = tmp_path / "other"  # the workspace's data with another seed
+        assert run(["generate", "--config", workspace / "gen.ini", "--out", other,
+                    "--seed", 8]) == 0
+        retrained = []
+        monkeypatch.setattr(cli, "train_upweighted", lambda *a: retrained.append(a))
+        (tmp_path / "cmd.ini").write_text(
+            f"[analyze]\nrun = {workspace / 'jtt'}\n"
+            f"erm_report = {workspace / 'erm' / 'report.json'}\n"
+            if command == "analyze" else
+            f"[ablate]\nrun = {workspace / 'jtt'}\nmode = drop-y-neq-a\n")
+        assert run([command, "--config", tmp_path / "cmd.ini", "--out",
+                    tmp_path / "out", "--data", other]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        recorded = read_report(workspace / "jtt" / "report.json")["datasets"]["train"]
+        found = fingerprint(load_csv(other / "train.csv"))
+        assert (err["type"], err["message"]) == (
+            "InputError", f"{workspace / 'jtt' / 'report.json'}: the run's train split has "
+                          f"fingerprint {recorded['fingerprint']}, but --data {other} has {found}")
+        assert retrained == []
+        assert not (tmp_path / "out").exists()
+
+    def test_analyze_rejects_a_reference_measured_on_another_test_split(
+            self, workspace, tmp_path, capsys):
+        report = json.loads((workspace / "erm" / "report.json").read_text())
+        report["datasets"]["test"]["fingerprint"] = "sha256:" + "0" * 64
+        reference = tmp_path / "erm.json"
+        reference.write_text(json.dumps(report))
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {workspace / 'jtt'}\nerm_report = {reference}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        run_report = workspace / "jtt" / "report.json"
+        run_test = read_report(run_report)["datasets"]["test"]["fingerprint"]
+        assert (err["type"], err["message"]) == (
+            "InputError", f"{reference}: the run's test split has fingerprint "
+                          f"sha256:{'0' * 64}, but {run_report} has {run_test}")
+        assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "ablate"])
+    @pytest.mark.parametrize("index", [99999, -3])
+    def test_bad_error_set_index_names_the_file(self, workspace, tmp_path, capsys, command,
+                                                index):
+        run_dir = tmp_path / "jtt"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_bytes((workspace / "jtt" / "report.json").read_bytes())
+        lines = (workspace / "jtt" / "error_set.csv").read_text().splitlines() + [str(index)]
+        (run_dir / "error_set.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "cmd.ini").write_text(
+            f"[analyze]\nrun = {run_dir}\nerm_report = {workspace / 'erm' / 'report.json'}\n"
+            if command == "analyze" else f"[ablate]\nrun = {run_dir}\nmode = drop-y-neq-a\n")
+        assert run([command, "--config", tmp_path / "cmd.ini", "--out",
+                    tmp_path / "out", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        path = run_dir / "error_set.csv"
+        n_train = len(load_csv(workspace / "data" / "train.csv"))
+        assert (err["type"], err["message"]) == (
+            ("InputError", f"{path}: index {index} is past the training set's {n_train} rows")
+            if index > 0 else
+            ("IngestionError", f"{path}: line {len(lines)}: negative index {index}"))
+        assert not (tmp_path / "out").exists()
+
     def test_val_study(self, workspace, tmp_path):
         (tmp_path / "vs.ini").write_text(
             ERM + "\n[study]\nfractions = 1, 0.25\nseeds = 0, 1\n")

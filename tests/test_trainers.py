@@ -757,25 +757,32 @@ def test_one_forward_pass_per_model_per_stacked_step(small_bench, monkeypatch, a
     import grouptrain.trainers as trainers_mod
     train, val, _ = small_bench
     cfgs = [cfg(algorithm, epochs=2, learning_rate=rate, **extra) for rate in (0.01, 0.05, 0.1)]
-    batch_lanes, step_lanes = [], []
-    forward_cached, sgd_step = models_mod._forward_cached, trainers_mod.sgd_step
+    batch_lanes, backprop_lanes, step_lanes = [], [], []
+    forward_cached, backprop = models_mod._forward_cached, models_mod._backprop
+    sgd_step = trainers_mod.sgd_step
 
     def counting_forward(model, x):
         if x.shape[-2] <= cfgs[0].batch_size:  # evaluation passes cover whole datasets
             batch_lanes.append(x.shape[0])
         return forward_cached(model, x)
 
+    def counting_backprop(model, forward, index, scale):
+        backprop_lanes.append(len(model.params))
+        return backprop(model, forward, index, scale)
+
     def counting_step(model, gradient, opt):
         step_lanes.append(len(model.params))
         return sgd_step(model, gradient, opt)
 
     monkeypatch.setattr(models_mod, "_forward_cached", counting_forward)
+    monkeypatch.setattr(models_mod, "_backprop", counting_backprop)
     monkeypatch.setattr(trainers_mod, "sgd_step", counting_step)
     trainers_mod.train_population(train, val, cfgs)
     n_models = 2 if algorithm == "lff" else 1
     stacked_steps = cfgs[0].epochs * math.ceil(len(train) / cfgs[0].batch_size)
     assert step_lanes == [len(cfgs)] * n_models * stacked_steps
     assert batch_lanes == step_lanes
+    assert backprop_lanes == step_lanes
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
