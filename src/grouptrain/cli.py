@@ -332,6 +332,11 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         raise InputError(f"{reference.path}: {worst_key!r} is not an [attribute, label] pair")
     worst = GroupId(*pair)
     train_ds = _load_datasets(args, out, ("train",))["train"]
+    # the analysis holds only for the run's own training split and the test
+    # split that the reference's worst group was measured on
+    run_report.check_splits({"train": fingerprint(train_ds)}, f"--data {args.data}")
+    reference.check_splits({"test": run_report.get("datasets.test.fingerprint")},
+                           run_report.path)
     if not train_ds.has_group_annotations:
         raise InputError("analyze needs a group-annotated stored training set")
 
@@ -357,6 +362,9 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         if cfg.algorithm != CVAR:
             raise InputError(f"{run_report.path}: loss snapshots need a cvar run, "
                              f"not {cfg.algorithm!r}")
+        if len(snapshots) != cfg.epochs:
+            raise InputError(f"{snapshots_file}: {len(snapshots)} loss snapshots, but the run "
+                             f"trained {cfg.epochs} epochs")
         points = track_cvar_composition(snapshots, cfg.alpha, train_ds, worst)
         write_composition_csv(out.output("composition", "composition.csv"), points)
         results["composition"] = {
@@ -369,12 +377,6 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         }
     if not out.outputs:
         raise InputError(f"run {run_dir} has neither an error set nor loss snapshots")
-    # Last, so that a run's malformed files are named first: the analysis
-    # holds only for the run's own training split and the test split that
-    # the reference's worst group was measured on.
-    run_report.check_splits({"train": fingerprint(train_ds)}, f"--data {args.data}")
-    reference.check_splits({"test": run_report.get("datasets.test.fingerprint")},
-                           run_report.path)
     return results
 
 
@@ -384,7 +386,8 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     run_report = _Report(run_dir / "report.json")
     out.config["train"] = cfg = run_report.build(TrainConfig, "effective_config.train")
     if cfg.algorithm not in (JTT, JTT_DYNAMIC):
-        raise InputError("ablate needs a run of the two-stage trainer")
+        raise InputError(f"{run_report.path}: ablate needs a run of the two-stage trainer, "
+                         f"not {cfg.algorithm!r}")
     error_set_file = run_dir / "error_set.csv"
     if not error_set_file.exists():
         raise InputError(f"run {run_dir} has no error_set.csv")

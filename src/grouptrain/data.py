@@ -5,9 +5,12 @@ All randomness flows through numpy's PCG64 generator seeded from explicit
 integers, so every dataset is reproducible bit-for-bit for a given
 (spec, seed) on any platform running the same numpy version.
 
-CSV ingestion reads a plain file in one NumPy pass. Files with quoted
-cells, text columns, blank lines or lone carriage returns take the per-row
-reader instead; values and error messages are the same either way.
+CSV tables (datasets, and the CVaR loss snapshots `reports` reads) go
+through one reader, `read_columns`: a plain file in one NumPy pass, any
+file with quoted cells, text columns, blank lines or lone carriage returns
+through the per-row reader, with the same values and errors either way.
+A column's `ColumnKind` says how its cells read and what a bad one's error
+says; float cells must be finite.
 
 CSV output (`csv_rows`, and through it `save_csv` and the fingerprints) is
 Python's `%d` / `%.17g` text of every cell, made in NumPy blocks:
@@ -482,129 +485,121 @@ def dataset_csv_blocks(data: Dataset) -> Iterator[bytes]:
     yield from csv_rows(columns, data.features)
 
 
+class ColumnKind(NamedTuple):
+    """What the cells of a CSV column hold, and what their errors say: int64
+    cells are non-negative integers by Python's int(), float64 cells are
+    Python's float() and must be finite. `bad` goes before a cell that does
+    not read, `nonfinite` before a non-finite value."""
+
+    dtype: type
+    bad: str
+    nonfinite: str = ""
+
+    def parse(self, cell: str) -> int | float:
+        if self.dtype is np.float64:
+            return float(cell)
+        if (value := int(cell)) < 0:
+            raise ValueError(cell)
+        return value
+
+
+_LABEL = ColumnKind(np.int64, "unknown label value")
+_ATTRIBUTE = ColumnKind(np.int64, "bad attribute value")
+_FEATURE = ColumnKind(np.float64, "non-numeric feature", "non-finite feature")
+
+
 @reads_file
 def load_csv(path, name: str | None = None) -> Dataset:
     """Read a dataset from CSV: the `label` column, the `attribute` column
     (group annotations) if present, and every column named f<number> as a
-    feature, in file order. Row numbers in errors are 1-based data rows.
-
-    A plain file is parsed in one NumPy pass (`read_plain_csv`); any other
-    file goes through the per-row reader, which gives the same values and
-    the same errors.
-    """
+    feature, in file order. Header cells are stripped of blanks. Row
+    numbers in errors are 1-based data rows."""
     path = Path(path)
-    parsed = _read_plain_dataset(path)
-    values, labels, attrs, feat_names = parsed if parsed is not None else _read_rows(path)
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise IngestionError(f"{path}: row {row + 1}, column {feat_names[col]!r}: "
-                             f"non-finite feature {float(values[row, col])!r}")
-    return Dataset(values, labels, attrs, name if name is not None else path.stem)
-
-
-def _columns(path: Path, reader) -> tuple[list[str], int, int | None, list[str], list[int]]:
-    """The stripped header cells, the label column, the attribute column (or
-    None), and the feature names with their columns."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestionError(f"{path}: empty file") from None
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise IngestionError(f"{path}: empty file")
     header = [h.strip() for h in header]
     if "label" not in header:
         raise IngestionError(f"{path}: missing label column 'label'")
-    attr_col = header.index("attribute") if "attribute" in header else None
-    feat_names = [h for h in header if h.startswith("f") and h[1:].isdigit()]
-    if not feat_names:
+    features = [(h, _FEATURE) for h in header if h.startswith("f") and h[1:].isdigit()]
+    if not features:
         raise IngestionError(f"{path}: no feature columns found")
-    return header, header.index("label"), attr_col, feat_names, [header.index(c) for c in feat_names]
+    ints = [("label", _LABEL)] + [("attribute", _ATTRIBUTE)] * ("attribute" in header)
+    (labels, *attrs), values = read_columns(path, header, ints + features)
+    return Dataset(values, labels, attrs[0] if attrs else None,
+                   name if name is not None else path.stem)
 
 
-def _read_plain_dataset(path: Path):
-    """`_read_rows`' result from one NumPy pass, or None where the per-row
-    reader must decide: the file is not plain, or a label or attribute is
-    negative (the reader rejects those; NumPy reads them)."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        header, label_col, attr_col, feat_names, feat_cols = _columns(path, csv.reader(fh))
-    ints = (label_col, attr_col)
-    table = read_plain_csv(path, [(f"c{i}", np.int64 if i in ints else np.float64)
-                                  for i in range(len(header))])
-    if table is None:
-        return None
-    labels = table[f"c{label_col}"]
-    attrs = table[f"c{attr_col}"] if attr_col is not None else None
-    if labels.min() < 0 or (attrs is not None and attrs.min() < 0):
-        return None
-    return np.column_stack([table[f"c{c}"] for c in feat_cols]), labels, attrs, feat_names
+def read_columns(path: Path, header: list[str], columns: list[tuple[str, ColumnKind]]
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The data rows' integer columns, one array each, and their float
+    columns as one 2-D array, in the order of `columns` (integers first).
+    `header` names the file's columns; a name stands for its first. An
+    IngestionError names the path, row and column of the first bad cell:
+    row by row, a cell count other than the header's or a cell its kind does
+    not read (in `columns` order); then no data rows; then a non-finite float."""
+    first = dict(zip(reversed(header), range(len(header) - 1, -1, -1)))  # name: first column
+    cols = [first[name] for name, _ in columns]
+    n_int = [kind.dtype for _, kind in columns].count(np.int64)
+    ints, floats = (_read_plain(path, len(header), cols, n_int)
+                    or _read_rows(path, len(header), columns, cols, n_int))
+    if not np.isfinite(floats).all():
+        row, col = np.argwhere(~np.isfinite(floats))[0]
+        name, kind = columns[n_int + col]
+        raise IngestionError(f"{path}: row {row + 1}, column {name!r}: "
+                             f"{kind.nonfinite} {float(floats[row, col])!r}")
+    return ints, floats
 
 
-def _read_rows(path: Path):
-    """The per-row reader: Python's int() and float() on each cell, raising
-    an IngestionError that names the first bad row and column."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header, label_col, attr_col, feat_names, feat_cols = _columns(path, reader)
-
-        labels, attrs, rows = [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
-            try:
-                y = int(row[label_col])
-                if y < 0:
-                    raise ValueError
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: row {rownum}, column 'label': unknown label value {row[label_col]!r}"
-                ) from None
-            labels.append(y)
-            if attr_col is not None:
-                try:
-                    a = int(row[attr_col])
-                    if a < 0:
-                        raise ValueError
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: row {rownum}, column 'attribute': bad attribute value {row[attr_col]!r}"
-                    ) from None
-                attrs.append(a)
-            vals = []
-            for cname, c in zip(feat_names, feat_cols):
-                try:
-                    vals.append(float(row[c]))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: row {rownum}, column {cname!r}: non-numeric feature {row[c]!r}"
-                    ) from None
-            rows.append(vals)
-
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    return (np.asarray(rows), np.asarray(labels),
-            np.asarray(attrs) if attr_col is not None else None, feat_names)
-
-
-def read_plain_csv(path, fields) -> np.ndarray | None:
-    """The data rows of a plain CSV file as a structured array with the given
-    fields, in one NumPy pass; the header line is skipped. Plain means: no
-    quote, no carriage return outside a CRLF line end, no blank line, every
-    row one cell per (flattened) field, every cell a number that NumPy reads
-    as Python's int() or float() would. Returns None for any other file, so
-    that the caller's per-row reader reads or rejects it.
-    """
-    lines = _plain_line_count(Path(path))
+def _read_plain(path: Path, width: int, cols: list[int], n_int: int):
+    """`_read_rows`' result in one NumPy pass, or None where that reader must
+    decide: a file that is not plain (quotes, lone carriage returns, blank
+    lines, ragged rows, no data rows, a cell NumPy does not read as Python
+    does), or a negative integer (the per-row reader rejects it)."""
+    lines = _plain_line_count(path)
     if lines is None:
         return None
+    dtypes = [np.float64] * width
+    for c in cols[:n_int]:
+        dtypes[c] = np.int64
+    fields = [(f"c{i}", t, (len(list(run)),))  # a field per dtype run: fast for wide files
+              for i, (t, run) in enumerate(itertools.groupby(dtypes))]
     try:
         with warnings.catch_warnings():
-            # a file without data rows warns; like any file NumPy warns
-            # about, it goes to the per-row reader
-            warnings.simplefilter("error")
-            table = np.loadtxt(path, dtype=np.dtype(fields), delimiter=",", comments=None,
+            warnings.simplefilter("error")  # NumPy warns of a file without data rows
+            table = np.loadtxt(path, dtype=fields, delimiter=",", comments=None,
                                quotechar=None, skiprows=1, ndmin=1, encoding="utf-8")
     except (ValueError, Warning):
         return None
-    # NumPy skips blank lines, which the per-row readers reject
-    return table if len(table) == lines - 1 else None
+    cells = table.view(np.int64).reshape(len(table), width)
+    ints = [cells[:, c] for c in cols[:n_int]]
+    # NumPy skips blank lines
+    if len(table) != lines - 1 or any(col.min() < 0 for col in ints):
+        return None
+    return ints, cells.take(cols[n_int:], axis=1).view(np.float64)
+
+
+def _read_rows(path: Path, width: int, columns: list[tuple[str, ColumnKind]],
+               cols: list[int], n_int: int):
+    """The per-row reader: each column's kind reads its cell, in order."""
+    rows = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        for rownum, row in enumerate(itertools.islice(csv.reader(fh), 1, None), start=1):
+            if len(row) != width:
+                raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {width}")
+            values = []
+            for (name, kind), c in zip(columns, cols):
+                try:
+                    values.append(kind.parse(row[c]))
+                except ValueError:
+                    raise IngestionError(f"{path}: row {rownum}, column {name!r}: "
+                                         f"{kind.bad} {row[c]!r}") from None
+            rows.append(values)
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    return ([np.asarray([r[j] for r in rows]) for j in range(n_int)],
+            np.asarray([r[n_int:] for r in rows]))
 
 
 def _plain_line_count(path: Path) -> int | None:

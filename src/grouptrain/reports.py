@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, GroupMetrics
-from .data import Dataset, csv_rows, dataset_csv_blocks, read_plain_csv
+from .data import ColumnKind, Dataset, csv_rows, dataset_csv_blocks, read_columns
 from .errors import IngestionError, reads_file
 from .models import Architecture, Model
 from .trainers import AVERAGE, WORST_GROUP, EpochMetrics
@@ -73,6 +73,9 @@ def load_model(path) -> Model:
         count = int(header["params"])
     except (KeyError, ValueError) as e:
         raise IngestionError(f"{path}: malformed checkpoint header ({e})") from None
+    if count != arch.n_params:
+        raise IngestionError(f"{path}: params={count} does not fit the architecture "
+                             f"({arch.n_params} expected)")
     values = lines[6:6 + count]
     if len(values) != count:
         raise IngestionError(f"{path}: expected {count} parameters, found {len(values)}")
@@ -184,39 +187,26 @@ def write_loss_snapshots_csv(path, snapshots: np.ndarray) -> None:
                       for block in csv_rows([np.arange(len(snapshots))], snapshots))
 
 
+_EPOCH = ColumnKind(np.int64, "bad epoch")
+_LOSS = ColumnKind(np.float64, "non-numeric loss", "non-finite loss")
+
+
 @reads_file
 def read_loss_snapshots_csv(path) -> np.ndarray:
-    """The (epochs, examples) losses of a loss-snapshot file. A plain file is
-    parsed in one NumPy pass; any other goes through a per-row reader that
-    names the first bad row and column. Epoch cells are not checked."""
+    """The (epochs, examples) losses of a loss-snapshot file: the header
+    `epoch,x0,x1,...`, then one row per epoch, numbered from 0."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if not header or header[0] != "epoch":
+    with path.open(encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    if header != ["epoch"] + [f"x{i}" for i in range(len(header) - 1)]:
         raise IngestionError(f"{path}: not a loss-snapshot file")
-    table = read_plain_csv(path, [("epoch", np.float64), ("x", np.float64, (len(header) - 1,))])
-    if table is not None:
-        return np.ascontiguousarray(table["x"])
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                col = repr(header[len(row)]) if len(row) < len(header) else len(header) + 1
-                raise IngestionError(f"{path}: row {rownum}, column {col}: "
-                                     f"{len(row)} cells, expected {len(header)}")
-            vals = []
-            for cname, cell in zip(header[1:], row[1:]):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise IngestionError(f"{path}: row {rownum}, column {cname!r}: "
-                                         f"non-numeric loss {cell!r}") from None
-            rows.append(vals)
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    return np.asarray(rows)
+    (epochs,), losses = read_columns(path, header,
+                                     [("epoch", _EPOCH)] + [(x, _LOSS) for x in header[1:]])
+    wrong = np.flatnonzero(epochs != np.arange(len(epochs)))
+    if len(wrong):
+        raise IngestionError(f"{path}: row {wrong[0] + 1}, column 'epoch': "
+                             f"expected epoch {wrong[0]}, found {epochs[wrong[0]]}")
+    return losses
 
 
 _SWEEP_CONFIG_COLS = ["algorithm", "epochs", "batch_size", "learning_rate", "momentum",

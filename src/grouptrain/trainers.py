@@ -149,6 +149,10 @@ class TrainConfig:
                 raise ConfigError("gce_q: required in [0, 1) for the LfF trainer")
         if not self.group_step_size >= 0:
             raise ConfigError("group_step_size: must be >= 0")
+        for name in ("epochs", "batch_size", "seed", "id_epochs", "upweight_factor",
+                     "refresh_every"):
+            if not isinstance(getattr(self, name), (int, np.integer, type(None))):
+                raise ConfigError(f"{name}: must be an integer")
 
 
 class EpochMetrics(NamedTuple):

@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptrain import cli
 from grouptrain.cli import main
@@ -63,11 +68,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def cvar_report(**change):
-    """A cvar run's report, as far as analyze reads it: its train config."""
+def cvar_report(workspace, **change):
+    """A cvar run's report on the workspace's data, as far as analyze reads
+    it: its train config and the fingerprints of its splits."""
     train = {**dataclasses.asdict(TrainConfig("cvar", epochs=6, batch_size=32, learning_rate=0.02,
                                               seed=0, l2=0.001, alpha=0.25)), **change}
-    return {"effective_config": {"train": train}}
+    datasets = read_report(workspace / "data" / "report.json")["datasets"]
+    return {"effective_config": {"train": train}, "datasets": datasets}
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +91,22 @@ def workspace(tmp_path_factory):
     assert run(["train", "--config", root / "jtt.ini", "--out", root / "jtt",
                 "--data", root / "data"]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def cvar_run(workspace):
+    """A finished cvar run on the workspace's data."""
+    assert run(["train", "--config", workspace / "cvar.ini", "--out", workspace / "cvar",
+                "--data", workspace / "data"]) == 0
+    return workspace / "cvar"
+
+
+@pytest.fixture(scope="module")
+def other_data(workspace):
+    """The workspace's data generated with another seed."""
+    assert run(["generate", "--config", workspace / "gen.ini", "--out", workspace / "other",
+                "--seed", 8]) == 0
+    return workspace / "other"
 
 
 class TestGenerate:
@@ -214,8 +237,8 @@ class TestSweepAnalyzeAblateStudy:
         width = n_train + extra
         run_dir = tmp_path / "cvar"
         run_dir.mkdir()
-        (run_dir / "report.json").write_text(json.dumps(cvar_report()))
-        write_loss_snapshots_csv(run_dir / "cvar_losses.csv", np.ones((2, width)))
+        (run_dir / "report.json").write_text(json.dumps(cvar_report(workspace)))
+        write_loss_snapshots_csv(run_dir / "cvar_losses.csv", np.ones((6, width)))
         (tmp_path / "an.ini").write_text(
             f"[analyze]\nrun = {run_dir}\nerm_report = {workspace / 'erm' / 'report.json'}\n")
         assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
@@ -234,7 +257,7 @@ class TestSweepAnalyzeAblateStudy:
             self, workspace, tmp_path, capsys, change, reason):
         run_dir = tmp_path / "cvar"
         run_dir.mkdir()
-        (run_dir / "report.json").write_text(json.dumps(cvar_report(**change)))
+        (run_dir / "report.json").write_text(json.dumps(cvar_report(workspace, **change)))
         n_train = len(load_csv(workspace / "data" / "train.csv"))
         write_loss_snapshots_csv(run_dir / "cvar_losses.csv", np.ones((2, n_train)))
         (tmp_path / "an.ini").write_text(
@@ -244,6 +267,47 @@ class TestSweepAnalyzeAblateStudy:
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert (err["type"], err["message"]) == ("InputError",
                                                  f"{run_dir / 'report.json'}: {reason}")
+        assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda lines: lines[:3] + lines[2:],
+         ("IngestionError", "row 3, column 'epoch': expected epoch 2, found 1")),
+        (lambda lines: lines + ["6" + lines[-1][1:]],
+         ("InputError", "7 loss snapshots, but the run trained 6 epochs")),
+        (lambda lines: lines[:-1], ("InputError", "5 loss snapshots, but the run trained 6 epochs")),
+    ], ids=["duplicate-row", "extra-epoch", "missing-epoch"])
+    def test_analyze_takes_the_snapshots_of_the_runs_epochs_only(
+            self, workspace, cvar_run, tmp_path, capsys, edit, error):
+        run_dir = tmp_path / "cvar"
+        shutil.copytree(cvar_run, run_dir)
+        lines = (run_dir / "cvar_losses.csv").read_bytes().decode().split("\r\n")[:-1]
+        (run_dir / "cvar_losses.csv").write_bytes("".join(f"{line}\r\n" for line in edit(lines)).encode())
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {run_dir}\nerm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == (error[0],
+                                                 f"{run_dir / 'cvar_losses.csv'}: {error[1]}")
+        assert not (tmp_path / "an").exists()
+
+    def test_analyze_checks_the_data_before_reading_the_runs_files(
+            self, workspace, other_data, tmp_path, capsys):
+        run_dir = tmp_path / "cvar"
+        run_dir.mkdir()
+        report = cvar_report(workspace)
+        (run_dir / "report.json").write_text(json.dumps(report))
+        (run_dir / "cvar_losses.csv").write_text("epoch,x0\n0,abc\n")
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {run_dir}\nerm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", other_data]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        recorded = report["datasets"]["train"]["fingerprint"]
+        found = fingerprint(load_csv(other_data / "train.csv"))
+        assert (err["type"], err["message"]) == (
+            "InputError", f"{run_dir / 'report.json'}: the run's train split has fingerprint "
+                          f"{recorded}, but --data {other_data} has {found}")
         assert not (tmp_path / "an").exists()
 
     def test_analyze_of_a_run_without_a_train_config_names_report_and_key(
@@ -329,6 +393,16 @@ class TestSweepAnalyzeAblateStudy:
             "InputError", f"{run_dir / 'report.json'}: "
                           "'results.metrics.worst-group.test.worst_group_accuracy' is not a number")
         assert retrained == []
+        assert not (tmp_path / "ab").exists()
+
+    def test_ablate_of_a_one_stage_run_names_the_report(self, workspace, tmp_path, capsys):
+        (tmp_path / "ab.ini").write_text(f"[ablate]\nrun = {workspace / 'erm'}\nmode = drop-y-neq-a\n")
+        assert run(["ablate", "--config", tmp_path / "ab.ini", "--out",
+                    tmp_path / "ab", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == (
+            "InputError", f"{workspace / 'erm' / 'report.json'}: ablate needs a run of the "
+                          "two-stage trainer, not 'erm'")
         assert not (tmp_path / "ab").exists()
 
     def test_ablate_drop_majority_alignment(self, workspace, tmp_path):
@@ -723,6 +797,16 @@ class TestPersistence:
         with pytest.raises(IngestionError, match="activation 'relu'"):
             load_model(path)
 
+    def test_checkpoint_params_that_do_not_fit_the_architecture_name_the_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(init_model(Architecture(2, (), 2), 0), path)
+        lines = path.read_text().splitlines()
+        assert lines[5] == "params=6"
+        path.write_text("\n".join(lines[:5] + ["params=3"] + lines[6:9]) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: params=3 does not fit the architecture (6 expected)"
+
     def test_dataset_save_is_byte_stable(self, workspace, tmp_path):
         ds = load_csv(workspace / "data" / "train.csv")
         save_csv(ds, tmp_path / "again.csv")
@@ -781,16 +865,40 @@ class TestPersistence:
         assert np.array_equal(again.view(np.int64), snapshots.view(np.int64))
 
     @pytest.mark.parametrize("row, message", [
-        ("1,0.5\r\n", r"row 2, column 'x1': 2 cells, expected 3"),
-        ("1,0.5,0.5,0.5\r\n", r"row 2, column 4: 4 cells, expected 3"),
+        ("1,0.5\r\n", r"row 2 has 2 cells, expected 3"),
+        ("1,0.5,0.5,0.5\r\n", r"row 2 has 4 cells, expected 3"),
         ("1,0.5,abc\r\n", r"row 2, column 'x1': non-numeric loss 'abc'"),
-        ("\r\n", r"row 2, column 'epoch': 0 cells, expected 3"),
+        ("\r\n", r"row 2 has 0 cells, expected 3"),
     ])
     def test_loss_snapshots_bad_row_names_file_row_and_column(self, tmp_path, row, message):
         path = tmp_path / "s.csv"
         path.write_bytes(f"epoch,x0,x1\r\n0,0.5,0.5\r\n{row}".encode())
         with pytest.raises(IngestionError, match=r"s\.csv: " + message):
             read_loss_snapshots_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,nan\n", "row 1, column 'x0': non-finite loss nan"),
+        ("0,0.5\n1,-1e400\n", "row 2, column 'x0': non-finite loss -inf"),
+        ("0,0.5\n0,0.5\n", "row 2, column 'epoch': expected epoch 1, found 0"),
+        ("1,0.5\n", "row 1, column 'epoch': expected epoch 0, found 1"),
+        ("0,0.5\n-1,0.5\n", "row 2, column 'epoch': bad epoch '-1'"),
+        ("0.0,0.5\n", "row 1, column 'epoch': bad epoch '0.0'"),
+    ])
+    def test_loss_snapshots_need_finite_losses_and_epochs_from_zero(self, tmp_path, rows, message):
+        path = tmp_path / "s.csv"
+        path.write_text("epoch,x0\n" + rows)
+        with pytest.raises(IngestionError) as err:
+            read_loss_snapshots_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("header", ["", "epoch,x1", "epoch,x0,x0", "epoch, x0",
+                                        "x0,epoch", '"epoch",x0'])
+    def test_loss_snapshots_need_the_header_they_are_written_with(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{header}\n0,0.5\n")
+        with pytest.raises(IngestionError) as err:
+            read_loss_snapshots_csv(path)
+        assert str(err.value) == f"{path}: not a loss-snapshot file"
 
     def test_loss_snapshots_without_rows_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -823,3 +931,83 @@ class TestPersistence:
         with pytest.raises(IngestionError) as err:
             read_report(path)
         assert str(err.value).startswith(f"{path}: Expecting")
+
+
+def _key_paths(value, prefix=()):
+    """The key path of every entry of a JSON object, nested ones included."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield prefix + (key,)
+            yield from _key_paths(inner, prefix + (key,))
+
+
+# the parts of a report that analyze and ablate read
+_READ_KEYS = [("effective_config",), ("datasets",), ("results", "metrics", "worst-group", "test")]
+
+
+_CORRUPT_VALUES = [None, "x", "erm", -1, 0, 1.5, True, [], {}, "sha256:0"]
+_CORRUPT_BYTES = [b"0", b"9", b"-", b".", b",", b"\n", b"\r", b" ", b'"', b"e", b"x", b"\xff"]
+
+
+class TestCorruptRuns:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_run_readers_fail_cleanly_on_corrupt_runs(self, workspace, cvar_run, other_data,
+                                                      tmp_path_factory, data):
+        """analyze or ablate of a finished run with report keys dropped or
+        altered, run files truncated or with bytes changed, or other data:
+        exit 0 with a report, or one error block naming a file the command
+        read (or --data) and no output left behind."""
+        command, source = data.draw(st.sampled_from(
+            [("analyze", workspace / "jtt"), ("analyze", cvar_run), ("ablate", workspace / "jtt")]))
+        root = tmp_path_factory.mktemp("corrupt")
+        run_dir = root / "run"
+        shutil.copytree(source, run_dir)
+        reference = root / "erm.json"
+        shutil.copy(workspace / "erm" / "report.json", reference)
+        reports = [run_dir / "report.json"] + ([reference] if command == "analyze" else [])
+        tables = [run_dir / name for name in ("error_set.csv", "cvar_losses.csv")
+                  if (run_dir / name).exists()]
+        data_dir = workspace / "data" if data.draw(st.integers(0, 3)) else other_data
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(reports + tables))
+            if path in reports:
+                report = json.loads(path.read_text())
+                keys = data.draw(st.sampled_from(sorted(
+                    k for k in _key_paths(report) if any(k[:len(r)] == r for r in _READ_KEYS))))
+                parent = report
+                for key in keys[:-1]:
+                    parent = parent[key]
+                if data.draw(st.booleans()):
+                    del parent[keys[-1]]
+                else:
+                    parent[keys[-1]] = data.draw(st.sampled_from(_CORRUPT_VALUES))
+                path.write_text(json.dumps(report))
+            else:
+                content = path.read_bytes()
+                at = data.draw(st.integers(0, max(len(content) - 1, 0)))
+                if data.draw(st.booleans()):
+                    content = content[:at]
+                else:
+                    content = content[:at] + data.draw(st.sampled_from(_CORRUPT_BYTES)) \
+                        + content[at + 1:]
+                path.write_bytes(content)
+        config = root / "cmd.ini"
+        config.write_text(
+            f"[analyze]\nrun = {run_dir}\nerm_report = {reference}\n" if command == "analyze"
+            else f"[ablate]\nrun = {run_dir}\nmode = drop-y-neq-a\n")
+        out = root / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run([command, "--config", config, "--out", out, "--data", data_dir])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert (out / "report.json").exists()
+            return
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["error"]["message"]
+        read = reports + tables + [data_dir / f"{split}.csv" for split in ("train", "val", "test")]
+        assert any(str(path) in message for path in read) or f"--data {data_dir}" in message, \
+            message
+        assert not out.exists() and not (root / "out.partial").exists()

@@ -709,6 +709,14 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=key):
                 cfg(**{key: math.nan})
 
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "seed", "id_epochs",
+                                     "upweight_factor", "refresh_every"])
+    def test_integer_fields_take_integers_only(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: must be an integer$"):
+            cfg("jtt", **{"id_epochs": 1, "upweight_factor": 2, key: 1.5})
+        assert getattr(cfg("jtt", **{"id_epochs": 1, "upweight_factor": 2, key: np.int64(2)}),
+                       key) == 2
+
 
 def test_error_set_on_reference_benchmark_is_minority_enriched(reference_bench):
     # after one identification epoch, both attribute-minority groups show up
