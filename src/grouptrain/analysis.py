@@ -206,10 +206,12 @@ def top_loss_indices(losses: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def loss_snapshots(trajectory: Sequence[Model], data: Dataset) -> np.ndarray:
-    """Per-example cross-entropy on `data`, one row per model of trajectory[1:]."""
+    """Per-example cross-entropy on `data`, one row per model of
+    trajectory[1:]: (epochs, len(data)), no rows for an untrained run."""
     spec = LossSpec(CROSS_ENTROPY)
-    return np.asarray([loss_values(forward_batch(model, data.features), data.labels, spec)
-                       for model in trajectory[1:]])
+    rows = [loss_values(forward_batch(model, data.features), data.labels, spec)
+            for model in trajectory[1:]]
+    return np.array(rows).reshape(len(rows), len(data))
 
 
 def track_cvar_composition(snapshots: Sequence[np.ndarray], alpha: float,

@@ -365,7 +365,10 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         if len(snapshots) != cfg.epochs:
             raise InputError(f"{snapshots_file}: {len(snapshots)} loss snapshots, but the run "
                              f"trained {cfg.epochs} epochs")
-        points = track_cvar_composition(snapshots, cfg.alpha, train_ds, worst)
+        try:
+            points = track_cvar_composition(snapshots, cfg.alpha, train_ds, worst)
+        except InputError as e:  # snapshots as wide as another training set
+            raise InputError(f"{snapshots_file}: {e}") from None
         write_composition_csv(out.output("composition", "composition.csv"), points)
         results["composition"] = {
             "alpha": cfg.alpha,

@@ -53,9 +53,12 @@ class Architecture:
     def __post_init__(self):
         if self.input_dim < 1 or self.n_classes < 2:
             raise InputError("architecture needs input_dim >= 1 and n_classes >= 2")
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(isinstance(h, (int, np.integer)) for h in self.hidden)):
+            raise InputError("hidden: widths must be integers")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise InputError("hidden widths must be positive")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) per layer, input to output."""

@@ -26,11 +26,11 @@ Lanes
 -----
 Every trainer runs a population: one lane (`_Lane`) per config, all lanes
 of one architecture stepping through one minibatch loop (`_weighted_sgd`),
-one stacked matmul per layer for the lanes whose batches have one length.
-A lane computes bit for bit what training its config alone computes:
-`train` is a population of one, and `train_population` trains a grid.
-Lanes fail alone, and `_scored` raises the error of the first failed config
-in order.
+one stacked matmul per layer for the models (one per lane, two for LfF)
+whose batches have one length. A lane computes bit for bit what training
+its config alone computes: `train` is a population of one, and
+`train_population` trains a grid. Lanes fail alone, and `_scored` raises
+the error of the first failed config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -130,6 +130,9 @@ class TrainConfig:
             raise ConfigError("momentum: must lie in [0, 1)")
         if not self.l2 >= 0:
             raise ConfigError("l2: must be >= 0")
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(isinstance(h, (int, np.integer)) for h in self.hidden)):
+            raise ConfigError("hidden: widths must be integers")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ConfigError("hidden: widths must be positive")
@@ -249,18 +252,19 @@ class _Lane:
     """One config's run in a population: its training view (an int32 index
     map into the population's base rows, so upsampling copies no data; all
     of them, in order, by default), epochs, seed streams, refresh rule,
-    extras and SGD `state`: parameters, velocity, (1,)-shaped
-    learning_rate, momentum and l2, and the weight rule's per-lane entries,
-    which the trainer passes. `_weighted_sgd` fills in the per-epoch
-    losses, the trajectory and, if the lane fails, its error, and leaves
-    the final state in `state`."""
+    extras and SGD `state`, each entry one row per model (the run's main
+    model first, then LfF's bias model; all start alike): parameters,
+    velocity, (models, 1)-shaped learning_rate, momentum and l2, the entries
+    the trainer passes, the weight rule's and an optional loss `exponent`.
+    `_weighted_sgd` fills in the per-epoch losses, the trajectory and, if
+    the lane fails, its error, and leaves the final state in `state`."""
 
     def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
                  identification: bool = False,
                  refresh: Callable[[int, Model], np.ndarray | None] | None = None,
                  aux: dict[str, Any] | None = None,
-                 state: dict[str, np.ndarray] | None = None):
-        self.cfg, self.refresh = cfg, refresh
+                 state: dict[str, np.ndarray] | None = None, n_models: int = 1):
+        self.cfg, self.refresh, self.n_models = cfg, refresh, n_models
         self.rows = np.arange(len(base), dtype=np.int32) if rows is None else rows
         self.epochs, (init, shuffle) = ((cfg.id_epochs, (2, 3)) if identification
                                         else (cfg.epochs, (0, 1)))
@@ -270,8 +274,9 @@ class _Lane:
         self.aux: dict[str, Any] = {} if aux is None else aux
         params = self.trajectory[0].params
         self.state: dict[str, np.ndarray] = {
-            "params": params, "velocity": np.zeros(params.size),
-            **{name: np.array([getattr(cfg, name)], dtype=np.float64)
+            "params": np.tile(params, (n_models, 1)),
+            "velocity": np.zeros((n_models, params.size)),
+            **{name: np.full((n_models, 1), getattr(cfg, name), dtype=np.float64)
                for name in ("learning_rate", "momentum", "l2")},
             **(state or {})}
         self.error: Exception | None = None
@@ -298,70 +303,72 @@ def _uniform(_state, losses: np.ndarray, *_) -> np.ndarray:
     return _uniform_weights(losses.shape)
 
 
-def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray],
-          rule: Callable[..., np.ndarray], xb: np.ndarray, index: np.ndarray, ridx: np.ndarray,
-          losses: np.ndarray, weights: np.ndarray) -> tuple[Model, OptimizerState]:
-    """One SGD step of the stacked lanes on their batches; returns the
-    stepped model and optimizer state, and leaves the lanes' per-example
-    losses and weights in `losses` and `weights`."""
+def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule: Callable,
+          exponent, xb: np.ndarray, index: np.ndarray, ridx: np.ndarray, losses: np.ndarray,
+          weights: np.ndarray) -> tuple[Model, OptimizerState]:
+    """One SGD step of the stacked models on their batches, each on its
+    weighted loss at its `exponent`; returns the stepped model and optimizer
+    state, and leaves the per-example cross-entropies and weights in
+    `losses` and `weights`."""
     forward = models._forward_cached(model, xb)
     p_label = forward[0].take(index)
     p = models._clamp(p_label)
     models._losses(p, _CROSS_ENTROPY, out=losses)
-    weights[...] = w = rule(state, losses, ridx, xb, index, p_label)
-    scale = models._grad_scale(p, w, _CROSS_ENTROPY)
+    weights[...] = w = rule(state, losses, ridx, p_label)
+    scale = models._grad_scale(p, w, exponent)
     return sgd_step(model, models._backprop(model, forward, index, scale), opt)
 
 
 # A chunk's buffers hold at most this many cells (256 KB of float64) each.
 # On the reference data (10 features) that is the gathered features of 51
-# steps of one 64-row lane, or of 2 steps of 24 lanes; a chunk always takes at
+# steps of one 64-row model, or of 2 steps of 24; a chunk always takes at
 # least one step.
 _CHUNK_CELLS = 1 << 15
 
 
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                   rule: Callable[..., np.ndarray] = _uniform) -> None:
-    """Minibatch SGD of a population of lanes (one architecture) over their
-    views of `base` on the per-example cross-entropy, weighted uniformly by
-    default.
+    """Minibatch SGD of a population of lanes (one architecture and model
+    count m) over their views of `base`, each model on its per-example loss
+    at its `exponent`, weighted uniformly by default.
 
     Per epoch a lane's example order is one permutation from its shuffle
     stream; batches are its consecutive slices (the last may be short), each
-    taking one forward pass that the losses, the weights and the gradient
-    share. The lanes' `state`s are stacked once per call into a pool of
-    arrays, one row per lane, at the lane's `slot`. A segment is the steps
-    over which no lane's batch length changes; per segment the lanes whose
-    batches have one length gather their slots' rows (`a[slots]`), step
-    together, one matmul per layer for all of them, and scatter the stepped
-    rows back (`pool[name][slots] = a`). When the loop ends, each lane's
-    `state` holds its rows of the pool. Per segment the group also builds
-    once the stacked `Model` and `OptimizerState`, which each step's
-    `sgd_step` hands on to the next, and the flat offsets of their label
-    entries. The weights are ``rule(state, losses, base rows,
-    features, label index, label probabilities)``, all pre-step with a
-    leading lane axis; `state` holds the stacked entries other than params
-    and velocity, and the rule may replace its own.
+    taking one forward pass per model that the losses, the weights and the
+    gradient share. The lanes' `state`s are concatenated once per call into
+    a pool of arrays, one row per model, a lane's m rows from its `slot` on.
+    A segment is the steps over which no lane's batch length changes; per
+    segment the k lanes whose batches have one length gather their k * m
+    rows (`a[slots]`), step together, one matmul per layer for all of them,
+    and scatter the stepped rows back (`pool[name][slots] = a`). When the
+    loop ends, each lane's `state` holds its rows of the pool. Per segment
+    the group also builds once the stacked `Model` and `OptimizerState`,
+    which each step's `sgd_step` hands on to the next, and the flat offsets
+    of their label entries. The weights are ``rule(state, losses, base
+    rows, label probabilities)``, all pre-step with a leading row axis;
+    `state` holds the stacked entries other than params, velocity and
+    exponent, and the rule may replace its own.
 
     A chunk is a run of a segment's steps whose buffers hold at most
     `_CHUNK_CELLS` cells each. Per chunk the group gathers its batches'
-    features as one (steps, lanes, rows, features) array, so that each step
-    reads a contiguous slice, and their flat label indices in one
-    expression; each step leaves its per-example losses and weights in the
-    chunk's buffers, and one stacked (1, b) @ (b, 1) matmul gives every
-    step's weighted batch objective, the products a lone step takes. A
-    lane's train loss per epoch is the mean over its batches of that
-    objective. Per segment, the lanes' running objectives and their steps'
-    objectives fill one (steps + 1, lanes) array, folded down the step axis:
-    the same sequential sum as adding step by step. A non-finite objective
-    or parameters fail the lane: it records a FloatingPointError naming
-    where and leaves, and the other lanes run to their own ends.
+    features as one (steps, rows, batch, features) array, a lane's batch
+    once per model, so that each step reads a contiguous slice, and their
+    flat label indices in one expression; each step leaves its per-example
+    cross-entropies and weights in the chunk's buffers, and one stacked
+    (1, b) @ (b, 1) matmul gives every step's weighted batch objective, the
+    products a lone step takes. A lane's train loss per epoch is the mean
+    over its batches of its main model's objective. Per segment, the lanes'
+    running objectives and their steps' objectives fill one (steps + 1,
+    lanes) array, folded down the step axis: the same sequential sum as
+    adding step by step. A non-finite objective or main-model parameters
+    fail the lane: it records a FloatingPointError naming where and leaves,
+    and the other lanes run to their own ends.
     """
-    arch = lanes[0].trajectory[0].arch
+    arch, m = lanes[0].trajectory[0].arch, lanes[0].n_models
     models._check_labels(base.labels, arch.n_classes)
-    pool = {name: np.stack([lane.state[name] for lane in lanes]) for name in lanes[0].state}
-    for slot, lane in enumerate(lanes):
-        lane.slot = slot
+    pool = {name: np.concatenate([lane.state[name] for lane in lanes]) for name in lanes[0].state}
+    for i, lane in enumerate(lanes):
+        lane.slot = i * m
         if lane.active:
             lane.start_epoch()
 
@@ -385,27 +392,29 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                               []).append(lane)
         for b, group in groups.items():
             k = len(group)
-            slots = np.array([lane.slot for lane in group])
+            slots = np.array([lane.slot + i for lane in group for i in range(m)])
             state = {name: a[slots] for name, a in pool.items()}
+            exponent = state.pop("exponent", _CROSS_ENTROPY)
             model = models._adopt(Model, arch=arch, params=state.pop("params"))
             opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
                                 momentum=state["momentum"], l2=state["l2"],
                                 velocity=state.pop("velocity"))
             rows = np.stack([lane.order[lane.pos:][:n_steps * b] for lane in group])
-            offsets = models._label_offsets((k, b), arch.n_classes)
+            offsets = models._label_offsets((k * m, b), arch.n_classes)
             objectives = np.empty((n_steps + 1, k))
             objectives[0] = [lane.objective for lane in group]
-            per_chunk = max(1, _CHUNK_CELLS // (k * b * base.n_features))
+            per_chunk = max(1, _CHUNK_CELLS // (k * m * b * base.n_features))
             for start in range(0, n_steps, per_chunk):
                 stop = min(start + per_chunk, n_steps)
                 ridx = rows[:, start * b:stop * b].reshape(k, stop - start, b).swapaxes(0, 1)
+                ridx = ridx.repeat(m, axis=1) if m > 1 else ridx  # a batch per model
                 xs = base.features.take(ridx, axis=0)
                 index = offsets + base.labels.take(ridx) * b
                 losses, weights = np.empty(ridx.shape), np.empty(ridx.shape)
                 for step in zip(xs, index, ridx, losses, weights):
-                    model, opt = _step(model, opt, state, rule, *step)
-                objectives[start + 1:stop + 1] = (weights[:, :, None, :]
-                                                  @ losses[:, :, :, None])[:, :, 0, 0]
+                    model, opt = _step(model, opt, state, rule, exponent, *step)
+                objectives[start + 1:stop + 1] = (weights[:, ::m, None, :]
+                                                  @ losses[:, ::m, :, None])[:, :, 0, 0]
             state.update(params=model.params, velocity=opt.velocity)
             for name, a in state.items():
                 pool[name][slots] = a
@@ -441,7 +450,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                 lane.start_epoch()
 
     for lane in lanes:
-        lane.state = {name: a[lane.slot] for name, a in pool.items()}
+        lane.state = {name: a[lane.slot:lane.slot + m] for name, a in pool.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +584,7 @@ def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step."""
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg, state={"alpha": np.array([cfg.alpha])}) for cfg in cfgs]
+    lanes = [_Lane(base, cfg, state={"alpha": np.full((1, 1), cfg.alpha)}) for cfg in cfgs]
 
     def rule(state: dict[str, np.ndarray], losses: np.ndarray, *_) -> np.ndarray:
         return _cvar_weights(losses, state["alpha"])
@@ -596,42 +605,31 @@ def lff_weight(p_bias, p_main):
     return lb / (lb + lm)
 
 
-def _lff_rule(arch: Architecture, state: dict[str, np.ndarray], _losses, _ridx,
-              xb: np.ndarray, index: np.ndarray, p_main: np.ndarray) -> np.ndarray:
-    """Steps each lane's bias model on the mean GCE at the lane's gce_q and
-    returns the main model's normalized LfF weights."""
-    bias = models._adopt(Model, arch=arch, params=state["bias_params"])
-    opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
-                        momentum=state["momentum"], l2=state["l2"],
-                        velocity=state["bias_velocity"])
-    forward = models._forward_cached(bias, xb)
-    p_bias = forward[0].take(index)
-    raw = lff_weight(p_bias, p_main)
-    scale = models._grad_scale(models._clamp(p_bias), _uniform_weights(p_bias.shape),
-                               state["gce_q"])
-    bias, opt = sgd_step(bias, models._backprop(bias, forward, index, scale), opt)
-    state["bias_params"], state["bias_velocity"] = bias.params, opt.velocity
-    return raw / raw.sum(axis=-1, keepdims=True)
+def _lff_rule(_state, _losses, _ridx, p_label: np.ndarray) -> np.ndarray:
+    """Per lane (main row, then bias row): the main model's normalized LfF
+    weights, and uniform weights for the bias model."""
+    raw = lff_weight(p_label[1::2], p_label[0::2])
+    weights = np.full(p_label.shape, 1.0 / p_label.shape[-1])
+    weights[0::2] = raw / raw.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Interleaved updates of a bias model (generalized cross-entropy, which
     gradient-weights examples by p^q and so favours easy ones) and the main
     model (cross-entropy with per-example weights from `lff_weight`, using
-    the pre-step probabilities of both models, normalized to sum 1). Per
-    batch the bias model steps first, then the main model.
+    the pre-step probabilities of both models, normalized to sum 1). The two
+    models are the rows of one lane and step on each batch together.
 
     Both models start from the identical seeded initialization, so gce_q=0
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg, state={"gce_q": np.float64(cfg.gce_q)}) for cfg in cfgs]
-    for lane in lanes:  # the bias model starts where the main model does
-        lane.state.update(bias_params=lane.state["params"], bias_velocity=lane.state["velocity"])
-    arch = lanes[0].trajectory[0].arch
-    _weighted_sgd(base, lanes, functools.partial(_lff_rule, arch))
+    lanes = [_Lane(base, cfg, n_models=2,
+                   state={"exponent": np.array([_CROSS_ENTROPY, cfg.gce_q])}) for cfg in cfgs]
+    _weighted_sgd(base, lanes, _lff_rule)
     for lane in lanes:
-        lane.aux["bias_model"] = Model(arch, lane.state["bias_params"])
+        lane.aux["bias_model"] = Model(lane.trajectory[0].arch, lane.state["params"][1])
     return lanes
 
 
@@ -684,12 +682,12 @@ def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
         raise InputError("group-dro needs training group annotations")
     groups, codes, _ = train.group_index()
     lanes = [_Lane(train, cfg, state={
-        "group_weights": np.full(len(groups), 1.0 / len(groups)),
-        "group_step_size": np.array([cfg.group_step_size], dtype=np.float64)}) for cfg in cfgs]
+        "group_weights": np.full((1, len(groups)), 1.0 / len(groups)),
+        "group_step_size": np.full((1, 1), cfg.group_step_size, dtype=float)}) for cfg in cfgs]
     _weighted_sgd(train, lanes, functools.partial(_group_dro_rule, codes, len(groups)))
     for lane in lanes:
-        lane.aux["group_weights"] = {g: float(lane.state["group_weights"][i])
-                                     for i, g in enumerate(groups)}
+        lane.aux["group_weights"] = {g: float(w) for g, w
+                                     in zip(groups, lane.state["group_weights"][0])}
     return lanes
 
 

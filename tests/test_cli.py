@@ -245,8 +245,25 @@ class TestSweepAnalyzeAblateStudy:
                     tmp_path / "an", "--data", workspace / "data"]) == 2
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err["type"] == "InputError"
-        assert err["message"] == (f"loss snapshot 0 has {width} losses; "
-                                  f"the training set has {n_train} examples")
+        assert err["message"] == (f"{run_dir / 'cvar_losses.csv'}: loss snapshot 0 has {width} "
+                                  f"losses; the training set has {n_train} examples")
+
+    def test_untrained_cvar_run_leaves_a_snapshot_header_that_analyze_rejects(
+            self, workspace, tmp_path, capsys):
+        (tmp_path / "cvar.ini").write_text(CVAR.replace("epochs = 6", "epochs = 0"))
+        assert run(["train", "--config", tmp_path / "cvar.ini", "--out", tmp_path / "cvar",
+                    "--data", workspace / "data"]) == 0
+        n_train = len(load_csv(workspace / "data" / "train.csv"))
+        header = ",".join(["epoch"] + [f"x{i}" for i in range(n_train)])
+        assert (tmp_path / "cvar" / "cvar_losses.csv").read_text() == header + "\n"
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {tmp_path / 'cvar'}\n"
+            f"erm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["message"] == f"{tmp_path / 'cvar' / 'cvar_losses.csv'}: no data rows"
+        assert not (tmp_path / "an").exists()
 
     @pytest.mark.parametrize("change, reason", [
         ({"alpha": "0.25"}, "'effective_config.train' is not a valid TrainConfig: "

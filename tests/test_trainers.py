@@ -509,6 +509,20 @@ class TestLffTrainer:
         assert np.array_equal(result.aux["bias_model"].params, bias.params)
         assert result.history == history
 
+    def test_hidden_layer_population_matches_the_reference_loop(self, small_bench):
+        # Four lanes, two exponents: both models of every lane, with hidden
+        # layers, step in one stacked call.
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        cfgs = [cfg("lff", hidden=(4, 3), gce_q=q, learning_rate=rate)
+                for q in (0.5, 0.7) for rate in (0.01, 0.05)]
+        results = trainers_mod.train_population(train, val, cfgs)
+        for c, result in zip(cfgs, results):
+            main, bias, history = reference_lff(train, val, c)
+            assert np.array_equal(result.model.params, main.params)
+            assert np.array_equal(result.aux["bias_model"].params, bias.params)
+            assert result.history == history
+
     def test_bias_model_in_aux(self, small_bench):
         train, val, _ = small_bench
         result = gt.train(train, val, cfg("lff", gce_q=0.7))
@@ -678,6 +692,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg("boosting")
 
+    @pytest.mark.parametrize("hidden", [[1.5], [2.0], "12", 5, (4, "3")])
+    def test_hidden_widths_take_integers_only(self, hidden):
+        with pytest.raises(ConfigError, match="^hidden: widths must be integers$"):
+            cfg(hidden=hidden)
+        with pytest.raises(InputError, match="^hidden: widths must be integers$"):
+            Architecture(3, hidden, 2)
+        assert cfg(hidden=[np.int64(4), 3]).hidden == Architecture(3, [4, 3], 2).hidden == (4, 3)
+
     def test_algorithm_specific_requirements(self):
         with pytest.raises(ConfigError, match="id_epochs"):
             cfg("jtt", upweight_factor=2)
@@ -747,14 +769,14 @@ def test_one_forward_pass_per_model_per_step(small_bench, monkeypatch, algorithm
         return forward_cached(model, x)
 
     def counting_step(model, gradient, opt):
-        steps.append(1)
+        steps.append(len(model.params))
         return sgd_step(model, gradient, opt)
 
     monkeypatch.setattr(models_mod, "_forward_cached", counting_forward)
     monkeypatch.setattr(trainers_mod, "sgd_step", counting_step)
     gt.train(train, val, c)
     n_models = 2 if algorithm == "lff" else 1
-    assert len(steps) == n_models * c.epochs * math.ceil(len(train) / c.batch_size)
+    assert steps == [n_models] * c.epochs * math.ceil(len(train) / c.batch_size)
     assert len(batch_rows) == len(steps)
 
 
@@ -788,7 +810,7 @@ def test_one_forward_pass_per_model_per_stacked_step(small_bench, monkeypatch, a
     trainers_mod.train_population(train, val, cfgs)
     n_models = 2 if algorithm == "lff" else 1
     stacked_steps = cfgs[0].epochs * math.ceil(len(train) / cfgs[0].batch_size)
-    assert step_lanes == [len(cfgs)] * n_models * stacked_steps
+    assert step_lanes == [n_models * len(cfgs)] * stacked_steps
     assert batch_lanes == step_lanes
     assert backprop_lanes == step_lanes
 
@@ -927,9 +949,9 @@ class TestChunks:
         import grouptrain.trainers as trainers_mod
         train, val, _ = small_bench
         # Two 32-row lanes with different exponents step together, 3 steps
-        # per chunk; the 50-row lane's chunks take 3 steps too, the short
-        # last batches one.
-        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 2 * 32 * train.n_features)
+        # per chunk of their 2 * 2 model rows; the 50-row lane's chunks take
+        # 3 steps too, the short last batches one.
+        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 2 * 2 * 32 * train.n_features)
         lengths = chunk_lengths(monkeypatch)
         cfgs = [cfg("lff", batch_size=b, gce_q=q) for b, q in ((32, 0.5), (32, 0.7), (50, 0.7))]
         results = trainers_mod.train_population(train, val, cfgs)

@@ -9,7 +9,10 @@ and the extras (`aux`) of:
 - a lone run of each of the 7 algorithms with hidden widths (), (5,) and
   (4, 3);
 - a 6-lane ERM population with hidden widths (4, 3), the only case where a
-  hidden layer's bias gradient sums several lanes' rows at once.
+  hidden layer's bias gradient sums several lanes' rows at once;
+- a 6-lane LfF population with hidden widths (4, 3) and two gce_q values,
+  the only case where the main and bias models of several lanes, with
+  hidden layers, step in one stacked call.
 
 Run it against two trees with the same script, and compare the lines:
 
@@ -83,6 +86,10 @@ def populations() -> list[list[TrainConfig]]:
                                      hidden=(4, 3))
     out.append(Grid(hidden_erm, {"learning_rate": REFERENCE_LEARNING_RATES,
                                  "l2": (1e-3, 1e-2)}).configs())
+    hidden_lff = dataclasses.replace(reference_config("lff", seed=0), epochs=LONE_EPOCHS,
+                                     hidden=(4, 3))
+    out.append(Grid(hidden_lff, {"learning_rate": REFERENCE_LEARNING_RATES,
+                                 "gce_q": (0.5, 0.7)}).configs())
     return out
 
 
