@@ -138,6 +138,9 @@ def _train_config(parsed: ParsedConfig, args, out: _OutputDir) -> TrainConfig:
 
 def _grid(parsed: ParsedConfig, cfg: TrainConfig, out: _OutputDir) -> Grid:
     grid = Grid(cfg, parsed.grid.axes if parsed.grid is not None else {})
+    if min(grid.axes.get("epochs", (cfg.epochs,))) < 1:  # every grid point must train
+        section = "grid" if "epochs" in grid.axes else "train"
+        raise ConfigError(f"{parsed.path}: [{section}] epochs: sweeps need epochs >= 1")
     out.config["grid"] = grid.axes
     return grid
 

@@ -10,7 +10,7 @@ through one reader, `read_columns`: a plain file in one NumPy pass, any
 file with quoted cells, text columns, blank lines or lone carriage returns
 through the per-row reader, with the same values and errors either way.
 A column's `ColumnKind` says how its cells read and what a bad one's error
-says; float cells must be finite.
+says; a table's float columns share one kind, and must be finite.
 
 CSV output (`csv_rows`, and through it `save_csv` and the fingerprints) is
 Python's `%d` / `%.17g` text of every cell, made in NumPy blocks:
@@ -148,8 +148,9 @@ class SyntheticSpec:
     noise_sigma: float
 
     def __post_init__(self):
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise InputError("split sizes must be positive")
+        for key, least in (("n_train", 1), ("n_val", 4), ("n_test", 4)):  # n // 4 per group
+            if getattr(self, key) < least:
+                raise InputError(f"{key}: must be >= {least}")
         if not (0.5 < self.majority_fraction < 1.0):
             raise InputError("majority_fraction must lie in (0.5, 1)")
         balance = tuple(float(b) for b in self.label_balance)
@@ -522,34 +523,32 @@ def load_csv(path, name: str | None = None) -> Dataset:
     header = [h.strip() for h in header]
     if "label" not in header:
         raise IngestionError(f"{path}: missing label column 'label'")
-    features = [(h, _FEATURE) for h in header if h.startswith("f") and h[1:].isdigit()]
+    features = [h for h in header if h.startswith("f") and h[1:].isdigit()]
     if not features:
         raise IngestionError(f"{path}: no feature columns found")
     ints = [("label", _LABEL)] + [("attribute", _ATTRIBUTE)] * ("attribute" in header)
-    (labels, *attrs), values = read_columns(path, header, ints + features)
+    (labels, *attrs), values = read_columns(path, header, ints, features, _FEATURE)
     return Dataset(values, labels, attrs[0] if attrs else None,
                    name if name is not None else path.stem)
 
 
-def read_columns(path: Path, header: list[str], columns: list[tuple[str, ColumnKind]]
-                 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The data rows' integer columns, one array each, and their float
-    columns as one 2-D array, in the order of `columns` (integers first).
-    `header` names the file's columns; a name stands for its first. An
-    IngestionError names the path, row and column of the first bad cell:
-    row by row, a cell count other than the header's or a cell its kind does
-    not read (in `columns` order); then no data rows; then a non-finite float."""
+def read_columns(path: Path, header: list[str], ints: list[tuple[str, ColumnKind]],
+                 floats: list[str], kind: ColumnKind) -> tuple[list[np.ndarray], np.ndarray]:
+    """The data rows' integer columns `ints`, (name, kind) pairs, one array
+    each, and the float columns named `floats`, all of kind `kind`, as one
+    2-D array. `header` names the file's columns; a name stands for its
+    first. An IngestionError names the path, row and column of the first bad
+    cell: row by row, a cell count other than the header's or a cell its kind
+    does not read (integers first); then no data rows; then a non-finite float."""
     first = dict(zip(reversed(header), range(len(header) - 1, -1, -1)))  # name: first column
-    cols = [first[name] for name, _ in columns]
-    n_int = [kind.dtype for _, kind in columns].count(np.int64)
-    ints, floats = (_read_plain(path, len(header), cols, n_int)
-                    or _read_rows(path, len(header), columns, cols, n_int))
-    if not np.isfinite(floats).all():
-        row, col = np.argwhere(~np.isfinite(floats))[0]
-        name, kind = columns[n_int + col]
-        raise IngestionError(f"{path}: row {row + 1}, column {name!r}: "
-                             f"{kind.nonfinite} {float(floats[row, col])!r}")
-    return ints, floats
+    cols = [first[name] for name, _ in ints] + [first[name] for name in floats]
+    int_values, values = (_read_plain(path, len(header), cols, len(ints))
+                          or _read_rows(path, len(header), ints, floats, kind, cols))
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise IngestionError(f"{path}: row {row + 1}, column {floats[col]!r}: "
+                             f"{kind.nonfinite} {float(values[row, col])!r}")
+    return int_values, values
 
 
 def _read_plain(path: Path, width: int, cols: list[int], n_int: int):
@@ -580,8 +579,8 @@ def _read_plain(path: Path, width: int, cols: list[int], n_int: int):
     return ints, cells.take(cols[n_int:], axis=1).view(np.float64)
 
 
-def _read_rows(path: Path, width: int, columns: list[tuple[str, ColumnKind]],
-               cols: list[int], n_int: int):
+def _read_rows(path: Path, width: int, ints: list[tuple[str, ColumnKind]], floats: list[str],
+               kind: ColumnKind, cols: list[int]):
     """The per-row reader: each column's kind reads its cell, in order."""
     rows = []
     with path.open(newline="", encoding="utf-8") as fh:
@@ -589,17 +588,18 @@ def _read_rows(path: Path, width: int, columns: list[tuple[str, ColumnKind]],
             if len(row) != width:
                 raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {width}")
             values = []
-            for (name, kind), c in zip(columns, cols):
+            columns = itertools.chain(ints, zip(floats, itertools.repeat(kind)))
+            for (name, cell_kind), c in zip(columns, cols):
                 try:
-                    values.append(kind.parse(row[c]))
+                    values.append(cell_kind.parse(row[c]))
                 except ValueError:
                     raise IngestionError(f"{path}: row {rownum}, column {name!r}: "
-                                         f"{kind.bad} {row[c]!r}") from None
+                                         f"{cell_kind.bad} {row[c]!r}") from None
             rows.append(values)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    return ([np.asarray([r[j] for r in rows]) for j in range(n_int)],
-            np.asarray([r[n_int:] for r in rows]))
+    return ([np.asarray([r[j] for r in rows]) for j in range(len(ints))],
+            np.asarray([r[len(ints):] for r in rows]))
 
 
 def _plain_line_count(path: Path) -> int | None:

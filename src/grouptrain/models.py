@@ -194,6 +194,10 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
 # `TestClassAxisKernel`, `TestStepKernel` and `TestKernelLayout` fail if a
 # NumPy or BLAS release changes any of these orders.
 #
+# Backprop knows one loss, weighted cross-entropy (`_grad_scale`). GCE's
+# gradient is cross-entropy's times p^q, so `_gce_weights` folds p^q into
+# the weights, for one exponent or a column of one per lane at once.
+#
 # Clamps call the ndarray.clip method, one ufunc pass behind a thin Python
 # wrapper. The np.clip function adds an array-function dispatch that costs
 # more than the clamp itself on a batch, and np.maximum then np.minimum (the
@@ -267,26 +271,19 @@ def _losses(p: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarra
     return np.divide(-np.expm1(q * np.log(p)), q, out=out)
 
 
-def _grad_scale(p: np.ndarray, weights: np.ndarray, q) -> np.ndarray:
-    """d(weighted loss)/d(label logit) up to the softmax factor, from label
-    probabilities `_clamp` has clamped: the weight, zero at the clamp floor,
-    times p^q for GCE. `q` is one exponent or one per lane; each distinct
-    value is applied as a scalar, since np.power takes a sqrt fast path for
-    the scalar 0.5 that an array of exponents does not, and the two differ
-    in the last bit."""
-    if isinstance(q, np.ndarray):
-        values = set(q.tolist())
-        if len(values) > 1:
-            scale = np.empty_like(p)
-            for value in values:
-                lanes = q == value
-                scale[lanes] = _grad_scale(p[lanes], weights[lanes], value)
-            return scale
-        (q,) = values
-    live = p > PROB_EPS  # the clamp floor; a bool factor multiplies as 0.0 or 1.0
-    if q == 0.0:
-        return weights * live
-    return weights * live * np.power(p, q)
+def _gce_weights(p: np.ndarray, weights, q) -> np.ndarray:
+    """The cross-entropy weights of GCE at `weights`: `weights` * p^q, from
+    label probabilities `_clamp` has clamped, for one exponent q or a column
+    of one per row. np.power's scalar 0.5 takes a sqrt path that an array of
+    exponents does not, so 0.5 takes np.sqrt: each row gets its scalar bits."""
+    return weights * np.where(q == 0.5, np.sqrt(p), np.power(p, q))
+
+
+def _grad_scale(p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """d(weighted cross-entropy)/d(label logit) up to the softmax factor,
+    from label probabilities `_clamp` has clamped: the weight, zero at the
+    clamp floor."""
+    return weights * (p > PROB_EPS)  # a bool factor multiplies as 0.0 or 1.0
 
 
 def _backprop(model: Model, forward: tuple[np.ndarray, list[np.ndarray]],
@@ -375,8 +372,8 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
 
     forward = _forward_cached(model, _feature_matrix(model, x))
     index = _label_index(y, model.arch.n_classes)
-    scale = _grad_scale(_clamp(forward[0].take(index)), w, _exponent(spec))
-    return _backprop(model, forward, index, scale)
+    p = _clamp(forward[0].take(index))
+    return _backprop(model, forward, index, _grad_scale(p, _gce_weights(p, w, _exponent(spec))))
 
 
 def sgd_step(model: Model, gradient: np.ndarray, opt: OptimizerState) -> tuple[Model, OptimizerState]:

@@ -200,8 +200,7 @@ def read_loss_snapshots_csv(path) -> np.ndarray:
         header = fh.readline().rstrip("\n").split(",")
     if header != ["epoch"] + [f"x{i}" for i in range(len(header) - 1)]:
         raise IngestionError(f"{path}: not a loss-snapshot file")
-    (epochs,), losses = read_columns(path, header,
-                                     [("epoch", _EPOCH)] + [(x, _LOSS) for x in header[1:]])
+    (epochs,), losses = read_columns(path, header, [("epoch", _EPOCH)], header[1:], _LOSS)
     wrong = np.flatnonzero(epochs != np.arange(len(epochs)))
     if len(wrong):
         raise IngestionError(f"{path}: row {wrong[0] + 1}, column 'epoch': "

@@ -27,10 +27,12 @@ Lanes
 Every trainer runs a population: one lane (`_Lane`) per config, all lanes
 of one architecture stepping through one minibatch loop (`_weighted_sgd`),
 one stacked matmul per layer for the models (one per lane, two for LfF)
-whose batches have one length. A lane computes bit for bit what training
-its config alone computes: `train` is a population of one, and
-`train_population` trains a grid. Lanes fail alone, and `_scored` raises
-the error of the first failed config in order.
+whose batches have one length, each on cross-entropy weighted by its
+trainer's rule (LfF's bias model's rule makes it generalized
+cross-entropy). A lane computes bit for bit what training its config
+alone computes: `train` is a population of one, and `train_population`
+trains a grid. Lanes fail alone, and `_scored` raises the error of the
+first failed config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -54,10 +56,8 @@ from .analysis import evaluate_groups  # noqa: F401 (bench/layers.py wraps this 
 from .data import Dataset, require_binary_groups, strip_group_annotations
 from .errors import ConfigError, InputError, TrainingWarning
 from .models import (
-    CROSS_ENTROPY,
     PROB_EPS,
     Architecture,
-    LossSpec,
     Model,
     OptimizerState,
     init_model,
@@ -78,8 +78,6 @@ ALGORITHMS = (ERM, JTT, JTT_DYNAMIC, CVAR, LFF, GROUP_DRO, UPSAMPLE_MINORITY)
 WORST_GROUP = "worst-group"
 AVERAGE = "average"
 CRITERIA = (WORST_GROUP, AVERAGE)
-
-_CROSS_ENTROPY = models._exponent(LossSpec(CROSS_ENTROPY))  # the main models' loss exponent
 
 
 def _seedseq(seed: int, stream: int) -> np.random.SeedSequence:
@@ -254,8 +252,8 @@ class _Lane:
     of them, in order, by default), epochs, seed streams, refresh rule,
     extras and SGD `state`, each entry one row per model (the run's main
     model first, then LfF's bias model; all start alike): parameters,
-    velocity, (models, 1)-shaped learning_rate, momentum and l2, the entries
-    the trainer passes, the weight rule's and an optional loss `exponent`.
+    velocity, (models, 1)-shaped learning_rate, momentum and l2, and the
+    entries the trainer passes, the weight rule's.
     `_weighted_sgd` fills in the per-epoch losses, the trajectory and, if
     the lane fails, its error, and leaves the final state in `state`."""
 
@@ -304,19 +302,17 @@ def _uniform(_state, losses: np.ndarray, *_) -> np.ndarray:
 
 
 def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule: Callable,
-          exponent, xb: np.ndarray, index: np.ndarray, ridx: np.ndarray, losses: np.ndarray,
+          xb: np.ndarray, index: np.ndarray, ridx: np.ndarray, losses: np.ndarray,
           weights: np.ndarray) -> tuple[Model, OptimizerState]:
     """One SGD step of the stacked models on their batches, each on its
-    weighted loss at its `exponent`; returns the stepped model and optimizer
+    rule-weighted cross-entropy; returns the stepped model and optimizer
     state, and leaves the per-example cross-entropies and weights in
     `losses` and `weights`."""
     forward = models._forward_cached(model, xb)
-    p_label = forward[0].take(index)
-    p = models._clamp(p_label)
-    models._losses(p, _CROSS_ENTROPY, out=losses)
-    weights[...] = w = rule(state, losses, ridx, p_label)
-    scale = models._grad_scale(p, w, exponent)
-    return sgd_step(model, models._backprop(model, forward, index, scale), opt)
+    p = models._clamp(forward[0].take(index))
+    models._losses(p, 0.0, out=losses)
+    weights[...] = w = rule(state, losses, ridx, p)
+    return sgd_step(model, models._backprop(model, forward, index, models._grad_scale(p, w)), opt)
 
 
 # A chunk's buffers hold at most this many cells (256 KB of float64) each.
@@ -329,8 +325,8 @@ _CHUNK_CELLS = 1 << 15
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                   rule: Callable[..., np.ndarray] = _uniform) -> None:
     """Minibatch SGD of a population of lanes (one architecture and model
-    count m) over their views of `base`, each model on its per-example loss
-    at its `exponent`, weighted uniformly by default.
+    count m) over their views of `base`, each model on its per-example
+    cross-entropy, weighted uniformly by default.
 
     Per epoch a lane's example order is one permutation from its shuffle
     stream; batches are its consecutive slices (the last may be short), each
@@ -345,9 +341,10 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     the group also builds once the stacked `Model` and `OptimizerState`,
     which each step's `sgd_step` hands on to the next, and the flat offsets
     of their label entries. The weights are ``rule(state, losses, base
-    rows, label probabilities)``, all pre-step with a leading row axis;
-    `state` holds the stacked entries other than params, velocity and
-    exponent, and the rule may replace its own.
+    rows, label probabilities)``, all pre-step with a leading row axis and
+    the probabilities clamped as the losses take them; `state` holds the
+    stacked entries other than params and velocity, and the rule may
+    replace its own.
 
     A chunk is a run of a segment's steps whose buffers hold at most
     `_CHUNK_CELLS` cells each. Per chunk the group gathers its batches'
@@ -394,7 +391,6 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
             k = len(group)
             slots = np.array([lane.slot + i for lane in group for i in range(m)])
             state = {name: a[slots] for name, a in pool.items()}
-            exponent = state.pop("exponent", _CROSS_ENTROPY)
             model = models._adopt(Model, arch=arch, params=state.pop("params"))
             opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
                                 momentum=state["momentum"], l2=state["l2"],
@@ -412,7 +408,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                 index = offsets + base.labels.take(ridx) * b
                 losses, weights = np.empty(ridx.shape), np.empty(ridx.shape)
                 for step in zip(xs, index, ridx, losses, weights):
-                    model, opt = _step(model, opt, state, rule, exponent, *step)
+                    model, opt = _step(model, opt, state, rule, *step)
                 objectives[start + 1:stop + 1] = (weights[:, ::m, None, :]
                                                   @ losses[:, ::m, :, None])[:, :, 0, 0]
             state.update(params=model.params, velocity=opt.velocity)
@@ -605,12 +601,14 @@ def lff_weight(p_bias, p_main):
     return lb / (lb + lm)
 
 
-def _lff_rule(_state, _losses, _ridx, p_label: np.ndarray) -> np.ndarray:
+def _lff_rule(state: dict[str, np.ndarray], _losses, _ridx, p: np.ndarray) -> np.ndarray:
     """Per lane (main row, then bias row): the main model's normalized LfF
-    weights, and uniform weights for the bias model."""
-    raw = lff_weight(p_label[1::2], p_label[0::2])
-    weights = np.full(p_label.shape, 1.0 / p_label.shape[-1])
+    weights, and the bias model's generalized cross-entropy at its lane's
+    `gce_q` as uniform weights times p^q."""
+    raw = lff_weight(p[1::2], p[0::2])
+    weights = np.empty(p.shape)
     weights[0::2] = raw / raw.sum(axis=-1, keepdims=True)
+    weights[1::2] = models._gce_weights(p[1::2], 1.0 / p.shape[-1], state["gce_q"][1::2])
     return weights
 
 
@@ -619,14 +617,15 @@ def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     gradient-weights examples by p^q and so favours easy ones) and the main
     model (cross-entropy with per-example weights from `lff_weight`, using
     the pre-step probabilities of both models, normalized to sum 1). The two
-    models are the rows of one lane and step on each batch together.
+    models are the rows of one lane and step on each batch together, both
+    on cross-entropy: `_lff_rule` weights the bias model's examples by p^q.
 
     Both models start from the identical seeded initialization, so gce_q=0
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg, n_models=2,
-                   state={"exponent": np.array([_CROSS_ENTROPY, cfg.gce_q])}) for cfg in cfgs]
+    lanes = [_Lane(base, cfg, n_models=2, state={"gce_q": np.full((2, 1), cfg.gce_q)})
+             for cfg in cfgs]
     _weighted_sgd(base, lanes, _lff_rule)
     for lane in lanes:
         lane.aux["bias_model"] = Model(lane.trajectory[0].arch, lane.state["params"][1])

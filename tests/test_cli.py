@@ -644,6 +644,33 @@ class TestFailureModes:
         assert f"key {key!r}" in err["message"]
         assert not out.exists()
 
+    def test_generate_with_a_split_too_small_for_its_groups_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "gen.ini"
+        config.write_text(GENERATE.replace("n_val = 160", "n_val = 3"))
+        out = tmp_path / "data"
+        assert run(["generate", "--config", config, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "config"
+        assert err["message"] == f"{config}: [generate] n_val: must be >= 4 (line 4)"
+        assert not out.exists() and not (tmp_path / "data.partial").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "val-study"])
+    @pytest.mark.parametrize("section, config", [
+        ("train", ERM.replace("epochs = 6", "epochs = 0")),
+        ("grid", ERM + "\n[grid]\nepochs = 0, 2\n"),
+    ], ids=["train-epochs-0", "grid-epochs-0"])
+    def test_sweep_with_an_untrained_grid_point_exits_1_before_loading_data(
+            self, tmp_path, capsys, command, section, config):
+        path = tmp_path / "sweep.ini"
+        path.write_text(config + "\n[study]\nfractions = 1, 0.5\nseeds = 0, 1\n")
+        out = tmp_path / "o"
+        assert run([command, "--config", path, "--out", out,
+                    "--data", tmp_path / "no-data-here"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "config"
+        assert err["message"] == f"{path}: [{section}] epochs: sweeps need epochs >= 1"
+        assert not out.exists() and not (tmp_path / "o.partial").exists()
+
     def test_runtime_error_exits_2_and_cleans_partial(self, workspace, tmp_path, capsys):
         out = tmp_path / "broken"
         assert run(["train", "--config", workspace / "erm.ini", "--out", out,

@@ -67,6 +67,12 @@ class TestGenerate:
                 mask = (ds.attributes == g.attribute) & (ds.labels == g.label)
                 assert int(mask.sum()) == n // 4
 
+    @pytest.mark.parametrize("key", ["n_val", "n_test"])
+    def test_eval_splits_need_a_row_per_group(self, key):
+        with pytest.raises(InputError, match=f"^{key}: must be >= 4"):
+            spec(**{key: 3})
+        assert all(len(ds) == 4 for ds in generate_synthetic(spec(n_val=4, n_test=4), 1)[1:])
+
     def test_remainder_dropped_and_recorded_in_name(self):
         _, val, _ = generate_synthetic(spec(n_val=10), 1)
         assert len(val) == 8

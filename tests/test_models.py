@@ -198,8 +198,9 @@ class TestGrad:
         cached = models_mod._forward_cached(model, x)
         assert np.array_equal(cached[0].swapaxes(-1, -2), forward_batch(model, x))
         index = models_mod._label_index(y, 3)
-        scale = models_mod._grad_scale(models_mod._clamp(cached[0].take(index)), w,
-                                       models_mod._exponent(spec))
+        p = models_mod._clamp(cached[0].take(index))
+        gce = models_mod._gce_weights(p, w, models_mod._exponent(spec))
+        scale = models_mod._grad_scale(p, gce)
         assert np.array_equal(models_mod._backprop(model, cached, index, scale),
                               grad(model, x, y, w, spec))
 
@@ -309,15 +310,15 @@ class TestLaneAxis:
         opt = models_mod._adopt(OptimizerState, learning_rate=lr, momentum=momentum, l2=l2,
                                 velocity=velocity)
         # Per-lane exponents alternate 0.5 and 0.7, as an LfF population's may.
-        mixed = np.where(np.arange(k) % 2, 0.7, 0.5)
+        mixed = np.where(np.arange(k) % 2, 0.7, 0.5)[:, None]
         for spec in self.SPECS + (None,):
             q = mixed if spec is None else models_mod._exponent(spec)
             losses = models_mod._losses(p_label, 0.0 if spec is None else q)
-            gradient = models_mod._backprop(lanes, forward,
-                                            index, models_mod._grad_scale(p_label, w, q))
+            scale = models_mod._grad_scale(p_label, models_mod._gce_weights(p_label, w, q))
+            gradient = models_mod._backprop(lanes, forward, index, scale)
             stepped, stepped_opt = sgd_step(lanes, gradient, opt)
             for i in range(k):
-                lane_spec = LossSpec(GCE, mixed[i]) if spec is None else spec
+                lane_spec = LossSpec(GCE, mixed[i, 0]) if spec is None else spec
                 model = Model(arch, params[i])
                 lane_forward = models_mod._forward_cached(model, x[i])
                 assert np.array_equal(forward_batch(model, x[i]), forward[0][i].swapaxes(-1, -2))
@@ -436,12 +437,14 @@ class TestStepKernel:
             clamped = models_mod._clamp(p)
             assert same_bits(clamped, clipped)
             w = rng.random(shape)
+            live = (p > PROB_EPS).astype(np.float64)
+            assert same_bits(models_mod._grad_scale(clamped, w), w * live)
             for q in (0.0, 0.5, 0.7):
                 assert same_bits(models_mod._losses(clamped, q),
                                  -np.expm1(q * np.log(clipped)) / q if q else -np.log(clipped))
                 power = np.power(clipped, q) if q else 1.0
-                assert same_bits(models_mod._grad_scale(clamped, w, q),
-                                 w * (p > PROB_EPS).astype(np.float64) * power)
+                gce = models_mod._gce_weights(clamped, w, q)
+                assert same_bits(models_mod._grad_scale(clamped, gce), w * live * power)
 
     @pytest.mark.parametrize("hidden", [(), (4, 3)])
     @pytest.mark.parametrize("k", [1, 6, 24])
@@ -483,7 +486,10 @@ class TestKernelLayout:
     - over more than _SUM_FOLD_MAX classes, the softmax's sum of a row-major
       copy equals NumPy's pairwise last-axis sum;
     - K models scoring the same 2-D features in one broadcast pass equal K
-      lone calls.
+      lone calls;
+    - `_gce_weights` with a column of exponents equals, row by row, the
+      weights times NumPy's power of the row at its scalar exponent (whose
+      0.5 takes a sqrt path that an array of exponents does not).
     A NumPy or BLAS release that changes any of them fails here."""
 
     @staticmethod
@@ -524,6 +530,20 @@ class TestKernelLayout:
                                  reference_backprop(model, (row_major(probs), acts), y, scale))
             z = self.scaled(rng, lead + (b, n_classes))
             assert same_bits(row_major(models_mod._softmax(row_major(z))), reference_softmax(z))
+
+    @pytest.mark.parametrize("k", [1, 6, 24])
+    @pytest.mark.parametrize("b", [1, 56, 64])
+    def test_gce_exponent_column_equals_scalar_powers(self, k, b):
+        rng = np.random.default_rng(k * 100 + b)
+        for p in (rng.choice(TestStepKernel.SPECIAL, size=(k, b)), rng.random((k, b))):
+            p = models_mod._clamp(p)
+            w = rng.random((k, b))
+            q = rng.choice([0.0, 0.5, 0.7], size=(k, 1))
+            weights = models_mod._gce_weights(p, w, q)
+            for i in range(k):
+                assert same_bits(weights[i], w[i] * np.power(p[i], float(q[i, 0])))
+            for scalar in (0.0, 0.5, 0.7):
+                assert same_bits(models_mod._gce_weights(p, w, scalar), w * np.power(p, scalar))
 
     @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
     @pytest.mark.parametrize("n_classes", [2, 3, 10])

@@ -12,7 +12,10 @@ and the extras (`aux`) of:
   hidden layer's bias gradient sums several lanes' rows at once;
 - a 6-lane LfF population with hidden widths (4, 3) and two gce_q values,
   the only case where the main and bias models of several lanes, with
-  hidden layers, step in one stacked call.
+  hidden layers, step in one stacked call;
+- a 6-lane LfF population with batch sizes 64 and 100 and gce_q values
+  0.0, 0.5 and 0.7, so that the lanes stepping together at each batch
+  length weight their bias models at three different exponents at once.
 
 Run it against two trees with the same script, and compare the lines:
 
@@ -90,6 +93,8 @@ def populations() -> list[list[TrainConfig]]:
                                      hidden=(4, 3))
     out.append(Grid(hidden_lff, {"learning_rate": REFERENCE_LEARNING_RATES,
                                  "gce_q": (0.5, 0.7)}).configs())
+    mixed_lff = dataclasses.replace(reference_config("lff", seed=0), epochs=LONE_EPOCHS)
+    out.append(Grid(mixed_lff, {"batch_size": (64, 100), "gce_q": (0.0, 0.5, 0.7)}).configs())
     return out
 
 
