@@ -110,13 +110,16 @@ class Dataset:
         if self.attributes is None:
             raise InputError(f"dataset {self.name!r} has no group annotations")
         if self._group_index is None:
-            pairs, codes = np.unique(np.stack([self.attributes, self.labels], axis=1),
-                                     axis=0, return_inverse=True)
-            codes = codes.ravel().astype(np.int64)
-            counts = np.bincount(codes, minlength=len(pairs))
+            # One key per (attribute, label) pair, in the pairs' sorted order.
+            n_labels = int(self.labels.max(initial=0)) + 1
+            keys, codes = np.unique(self.attributes * n_labels + self.labels,
+                                    return_inverse=True)
+            codes = codes.astype(np.int64)
+            counts = np.bincount(codes, minlength=len(keys))
             codes.setflags(write=False)
             counts.setflags(write=False)
-            self._group_index = (tuple(GroupId(int(a), int(y)) for a, y in pairs), codes, counts)
+            self._group_index = (tuple(GroupId(*divmod(k, n_labels)) for k in keys.tolist()),
+                                 codes, counts)
         return self._group_index
 
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
@@ -610,9 +613,17 @@ def _plain_line_count(path: Path) -> int | None:
         while chunk := fh.read(1 << 16):
             if chunk.endswith(b"\r"):
                 chunk += fh.read(1)
-            if b'"' in chunk or (b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
+            if b'"' in chunk:
                 return None
-            # bytes.count of one byte is ~6x slower than this compare
-            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            # bytes.count of one byte is ~6x slower than these compares
+            byte = np.frombuffer(chunk, np.uint8)
+            newline = byte == ord("\n")
+            if b"\r" in chunk:
+                cr = byte == ord("\r")
+                # True > False marks a \r whose next byte is not \n; a chunk's
+                # last \r has none (it ends the file, or follows a lone \r)
+                if cr[-1] or (cr[:-1] > newline[1:]).any():
+                    return None
+            lines += int(np.count_nonzero(newline))
             last = chunk[-1:]
     return lines + (last != b"\n")

@@ -25,14 +25,15 @@ group annotations: they operate on a stripped view of their input.
 Lanes
 -----
 Every trainer runs a population: one lane (`_Lane`) per config, all lanes
-of one architecture stepping through one minibatch loop (`_weighted_sgd`),
-one stacked matmul per layer for the models (one per lane, two for LfF)
-whose batches have one length, each on cross-entropy weighted by its
+of one architecture going through one minibatch loop (`_weighted_sgd`),
+each model (one per lane, two for LfF) on cross-entropy weighted by its
 trainer's rule (LfF's bias model's rule makes it generalized
-cross-entropy). A lane computes bit for bit what training its config
-alone computes: `train` is a population of one, and `train_population`
-trains a grid. Lanes fail alone, and `_scored` raises the error of the
-first failed config in order.
+cross-entropy). The lanes of one batch size are a cohort: while each has a
+full batch left they step as one, one stacked matmul per layer, and a
+lane's short batch or epoch end touches only its own rows. A lane computes
+bit for bit what training its config alone computes: `train` is a
+population of one, and `train_population` trains a grid. Lanes fail alone,
+and `_scored` raises the error of the first failed config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -288,6 +289,24 @@ class _Lane:
         self.order = self.rows[self.shuffle.permutation(len(self.rows))]
         self.pos, self.objective, self.n_batches = 0, 0.0, 0
 
+    def end_epoch(self, params: np.ndarray) -> None:
+        """Close the epoch on the main model's `params`: fail on non-finite
+        ones; else record the epoch's loss and model, refresh the view and
+        start the next epoch, if any."""
+        if not np.isfinite(params).all():
+            self.error = FloatingPointError(
+                f"training diverged: non-finite parameters after epoch {len(self.losses)}")
+            return
+        model = Model(self.trajectory[0].arch, params)
+        self.losses.append(self.objective / self.n_batches)
+        self.trajectory.append(model)
+        if self.refresh is not None:
+            rows = self.refresh(len(self.losses) - 1, model)
+            if rows is not None:
+                self.rows = rows
+        if self.active:
+            self.start_epoch()
+
 
 @functools.lru_cache(maxsize=4)
 def _uniform_weights(shape: tuple[int, int]) -> np.ndarray:
@@ -322,131 +341,135 @@ def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule:
 _CHUNK_CELLS = 1 << 15
 
 
-def _weighted_sgd(base: Dataset, lanes: list[_Lane],
-                  rule: Callable[..., np.ndarray] = _uniform) -> None:
-    """Minibatch SGD of a population of lanes (one architecture and model
-    count m) over their views of `base`, each model on its per-example
-    cross-entropy, weighted uniformly by default.
-
-    Per epoch a lane's example order is one permutation from its shuffle
-    stream; batches are its consecutive slices (the last may be short), each
-    taking one forward pass per model that the losses, the weights and the
-    gradient share. The lanes' `state`s are concatenated once per call into
-    a pool of arrays, one row per model, a lane's m rows from its `slot` on.
-    A segment is the steps over which no lane's batch length changes; per
-    segment the k lanes whose batches have one length gather their k * m
-    rows (`a[slots]`), step together, one matmul per layer for all of them,
-    and scatter the stepped rows back (`pool[name][slots] = a`). When the
-    loop ends, each lane's `state` holds its rows of the pool. Per segment
-    the group also builds once the stacked `Model` and `OptimizerState`,
-    which each step's `sgd_step` hands on to the next, and the flat offsets
-    of their label entries. The weights are ``rule(state, losses, base
+def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: list[_Lane],
+           b: int, n_steps: int) -> None:
+    """`n_steps` steps of batch length b by `lanes`, each from its position
+    in its order, on `state`, the stack of their rows (a lane's m in turn),
+    which it leaves stepped. The weights are ``rule(state, losses, base
     rows, label probabilities)``, all pre-step with a leading row axis and
-    the probabilities clamped as the losses take them; `state` holds the
-    stacked entries other than params and velocity, and the rule may
-    replace its own.
+    the probabilities clamped as the losses take them; the rule sees the
+    stack's entries other than params and velocity, and may replace its own.
 
-    A chunk is a run of a segment's steps whose buffers hold at most
-    `_CHUNK_CELLS` cells each. Per chunk the group gathers its batches'
+    A chunk is a run of consecutive steps whose buffers hold at most
+    `_CHUNK_CELLS` cells each. Per chunk the lanes gather their batches'
     features as one (steps, rows, batch, features) array, a lane's batch
     once per model, so that each step reads a contiguous slice, and their
     flat label indices in one expression; each step leaves its per-example
     cross-entropies and weights in the chunk's buffers, and one stacked
     (1, b) @ (b, 1) matmul gives every step's weighted batch objective, the
-    products a lone step takes. A lane's train loss per epoch is the mean
-    over its batches of its main model's objective. Per segment, the lanes'
-    running objectives and their steps' objectives fill one (steps + 1,
-    lanes) array, folded down the step axis: the same sequential sum as
-    adding step by step. A non-finite objective or main-model parameters
-    fail the lane: it records a FloatingPointError naming where and leaves,
-    and the other lanes run to their own ends.
+    products a lone step takes. A lane's running objective and its steps'
+    objectives fill a column of one (steps + 1, lanes) array, folded down
+    the step axis: the same sequential sum as adding step by step. A
+    non-finite objective fails its lane, with a FloatingPointError naming
+    the epoch and batch; the lane steps on to the end of the call.
+    """
+    arch, m, k = lanes[0].trajectory[0].arch, lanes[0].n_models, len(lanes)
+    model = models._adopt(Model, arch=arch, params=state.pop("params"))
+    opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
+                        momentum=state["momentum"], l2=state["l2"],
+                        velocity=state.pop("velocity"))
+    rows = np.concatenate([lane.order[lane.pos:lane.pos + n_steps * b]
+                           for lane in lanes]).reshape(k, n_steps * b)
+    offsets = models._label_offsets((k * m, b), arch.n_classes)
+    objectives = np.empty((n_steps + 1, k))
+    objectives[0] = [lane.objective for lane in lanes]
+    per_chunk = max(1, _CHUNK_CELLS // (k * m * b * base.n_features))
+    for start in range(0, n_steps, per_chunk):
+        stop = min(start + per_chunk, n_steps)
+        ridx = rows[:, start * b:stop * b].reshape(k, stop - start, b).swapaxes(0, 1)
+        ridx = ridx.repeat(m, axis=1) if m > 1 else ridx  # a batch per model
+        xs = base.features.take(ridx, axis=0)
+        index = offsets + base.labels.take(ridx) * b
+        losses, weights = np.empty(ridx.shape), np.empty(ridx.shape)
+        for step in zip(xs, index, ridx, losses, weights):
+            model, opt = _step(model, opt, state, rule, *step)
+        objectives[start + 1:stop + 1] = (weights[:, ::m, None, :]
+                                          @ losses[:, ::m, :, None])[:, :, 0, 0]
+    state.update(params=model.params, velocity=opt.velocity)
+    objectives = np.add.accumulate(objectives)
+    finite = np.isfinite(objectives[1:])
+    failed, first_bad = (~finite.all(axis=0)).tolist(), finite.argmin(axis=0).tolist()
+    for lane, bad, first, objective in zip(lanes, failed, first_bad, objectives[-1].tolist()):
+        if bad:
+            lane.error = FloatingPointError(
+                f"training diverged: non-finite objective at epoch "
+                f"{len(lane.losses)}, batch {lane.n_batches + first}")
+        lane.objective = objective
+        lane.pos += n_steps * b
+        lane.n_batches += n_steps
+
+
+def _weighted_sgd(base: Dataset, lanes: list[_Lane],
+                  rule: Callable[..., np.ndarray] = _uniform) -> None:
+    """Minibatch SGD of a population of lanes (one architecture and model
+    count m) over their views of `base`, each model on its per-example
+    cross-entropy, weighted by `rule` (uniformly by default; see `_steps`).
+
+    Per epoch a lane's example order is one permutation from its shuffle
+    stream; batches are its consecutive slices (the last may be short), each
+    taking one forward pass per model that the losses, the weights and the
+    gradient share. A lane's train loss per epoch is the mean over its
+    batches of its main model's objective.
+
+    The lanes of one batch size b form a cohort, which trains on its own:
+    lanes share no state, so only each lane's own order of steps counts. A
+    cohort concatenates its lanes' `state`s into a stack, one array per
+    entry with a lane's m rows in turn, and keeps it until a lane leaves
+    (done or failed); then every lane's `state` takes back its rows, and the
+    lanes left stack anew. While every lane has a full batch left, the
+    whole stack steps, one matmul per layer for all its rows, up to the
+    nearest lane's event. A lane's events touch only its own rows:
+    - a short batch: the lane steps with the lanes whose short batches have
+      its length then, their rows gathered from the stack (`a[rows]`) and
+      scattered back into fresh copies; the whole stack steps once when that
+      is every lane, as in every lone run and every grid of equal lengths;
+    - its epoch end (`_Lane.end_epoch`): the check of its main model's
+      parameters, its loss and model, its refresh and its next order.
+    A failed lane records a FloatingPointError naming where and leaves, and
+    the other lanes run to their own ends.
     """
     arch, m = lanes[0].trajectory[0].arch, lanes[0].n_models
     models._check_labels(base.labels, arch.n_classes)
-    pool = {name: np.concatenate([lane.state[name] for lane in lanes]) for name in lanes[0].state}
-    for i, lane in enumerate(lanes):
-        lane.slot = i * m
+    cohorts: dict[int, list[_Lane]] = {}
+    for lane in lanes:
         if lane.active:
             lane.start_epoch()
+        cohorts.setdefault(lane.cfg.batch_size, []).append(lane)
 
-    while True:
-        # Lanes leave when done or failed.
-        running = []
-        for lane in lanes:
-            if lane.active:
-                running.append(lane)
-            else:
-                lane.rows = lane.order = None
-        if not running:
-            break
-
-        # A lane on full batches may take all it has left; a short one is last.
-        n_steps = min((len(lane.order) - lane.pos) // lane.cfg.batch_size or 1
-                      for lane in running)
-        groups: dict[int, list[_Lane]] = {}
-        for lane in running:
-            groups.setdefault(min(lane.cfg.batch_size, len(lane.order) - lane.pos),
-                              []).append(lane)
-        for b, group in groups.items():
-            k = len(group)
-            slots = np.array([lane.slot + i for lane in group for i in range(m)])
-            state = {name: a[slots] for name, a in pool.items()}
-            model = models._adopt(Model, arch=arch, params=state.pop("params"))
-            opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
-                                momentum=state["momentum"], l2=state["l2"],
-                                velocity=state.pop("velocity"))
-            rows = np.stack([lane.order[lane.pos:][:n_steps * b] for lane in group])
-            offsets = models._label_offsets((k * m, b), arch.n_classes)
-            objectives = np.empty((n_steps + 1, k))
-            objectives[0] = [lane.objective for lane in group]
-            per_chunk = max(1, _CHUNK_CELLS // (k * m * b * base.n_features))
-            for start in range(0, n_steps, per_chunk):
-                stop = min(start + per_chunk, n_steps)
-                ridx = rows[:, start * b:stop * b].reshape(k, stop - start, b).swapaxes(0, 1)
-                ridx = ridx.repeat(m, axis=1) if m > 1 else ridx  # a batch per model
-                xs = base.features.take(ridx, axis=0)
-                index = offsets + base.labels.take(ridx) * b
-                losses, weights = np.empty(ridx.shape), np.empty(ridx.shape)
-                for step in zip(xs, index, ridx, losses, weights):
-                    model, opt = _step(model, opt, state, rule, *step)
-                objectives[start + 1:stop + 1] = (weights[:, ::m, None, :]
-                                                  @ losses[:, ::m, :, None])[:, :, 0, 0]
-            state.update(params=model.params, velocity=opt.velocity)
-            for name, a in state.items():
-                pool[name][slots] = a
-            objectives = np.add.accumulate(objectives)
-            finite = np.isfinite(objectives[1:])
-            failed, first_bad = (~finite.all(axis=0)).tolist(), finite.argmin(axis=0).tolist()
-            for lane, bad, first, objective in zip(group, failed, first_bad,
-                                                    objectives[-1].tolist()):
-                if bad:
-                    lane.error = FloatingPointError(
-                        f"training diverged: non-finite objective at epoch "
-                        f"{len(lane.losses)}, batch {lane.n_batches + first}")
-                lane.objective = objective
-                lane.pos += n_steps * b
-                lane.n_batches += n_steps
-
-        for lane in running:
-            if lane.error is not None or lane.pos < len(lane.order):
-                continue
-            params = pool["params"][lane.slot]
-            if not np.isfinite(params).all():
-                lane.error = FloatingPointError(
-                    f"training diverged: non-finite parameters after epoch {len(lane.losses)}")
-                continue
-            model = Model(arch, params)
-            lane.losses.append(lane.objective / lane.n_batches)
-            lane.trajectory.append(model)
-            if lane.refresh is not None:
-                rows = lane.refresh(len(lane.losses) - 1, model)
-                if rows is not None:
-                    lane.rows = rows
-            if lane.active:
-                lane.start_epoch()
-
-    for lane in lanes:
-        lane.state = {name: a[lane.slot:lane.slot + m] for name, a in pool.items()}
+    for b, running in cohorts.items():
+        while running := [lane for lane in running if lane.active]:
+            state = {name: np.concatenate([lane.state[name] for lane in running])
+                     for name in running[0].state}
+            while all(lane.active for lane in running):
+                n_steps = min(len(lane.order) - lane.pos for lane in running) // b
+                if n_steps:
+                    _steps(base, rule, state, running, b, n_steps)
+                # A lane that has no full batch left ends its epoch, after
+                # its short batch if it has one.
+                ends, short = [], {}
+                for i, lane in enumerate(running):
+                    left = len(lane.order) - lane.pos
+                    if left < b and lane.error is None:
+                        ends.append(i)
+                        if left:
+                            short.setdefault(left, []).append(i)
+                for length, members in short.items():
+                    if len(members) == len(running):
+                        _steps(base, rule, state, running, length, 1)
+                        continue
+                    rows = (np.array(members)[:, None] * m + np.arange(m)).ravel()
+                    stepped = {name: a[rows] for name, a in state.items()}
+                    _steps(base, rule, stepped, [running[i] for i in members], length, 1)
+                    for name, a in stepped.items():
+                        state[name] = state[name].copy()
+                        state[name][rows] = a
+                for i in ends:
+                    if running[i].error is None:
+                        running[i].end_epoch(state["params"][i * m])
+            for i, lane in enumerate(running):
+                lane.state = {name: a[i * m:(i + 1) * m] for name, a in state.items()}
+                if not lane.active:
+                    lane.rows = lane.order = None
 
 
 # ---------------------------------------------------------------------------

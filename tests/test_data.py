@@ -290,6 +290,29 @@ class TestCsvOnePass:
         (tmp_path / "val.csv").write_bytes((text if final else text[:-len(end)]).encode())
         assert load_csv(tmp_path / "val.csv", name=val.name) == val
 
+    @pytest.mark.parametrize("data, lines", [
+        (b"", 0), (b"a\r\nb", 2), (b"a\r\nb\r\n", 2), (b"a\nb\n", 2), (b"a\r\r\n", None),
+        (b"a\rb\n", None), (b"a\r", None), (b'a\n"b"\n', None),
+        # Chunk edges: 65536 bytes a chunk.
+        (b"x" * 65535 + b"\r\nb\r\n", 2), (b"x" * 65535 + b"\rb\r\n", None),
+        (b"x" * 65535 + b"\r", None), (b"x" * 65534 + b"\r\n\r\n", 2),
+        (b"x\r\n" * 30000, 30000)])
+    def test_plain_line_count(self, tmp_path, data, lines):
+        (tmp_path / "t.csv").write_bytes(data)
+        assert data_module._plain_line_count(tmp_path / "t.csv") == lines
+
+    @pytest.mark.parametrize("cr_end", ["\r\n", "\r", "\r\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_carriage_return_at_a_chunk_edge(self, tmp_path, cr_end, final):
+        # The \r at file offset 65535, the last byte of the first chunk.
+        text = "label,f0\r\n" + "1,0.5\r\n" * 9360
+        text += "1,0." + "5" * (65535 - len(text) - 4) + cr_end
+        text += "0,1.5\r\n" if final else ""
+        assert text.index("\r", 65530) == 65535
+        (tmp_path / "edge.csv").write_bytes(text.encode())
+        assert (_outcome(load_csv, tmp_path / "edge.csv")
+                == _outcome(reference_load_csv, tmp_path / "edge.csv"))
+
     @given(ds=extreme_datasets())
     @settings(max_examples=50, deadline=None)
     def test_extreme_datasets_take_the_one_pass(self, tmp_path_factory, ds):
@@ -437,6 +460,23 @@ class TestDataset:
         assert train.group_index() is train.group_index()
         with pytest.raises(ValueError):
             codes[0] = 0
+
+    @pytest.mark.parametrize("rows, missing", [(500, None), (500, (2, 1)), (0, None)])
+    def test_group_index_equals_the_pairwise_unique(self, rows, missing):
+        rng = np.random.default_rng(rows)
+        attributes, labels = rng.integers(0, 4, rows), rng.integers(0, 3, rows)
+        if missing is not None:
+            drop = (attributes == missing[0]) & (labels == missing[1])
+            attributes, labels = attributes[~drop], labels[~drop]
+        ds = Dataset(np.zeros((len(labels), 1)), labels, attributes)
+        pairs, codes = np.unique(np.stack([attributes, labels], axis=1), axis=0,
+                                 return_inverse=True)
+        groups, got_codes, counts = ds.group_index()
+        assert groups == tuple(GroupId(int(a), int(y)) for a, y in pairs)
+        assert got_codes.dtype == np.int64 and got_codes.tolist() == codes.ravel().tolist()
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.bincount(codes.ravel(), minlength=len(pairs)).tolist()
+        assert (missing is None) == (len(groups) == (12 if rows else 0))
 
     def test_arrays_read_only(self, small_bench):
         train, _, _ = small_bench

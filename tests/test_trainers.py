@@ -985,6 +985,103 @@ class TestChunks:
         assert np.array_equal(lanes[0].trajectory[-1].params, trajectory[-1].params)
 
 
+def stepping_lanes(monkeypatch) -> list[tuple[tuple[float, ...], int]]:
+    """Records each step of the lockstep loop: the learning rates of the
+    lanes it steps (each lane's rate is its own in these tests) and its
+    batch length."""
+    import grouptrain.trainers as trainers_mod
+    log, step = [], trainers_mod._step
+
+    def recording(model, opt, state, rule, xb, *rest):
+        log.append((tuple(opt.learning_rate.ravel().tolist()), xb.shape[-2]))
+        return step(model, opt, state, rule, xb, *rest)
+
+    monkeypatch.setattr(trainers_mod, "_step", recording)
+    return log
+
+
+def assert_full_steps_carry_every_training_lane(log, cfgs):
+    """Every step carries lanes of one batch size, and every step of a full
+    batch carries every lane of that size that has a step still to come:
+    one lane's short batch or epoch end splits no other lane's steps."""
+    batch = {c.learning_rate: c.batch_size for c in cfgs}
+    last = {rate: p for p, (rates, _) in enumerate(log) for rate in rates}
+    for p, (rates, length) in enumerate(log):
+        (size,) = {batch[rate] for rate in rates}
+        if length == size:
+            assert set(rates) == {rate for rate, b in batch.items()
+                                  if b == size and last.get(rate, -1) >= p}
+
+
+class TestCohorts:
+    """Lanes of one batch size step as one stack; each lane's short batch
+    and epoch end touch only its own rows."""
+
+    def test_ragged_lanes_share_every_full_batch(self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        # Upsampled lengths 600, 624, 648 and 672: three short-batch
+        # lengths, and a lane without one.
+        cfgs = [cfg("upsample-minority", upweight_factor=factor, learning_rate=rate)
+                for factor, rate in ((1, 0.01), (2, 0.02), (3, 0.03), (4, 0.04))]
+        log = stepping_lanes(monkeypatch)
+        lanes = trainers_mod._TRAINERS["upsample-minority"](train, cfgs)
+        monkeypatch.undo()
+        assert_full_steps_carry_every_training_lane(log, cfgs)
+        short = [rates for rates, length in log if length < 32]
+        assert len(short) == 3 * cfgs[0].epochs and {len(rates) for rates in short} == {1}
+        for c, lane in zip(cfgs, lanes):
+            assert_lane_equals_lone_run(train, val, c, lane)
+
+    def test_mixed_batch_sizes_equal_lone_runs(self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        # Two ragged 32-row lanes, a 50-row lane, and a lane whose 600-row
+        # view is shorter than its batch, so that every batch it takes is
+        # short.
+        runs = [(32, 2, 0.01), (32, 4, 0.02), (50, 2, 0.03), (1000, 1, 0.04)]
+        cfgs = [cfg("upsample-minority", epochs=3, batch_size=b, upweight_factor=factor,
+                    learning_rate=rate) for b, factor, rate in runs]
+        log = stepping_lanes(monkeypatch)
+        lanes = trainers_mod._TRAINERS["upsample-minority"](train, cfgs)
+        monkeypatch.undo()
+        assert_full_steps_carry_every_training_lane(log, cfgs)
+        assert [length for rates, length in log if rates == (0.04,)] == [len(train)] * 3
+        for c, lane in zip(cfgs, lanes):
+            assert_lane_equals_lone_run(train, val, c, lane)
+
+
+    def test_two_model_lanes_of_ragged_views_step_their_own_rows(self, small_bench,
+                                                                monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        base = strip_group_annotations(small_bench[0])
+        # LfF lanes over views of 600, 608 and 620 rows: short batches of
+        # 24 rows, none, and 12 rows, so each steps its main and bias rows
+        # alone.
+        runs = [(0, 0.5, 0.01), (8, 0.7, 0.02), (20, 0.0, 0.03)]
+        cfgs = [cfg("lff", epochs=3, gce_q=q, learning_rate=rate) for _, q, rate in runs]
+
+        def lane(extra, c):
+            rows = np.concatenate([np.arange(len(base)), np.arange(extra)]).astype(np.int32)
+            return trainers_mod._Lane(base, c, rows, n_models=2,
+                                      state={"gce_q": np.full((2, 1), c.gce_q)})
+
+        log = stepping_lanes(monkeypatch)
+        lanes = [lane(extra, c) for (extra, _, _), c in zip(runs, cfgs)]
+        trainers_mod._weighted_sgd(base, lanes, trainers_mod._lff_rule)
+        monkeypatch.undo()
+        assert_full_steps_carry_every_training_lane(log, cfgs)
+        for (extra, _, _), c, stacked in zip(runs, cfgs, lanes):
+            alone = lane(extra, c)
+            trainers_mod._weighted_sgd(base, [alone], trainers_mod._lff_rule)
+            assert stacked.error is None and stacked.losses == alone.losses
+            assert all(np.array_equal(a.params, b.params)
+                       for a, b in zip(stacked.trajectory, alone.trajectory, strict=True))
+            assert stacked.state.keys() == alone.state.keys()
+            for name, value in alone.state.items():
+                assert np.array_equal(stacked.state[name], value)
+
+
 def test_jtt_reference_grid_heap_peak(reference_bench):
     """The cell cap keeps training's heap peak near that of one-step
     chunks: this grid peaks at about 2.2 MiB with one-step chunks, 2.5 MiB
