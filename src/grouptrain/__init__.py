@@ -29,7 +29,6 @@ from .data import (
 )
 from .models import (
     Architecture,
-    LossSpec,
     Model,
     OptimizerState,
     forward_batch,

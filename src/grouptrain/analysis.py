@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, GroupId, require_binary_groups
 from .errors import AnalysisWarning, InputError
-from .models import CROSS_ENTROPY, LossSpec, Model, forward_batch, loss_values, predict
+from .models import Model, forward_batch, loss_values, predict
 
 SWAP_SAME_GROUP = "swap-same-group"
 DROP_GROUP = "drop-group"
@@ -208,8 +208,7 @@ def top_loss_indices(losses: np.ndarray, alpha: float) -> np.ndarray:
 def loss_snapshots(trajectory: Sequence[Model], data: Dataset) -> np.ndarray:
     """Per-example cross-entropy on `data`, one row per model of
     trajectory[1:]: (epochs, len(data)), no rows for an untrained run."""
-    spec = LossSpec(CROSS_ENTROPY)
-    rows = [loss_values(forward_batch(model, data.features), data.labels, spec)
+    rows = [loss_values(forward_batch(model, data.features), data.labels)
             for model in trajectory[1:]]
     return np.array(rows).reshape(len(rows), len(data))
 

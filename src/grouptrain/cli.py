@@ -341,7 +341,8 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     reference.check_splits({"test": run_report.get("datasets.test.fingerprint")},
                            run_report.path)
     if not train_ds.has_group_annotations:
-        raise InputError("analyze needs a group-annotated stored training set")
+        raise InputError(f"{Path(args.data) / 'train.csv'}: analyze needs a group-annotated "
+                         "stored training set")
 
     results: dict = {"worst_group": list(worst),
                      "analyzed_run": str(run_dir),

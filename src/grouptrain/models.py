@@ -22,11 +22,6 @@ from .errors import InputError
 # wrong predictions never produce infinities.
 PROB_EPS = 1e-12
 
-CROSS_ENTROPY = "cross-entropy"
-GCE = "generalized-cross-entropy"
-
-_LOSS_KINDS = (CROSS_ENTROPY, GCE)
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
@@ -82,26 +77,6 @@ class Architecture:
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """Selects the per-example loss; gce_q only applies to the GCE kind.
-
-    gce_q = 0 is the limiting case and evaluates exactly as cross-entropy.
-    """
-
-    kind: str
-    gce_q: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _LOSS_KINDS:
-            raise InputError(f"unknown loss kind {self.kind!r}")
-        if self.kind == GCE:
-            if self.gce_q is None or not (0.0 <= self.gce_q < 1.0):
-                raise InputError("generalized cross-entropy needs gce_q in [0, 1)")
-        elif self.gce_q is not None:
-            raise InputError(f"gce_q is only valid for {GCE!r}")
-
-
-@dataclass(frozen=True)
 class Model:
     """An architecture plus its flat parameter vector (read-only float64)."""
 
@@ -128,11 +103,12 @@ class OptimizerState:
     velocity: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # Written so that NaN fails every range check.
+        if not self.learning_rate > 0:
             raise InputError("learning_rate must be > 0")
         if not (0.0 <= self.momentum < 1.0):
             raise InputError("momentum must be in [0, 1)")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise InputError("l2 must be >= 0")
         if self.velocity is None:
             raise InputError("velocity must be provided (zeros for a fresh state)")
@@ -194,9 +170,11 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
 # `TestClassAxisKernel`, `TestStepKernel` and `TestKernelLayout` fail if a
 # NumPy or BLAS release changes any of these orders.
 #
-# Backprop knows one loss, weighted cross-entropy (`_grad_scale`). GCE's
-# gradient is cross-entropy's times p^q, so `_gce_weights` folds p^q into
-# the weights, for one exponent or a column of one per lane at once.
+# Backprop knows one loss, weighted cross-entropy (`_grad_scale`). The
+# gradient of generalized cross-entropy at exponent q is cross-entropy's
+# times p^q, so `_gce_weights` folds p^q into the weights, for one exponent
+# or a column of one per lane at once. The public `loss_values` and `grad`
+# take the same q as `gce_q`; q = 0, the limit, is cross-entropy.
 #
 # Clamps call the ndarray.clip method, one ufunc pass behind a thin Python
 # wrapper. The np.clip function adds an array-function dispatch that costs
@@ -252,9 +230,10 @@ def _label_index(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return _label_offsets(labels.shape, n_classes) + labels * labels.shape[-1]
 
 
-def _exponent(spec: LossSpec) -> float:
-    """The GCE exponent q; 0 means cross-entropy."""
-    return spec.gce_q if spec.kind == GCE else 0.0
+def _check_gce_q(gce_q: float) -> None:
+    """Check the exponent q that `loss_values` and `grad` take; NaN fails."""
+    if not 0.0 <= gce_q < 1.0:
+        raise InputError("gce_q must lie in [0, 1)")
 
 
 def _clamp(p_label: np.ndarray) -> np.ndarray:
@@ -264,7 +243,7 @@ def _clamp(p_label: np.ndarray) -> np.ndarray:
 
 def _losses(p: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
     """Per-example losses from label probabilities `_clamp` has clamped, into
-    `out` if given; q as `_exponent` gives it."""
+    `out` if given; q = 0 is cross-entropy."""
     if q == 0.0:
         return np.negative(np.log(p, out=out), out=out)
     # (1 - p^q)/q, written via expm1 to stay accurate as q -> 0.
@@ -272,10 +251,11 @@ def _losses(p: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarra
 
 
 def _gce_weights(p: np.ndarray, weights, q) -> np.ndarray:
-    """The cross-entropy weights of GCE at `weights`: `weights` * p^q, from
-    label probabilities `_clamp` has clamped, for one exponent q or a column
-    of one per row. np.power's scalar 0.5 takes a sqrt path that an array of
-    exponents does not, so 0.5 takes np.sqrt: each row gets its scalar bits."""
+    """The cross-entropy weights of generalized cross-entropy at `weights`:
+    `weights` * p^q, from label probabilities `_clamp` has clamped, for one
+    exponent q or a column of one per row. np.power's scalar 0.5 takes a
+    sqrt path that an array of exponents does not, so 0.5 takes np.sqrt:
+    each row gets its scalar bits."""
     return weights * np.where(q == 0.5, np.sqrt(p), np.power(p, q))
 
 
@@ -338,33 +318,40 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise InputError("label index out of range")
 
 
-def loss_values(probs: np.ndarray, labels: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Per-example losses for (n, C) probabilities and (n,) integer labels."""
+def loss_values(probs: np.ndarray, labels: np.ndarray, gce_q: float = 0.0) -> np.ndarray:
+    """Per-example losses for (n, C) probabilities and (n,) integer labels:
+    generalized cross-entropy (1 - p^q)/q at q = gce_q in (0, 1), and
+    cross-entropy -log p at gce_q = 0, p the clamped label probability."""
+    _check_gce_q(gce_q)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
+    if probs.ndim != 2:
+        raise InputError(f"probs shape {probs.shape} is not a (rows, classes) matrix")
     n, c = probs.shape
     if labels.shape != (n,):
         raise InputError("labels must be one integer per probability row")
     _check_labels(labels, c)
     p_label = probs.swapaxes(-1, -2).take(_label_index(labels, c))
-    return _losses(_clamp(p_label), _exponent(spec))
+    return _losses(_clamp(p_label), gce_q)
 
 
 def grad(model: Model, features: np.ndarray, labels: np.ndarray,
-         weights: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Gradient of sum_i weights[i] * loss(x_i, y_i) w.r.t. the flat params.
+         weights: np.ndarray, gce_q: float = 0.0) -> np.ndarray:
+    """Gradient of sum_i weights[i] * loss(x_i, y_i) w.r.t. the flat params,
+    the loss as `loss_values` computes it at `gce_q`.
 
     The L2 term is the optimizer's job, not part of this gradient. Examples
     whose clamped label probability sits at the clamp floor contribute zero
     (the clamped loss is flat there), keeping this the exact derivative of
     the loss actually computed.
     """
+    _check_gce_q(gce_q)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
     if len(w) != len(y) or len(y) != x.shape[0]:
         raise InputError("features, labels and weights must have equal length")
-    if (w < 0).any():
+    if not (w >= 0).all():  # NaN fails too
         raise InputError("weights must be non-negative")
     _check_labels(y, model.arch.n_classes)
     if len(y) == 0:  # the bias gradient folds the rows from the first one
@@ -373,7 +360,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     forward = _forward_cached(model, _feature_matrix(model, x))
     index = _label_index(y, model.arch.n_classes)
     p = _clamp(forward[0].take(index))
-    return _backprop(model, forward, index, _grad_scale(p, _gce_weights(p, w, _exponent(spec))))
+    return _backprop(model, forward, index, _grad_scale(p, _gce_weights(p, w, gce_q)))
 
 
 def sgd_step(model: Model, gradient: np.ndarray, opt: OptimizerState) -> tuple[Model, OptimizerState]:

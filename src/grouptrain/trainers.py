@@ -594,6 +594,8 @@ def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
     losses = np.asarray(losses, dtype=np.float64).ravel()
     if len(losses) < 1:
         raise InputError("cvar_batch_weights needs at least one loss")
+    if not np.isfinite(losses).all():
+        raise InputError("losses must be finite")
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
     return _cvar_weights(losses, alpha)
@@ -668,7 +670,7 @@ def group_dro_update(group_losses: np.ndarray, weights: np.ndarray,
     gl = np.asarray(group_losses, dtype=np.float64)
     if w.shape != gl.shape:
         raise InputError("group_losses and weights must have equal length")
-    if np.any(w < 0):
+    if not np.all(w >= 0):  # NaN fails too
         raise InputError("weights must be non-negative")
     if not np.all(np.isfinite(gl)):
         raise InputError("group losses must be finite")

@@ -12,10 +12,7 @@ from grouptrain.analysis import evaluate_groups
 from grouptrain.data import Dataset, subsample_validation
 from grouptrain.errors import IngestionError
 from grouptrain.models import (
-    CROSS_ENTROPY,
-    GCE,
     Architecture,
-    LossSpec,
     Model,
     OptimizerState,
     forward_batch,
@@ -29,7 +26,7 @@ from grouptrain.trainers import WORST_GROUP, lff_weight
 from grouptrain.tuning import FractionResult, grid_sweep
 
 
-def finite_difference_grad(model, features, labels, weights, spec, h=1e-6):
+def finite_difference_grad(model, features, labels, weights, gce_q=0.0, h=1e-6):
     """Central finite differences of the weighted batch loss, coordinate by
     coordinate, in double precision."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -38,7 +35,7 @@ def finite_difference_grad(model, features, labels, weights, spec, h=1e-6):
 
     def objective(params):
         probs = forward_batch(Model(model.arch, params), x)
-        return float(w @ loss_values(probs, y, spec))
+        return float(w @ loss_values(probs, y, gce_q))
 
     grad = np.empty(model.params.size)
     for i in range(model.params.size):
@@ -116,7 +113,6 @@ def reference_lff(train, val, cfg):
     model_b = model_m = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     opt_b = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
     opt_m = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
-    gce, ce = LossSpec(GCE, cfg.gce_q), LossSpec(CROSS_ENTROPY)
     shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
     history = []
     for _ in range(cfg.epochs):
@@ -131,11 +127,11 @@ def reference_lff(train, val, cfg):
             raw = lff_weight(probs_b[rows, yb], probs_m[rows, yb])
             w_main = raw / raw.sum()
             w_bias = np.full(len(yb), 1.0 / len(yb))
-            grad_b = grad(model_b, xb, yb, w_bias, gce)
-            grad_m = grad(model_m, xb, yb, w_main, ce)
+            grad_b = grad(model_b, xb, yb, w_bias, cfg.gce_q)
+            grad_m = grad(model_m, xb, yb, w_main)
             model_b, opt_b = sgd_step(model_b, grad_b, opt_b)
             model_m, opt_m = sgd_step(model_m, grad_m, opt_m)
-            objective += float(w_main @ loss_values(probs_m, yb, ce))
+            objective += float(w_main @ loss_values(probs_m, yb))
             n_batches += 1
         metrics = evaluate_groups(model_m, val)
         history.append((objective / n_batches, metrics.worst_group_accuracy,
@@ -155,7 +151,6 @@ def reference_sgd(train, rows, cfg):
     model = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     opt = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
     shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
-    ce = LossSpec(CROSS_ENTROPY)
     losses, trajectory = [], [model]
     for epoch in range(cfg.epochs):
         order = rows[shuffle.permutation(len(rows))]
@@ -164,10 +159,10 @@ def reference_sgd(train, rows, cfg):
             bidx = order[start:start + cfg.batch_size]
             xb, yb = train.features[bidx], train.labels[bidx]
             w = np.full(len(yb), 1.0 / len(yb))
-            objective += float(w @ loss_values(forward_batch(model, xb), yb, ce))
+            objective += float(w @ loss_values(forward_batch(model, xb), yb))
             if not np.isfinite(objective):
                 return losses, trajectory, (epoch, batch)
-            model, opt = sgd_step(model, grad(model, xb, yb, w, ce), opt)
+            model, opt = sgd_step(model, grad(model, xb, yb, w), opt)
         losses.append(objective / (batch + 1))
         trajectory.append(model)
     return losses, trajectory, None

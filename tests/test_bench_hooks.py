@@ -1,21 +1,41 @@
-"""The benchmark under bench/ wraps package functions by module attribute.
-A rename must fail here, not only in a benchmark run."""
+"""The benchmark under bench/ and the scripts under tools/ wrap or import
+package functions by name. A rename must fail here, not only when the
+benchmark or a tool runs."""
 
 import importlib.util
 from pathlib import Path
 
 import grouptrain.cli as cli
+import grouptrain.trainers as trainers
 import grouptrain.tuning as tuning
 
-_LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_LAYERS = _ROOT / "bench" / "layers.py"
+
+
+def _load(path, name):
+    """Run a script's top level (its imports and definitions) as a module."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_name_the_benchmark_wraps_is_bound_to_a_callable():
-    spec = importlib.util.spec_from_file_location("bench_layers", _LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load(_LAYERS, "bench_layers")
     # bench/hostspeed.py's TrainingTimer times `train` as cli and tuning bind it.
     names = [(m, name) for m, name, *_ in layers._WRAPS] + [(cli, "train"), (tuning, "train")]
     unbound = [f"{m.__name__}.{name}" for m, name in names
                if not callable(getattr(m, name, None))]
     assert unbound == []
+
+
+def test_the_private_names_ab_timer_swaps_are_bound_to_callables():
+    # tools/ab_timer.py replaces both to count steps and time the loop.
+    assert callable(getattr(trainers, "_step", None))
+    assert callable(getattr(trainers, "_weighted_sgd", None))
+
+
+def test_training_digest_imports():
+    digest = _load(_ROOT / "tools" / "training_digest.py", "training_digest")
+    assert callable(digest.main)

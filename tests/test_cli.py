@@ -473,6 +473,51 @@ class TestSweepAnalyzeAblateStudy:
                           f"sha256:{'0' * 64}, but {run_report} has {run_test}")
         assert not (tmp_path / "an").exists()
 
+    def test_analyze_of_an_unannotated_training_split_names_the_file(
+            self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("val", "test"):
+            shutil.copy(workspace / "data" / f"{split}.csv", data)
+        save_csv(strip_group_annotations(load_csv(workspace / "data" / "train.csv")),
+                 data / "train.csv")
+        assert run(["train", "--config", workspace / "jtt.ini", "--out", tmp_path / "jtt",
+                    "--data", data]) == 0
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {tmp_path / 'jtt'}\n"
+            f"erm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", data]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == (
+            "InputError", f"{data / 'train.csv'}: analyze needs a group-annotated "
+                          "stored training set")
+        assert not (tmp_path / "an").exists()
+
+    def test_analyze_of_a_run_with_neither_error_set_nor_snapshots(
+            self, workspace, tmp_path, capsys):
+        (tmp_path / "an.ini").write_text(
+            f"[analyze]\nrun = {workspace / 'erm'}\n"
+            f"erm_report = {workspace / 'erm' / 'report.json'}\n")
+        assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
+                    tmp_path / "an", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == (
+            "InputError", f"run {workspace / 'erm'} has neither an error set nor loss snapshots")
+        assert not (tmp_path / "an").exists()
+
+    def test_ablate_of_a_run_without_its_error_set(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "jtt"
+        run_dir.mkdir()
+        shutil.copy(workspace / "jtt" / "report.json", run_dir)
+        (tmp_path / "ab.ini").write_text(f"[ablate]\nrun = {run_dir}\nmode = drop-y-neq-a\n")
+        assert run(["ablate", "--config", tmp_path / "ab.ini", "--out",
+                    tmp_path / "ab", "--data", workspace / "data"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert (err["type"], err["message"]) == (
+            "InputError", f"run {run_dir} has no error_set.csv")
+        assert not (tmp_path / "ab").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "ablate"])
     @pytest.mark.parametrize("index", [99999, -3])
     def test_bad_error_set_index_names_the_file(self, workspace, tmp_path, capsys, command,
@@ -840,6 +885,26 @@ class TestPersistence:
         path.write_text(text.replace("activation=tanh", "activation=relu"))
         with pytest.raises(IngestionError, match="activation 'relu'"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda lines: ["grouptrain-model v2"] + lines[1:],
+         "not a 'grouptrain-model v1' checkpoint"),
+        (lambda lines: lines[:1] + ["input_dim=x"] + lines[2:],
+         "malformed checkpoint header (invalid literal for int() with base 10: 'x')"),
+        (lambda lines: lines[:3] + ["classes=2"] + lines[4:],
+         "malformed checkpoint header ('n_classes')"),
+        (lambda lines: lines[:-1], "expected 6 parameters, found 5"),
+    ], ids=["magic", "input-dim", "no-n-classes", "short"])
+    def test_checkpoint_rejections_name_the_file(self, tmp_path, edit, reason):
+        path = tmp_path / "m.txt"
+        save_model(init_model(Architecture(2, (), 2), 0), path)
+        lines = path.read_text().splitlines()
+        assert lines[1:6] == ["input_dim=2", "hidden=", "n_classes=2", "activation=tanh",
+                              "params=6"]
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(IngestionError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: {reason}"
 
     def test_checkpoint_params_that_do_not_fit_the_architecture_name_the_file(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -9,11 +9,8 @@ import grouptrain.models as models_mod
 import grouptrain.trainers as trainers_mod
 from grouptrain.errors import InputError
 from grouptrain.models import (
-    CROSS_ENTROPY,
-    GCE,
     PROB_EPS,
     Architecture,
-    LossSpec,
     Model,
     OptimizerState,
     forward_batch,
@@ -84,46 +81,46 @@ class TestForward:
 
 class TestLoss:
     def test_gce_zero_when_confident(self):
-        assert loss_values(np.array([[0.0, 1.0]]), np.array([1]), LossSpec(GCE, 0.7))[0] == 0.0
+        assert loss_values(np.array([[0.0, 1.0]]), np.array([1]), 0.7)[0] == 0.0
 
     def test_gce_approaches_cross_entropy(self):
-        val = loss_values(np.array([[0.5, 0.5]]), np.array([0]), LossSpec(GCE, 1e-6))[0]
+        val = loss_values(np.array([[0.5, 0.5]]), np.array([0]), 1e-6)[0]
         assert abs(val - 0.6931471805599453) < 1e-6
 
     def test_gce_hand_value(self):
-        val = loss_values(np.array([[0.5, 0.5]]), np.array([0]), LossSpec(GCE, 0.7))[0]
+        val = loss_values(np.array([[0.5, 0.5]]), np.array([0]), 0.7)[0]
         expected = (1.0 - 0.5 ** 0.7) / 0.7
         assert val == pytest.approx(expected, abs=1e-12)
         assert val == pytest.approx(0.54918, abs=1e-5)
 
     def test_gce_limit_property(self):
         ps = np.linspace(0.01, 1.0, 25)
-        gce = loss_values(np.column_stack([ps, 1.0 - ps]), np.zeros(25, dtype=int),
-                          LossSpec(GCE, 1e-8))
+        gce = loss_values(np.column_stack([ps, 1.0 - ps]), np.zeros(25, dtype=int), 1e-8)
         assert np.abs(gce + np.log(ps)).max() < 1e-6
 
     def test_gce_q_zero_is_cross_entropy(self):
         probs, labels = np.array([[0.3, 0.7], [0.9, 0.1]]), np.array([0, 0])
-        assert np.array_equal(loss_values(probs, labels, LossSpec(GCE, 0.0)),
-                              loss_values(probs, labels, LossSpec(CROSS_ENTROPY)))
+        assert np.array_equal(loss_values(probs, labels, 0.0), -np.log([0.3, 0.9]))
+        assert np.array_equal(loss_values(probs, labels), loss_values(probs, labels, 0.0))
 
     def test_cross_entropy_clamped_never_infinite(self):
-        val = loss_values(np.array([[1.0, 0.0]]), np.array([1]), LossSpec(CROSS_ENTROPY))[0]
+        val = loss_values(np.array([[1.0, 0.0]]), np.array([1]))[0]
         assert val == pytest.approx(-math.log(1e-12))
 
     def test_label_out_of_range(self):
         with pytest.raises(InputError):
-            loss_values(np.array([[0.5, 0.5]]), np.array([2]), LossSpec(CROSS_ENTROPY))
+            loss_values(np.array([[0.5, 0.5]]), np.array([2]))
 
-    def test_spec_validation(self):
-        with pytest.raises(InputError):
-            LossSpec(GCE)  # missing q
-        with pytest.raises(InputError):
-            LossSpec(GCE, 1.0)
-        with pytest.raises(InputError):
-            LossSpec(CROSS_ENTROPY, 0.5)
-        with pytest.raises(InputError):
-            LossSpec("hinge")
+    @pytest.mark.parametrize("gce_q", [1.0, -0.1, float("nan")])
+    def test_gce_q_outside_its_range_rejected(self, gce_q):
+        with pytest.raises(InputError, match=r"gce_q must lie in \[0, 1\)"):
+            loss_values(np.array([[0.5, 0.5]]), np.array([0]), gce_q)
+        with pytest.raises(InputError, match=r"gce_q must lie in \[0, 1\)"):
+            grad(init_model(LOGISTIC, 0), np.ones((1, 3)), np.array([0]), np.ones(1), gce_q)
+
+    def test_probabilities_that_are_not_a_matrix_rejected(self):
+        with pytest.raises(InputError, match=r"probs shape \(2,\)"):
+            loss_values(np.array([0.5, 0.5]), np.array([0]))
 
 
 class TestGrad:
@@ -131,63 +128,63 @@ class TestGrad:
         model = init_model(LOGISTIC, 0)
         x = np.random.default_rng(1).normal(size=(4, 3))
         y = np.array([0, 1, 0, 1])
-        g = grad(model, x, y, np.zeros(4), LossSpec(CROSS_ENTROPY))
+        g = grad(model, x, y, np.zeros(4))
         assert np.array_equal(g, np.zeros(model.params.size))
 
     def test_linearity_in_weights(self):
         model = init_model(LOGISTIC, 2)
         x = np.random.default_rng(3).normal(size=(2, 3))
         y = np.array([1, 0])
-        g_pair = grad(model, x, y, np.array([2.0, 0.0]), LossSpec(CROSS_ENTROPY))
-        g_single = grad(model, x[:1], y[:1], np.array([1.0]), LossSpec(CROSS_ENTROPY))
+        g_pair = grad(model, x, y, np.array([2.0, 0.0]))
+        g_single = grad(model, x[:1], y[:1], np.array([1.0]))
         assert g_pair == pytest.approx(2.0 * g_single, abs=1e-14)
 
-    def test_zero_one_is_not_a_loss_kind(self):
-        with pytest.raises(InputError):
-            LossSpec("zero-one")
+    @pytest.mark.parametrize("weights", [[float("nan"), 1.0], [-1.0, 1.0]])
+    def test_negative_or_nan_weights_rejected(self, weights):
+        # Unchecked, a NaN weight made the whole gradient NaN.
+        model = init_model(LOGISTIC, 0)
+        with pytest.raises(InputError, match="weights must be non-negative"):
+            grad(model, np.ones((2, 3)), np.array([0, 1]), np.array(weights))
 
     @pytest.mark.parametrize("labels", [[0, -1], [0, 2]])
     def test_label_outside_the_classes_rejected(self, labels):
         # Unchecked, -1 would read class 1 and 2 the next row's first class.
         model = init_model(LOGISTIC, 0)
         with pytest.raises(InputError, match="label index out of range"):
-            grad(model, np.ones((2, 3)), np.array(labels), np.ones(2), LossSpec(CROSS_ENTROPY))
+            grad(model, np.ones((2, 3)), np.array(labels), np.ones(2))
 
     def test_non_integer_labels_rejected(self):
         model = init_model(LOGISTIC, 0)
         with pytest.raises(InputError, match="integers"):
-            grad(model, np.ones((2, 3)), np.array([0.0, 1.0]), np.ones(2),
-                 LossSpec(CROSS_ENTROPY))
+            grad(model, np.ones((2, 3)), np.array([0.0, 1.0]), np.ones(2))
 
     def test_no_rows_give_a_zero_gradient(self):
         model = init_model(Architecture(3, (4,), 2), 0)
-        g = grad(model, np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0),
-                 LossSpec(CROSS_ENTROPY))
+        g = grad(model, np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0))
         assert same_bits(g, np.zeros(model.params.size))
 
     def test_one_dimensional_features_rejected(self):
         model = init_model(LOGISTIC, 0)
         with pytest.raises(InputError):
-            grad(model, np.zeros(3), [0], [1.0], LossSpec(CROSS_ENTROPY))
+            grad(model, np.zeros(3), [0], [1.0])
 
     @pytest.mark.parametrize("arch", [Architecture(5, (), 3), Architecture(5, (7,), 3)])
-    @pytest.mark.parametrize("spec", [LossSpec(CROSS_ENTROPY), LossSpec(GCE, 0.7)])
-    def test_matches_finite_differences(self, arch, spec):
+    @pytest.mark.parametrize("gce_q", [0.0, 0.7])
+    def test_matches_finite_differences(self, arch, gce_q):
         rng = np.random.default_rng(17)
         for _ in range(10):
             model = init_model(arch, int(rng.integers(2**32)))
             x = rng.normal(size=(4, 5))
             y = rng.integers(0, 3, size=4)
             w = rng.uniform(0.1, 2.0, size=4)
-            analytic = grad(model, x, y, w, spec)
-            numeric = finite_difference_grad(model, x, y, w, spec)
+            analytic = grad(model, x, y, w, gce_q)
+            numeric = finite_difference_grad(model, x, y, w, gce_q)
             assert relative_grad_error(analytic, numeric) < 1e-5
 
     @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
-    @pytest.mark.parametrize("spec", [LossSpec(CROSS_ENTROPY), LossSpec(GCE, 0.0),
-                                      LossSpec(GCE, 0.5)])
+    @pytest.mark.parametrize("gce_q", [0.0, 0.5, 0.7])
     @pytest.mark.parametrize("skewed", [False, True])
-    def test_cached_forward_pass_gives_the_same_gradient(self, hidden, spec, skewed):
+    def test_cached_forward_pass_gives_the_same_gradient(self, hidden, gce_q, skewed):
         # The training loop backpropagates through its one cached forward
         # pass with the private kernel instead of calling `grad`.
         rng = np.random.default_rng(23)
@@ -199,10 +196,10 @@ class TestGrad:
         assert np.array_equal(cached[0].swapaxes(-1, -2), forward_batch(model, x))
         index = models_mod._label_index(y, 3)
         p = models_mod._clamp(cached[0].take(index))
-        gce = models_mod._gce_weights(p, w, models_mod._exponent(spec))
+        gce = models_mod._gce_weights(p, w, gce_q)
         scale = models_mod._grad_scale(p, gce)
         assert np.array_equal(models_mod._backprop(model, cached, index, scale),
-                              grad(model, x, y, w, spec))
+                              grad(model, x, y, w, gce_q))
 
 
 class TestSgdStep:
@@ -246,6 +243,18 @@ class TestSgdStep:
         with pytest.raises(InputError):
             sgd_step(model, np.zeros(2), opt)
 
+    @pytest.mark.parametrize("field, hyper", [
+        ("learning_rate", (float("nan"), 0.9, 0.0)),
+        ("learning_rate", (0.0, 0.9, 0.0)),
+        ("momentum", (0.1, float("nan"), 0.0)),
+        ("l2", (0.1, 0.9, float("nan"))),
+        ("l2", (0.1, 0.9, -1.0)),
+    ])
+    def test_hyperparameters_outside_their_ranges_rejected(self, field, hyper):
+        # Unchecked, a NaN learning rate or l2 made every parameter NaN.
+        with pytest.raises(InputError, match=field):
+            OptimizerState(*hyper, np.zeros(LOGISTIC.n_params))
+
 
 class TestInit:
     def test_param_count_matches_architecture(self):
@@ -283,7 +292,7 @@ class TestLaneAxis:
     """The private kernel with a leading lane axis, as a population trains,
     equals the public 2-D calls slice by slice, bit for bit."""
 
-    SPECS = (LossSpec(CROSS_ENTROPY), LossSpec(GCE, 0.5), LossSpec(GCE, 0.7))
+    EXPONENTS = (0.0, 0.5, 0.7)
 
     @staticmethod
     def population(hidden, k, b, seed):
@@ -311,23 +320,23 @@ class TestLaneAxis:
                                 velocity=velocity)
         # Per-lane exponents alternate 0.5 and 0.7, as an LfF population's may.
         mixed = np.where(np.arange(k) % 2, 0.7, 0.5)[:, None]
-        for spec in self.SPECS + (None,):
-            q = mixed if spec is None else models_mod._exponent(spec)
-            losses = models_mod._losses(p_label, 0.0 if spec is None else q)
+        for gce_q in self.EXPONENTS + (None,):
+            q = mixed if gce_q is None else gce_q
+            losses = models_mod._losses(p_label, 0.0 if gce_q is None else q)
             scale = models_mod._grad_scale(p_label, models_mod._gce_weights(p_label, w, q))
             gradient = models_mod._backprop(lanes, forward, index, scale)
             stepped, stepped_opt = sgd_step(lanes, gradient, opt)
             for i in range(k):
-                lane_spec = LossSpec(GCE, mixed[i, 0]) if spec is None else spec
+                lane_q = mixed[i, 0] if gce_q is None else gce_q
                 model = Model(arch, params[i])
                 lane_forward = models_mod._forward_cached(model, x[i])
                 assert np.array_equal(forward_batch(model, x[i]), forward[0][i].swapaxes(-1, -2))
                 for a, a_lanes in zip(lane_forward[1], forward[1]):
                     assert np.array_equal(a, a_lanes[i])
-                if spec is not None:
+                if gce_q is not None:
                     assert np.array_equal(
-                        loss_values(lane_forward[0].swapaxes(-1, -2), y[i], spec), losses[i])
-                lane_gradient = grad(model, x[i], y[i], w[i], lane_spec)
+                        loss_values(lane_forward[0].swapaxes(-1, -2), y[i], gce_q), losses[i])
+                lane_gradient = grad(model, x[i], y[i], w[i], lane_q)
                 assert np.array_equal(lane_gradient, gradient[i])
                 lane_opt = OptimizerState(float(lr[i, 0]), float(momentum[i, 0]),
                                           float(l2[i, 0]), velocity[i])

@@ -117,6 +117,12 @@ class TestCvarBatchWeights:
         with pytest.raises(InputError):
             cvar_batch_weights(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_losses_rejected(self, bad):
+        # Unchecked, a NaN loss sorted last and silently took weight 0.
+        with pytest.raises(InputError, match="losses must be finite"):
+            cvar_batch_weights(np.array([bad, 1.0, 2.0]), 0.5)
+
 
 class TestLffWeight:
     def test_equal_probabilities_give_half(self):
@@ -169,6 +175,11 @@ class TestGroupDroUpdate:
             group_dro_update(np.array([1.0]), np.array([1.0, 2.0]), 0.01)
         with pytest.raises(InputError):
             group_dro_update(np.array([np.inf]), np.array([1.0]), 0.01)
+
+    def test_nan_weight_rejected(self):
+        # Unchecked, one NaN weight made every group weight NaN.
+        with pytest.raises(InputError, match="weights must be non-negative"):
+            group_dro_update(np.array([1.0, 2.0]), np.array([np.nan, 0.5]), 0.01)
 
 
 class TestErrorSet:
