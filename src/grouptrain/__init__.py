@@ -6,7 +6,6 @@ diagnostics and a tuning harness."""
 __version__ = "0.1.0"
 
 from .analysis import (
-    EnrichmentTable,
     ErrorSet,
     ErrorSetStats,
     GroupMetrics,

@@ -157,17 +157,10 @@ class EnrichmentRow:
     enrichment: float
 
 
-@dataclass(frozen=True, eq=False)
-class EnrichmentTable:
-    """Per-group error-set composition, sorted by enrichment descending."""
-
-    rows: list[EnrichmentRow]
-    missing_groups: list[GroupId]
-
-
-def enrichment_table(error_set: ErrorSet, train: Dataset) -> EnrichmentTable:
+def enrichment_table(error_set: ErrorSet, train: Dataset) -> list[EnrichmentRow]:
     """Enrichment and error-set share for every group of the attribute x label
-    product; combinations absent from the data are listed as missing."""
+    product, sorted by enrichment descending; combinations absent from the
+    data are omitted with an AnalysisWarning naming them."""
     per_group, e_size = _error_counts(error_set, train, "enrichment_table")
     rows = []
     for g, (count, hits) in per_group.items():
@@ -183,7 +176,7 @@ def enrichment_table(error_set: ErrorSet, train: Dataset) -> EnrichmentTable:
         names = ", ".join(f"(a={g.attribute}, y={g.label})" for g in missing)
         warnings.warn(f"group(s) {names} absent from {train.name!r}; omitted",
                       AnalysisWarning, stacklevel=2)
-    return EnrichmentTable(rows, missing)
+    return rows
 
 
 @dataclass(frozen=True)

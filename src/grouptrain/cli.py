@@ -208,8 +208,8 @@ def _train_diagnostics(result, train_ds: Dataset, out: _OutputDir) -> dict:
     error_set = result.aux.get("error_set")
     if error_set is None or not train_ds.has_group_annotations:
         return {}
-    table = enrichment_table(error_set, train_ds)
-    write_enrichment_csv(out.output("enrichment", "enrichment.csv"), table)
+    rows = enrichment_table(error_set, train_ds)
+    write_enrichment_csv(out.output("enrichment", "enrichment.csv"), rows)
     return {
         "error_set_size": len(error_set),
         "error_set_source_epoch": error_set.source_epoch,
@@ -217,10 +217,10 @@ def _train_diagnostics(result, train_ds: Dataset, out: _OutputDir) -> dict:
             {"attribute": r.group.attribute, "label": r.group.label, "count": r.count,
              "empirical_rate": r.empirical_rate, "error_count": r.error_count,
              "error_set_share": r.error_set_share, "enrichment": r.enrichment}
-            for r in table.rows
+            for r in rows
         ],
         "error_set_stats": [dataclasses.asdict(error_set_stats(error_set, train_ds, r.group))
-                            for r in table.rows],
+                            for r in rows],
     }
 
 
@@ -264,13 +264,12 @@ def _cmd_sweep(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     cfg = _train_config(parsed, args, out)
     grid = _grid(parsed, cfg, out)
     out.config["sweep"] = parsed.sweep
-    criterion = parsed.sweep.criterion
     splits = _load_datasets(args, out)
-    sweep = grid_sweep(grid, splits["train"], splits["val"], splits["test"], criterion=criterion)
+    sweep = grid_sweep(grid, splits["train"], splits["val"], splits["test"])
     write_sweep_csv(out.output("sweep", "sweep.csv"), sweep)
-    results = {"criterion": criterion, "n_configs": len(sweep.rows)}
-    for key, by, index in (("best_by_worst_group", WORST_GROUP, sweep.best_by_worst_group),
-                           ("best_by_average", AVERAGE, sweep.best_by_average)):
+    results = {"criterion": parsed.sweep.criterion, "n_configs": len(sweep.rows)}
+    for key, by in (("best_by_worst_group", WORST_GROUP), ("best_by_average", AVERAGE)):
+        index = sweep.best(by)
         row = sweep.rows[index]
         results[key] = {"index": index, "config": dataclasses.asdict(row.config),
                         "metrics": dataclasses.asdict(row.by_criterion[by])}
@@ -350,14 +349,14 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     error_set_file = run_dir / "error_set.csv"
     if error_set_file.exists():
         error_set = _read_error_set(error_set_file, train_ds)
-        table = enrichment_table(error_set, train_ds)
-        write_enrichment_csv(out.output("enrichment", "enrichment.csv"), table)
+        rows = enrichment_table(error_set, train_ds)
+        write_enrichment_csv(out.output("enrichment", "enrichment.csv"), rows)
         stats = error_set_stats(error_set, train_ds, worst)
         results["error_set_stats"] = dataclasses.asdict(stats)
         results["enrichment"] = [
             {"attribute": r.group.attribute, "label": r.group.label,
              "enrichment": r.enrichment, "error_set_share": r.error_set_share}
-            for r in table.rows
+            for r in rows
         ]
     snapshots_file = run_dir / "cvar_losses.csv"
     if snapshots_file.exists():

@@ -346,7 +346,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     the loss actually computed.
     """
     _check_gce_q(gce_q)
-    x = np.asarray(features, dtype=np.float64)
+    x = _feature_matrix(model, features)
     y = np.asarray(labels).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
     if len(w) != len(y) or len(y) != x.shape[0]:
@@ -357,7 +357,7 @@ def grad(model: Model, features: np.ndarray, labels: np.ndarray,
     if len(y) == 0:  # the bias gradient folds the rows from the first one
         return np.zeros(model.params.size)
 
-    forward = _forward_cached(model, _feature_matrix(model, x))
+    forward = _forward_cached(model, x)
     index = _label_index(y, model.arch.n_classes)
     p = _clamp(forward[0].take(index))
     return _backprop(model, forward, index, _grad_scale(p, _gce_weights(p, w, gce_q)))

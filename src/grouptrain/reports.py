@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CompositionPoint, EnrichmentTable, ErrorSet, GroupMetrics
+from .analysis import CompositionPoint, EnrichmentRow, ErrorSet, GroupMetrics
 from .data import ColumnKind, Dataset, csv_rows, dataset_csv_blocks, read_columns
 from .errors import IngestionError, reads_file
 from .models import Architecture, Model
@@ -162,13 +162,13 @@ def read_error_set_csv(path) -> ErrorSet:
     return ErrorSet(np.asarray(indices, dtype=np.int64), source_epoch)
 
 
-def write_enrichment_csv(path, table: EnrichmentTable) -> None:
+def write_enrichment_csv(path, rows: Sequence[EnrichmentRow]) -> None:
     _write_rows(
         path,
         ["attribute", "label", "count", "empirical_rate", "error_count",
          "error_set_share", "enrichment"],
         [(r.group.attribute, r.group.label, r.count, _f(r.empirical_rate),
-          r.error_count, _f(r.error_set_share), _f(r.enrichment)) for r in table.rows])
+          r.error_count, _f(r.error_set_share), _f(r.enrichment)) for r in rows])
 
 
 def write_composition_csv(path, points: Sequence[CompositionPoint]) -> None:

@@ -167,7 +167,6 @@ class EpochMetrics(NamedTuple):
 class Checkpoint:
     epoch: int  # -1 means the pre-training initialization
     model: Model
-    metric: float
 
 
 def select_checkpoint(scores: Sequence[tuple[float, float]],
@@ -203,11 +202,9 @@ class TrainResult:
     def checkpoints(self) -> dict[str, Checkpoint]:
         """The selected checkpoint per early-stopping criterion."""
         scores = [entry[1:] for entry in self.history]
-        out = {}
-        for column, criterion in enumerate(CRITERIA):
-            epoch, picked = select_checkpoint(scores, criterion)
-            out[criterion] = Checkpoint(epoch, self.trajectory[epoch + 1], picked[column])
-        return out
+        epochs = {criterion: select_checkpoint(scores, criterion)[0] for criterion in CRITERIA}
+        return {criterion: Checkpoint(epoch, self.trajectory[epoch + 1])
+                for criterion, epoch in epochs.items()}
 
 
 # A scoring pass holds at most this many cells per activation or
@@ -672,8 +669,13 @@ def group_dro_update(group_losses: np.ndarray, weights: np.ndarray,
         raise InputError("group_losses and weights must have equal length")
     if not np.all(w >= 0):  # NaN fails too
         raise InputError("weights must be non-negative")
+    if not np.all(w.sum(axis=-1) > 0):
+        raise InputError("weights must have a positive sum")
     if not np.all(np.isfinite(gl)):
         raise InputError("group losses must be finite")
+    step = np.asarray(step_size, dtype=np.float64)
+    if not (np.isfinite(step).all() and (step >= 0).all()):
+        raise InputError("step_size must be finite and non-negative")
     return _group_dro_weights(gl, w, step_size)
 
 

@@ -17,7 +17,7 @@ import dataclasses
 import functools
 import itertools
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,25 +78,24 @@ class SweepRow:
     by_criterion: dict[str, SelectionMetrics]
 
 
+# Each criterion's validation metric, the one its checkpoint maximizes.
+_VAL_METRIC = {WORST_GROUP: "val_worst_group", AVERAGE: "val_average"}
+
+
 @dataclass(eq=False)
 class SweepResult:
-    """One row per grid point (enumeration order), with the argmax row index
-    under each criterion (ties resolve to the earliest row)."""
+    """One row per grid point, in enumeration order."""
 
-    criterion: str
     rows: list[SweepRow]
-    best_by_worst_group: int = field(init=False)
-    best_by_average: int = field(init=False)
 
-    def __post_init__(self):
-        by = [row.by_criterion for row in self.rows]
-        self.best_by_worst_group = int(np.argmax([b[WORST_GROUP].val_worst_group for b in by]))
-        self.best_by_average = int(np.argmax([b[AVERAGE].val_average for b in by]))
-
-    def selected(self) -> SelectionMetrics:
-        """The best row's metrics under the sweep's criterion."""
-        idx = self.best_by_worst_group if self.criterion == WORST_GROUP else self.best_by_average
-        return self.rows[idx].by_criterion[self.criterion]
+    def best(self, criterion: str) -> int:
+        """The index of the row whose `criterion` validation metric, at its
+        checkpoint for `criterion`, is highest; ties go to the earliest row."""
+        metric = _VAL_METRIC.get(criterion)
+        if metric is None:
+            raise InputError(f"unknown criterion {criterion!r}")
+        return int(np.argmax([getattr(row.by_criterion[criterion], metric)
+                              for row in self.rows]))
 
 
 def _train_grid(grid: Grid, train_data: Dataset,
@@ -134,16 +133,12 @@ def _evaluate_config(cfg: TrainConfig, scores: Sequence[tuple[float, float]],
     return SweepRow(cfg, by_criterion)
 
 
-def grid_sweep(grid: Grid, train_data: Dataset, val: Dataset, test: Dataset,
-               criterion: str = WORST_GROUP) -> SweepResult:
-    """Train every grid point in enumeration order, early-stop each run
-    under both criteria, and pick the best row per criterion by its
-    validation metric."""
-    if criterion not in CRITERIA:
-        raise InputError(f"unknown criterion {criterion!r}")
+def grid_sweep(grid: Grid, train_data: Dataset, val: Dataset, test: Dataset) -> SweepResult:
+    """Train every grid point in enumeration order and early-stop each run
+    under both criteria; `SweepResult.best` picks a row per criterion."""
     rows = [_evaluate_config(cfg, [entry[1:] for entry in run.history], _test_metrics(run, test))
             for cfg, run in _train_grid(grid, train_data, val)]
-    return SweepResult(criterion, rows)
+    return SweepResult(rows)
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,8 @@ def validation_size_study(fractions: Sequence[float], grid: Grid, train_data: Da
                 scores = ([entry[1:] for entry in run.history] if reduced is val
                           else epoch_scores(run.trajectory, reduced))
                 rows.append(_evaluate_config(cfg, scores, test_at))
-            per_seed.append(SweepResult(WORST_GROUP, rows).selected().test_worst_group)
+            best = rows[SweepResult(rows).best(WORST_GROUP)]
+            per_seed.append(best.by_criterion[WORST_GROUP].test_worst_group)
         out.append(FractionResult(float(fraction), tuple(per_seed),
                                   float(statistics.median(per_seed))))
     return out

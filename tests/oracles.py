@@ -22,7 +22,8 @@ from grouptrain.models import (
     sgd_step,
     unpack_params,
 )
-from grouptrain.trainers import WORST_GROUP, lff_weight
+from grouptrain.trainers import (CVAR, GROUP_DRO, WORST_GROUP, cvar_batch_weights,
+                                 group_dro_update, lff_weight)
 from grouptrain.tuning import FractionResult, grid_sweep
 
 
@@ -139,11 +140,44 @@ def reference_lff(train, val, cfg):
     return model_m, model_b, history
 
 
+def reference_batch_weights(train, cfg):
+    """cfg.algorithm's per-batch example weights, as a function of a batch's
+    rows of `train` and their cross-entropies, through the public calls:
+    - CVaR: the capped top-loss distribution, `cvar_batch_weights`;
+    - group DRO: the groups are `train`'s (attribute, label) pairs, in
+      sorted order, starting at equal weights. Per batch, each group's losses
+      are added in row order, their means (0 for a group the batch lacks)
+      take one `group_dro_update` step, and an example weighs its group's
+      weight over its group's batch count;
+    - every other algorithm: uniform."""
+    if cfg.algorithm == CVAR:
+        return lambda bidx, losses: cvar_batch_weights(losses, cfg.alpha)
+    if cfg.algorithm != GROUP_DRO:
+        return lambda bidx, losses: np.full(len(losses), 1.0 / len(losses))
+    pairs = list(zip(train.attributes.tolist(), train.labels.tolist()))
+    code = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+    group_weights = np.full(len(code), 1.0 / len(code))
+
+    def weights(bidx, losses):
+        nonlocal group_weights
+        groups = np.array([code[pairs[i]] for i in bidx])
+        sums, counts = np.zeros(len(code)), np.zeros(len(code), dtype=np.int64)
+        for g, loss in zip(groups.tolist(), losses.tolist()):
+            sums[g] += loss
+            counts[g] += 1
+        group_weights = group_dro_update(sums / np.maximum(counts, 1), group_weights,
+                                         cfg.group_step_size)
+        return group_weights[groups] / counts[groups]
+
+    return weights
+
+
 def reference_sgd(train, rows, cfg):
-    """Plain minibatch SGD on the mean cross-entropy over `train`'s `rows`
-    (as the main model's seed streams order them), through the public calls:
-    forward_batch, loss_values, grad and sgd_step. Returns (per-epoch train
-    losses, trajectory, divergence): the losses are each epoch's mean batch
+    """Plain minibatch SGD over `train`'s `rows` (as the main model's seed
+    streams order them), each batch's cross-entropies weighted by
+    `reference_batch_weights`, through the public calls: forward_batch,
+    loss_values, grad and sgd_step. Returns (per-epoch train losses,
+    trajectory, divergence): the losses are each epoch's mean batch
     objective, the trajectory the initial model and each epoch's, and
     divergence the (epoch, batch) at which the running objective first turns
     non-finite, where training stops, or None."""
@@ -151,6 +185,7 @@ def reference_sgd(train, rows, cfg):
     model = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     opt = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
     shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
+    batch_weights = reference_batch_weights(train, cfg)
     losses, trajectory = [], [model]
     for epoch in range(cfg.epochs):
         order = rows[shuffle.permutation(len(rows))]
@@ -158,8 +193,9 @@ def reference_sgd(train, rows, cfg):
         for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
             bidx = order[start:start + cfg.batch_size]
             xb, yb = train.features[bidx], train.labels[bidx]
-            w = np.full(len(yb), 1.0 / len(yb))
-            objective += float(w @ loss_values(forward_batch(model, xb), yb))
+            batch_losses = loss_values(forward_batch(model, xb), yb)
+            w = batch_weights(bidx, batch_losses)
+            objective += float(w @ batch_losses)
             if not np.isfinite(objective):
                 return losses, trajectory, (epoch, batch)
             model, opt = sgd_step(model, grad(model, xb, yb, w), opt)
@@ -265,8 +301,9 @@ def reference_validation_size_study(fractions, grid, train, val, test, seeds):
         per_seed = []
         for seed in seeds:
             reduced = subsample_validation(val, fraction, seed)
-            sweep = grid_sweep(grid, train, reduced, test, criterion=WORST_GROUP)
-            per_seed.append(sweep.selected().test_worst_group)
+            sweep = grid_sweep(grid, train, reduced, test)
+            best = sweep.rows[sweep.best(WORST_GROUP)]
+            per_seed.append(best.by_criterion[WORST_GROUP].test_worst_group)
         out.append(FractionResult(float(fraction), tuple(per_seed),
                                   float(statistics.median(per_seed))))
     return out

@@ -44,13 +44,14 @@ def bench_sweeps(reference_bench):
         per_seed = []
         for seed in REFERENCE_SEEDS:
             grid = Grid(reference_config(algorithm, seed), reference_grid_axes(algorithm))
-            per_seed.append(grid_sweep(grid, train, val, test, criterion=WORST_GROUP))
+            per_seed.append(grid_sweep(grid, train, val, test))
         sweeps[algorithm] = per_seed
     return sweeps
 
 
 def _median_wg(sweeps):
-    return statistics.median(s.selected().test_worst_group for s in sweeps)
+    return statistics.median(s.rows[s.best(WORST_GROUP)].by_criterion[WORST_GROUP].test_worst_group
+                             for s in sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_criterion_05_error_set_enrichment(reference_bench):
     for seed in REFERENCE_SEEDS:
         result = gt.train(train, val, reference_config("jtt", seed))
         table = gt.enrichment_table(result.aux["error_set"], train)
-        enrichment = {row.group: row.enrichment for row in table.rows}
+        enrichment = {row.group: row.enrichment for row in table}
         minima.append(min(enrichment[(0, 1)], enrichment[(1, 0)]))
     median = statistics.median(minima)
     assert median > 2.0
@@ -235,13 +236,13 @@ def test_criterion_07_tuning_criterion_comparison(bench_sweeps):
     worst-group accuracy (median over seeds)."""
     for sweeps in bench_sweeps.values():
         for sweep in sweeps:
-            best = sweep.rows[sweep.best_by_worst_group].by_criterion[WORST_GROUP]
-            alt = sweep.rows[sweep.best_by_average].by_criterion[AVERAGE]
+            best = sweep.rows[sweep.best(WORST_GROUP)].by_criterion[WORST_GROUP]
+            alt = sweep.rows[sweep.best(AVERAGE)].by_criterion[AVERAGE]
             assert best.val_worst_group >= alt.val_worst_group
     gaps = []
     for sweep in bench_sweeps["jtt"]:
-        best = sweep.rows[sweep.best_by_worst_group].by_criterion[WORST_GROUP]
-        alt = sweep.rows[sweep.best_by_average].by_criterion[AVERAGE]
+        best = sweep.rows[sweep.best(WORST_GROUP)].by_criterion[WORST_GROUP]
+        alt = sweep.rows[sweep.best(AVERAGE)].by_criterion[AVERAGE]
         gaps.append(best.test_worst_group - alt.test_worst_group)
     median_gap = statistics.median(gaps)
     assert median_gap >= 0.02

@@ -36,6 +36,9 @@ def test_the_private_names_ab_timer_swaps_are_bound_to_callables():
     assert callable(getattr(trainers, "_weighted_sgd", None))
 
 
-def test_training_digest_imports():
-    digest = _load(_ROOT / "tools" / "training_digest.py", "training_digest")
-    assert callable(digest.main)
+def test_training_digest_is_pinned(capsys):
+    # Every training output bit: a change that alters any of them updates
+    # this value and calls itself a behaviour change.
+    _load(_ROOT / "tools" / "training_digest.py", "training_digest").main()
+    assert capsys.readouterr().out == (
+        "f14ca1606a114570082fe1860dab88219a89eff379613ccab5eb2634e385bcb4  99 runs\n")

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grouptrain.benchmark import (REFERENCE_DATA_SEED, REFERENCE_SPEC, reference_config,
+                                  reference_grid_axes)
 from grouptrain.config import parse_config
 from grouptrain.data import GroupId
 from grouptrain.errors import ConfigError
@@ -376,3 +380,24 @@ class TestSectionTable:
         grid = parse_config(path).grid
         assert grid.axes == {axis.split(" =")[0]: values}
         assert len(grid) == len(values)
+
+
+class TestShippedConfigs:
+    """The configs under configs/ describe the reference benchmark that the
+    tests build from `grouptrain.benchmark`; the benchmark harness reads the
+    files."""
+
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    def test_reference_data(self):
+        generate = parse_config(self.CONFIGS / "reference-data.ini").generate
+        assert (generate.spec, generate.seed) == (REFERENCE_SPEC, REFERENCE_DATA_SEED)
+
+    @pytest.mark.parametrize("name, algorithm", [("erm", "erm"), ("jtt", "jtt"),
+                                                 ("jtt-sweep", "jtt"), ("val-study", "jtt")])
+    def test_train_section(self, name, algorithm):
+        assert parse_config(self.CONFIGS / f"{name}.ini").train == reference_config(algorithm, 0)
+
+    def test_sweep_grid(self):
+        grid = parse_config(self.CONFIGS / "jtt-sweep.ini").grid
+        assert grid.axes == reference_grid_axes("jtt")

@@ -163,10 +163,13 @@ class TestGrad:
         g = grad(model, np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0))
         assert same_bits(g, np.zeros(model.params.size))
 
-    def test_one_dimensional_features_rejected(self):
+    @pytest.mark.parametrize("features", [np.zeros(3), np.float64(1.0)], ids=["1-d", "0-d"])
+    def test_features_that_are_not_a_matrix_rejected(self, features):
+        # A 0-d array raised a bare IndexError when the row count was read
+        # before the shape check.
         model = init_model(LOGISTIC, 0)
-        with pytest.raises(InputError):
-            grad(model, np.zeros(3), [0], [1.0])
+        with pytest.raises(InputError, match=r"features shape \(3?,?\) does not match"):
+            grad(model, features, [0], [1.0])
 
     @pytest.mark.parametrize("arch", [Architecture(5, (), 3), Architecture(5, (7,), 3)])
     @pytest.mark.parametrize("gce_q", [0.0, 0.7])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -26,6 +27,7 @@ from grouptrain.trainers import (
     epoch_scores,
     group_dro_update,
     lff_weight,
+    train_population,
     train_upweighted,
 )
 from grouptrain.tuning import Grid, grid_sweep
@@ -181,6 +183,17 @@ class TestGroupDroUpdate:
         with pytest.raises(InputError, match="weights must be non-negative"):
             group_dro_update(np.array([1.0, 2.0]), np.array([np.nan, 0.5]), 0.01)
 
+    def test_weights_without_mass_rejected(self):
+        # Unchecked, renormalizing divided 0 by 0: every weight NaN.
+        with pytest.raises(InputError, match="weights must have a positive sum"):
+            group_dro_update(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 0.01)
+
+    @pytest.mark.parametrize("step_size", [math.nan, math.inf, -0.01])
+    def test_bad_step_size_rejected(self, step_size):
+        # Unchecked, a NaN or infinite step made every weight NaN.
+        with pytest.raises(InputError, match="step_size must be finite and non-negative"):
+            group_dro_update(np.array([1.0, 2.0]), np.array([0.5, 0.5]), step_size)
+
 
 class TestErrorSet:
     def test_indices_sorted_unique(self):
@@ -310,7 +323,7 @@ class TestTrainErm:
         for criterion, field in ((WORST_GROUP, "val_worst_group"), (AVERAGE, "val_average")):
             ck = result.checkpoints[criterion]
             values = [getattr(h, field) for h in result.history]
-            assert ck.metric == max(values)
+            assert values[ck.epoch] == max(values)
             assert ck.epoch == int(np.argmax(values))
 
 
@@ -758,7 +771,7 @@ def test_error_set_on_reference_benchmark_is_minority_enriched(reference_bench):
     from grouptrain.benchmark import reference_config
     result = gt.train(train, val, reference_config("jtt", seed=0))
     table = gt.enrichment_table(result.aux["error_set"], train)
-    enrichment = {row.group: row.enrichment for row in table.rows}
+    enrichment = {row.group: row.enrichment for row in table}
     for g in ((0, 1), (1, 0)):
         assert enrichment[g] > 2.0
 
@@ -994,6 +1007,30 @@ class TestChunks:
         losses, trajectory, _ = reference_sgd(train, rows, cfgs[0])
         assert lanes[0].error is None and lanes[0].losses == losses
         assert np.array_equal(lanes[0].trajectory[-1].params, trajectory[-1].params)
+
+
+@pytest.mark.parametrize("algorithm", ["cvar", "group-dro"])
+def test_reweighting_trainers_equal_the_reference_loop(small_bench, algorithm):
+    """CVaR's and group DRO's weight rules, checked from outside the step
+    kernel: `gt.train`, and every lane of one population over all the
+    configs, give a plain loop over the public calls' final parameters and
+    per-epoch train losses bit for bit. 600 rows leave short last batches
+    at both batch sizes."""
+    train, val, _ = small_bench
+    axes = {"hidden": ((), (4, 3)), "batch_size": (64, 96), "seed": (0, 1),
+            "learning_rate": (0.01, 0.05)}
+    if algorithm == "cvar":
+        axes["alpha"] = (0.1, 0.25, 0.5)
+    cfgs = [cfg(algorithm, epochs=3, **dict(zip(axes, values)))
+            for values in itertools.product(*axes.values())]
+    population = train_population(train, val, cfgs)
+    rows = np.arange(len(train))
+    for c, lane in zip(cfgs, population, strict=True):
+        losses, trajectory, divergence = reference_sgd(train, rows, c)
+        assert divergence is None
+        for result in (gt.train(train, val, c), lane):
+            assert np.array_equal(result.model.params, trajectory[-1].params), c
+            assert [entry.train_loss for entry in result.history] == losses, c
 
 
 def stepping_lanes(monkeypatch) -> list[tuple[tuple[float, ...], int]]:

@@ -45,19 +45,30 @@ class TestGridSweep:
     def test_single_config_best_under_both_criteria(self, small_bench):
         train, val, test = small_bench
         sweep = grid_sweep(Grid(base_cfg(), {}), train, val, test)
-        assert sweep.best_by_worst_group == 0
-        assert sweep.best_by_average == 0
+        assert sweep.best(WORST_GROUP) == 0
+        assert sweep.best(AVERAGE) == 0
         assert len(sweep.rows) == 1
 
     def test_argmax_invariant(self, small_bench):
         train, val, test = small_bench
         grid = Grid(base_cfg(), {"learning_rate": (0.01, 0.05), "seed": (0, 1)})
         sweep = grid_sweep(grid, train, val, test)
-        best = sweep.rows[sweep.best_by_worst_group].by_criterion[WORST_GROUP]
+        best = sweep.rows[sweep.best(WORST_GROUP)].by_criterion[WORST_GROUP]
         for row in sweep.rows:
             assert best.val_worst_group >= row.by_criterion[WORST_GROUP].val_worst_group
-        best_avg = sweep.rows[sweep.best_by_average].by_criterion[AVERAGE]
+        best_avg = sweep.rows[sweep.best(AVERAGE)].by_criterion[AVERAGE]
+        for row in sweep.rows:
+            assert best_avg.val_average >= row.by_criterion[AVERAGE].val_average
         assert best.val_worst_group >= best_avg.val_worst_group
+
+    def test_best_breaks_ties_to_the_earliest_row(self):
+        def row(val_worst_group, val_average):
+            metrics = tuning.SelectionMetrics(0, val_worst_group, val_average, 0.0, 0.0)
+            return tuning.SweepRow(base_cfg(), {WORST_GROUP: metrics, AVERAGE: metrics})
+
+        sweep = tuning.SweepResult([row(0.5, 0.9), row(0.7, 0.8), row(0.7, 0.9)])
+        assert sweep.best(WORST_GROUP) == 1
+        assert sweep.best(AVERAGE) == 0
 
     def test_selected_epoch_matches_early_stop(self, small_bench):
         train, val, test = small_bench
@@ -74,7 +85,7 @@ class TestGridSweep:
         grid = Grid(base_cfg(), {"learning_rate": (0.01, 0.05)})
         a = grid_sweep(grid, train, val, test)
         b = grid_sweep(grid, train, val, test)
-        assert a.best_by_worst_group == b.best_by_worst_group
+        assert a.best(WORST_GROUP) == b.best(WORST_GROUP)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.by_criterion == rb.by_criterion
 
@@ -82,17 +93,18 @@ class TestGridSweep:
         train, val, test = small_bench
         with pytest.raises(InputError):
             grid_sweep(Grid(base_cfg(epochs=0), {}), train, val, test)
-        with pytest.raises(InputError):
-            grid_sweep(Grid(base_cfg(), {}), train, val, test, criterion="loss")
+        sweep = grid_sweep(Grid(base_cfg(), {}), train, val, test)
+        with pytest.raises(InputError, match="unknown criterion 'loss'"):
+            sweep.best("loss")
 
 
 class TestValidationSizeStudy:
     def test_fraction_one_matches_plain_sweep(self, small_bench):
         train, val, test = small_bench
         grid = Grid(base_cfg(), {"learning_rate": (0.01, 0.05)})
-        plain = grid_sweep(grid, train, val, test, criterion=WORST_GROUP)
+        plain = grid_sweep(grid, train, val, test)
         study = validation_size_study([1.0], grid, train, val, test, seeds=(0, 1, 2))
-        expected = plain.selected().test_worst_group
+        expected = plain.rows[plain.best(WORST_GROUP)].by_criterion[WORST_GROUP].test_worst_group
         assert study[0].per_seed_test_worst_group == (expected,) * 3
         assert study[0].median_test_worst_group == expected
 
