@@ -181,8 +181,10 @@ def unpack_params(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarr
 # more than the clamp itself on a batch, and np.maximum then np.minimum (the
 # same values, NaN included) a second pass that costs more than the wrapper.
 # The softmax and `sgd_step` write results into temporaries they already
-# own (out=), and a training step's losses go straight into its chunk's
-# buffer: the same operations in the same order, fewer allocations.
+# own (out=), and a training step clamps its label probabilities straight
+# into its chunk's loss buffer, which takes the log and the negation once
+# for all its steps: the same operations on the same values, fewer
+# allocations and calls.
 
 _SUM_FOLD_MAX = 7
 
@@ -236,9 +238,10 @@ def _check_gce_q(gce_q: float) -> None:
         raise InputError("gce_q must lie in [0, 1)")
 
 
-def _clamp(p_label: np.ndarray) -> np.ndarray:
-    """Label probabilities clamped to [PROB_EPS, 1], NaN kept, as np.clip does."""
-    return p_label.clip(PROB_EPS, 1.0)
+def _clamp(p_label: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Label probabilities clamped to [PROB_EPS, 1], NaN kept, as np.clip
+    does, into `out` if given."""
+    return p_label.clip(PROB_EPS, 1.0, out=out)
 
 
 def _losses(p: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:

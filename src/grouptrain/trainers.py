@@ -47,7 +47,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,6 +214,18 @@ class TrainResult:
 _SCORE_CELLS = 1 << 12
 
 
+def _scoring_passes(scored: Sequence[Model], features: np.ndarray) -> Iterator[np.ndarray]:
+    """The class-major (models, C, rows) probabilities of `scored` on
+    `features`, one array per stacked forward pass of at most `_SCORE_CELLS`
+    cells per activation or probability array."""
+    arch = scored[0].arch
+    per_pass = max(1, _SCORE_CELLS // (len(features) * max(arch.hidden + (arch.n_classes,))))
+    for start in range(0, len(scored), per_pass):
+        chunk = scored[start:start + per_pass]
+        stacked = models._adopt(Model, arch=arch, params=np.stack([m.params for m in chunk]))
+        yield models._forward_cached(stacked, features)[0]
+
+
 def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float, float]]:
     """Per-epoch (worst-group, average) accuracy on `data` of trajectory[1:],
     the values `evaluate_groups` gives: the models' predictions come from
@@ -223,18 +235,30 @@ def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float
     if not scored:
         return []
     groups, codes, counts = data.group_index()
-    arch = scored[0].arch
-    per_pass = max(1, _SCORE_CELLS // (len(data) * max(arch.hidden + (arch.n_classes,))))
     out = []
-    for start in range(0, len(scored), per_pass):
-        chunk = scored[start:start + per_pass]
-        stacked = models._adopt(Model, arch=arch, params=np.stack([m.params for m in chunk]))
-        correct = models._forward_cached(stacked, data.features)[0].argmax(axis=-2) == data.labels
-        bins = codes + len(groups) * np.arange(len(chunk))[:, None]  # (model, group) bins
-        hits = np.bincount(bins[correct], minlength=len(chunk) * len(groups))
-        worst = (hits.reshape(len(chunk), len(groups)) / counts).min(axis=1)
+    for probs in _scoring_passes(scored, data.features):
+        correct = probs.argmax(axis=-2) == data.labels
+        bins = codes + len(groups) * np.arange(len(probs))[:, None]  # (model, group) bins
+        hits = np.bincount(bins[correct], minlength=len(probs) * len(groups))
+        worst = (hits.reshape(len(probs), len(groups)) / counts).min(axis=1)
         out += zip(worst.tolist(), (correct.sum(axis=1) / len(data)).tolist())
     return out
+
+
+def loss_snapshots(trajectory: Sequence[Model], data: Dataset) -> np.ndarray:
+    """Per-example cross-entropy on `data`, one row per model of
+    trajectory[1:]: (epochs, len(data)), no rows for an untrained run. The
+    values of `loss_values(forward_batch(model, data.features), data.labels)`,
+    from stacked forward passes over the split."""
+    scored = trajectory[1:]
+    if not scored:
+        return np.empty((0, len(data)))
+    x, n_classes = models._feature_matrix(scored[0], data.features), scored[0].arch.n_classes
+    models._check_labels(data.labels, n_classes)
+    return models._losses(np.concatenate([
+        models._clamp(probs.take(models._label_index(
+            np.broadcast_to(data.labels, (len(probs), len(data))), n_classes)))
+        for probs in _scoring_passes(scored, x)]), 0.0)
 
 
 def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Model:
@@ -282,8 +306,11 @@ class _Lane:
         return self.error is None and len(self.losses) < self.epochs
 
     def start_epoch(self) -> None:
-        """Draw the epoch's example order from the shuffle stream."""
-        self.order = self.rows[self.shuffle.permutation(len(self.rows))]
+        """Draw the epoch's example order from the shuffle stream: a shuffle
+        of an int64 copy of the rows makes the swaps `permutation` makes."""
+        order = self.rows.astype(np.int64)
+        self.shuffle.shuffle(order)
+        self.order = order.astype(self.rows.dtype)
         self.pos, self.objective, self.n_batches = 0, 0.0, 0
 
     def end_epoch(self, params: np.ndarray) -> None:
@@ -305,16 +332,10 @@ class _Lane:
             self.start_epoch()
 
 
-@functools.lru_cache(maxsize=4)
-def _uniform_weights(shape: tuple[int, int]) -> np.ndarray:
-    """Read-only 1/b weights for (K, b) batches."""
-    w = np.full(shape, 1.0 / shape[-1])
-    w.setflags(write=False)
-    return w
-
-
-def _uniform(_state, losses: np.ndarray, *_) -> np.ndarray:
-    return _uniform_weights(losses.shape)
+def _uniform(_state, shape: tuple[int, int]) -> tuple[Callable, np.ndarray]:
+    """Uniform weights 1/b, the same at every step."""
+    fixed = np.full(shape, 1.0 / shape[-1])
+    return lambda *_: fixed, fixed
 
 
 def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule: Callable,
@@ -322,12 +343,13 @@ def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule:
           weights: np.ndarray) -> tuple[Model, OptimizerState]:
     """One SGD step of the stacked models on their batches, each on its
     rule-weighted cross-entropy; returns the stepped model and optimizer
-    state, and leaves the per-example cross-entropies and weights in
-    `losses` and `weights`."""
+    state. It clamps the label probabilities p straight into `losses`,
+    which its chunk turns into cross-entropies after its last step, and the
+    built rule, ``rule(state, ridx, p, weights)``, returns the weights,
+    written into `weights` unless they are the rule's fixed ones."""
     forward = models._forward_cached(model, xb)
-    p = models._clamp(forward[0].take(index))
-    models._losses(p, 0.0, out=losses)
-    weights[...] = w = rule(state, losses, ridx, p)
+    p = models._clamp(forward[0].take(index), out=losses)
+    w = rule(state, ridx, p, weights)
     return sgd_step(model, models._backprop(model, forward, index, models._grad_scale(p, w)), opt)
 
 
@@ -342,29 +364,35 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
            b: int, n_steps: int) -> None:
     """`n_steps` steps of batch length b by `lanes`, each from its position
     in its order, on `state`, the stack of their rows (a lane's m in turn),
-    which it leaves stepped. The weights are ``rule(state, losses, base
-    rows, label probabilities)``, all pre-step with a leading row axis and
-    the probabilities clamped as the losses take them; the rule sees the
-    stack's entries other than params and velocity, and may replace its own.
+    which it leaves stepped. The weight rule is built once per call:
+    ``rule(state, (rows, b))`` sees the stack's entries other than params
+    and velocity and returns ``(weigh, fixed)``; a step's weights are
+    ``weigh(state, base rows, label probabilities, out)``, all pre-step with
+    a leading row axis and the probabilities clamped as the losses take
+    them, written into `out` unless they are `fixed`, the same at every
+    step (else None). `weigh` may replace its rule's entries of `state`.
 
     A chunk is a run of consecutive steps whose buffers hold at most
     `_CHUNK_CELLS` cells each. Per chunk the lanes gather their batches'
     features as one (steps, rows, batch, features) array, a lane's batch
     once per model, so that each step reads a contiguous slice, and their
-    flat label indices in one expression; each step leaves its per-example
-    cross-entropies and weights in the chunk's buffers, and one stacked
-    (1, b) @ (b, 1) matmul gives every step's weighted batch objective, the
-    products a lone step takes. A lane's running objective and its steps'
-    objectives fill a column of one (steps + 1, lanes) array, folded down
-    the step axis: the same sequential sum as adding step by step. A
-    non-finite objective fails its lane, with a FloatingPointError naming
-    the epoch and batch; the lane steps on to the end of the call.
+    flat label indices in one expression; each step leaves its clamped
+    label probabilities and its weights in the chunk's buffers (fixed ones
+    fill it once), one pass turns the main models' probabilities into
+    cross-entropies, and one stacked (1, b) @ (b, 1) matmul gives every
+    step's weighted batch objective, the products a lone step takes. A
+    lane's running objective and its steps' objectives fill a column of one
+    (steps + 1, lanes) array, folded down the step axis: the same sequential
+    sum as adding step by step. A non-finite objective fails its lane, with
+    a FloatingPointError naming the epoch and batch; the lane steps on to
+    the end of the call.
     """
     arch, m, k = lanes[0].trajectory[0].arch, lanes[0].n_models, len(lanes)
     model = models._adopt(Model, arch=arch, params=state.pop("params"))
     opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
                         momentum=state["momentum"], l2=state["l2"],
                         velocity=state.pop("velocity"))
+    weigh, fixed = rule(state, (k * m, b))
     rows = np.concatenate([lane.order[lane.pos:lane.pos + n_steps * b]
                            for lane in lanes]).reshape(k, n_steps * b)
     offsets = models._label_offsets((k * m, b), arch.n_classes)
@@ -378,10 +406,14 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
         xs = base.features.take(ridx, axis=0)
         index = offsets + base.labels.take(ridx) * b
         losses, weights = np.empty(ridx.shape), np.empty(ridx.shape)
+        if fixed is not None:
+            weights[...] = fixed
         for step in zip(xs, index, ridx, losses, weights):
-            model, opt = _step(model, opt, state, rule, *step)
+            model, opt = _step(model, opt, state, weigh, *step)
+        main = losses[:, ::m]
+        models._losses(main, 0.0, out=main)
         objectives[start + 1:stop + 1] = (weights[:, ::m, None, :]
-                                          @ losses[:, ::m, :, None])[:, :, 0, 0]
+                                          @ main[:, :, :, None])[:, :, 0, 0]
     state.update(params=model.params, velocity=opt.velocity)
     objectives = np.add.accumulate(objectives)
     finite = np.isfinite(objectives[1:])
@@ -397,16 +429,17 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
 
 
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
-                  rule: Callable[..., np.ndarray] = _uniform) -> None:
+                  rule: Callable[..., tuple[Callable, np.ndarray | None]] = _uniform) -> None:
     """Minibatch SGD of a population of lanes (one architecture and model
     count m) over their views of `base`, each model on its per-example
-    cross-entropy, weighted by `rule` (uniformly by default; see `_steps`).
+    cross-entropy, weighted by `rule` (uniformly by default), which each
+    `_steps` call builds once for its steps (see `_steps`).
 
-    Per epoch a lane's example order is one permutation from its shuffle
-    stream; batches are its consecutive slices (the last may be short), each
-    taking one forward pass per model that the losses, the weights and the
-    gradient share. A lane's train loss per epoch is the mean over its
-    batches of its main model's objective.
+    Per epoch a lane's example order is one shuffle of its rows by its
+    shuffle stream; batches are its consecutive slices (the last may be
+    short), each taking one forward pass per model that the losses, the
+    weights and the gradient share. A lane's train loss per epoch is the
+    mean over its batches of its main model's objective.
 
     The lanes of one batch size b form a cohort, which trains on its own:
     lanes share no state, so only each lane's own order of steps counts. A
@@ -417,9 +450,11 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     whole stack steps, one matmul per layer for all its rows, up to the
     nearest lane's event. A lane's events touch only its own rows:
     - a short batch: the lane steps with the lanes whose short batches have
-      its length then, their rows gathered from the stack (`a[rows]`) and
-      scattered back into fresh copies; the whole stack steps once when that
-      is every lane, as in every lone run and every grid of equal lengths;
+      its length then, their rows gathered from the stack (`a[rows]`); the
+      entries the step replaced (params, velocity and any the rule
+      replaced) are scattered back into fresh copies. The whole stack steps
+      once when that is every lane, as in every lone run and every grid of
+      equal lengths;
     - its epoch end (`_Lane.end_epoch`): the check of its main model's
       parameters, its loss and model, its refresh and its next order.
     A failed lane records a FloatingPointError naming where and leaves, and
@@ -455,11 +490,13 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
                         _steps(base, rule, state, running, length, 1)
                         continue
                     rows = (np.array(members)[:, None] * m + np.arange(m)).ravel()
-                    stepped = {name: a[rows] for name, a in state.items()}
+                    gathered = {name: a[rows] for name, a in state.items()}
+                    stepped = dict(gathered)
                     _steps(base, rule, stepped, [running[i] for i in members], length, 1)
                     for name, a in stepped.items():
-                        state[name] = state[name].copy()
-                        state[name][rows] = a
+                        if a is not gathered[name]:
+                            state[name] = state[name].copy()
+                            state[name][rows] = a
                 for i in ends:
                     if running[i].error is None:
                         running[i].end_epoch(state["params"][i * m])
@@ -569,15 +606,32 @@ def _two_stage(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
 # ---------------------------------------------------------------------------
 # CVaR: per-batch top-loss reweighting
 
+def _cvar_weigher(alpha, shape: tuple[int, ...]) -> Callable:
+    """CVaR's weights for losses of `shape` at level alpha (a scalar or a
+    column of one per row), built once: the weight per descending rank (the
+    cap 1/(alpha*b) below floor(alpha*b), the remainder at it, 0 after) and
+    where each row starts. The function it returns, given the negated losses
+    and `out`, scatters them to each row's stable descending order (ties by
+    lower index)."""
+    b = shape[-1]
+    ab = alpha * b
+    cap, k = 1.0 / ab, np.floor(ab)  # alpha <= 1, so k <= b
+    remainder = np.maximum(1.0 - k * cap, 0.0)
+    rank = np.arange(b)
+    ranked = np.where(rank < k, cap, (rank == k) * remainder)
+    starts = np.arange(0, math.prod(shape), b).reshape(shape[:-1] + (1,))
+
+    def weigh(negated: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.put(np.argsort(negated, axis=-1, kind="stable") + starts, ranked)
+        return out
+
+    return weigh
+
+
 def _cvar_weights(losses: np.ndarray, alpha) -> np.ndarray:
     """`cvar_batch_weights` along the last axis, alpha broadcasting against
-    the leading ones: each row's rank in the stable descending order (ties
-    by lower index) decides its weight."""
-    ab = alpha * losses.shape[-1]
-    cap, k = 1.0 / ab, np.floor(ab)  # alpha <= 1, so k <= B
-    remainder = np.maximum(1.0 - k * cap, 0.0)
-    rank = np.argsort(np.argsort(-losses, axis=-1, kind="stable"), axis=-1)
-    return np.where(rank < k, cap, (rank == k) * remainder)
+    the leading ones."""
+    return _cvar_weigher(alpha, losses.shape)(-losses, np.empty(losses.shape))
 
 
 def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
@@ -603,12 +657,15 @@ def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     distribution at level alpha before the gradient step."""
     base = strip_group_annotations(train)
     lanes = [_Lane(base, cfg, state={"alpha": np.full((1, 1), cfg.alpha)}) for cfg in cfgs]
-
-    def rule(state: dict[str, np.ndarray], losses: np.ndarray, *_) -> np.ndarray:
-        return _cvar_weights(losses, state["alpha"])
-
-    _weighted_sgd(base, lanes, rule)
+    _weighted_sgd(base, lanes, _cvar_rule)
     return lanes
+
+
+def _cvar_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> tuple[Callable, None]:
+    """`_cvar_weights` at each lane's `alpha`, built once; a step's negated
+    cross-entropies are log p."""
+    weigh = _cvar_weigher(state["alpha"], shape)
+    return lambda _state, _ridx, p, out: weigh(np.log(p), out), None
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +680,24 @@ def lff_weight(p_bias, p_main):
     return lb / (lb + lm)
 
 
-def _lff_rule(state: dict[str, np.ndarray], _losses, _ridx, p: np.ndarray) -> np.ndarray:
+def _lff_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> tuple[Callable, None]:
     """Per lane (main row, then bias row): the main model's normalized LfF
     weights, and the bias model's generalized cross-entropy at its lane's
-    `gce_q` as uniform weights times p^q."""
-    raw = lff_weight(p[1::2], p[0::2])
-    weights = np.empty(p.shape)
-    weights[0::2] = raw / raw.sum(axis=-1, keepdims=True)
-    weights[1::2] = models._gce_weights(p[1::2], 1.0 / p.shape[-1], state["gce_q"][1::2])
-    return weights
+    `gce_q` as uniform weights times p^q. Built once: the factor p^q, which
+    is `np.sqrt` when every bias row's q is 0.5, `np.power` when none is and
+    `models._gce_weights` for a mix, each row getting its scalar bits."""
+    uniform, q = 1.0 / shape[-1], state["gce_q"][1::2]
+    every_half, no_half = (q == 0.5).all(), not (q == 0.5).any()
+
+    def weigh(_state, _ridx, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        raw = lff_weight(p[1::2], p[0::2])
+        np.divide(raw, raw.sum(axis=-1, keepdims=True), out=out[0::2])
+        out[1::2] = (uniform * np.sqrt(p[1::2]) if every_half
+                     else uniform * np.power(p[1::2], q) if no_half
+                     else models._gce_weights(p[1::2], uniform, q))
+        return out
+
+    return weigh, None
 
 
 def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
@@ -686,18 +752,28 @@ def _group_dro_weights(group_losses: np.ndarray, weights: np.ndarray, step_size)
 
 
 def _group_dro_rule(codes: np.ndarray, n_groups: int, state: dict[str, np.ndarray],
-                    losses: np.ndarray, ridx: np.ndarray, *_) -> np.ndarray:
+                    shape: tuple[int, int]) -> tuple[Callable, None]:
     """Per lane, the batch's group mean losses update the group weights; an
-    example's weight is its group's weight over its group's batch count."""
-    n_lanes = len(ridx)
-    bins = codes[ridx] + n_groups * np.arange(n_lanes)[:, None]  # (lane, group) bins
-    counts = np.bincount(bins.ravel(), minlength=n_lanes * n_groups)
-    sums = np.bincount(bins.ravel(), weights=losses.ravel(), minlength=n_lanes * n_groups)
-    means = np.divide(sums, counts, out=np.zeros(len(sums)), where=counts > 0)
-    w = _group_dro_weights(means.reshape(n_lanes, n_groups), state["group_weights"],
-                           state["group_step_size"])
-    state["group_weights"] = w
-    return w.ravel()[bins] / counts[bins]
+    example's weight is its group's weight over its group's batch count.
+    Built once: the lanes' (lane, group) bin offsets. A step floors the
+    counts at 1 (an absent group's sum is 0, its mean 0) and gathers its
+    examples' weights from the group weights over the counts."""
+    n_lanes, n_bins = shape[0], shape[0] * n_groups
+    lane_bins, step_size = n_groups * np.arange(n_lanes)[:, None], state["group_step_size"]
+
+    def weigh(state: dict[str, np.ndarray], ridx: np.ndarray, p: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        bins = codes.take(ridx) + lane_bins
+        counts = np.maximum(np.bincount(bins.ravel(), minlength=n_bins), 1)
+        sums = np.bincount(bins.ravel(), weights=models._losses(p, 0.0).ravel(),
+                           minlength=n_bins)
+        w = _group_dro_weights((sums / counts).reshape(n_lanes, n_groups),
+                               state["group_weights"], step_size)
+        state["group_weights"] = w
+        # Every bin is in range: the clip mode only spares take its buffer.
+        return (w.ravel() / counts).take(bins, out=out, mode="clip")
+
+    return weigh, None
 
 
 def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:

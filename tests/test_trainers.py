@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouptrain as gt
-from grouptrain.analysis import loss_snapshots
 from grouptrain.benchmark import REFERENCE_GRIDS, reference_config, reference_grid_axes
 from grouptrain.data import Dataset, strip_group_annotations, subsample_validation
 from grouptrain.errors import ConfigError, DataWarning, InputError, TrainingWarning
-from grouptrain.models import Architecture, Model, init_model
+from grouptrain.models import PROB_EPS, Architecture, Model, init_model
 from grouptrain.trainers import (
     AVERAGE,
     WORST_GROUP,
@@ -27,6 +26,7 @@ from grouptrain.trainers import (
     epoch_scores,
     group_dro_update,
     lff_weight,
+    loss_snapshots,
     train_population,
     train_upweighted,
 )
@@ -711,6 +711,34 @@ class TestStackedEpochScores:
             run.trajectory, test)
 
 
+@pytest.mark.parametrize("hidden, cells, passes", [((), 2 * 600 * 2, [2, 2, 1]),
+                                                    ((4, 3), 2 * 600 * 4, [2, 2, 1]),
+                                                    ((4, 3), 10 ** 9, [5])])
+def test_loss_snapshots_equal_the_per_model_loop(small_bench, monkeypatch, hidden, cells,
+                                                 passes):
+    """`loss_snapshots` scores a trajectory in stacked passes within the
+    cell cap; its rows equal per-model `loss_values` of `forward_batch`."""
+    import grouptrain.models as models_mod
+    import grouptrain.trainers as trainers_mod
+    train, val, _ = small_bench
+    run = gt.train(train, val, cfg(epochs=5, hidden=hidden))
+    monkeypatch.setattr(trainers_mod, "_SCORE_CELLS", cells)
+    stacked, forward_cached = [], models_mod._forward_cached
+
+    def counting(model, x):
+        stacked.append(len(model.params))
+        return forward_cached(model, x)
+
+    monkeypatch.setattr(models_mod, "_forward_cached", counting)
+    snapshots = loss_snapshots(run.trajectory, train)
+    monkeypatch.undo()
+    assert stacked == passes
+    expected = [gt.loss_values(gt.forward_batch(model, train.features), train.labels)
+                for model in run.trajectory[1:]]
+    assert np.array_equal(snapshots, np.array(expected))
+    assert loss_snapshots(run.trajectory[:1], train).shape == (0, len(train))
+
+
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -1128,6 +1156,131 @@ class TestCohorts:
             assert stacked.state.keys() == alone.state.keys()
             for name, value in alone.state.items():
                 assert np.array_equal(stacked.state[name], value)
+
+
+def tied_probabilities(rng, shape):
+    """Clamped label probabilities, half of them from four values, so that
+    many tie, one below the clamp floor."""
+    ties = rng.choice([1e-13, 0.2, 0.5, 0.9], size=shape)
+    return np.where(rng.random(shape) < 0.5, ties, rng.random(shape)).clip(PROB_EPS, 1.0)
+
+
+class TestBuiltRules:
+    """Each weight rule, built once for a stack and a batch length, gives
+    every step the per-lane public functions' weights bit for bit, on
+    stacks whose lanes take different parameters."""
+
+    @pytest.mark.parametrize("b", [64, 24])
+    def test_uniform(self, b):
+        import grouptrain.trainers as trainers_mod
+        weigh, fixed = trainers_mod._uniform({}, (3, b))
+        assert np.array_equal(fixed, np.full((3, b), 1.0 / b))
+        assert weigh({}, None, None, np.empty((3, b))) is fixed
+
+    @pytest.mark.parametrize("b", [64, 24])
+    def test_cvar(self, b):
+        import grouptrain.trainers as trainers_mod
+        rng = np.random.default_rng(b)
+        alphas = (0.1, 0.25, 1.0)
+        state = {"alpha": np.array(alphas)[:, None]}
+        weigh, fixed = trainers_mod._cvar_rule(state, (3, b))
+        assert fixed is None
+        for _ in range(5):
+            p = tied_probabilities(rng, (3, b))
+            out = np.empty((3, b))
+            assert weigh(state, None, p, out) is out
+            for row, alpha, lane_p in zip(out, alphas, p):
+                assert np.array_equal(row, cvar_batch_weights(-np.log(lane_p), alpha))
+
+    @pytest.mark.parametrize("b", [64, 24])
+    @pytest.mark.parametrize("qs", [(0.5, 0.5, 0.5), (0.0, 0.3, 0.7), (0.0, 0.5, 0.7)])
+    def test_lff(self, b, qs):
+        import grouptrain.models as models_mod
+        import grouptrain.trainers as trainers_mod
+        rng = np.random.default_rng(b)
+        state = {"gce_q": np.repeat(qs, 2)[:, None]}
+        weigh, fixed = trainers_mod._lff_rule(state, (6, b))
+        assert fixed is None
+        for _ in range(5):
+            p = tied_probabilities(rng, (6, b))
+            out = np.empty((6, b))
+            assert weigh(state, None, p, out) is out
+            for lane, q in enumerate(qs):
+                main, bias = p[2 * lane], p[2 * lane + 1]
+                raw = lff_weight(bias, main)
+                assert np.array_equal(out[2 * lane], raw / raw.sum())
+                assert np.array_equal(out[2 * lane + 1],
+                                      models_mod._gce_weights(bias, 1.0 / b, q))
+
+    @pytest.mark.parametrize("b", [64, 24])
+    def test_group_dro(self, b):
+        import grouptrain.trainers as trainers_mod
+        rng = np.random.default_rng(b)
+        n_groups = 4
+        codes = rng.integers(0, n_groups, 500)
+        # The first lane's batches miss group 3.
+        pools = (np.flatnonzero(codes != 3), np.arange(len(codes)))
+        steps = np.array([0.01, 0.5])
+        state = {"group_weights": np.array([[0.1, 0.2, 0.3, 0.4], [0.25] * 4]),
+                 "group_step_size": steps[:, None]}
+        weigh, fixed = trainers_mod._group_dro_rule(codes, n_groups, state, (2, b))
+        assert fixed is None
+        for _ in range(5):
+            ridx = np.stack([rng.choice(pool, b) for pool in pools])
+            p = tied_probabilities(rng, (2, b))
+            before = state["group_weights"]
+            out = np.empty((2, b))
+            assert weigh(state, ridx, p, out) is out
+            for lane in range(2):
+                batch_codes, losses = codes[ridx[lane]], -np.log(p[lane])
+                counts = np.bincount(batch_codes, minlength=n_groups)
+                means = [sum(losses[batch_codes == g].tolist()) / counts[g] if counts[g]
+                         else 0.0 for g in range(n_groups)]
+                w = group_dro_update(np.array(means), before[lane], steps[lane])
+                assert counts[3] == 0 or lane == 1
+                assert np.array_equal(state["group_weights"][lane], w)
+                assert np.array_equal(out[lane], w[batch_codes] / counts[batch_codes])
+
+
+def test_a_rule_is_built_once_per_steps_call(small_bench, monkeypatch):
+    """Over a 3-lane CVaR population of ragged views, every `_steps` call,
+    full batches and short ones, builds its rule once, and every step of
+    it weighs with that build."""
+    import grouptrain.trainers as trainers_mod
+    base = strip_group_annotations(small_bench[0])
+    builds, weighs, steps_calls = [], [], []
+    steps, rule = trainers_mod._steps, trainers_mod._cvar_rule
+
+    def counting_rule(state, shape):
+        weigh, fixed = rule(state, shape)
+        builds.append(shape)
+
+        def counting_weigh(*args):
+            weighs.append(len(builds))
+            return weigh(*args)
+
+        return counting_weigh, fixed
+
+    def counting_steps(base, rule, state, lanes, b, n_steps):
+        steps_calls.append(n_steps)
+        before = len(builds)
+        steps(base, rule, state, lanes, b, n_steps)
+        assert len(builds) == before + 1
+        assert weighs[-n_steps:] == [len(builds)] * n_steps
+
+    monkeypatch.setattr(trainers_mod, "_steps", counting_steps)
+    # Views of 600, 608 and 620 rows: short batches of 24 rows, none, and
+    # 12 rows, each stepped by its own lane.
+    lanes = [trainers_mod._Lane(base, c, np.concatenate([np.arange(len(base)),
+                                                         np.arange(extra)]).astype(np.int32),
+                                state={"alpha": np.full((1, 1), c.alpha)})
+             for extra, c in ((0, cfg("cvar", alpha=0.1)), (8, cfg("cvar", alpha=0.25)),
+                              (20, cfg("cvar", alpha=1.0)))]
+    trainers_mod._weighted_sgd(base, lanes, counting_rule)
+    assert all(lane.error is None for lane in lanes)
+    assert len(builds) == len(steps_calls) and len(weighs) == sum(steps_calls)
+    assert {shape[-1] for shape in builds} == {32, 24, 12}
+    assert len(weighs) > len(builds)
 
 
 def test_jtt_reference_grid_heap_peak(reference_bench):
