@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, GroupId, require_binary_groups
 from .errors import AnalysisWarning, InputError
-from .models import Model, predict
+from .models import Model, forward_batch, loss_values, predict
 
 SWAP_SAME_GROUP = "swap-same-group"
 DROP_GROUP = "drop-group"
@@ -196,6 +196,14 @@ def top_loss_indices(losses: np.ndarray, alpha: float) -> np.ndarray:
     k = min(n, max(1, int(np.ceil(alpha * n - 1e-9))))
     order = np.lexsort((np.arange(n), -losses))
     return order[:k]
+
+
+def loss_snapshots(trajectory: Sequence[Model], data: Dataset) -> np.ndarray:
+    """Per-example cross-entropy on `data`, one row per model of
+    trajectory[1:]: (epochs, len(data)), no rows for an untrained run."""
+    rows = [loss_values(forward_batch(model, data.features), data.labels)
+            for model in trajectory[1:]]
+    return np.array(rows).reshape(len(rows), len(data))
 
 
 def track_cvar_composition(snapshots: Sequence[np.ndarray], alpha: float,

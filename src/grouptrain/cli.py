@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (ErrorSet, enrichment_table, error_set_stats, evaluate_groups,
-                       replace_error_set, track_cvar_composition)
+                       loss_snapshots, replace_error_set, track_cvar_composition)
 from .config import ParsedConfig, parse_config
 from .data import Dataset, GroupId, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, InputError
@@ -49,7 +49,7 @@ from .reports import (
     write_sweep_csv,
 )
 from .trainers import (AVERAGE, CRITERIA, CVAR, JTT, JTT_DYNAMIC, WORST_GROUP, TrainConfig,
-                       loss_snapshots, train, train_upweighted)
+                       train, train_upweighted)
 from .tuning import Grid, grid_sweep, validation_size_study
 
 

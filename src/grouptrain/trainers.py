@@ -47,7 +47,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,18 +214,6 @@ class TrainResult:
 _SCORE_CELLS = 1 << 12
 
 
-def _scoring_passes(scored: Sequence[Model], features: np.ndarray) -> Iterator[np.ndarray]:
-    """The class-major (models, C, rows) probabilities of `scored` on
-    `features`, one array per stacked forward pass of at most `_SCORE_CELLS`
-    cells per activation or probability array."""
-    arch = scored[0].arch
-    per_pass = max(1, _SCORE_CELLS // (len(features) * max(arch.hidden + (arch.n_classes,))))
-    for start in range(0, len(scored), per_pass):
-        chunk = scored[start:start + per_pass]
-        stacked = models._adopt(Model, arch=arch, params=np.stack([m.params for m in chunk]))
-        yield models._forward_cached(stacked, features)[0]
-
-
 def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float, float]]:
     """Per-epoch (worst-group, average) accuracy on `data` of trajectory[1:],
     the values `evaluate_groups` gives: the models' predictions come from
@@ -235,30 +223,18 @@ def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float
     if not scored:
         return []
     groups, codes, counts = data.group_index()
+    arch = scored[0].arch
+    per_pass = max(1, _SCORE_CELLS // (len(data) * max(arch.hidden + (arch.n_classes,))))
     out = []
-    for probs in _scoring_passes(scored, data.features):
-        correct = probs.argmax(axis=-2) == data.labels
-        bins = codes + len(groups) * np.arange(len(probs))[:, None]  # (model, group) bins
-        hits = np.bincount(bins[correct], minlength=len(probs) * len(groups))
-        worst = (hits.reshape(len(probs), len(groups)) / counts).min(axis=1)
+    for start in range(0, len(scored), per_pass):
+        chunk = scored[start:start + per_pass]
+        stacked = models._adopt(Model, arch=arch, params=np.stack([m.params for m in chunk]))
+        correct = models._forward_cached(stacked, data.features)[0].argmax(axis=-2) == data.labels
+        bins = codes + len(groups) * np.arange(len(chunk))[:, None]  # (model, group) bins
+        hits = np.bincount(bins[correct], minlength=len(chunk) * len(groups))
+        worst = (hits.reshape(len(chunk), len(groups)) / counts).min(axis=1)
         out += zip(worst.tolist(), (correct.sum(axis=1) / len(data)).tolist())
     return out
-
-
-def loss_snapshots(trajectory: Sequence[Model], data: Dataset) -> np.ndarray:
-    """Per-example cross-entropy on `data`, one row per model of
-    trajectory[1:]: (epochs, len(data)), no rows for an untrained run. The
-    values of `loss_values(forward_batch(model, data.features), data.labels)`,
-    from stacked forward passes over the split."""
-    scored = trajectory[1:]
-    if not scored:
-        return np.empty((0, len(data)))
-    x, n_classes = models._feature_matrix(scored[0], data.features), scored[0].arch.n_classes
-    models._check_labels(data.labels, n_classes)
-    return models._losses(np.concatenate([
-        models._clamp(probs.take(models._label_index(
-            np.broadcast_to(data.labels, (len(probs), len(data))), n_classes)))
-        for probs in _scoring_passes(scored, x)]), 0.0)
 
 
 def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Model:
@@ -332,10 +308,14 @@ class _Lane:
             self.start_epoch()
 
 
-def _uniform(_state, shape: tuple[int, int]) -> tuple[Callable, np.ndarray]:
-    """Uniform weights 1/b, the same at every step."""
-    fixed = np.full(shape, 1.0 / shape[-1])
-    return lambda *_: fixed, fixed
+def _uniform(_state, shape: tuple[int, int]) -> Callable:
+    """Uniform weights 1/b: each chunk's buffer takes `fixed` once, and a
+    step writes nothing."""
+    def weigh(*_) -> None:
+        pass
+
+    weigh.fixed = np.full(shape, 1.0 / shape[-1])  # type: ignore[attr-defined]
+    return weigh
 
 
 def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule: Callable,
@@ -343,14 +323,13 @@ def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule:
           weights: np.ndarray) -> tuple[Model, OptimizerState]:
     """One SGD step of the stacked models on their batches, each on its
     rule-weighted cross-entropy; returns the stepped model and optimizer
-    state. It clamps the label probabilities p straight into `losses`,
-    which its chunk turns into cross-entropies after its last step, and the
-    built rule, ``rule(state, ridx, p, weights)``, returns the weights,
-    written into `weights` unless they are the rule's fixed ones."""
+    state, and leaves its clamped label probabilities p in `losses` and the
+    built rule's weights, ``rule(state, ridx, p, weights)``, in `weights`."""
     forward = models._forward_cached(model, xb)
     p = models._clamp(forward[0].take(index), out=losses)
-    w = rule(state, ridx, p, weights)
-    return sgd_step(model, models._backprop(model, forward, index, models._grad_scale(p, w)), opt)
+    rule(state, ridx, p, weights)
+    return sgd_step(model, models._backprop(model, forward, index,
+                                            models._grad_scale(p, weights)), opt)
 
 
 # A chunk's buffers hold at most this many cells (256 KB of float64) each.
@@ -366,33 +345,33 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
     in its order, on `state`, the stack of their rows (a lane's m in turn),
     which it leaves stepped. The weight rule is built once per call:
     ``rule(state, (rows, b))`` sees the stack's entries other than params
-    and velocity and returns ``(weigh, fixed)``; a step's weights are
-    ``weigh(state, base rows, label probabilities, out)``, all pre-step with
-    a leading row axis and the probabilities clamped as the losses take
-    them, written into `out` unless they are `fixed`, the same at every
-    step (else None). `weigh` may replace its rule's entries of `state`.
+    and velocity and returns ``weigh``; ``weigh(state, base rows, label
+    probabilities, out)`` writes a step's weights into `out`, all pre-step
+    with a leading row axis and the probabilities clamped as the losses take
+    them, and may replace its rule's entries of `state`. Weights the same at
+    every step are ``weigh.fixed``, which each chunk's buffer takes once.
 
     A chunk is a run of consecutive steps whose buffers hold at most
     `_CHUNK_CELLS` cells each. Per chunk the lanes gather their batches'
     features as one (steps, rows, batch, features) array, a lane's batch
     once per model, so that each step reads a contiguous slice, and their
     flat label indices in one expression; each step leaves its clamped
-    label probabilities and its weights in the chunk's buffers (fixed ones
-    fill it once), one pass turns the main models' probabilities into
-    cross-entropies, and one stacked (1, b) @ (b, 1) matmul gives every
-    step's weighted batch objective, the products a lone step takes. A
-    lane's running objective and its steps' objectives fill a column of one
-    (steps + 1, lanes) array, folded down the step axis: the same sequential
-    sum as adding step by step. A non-finite objective fails its lane, with
-    a FloatingPointError naming the epoch and batch; the lane steps on to
-    the end of the call.
+    label probabilities and weights in the chunk's buffers, one pass turns
+    the main models' into cross-entropies, and one stacked (1, b) @ (b, 1)
+    matmul gives every step's weighted batch objective, the products a lone
+    step takes. A lane's running objective and its steps' objectives fill a
+    column of one (steps + 1, lanes) array, folded down the step axis: the
+    same sequential sum as adding step by step. A non-finite objective fails
+    its lane, with a FloatingPointError naming the epoch and batch; the lane
+    steps on to the end of the call.
     """
     arch, m, k = lanes[0].trajectory[0].arch, lanes[0].n_models, len(lanes)
     model = models._adopt(Model, arch=arch, params=state.pop("params"))
     opt = models._adopt(OptimizerState, learning_rate=state["learning_rate"],
                         momentum=state["momentum"], l2=state["l2"],
                         velocity=state.pop("velocity"))
-    weigh, fixed = rule(state, (k * m, b))
+    weigh = rule(state, (k * m, b))
+    fixed = getattr(weigh, "fixed", None)
     rows = np.concatenate([lane.order[lane.pos:lane.pos + n_steps * b]
                            for lane in lanes]).reshape(k, n_steps * b)
     offsets = models._label_offsets((k * m, b), arch.n_classes)
@@ -429,7 +408,7 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
 
 
 def _weighted_sgd(base: Dataset, lanes: list[_Lane],
-                  rule: Callable[..., tuple[Callable, np.ndarray | None]] = _uniform) -> None:
+                  rule: Callable[..., Callable] = _uniform) -> None:
     """Minibatch SGD of a population of lanes (one architecture and model
     count m) over their views of `base`, each model on its per-example
     cross-entropy, weighted by `rule` (uniformly by default), which each
@@ -607,15 +586,12 @@ def _two_stage(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
 # CVaR: per-batch top-loss reweighting
 
 def _cvar_weigher(alpha, shape: tuple[int, ...]) -> Callable:
-    """CVaR's weights for losses of `shape` at level alpha (a scalar or a
-    column of one per row), built once: the weight per descending rank (the
-    cap 1/(alpha*b) below floor(alpha*b), the remainder at it, 0 after) and
-    where each row starts. The function it returns, given the negated losses
-    and `out`, scatters them to each row's stable descending order (ties by
-    lower index)."""
+    """CVaR's weight per descending rank (the cap 1/(alpha*b) below
+    floor(alpha*b), the remainder at it, 0 after) for losses of `shape`,
+    alpha a scalar or a column; the function it returns scatters them, given
+    the negated losses, to each row's stable order (ties by lower index)."""
     b = shape[-1]
-    ab = alpha * b
-    cap, k = 1.0 / ab, np.floor(ab)  # alpha <= 1, so k <= b
+    cap, k = 1.0 / (alpha * b), np.floor(alpha * b)  # alpha <= 1, so k <= b
     remainder = np.maximum(1.0 - k * cap, 0.0)
     rank = np.arange(b)
     ranked = np.where(rank < k, cap, (rank == k) * remainder)
@@ -661,11 +637,11 @@ def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     return lanes
 
 
-def _cvar_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> tuple[Callable, None]:
+def _cvar_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> Callable:
     """`_cvar_weights` at each lane's `alpha`, built once; a step's negated
     cross-entropies are log p."""
     weigh = _cvar_weigher(state["alpha"], shape)
-    return lambda _state, _ridx, p, out: weigh(np.log(p), out), None
+    return lambda _state, _ridx, p, out: weigh(np.log(p), out)
 
 
 # ---------------------------------------------------------------------------
@@ -680,24 +656,21 @@ def lff_weight(p_bias, p_main):
     return lb / (lb + lm)
 
 
-def _lff_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> tuple[Callable, None]:
+def _lff_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> Callable:
     """Per lane (main row, then bias row): the main model's normalized LfF
     weights, and the bias model's generalized cross-entropy at its lane's
-    `gce_q` as uniform weights times p^q. Built once: the factor p^q, which
-    is `np.sqrt` when every bias row's q is 0.5, `np.power` when none is and
-    `models._gce_weights` for a mix, each row getting its scalar bits."""
+    `gce_q` as uniform weights times p^q. Built once: whether every bias
+    row's q is 0.5, so that p^q is `np.sqrt`, else `models._gce_weights`."""
     uniform, q = 1.0 / shape[-1], state["gce_q"][1::2]
-    every_half, no_half = (q == 0.5).all(), not (q == 0.5).any()
+    every_half = (q == 0.5).all()
 
-    def weigh(_state, _ridx, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def weigh(_state, _ridx, p: np.ndarray, out: np.ndarray) -> None:
         raw = lff_weight(p[1::2], p[0::2])
         np.divide(raw, raw.sum(axis=-1, keepdims=True), out=out[0::2])
         out[1::2] = (uniform * np.sqrt(p[1::2]) if every_half
-                     else uniform * np.power(p[1::2], q) if no_half
                      else models._gce_weights(p[1::2], uniform, q))
-        return out
 
-    return weigh, None
+    return weigh
 
 
 def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
@@ -752,7 +725,7 @@ def _group_dro_weights(group_losses: np.ndarray, weights: np.ndarray, step_size)
 
 
 def _group_dro_rule(codes: np.ndarray, n_groups: int, state: dict[str, np.ndarray],
-                    shape: tuple[int, int]) -> tuple[Callable, None]:
+                    shape: tuple[int, int]) -> Callable:
     """Per lane, the batch's group mean losses update the group weights; an
     example's weight is its group's weight over its group's batch count.
     Built once: the lanes' (lane, group) bin offsets. A step floors the
@@ -762,7 +735,7 @@ def _group_dro_rule(codes: np.ndarray, n_groups: int, state: dict[str, np.ndarra
     lane_bins, step_size = n_groups * np.arange(n_lanes)[:, None], state["group_step_size"]
 
     def weigh(state: dict[str, np.ndarray], ridx: np.ndarray, p: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
+              out: np.ndarray) -> None:
         bins = codes.take(ridx) + lane_bins
         counts = np.maximum(np.bincount(bins.ravel(), minlength=n_bins), 1)
         sums = np.bincount(bins.ravel(), weights=models._losses(p, 0.0).ravel(),
@@ -771,9 +744,9 @@ def _group_dro_rule(codes: np.ndarray, n_groups: int, state: dict[str, np.ndarra
                                state["group_weights"], step_size)
         state["group_weights"] = w
         # Every bin is in range: the clip mode only spares take its buffer.
-        return (w.ravel() / counts).take(bins, out=out, mode="clip")
+        (w.ravel() / counts).take(bins, out=out, mode="clip")
 
-    return weigh, None
+    return weigh
 
 
 def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:

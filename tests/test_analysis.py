@@ -10,6 +10,7 @@ from grouptrain.analysis import (
     error_set_stats,
     evaluate_groups,
     group_metrics,
+    loss_snapshots,
     replace_error_set,
     top_loss_indices,
     track_cvar_composition,
@@ -17,7 +18,6 @@ from grouptrain.analysis import (
 from grouptrain.data import Dataset, GroupId, SyntheticSpec, generate_synthetic
 from grouptrain.errors import AnalysisWarning, InputError
 from grouptrain.models import Architecture, Model
-from grouptrain.trainers import loss_snapshots
 
 
 def grouped_dataset(counts: dict[GroupId, int], seed=0) -> Dataset:

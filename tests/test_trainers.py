@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouptrain as gt
+from grouptrain.analysis import loss_snapshots
 from grouptrain.benchmark import REFERENCE_GRIDS, reference_config, reference_grid_axes
 from grouptrain.data import Dataset, strip_group_annotations, subsample_validation
 from grouptrain.errors import ConfigError, DataWarning, InputError, TrainingWarning
@@ -26,7 +27,6 @@ from grouptrain.trainers import (
     epoch_scores,
     group_dro_update,
     lff_weight,
-    loss_snapshots,
     train_population,
     train_upweighted,
 )
@@ -711,34 +711,6 @@ class TestStackedEpochScores:
             run.trajectory, test)
 
 
-@pytest.mark.parametrize("hidden, cells, passes", [((), 2 * 600 * 2, [2, 2, 1]),
-                                                    ((4, 3), 2 * 600 * 4, [2, 2, 1]),
-                                                    ((4, 3), 10 ** 9, [5])])
-def test_loss_snapshots_equal_the_per_model_loop(small_bench, monkeypatch, hidden, cells,
-                                                 passes):
-    """`loss_snapshots` scores a trajectory in stacked passes within the
-    cell cap; its rows equal per-model `loss_values` of `forward_batch`."""
-    import grouptrain.models as models_mod
-    import grouptrain.trainers as trainers_mod
-    train, val, _ = small_bench
-    run = gt.train(train, val, cfg(epochs=5, hidden=hidden))
-    monkeypatch.setattr(trainers_mod, "_SCORE_CELLS", cells)
-    stacked, forward_cached = [], models_mod._forward_cached
-
-    def counting(model, x):
-        stacked.append(len(model.params))
-        return forward_cached(model, x)
-
-    monkeypatch.setattr(models_mod, "_forward_cached", counting)
-    snapshots = loss_snapshots(run.trajectory, train)
-    monkeypatch.undo()
-    assert stacked == passes
-    expected = [gt.loss_values(gt.forward_batch(model, train.features), train.labels)
-                for model in run.trajectory[1:]]
-    assert np.array_equal(snapshots, np.array(expected))
-    assert loss_snapshots(run.trajectory[:1], train).shape == (0, len(train))
-
-
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
@@ -1173,9 +1145,11 @@ class TestBuiltRules:
     @pytest.mark.parametrize("b", [64, 24])
     def test_uniform(self, b):
         import grouptrain.trainers as trainers_mod
-        weigh, fixed = trainers_mod._uniform({}, (3, b))
-        assert np.array_equal(fixed, np.full((3, b), 1.0 / b))
-        assert weigh({}, None, None, np.empty((3, b))) is fixed
+        weigh = trainers_mod._uniform({}, (3, b))
+        assert np.array_equal(weigh.fixed, np.full((3, b), 1.0 / b))
+        out = np.full((3, b), 1.0 / b)
+        weigh({}, None, None, out)
+        assert np.array_equal(out, weigh.fixed)
 
     @pytest.mark.parametrize("b", [64, 24])
     def test_cvar(self, b):
@@ -1183,12 +1157,12 @@ class TestBuiltRules:
         rng = np.random.default_rng(b)
         alphas = (0.1, 0.25, 1.0)
         state = {"alpha": np.array(alphas)[:, None]}
-        weigh, fixed = trainers_mod._cvar_rule(state, (3, b))
-        assert fixed is None
+        weigh = trainers_mod._cvar_rule(state, (3, b))
+        assert not hasattr(weigh, "fixed")
         for _ in range(5):
             p = tied_probabilities(rng, (3, b))
             out = np.empty((3, b))
-            assert weigh(state, None, p, out) is out
+            weigh(state, None, p, out)
             for row, alpha, lane_p in zip(out, alphas, p):
                 assert np.array_equal(row, cvar_batch_weights(-np.log(lane_p), alpha))
 
@@ -1199,12 +1173,12 @@ class TestBuiltRules:
         import grouptrain.trainers as trainers_mod
         rng = np.random.default_rng(b)
         state = {"gce_q": np.repeat(qs, 2)[:, None]}
-        weigh, fixed = trainers_mod._lff_rule(state, (6, b))
-        assert fixed is None
+        weigh = trainers_mod._lff_rule(state, (6, b))
+        assert not hasattr(weigh, "fixed")
         for _ in range(5):
             p = tied_probabilities(rng, (6, b))
             out = np.empty((6, b))
-            assert weigh(state, None, p, out) is out
+            weigh(state, None, p, out)
             for lane, q in enumerate(qs):
                 main, bias = p[2 * lane], p[2 * lane + 1]
                 raw = lff_weight(bias, main)
@@ -1223,14 +1197,14 @@ class TestBuiltRules:
         steps = np.array([0.01, 0.5])
         state = {"group_weights": np.array([[0.1, 0.2, 0.3, 0.4], [0.25] * 4]),
                  "group_step_size": steps[:, None]}
-        weigh, fixed = trainers_mod._group_dro_rule(codes, n_groups, state, (2, b))
-        assert fixed is None
+        weigh = trainers_mod._group_dro_rule(codes, n_groups, state, (2, b))
+        assert not hasattr(weigh, "fixed")
         for _ in range(5):
             ridx = np.stack([rng.choice(pool, b) for pool in pools])
             p = tied_probabilities(rng, (2, b))
             before = state["group_weights"]
             out = np.empty((2, b))
-            assert weigh(state, ridx, p, out) is out
+            weigh(state, ridx, p, out)
             for lane in range(2):
                 batch_codes, losses = codes[ridx[lane]], -np.log(p[lane])
                 counts = np.bincount(batch_codes, minlength=n_groups)
@@ -1252,14 +1226,14 @@ def test_a_rule_is_built_once_per_steps_call(small_bench, monkeypatch):
     steps, rule = trainers_mod._steps, trainers_mod._cvar_rule
 
     def counting_rule(state, shape):
-        weigh, fixed = rule(state, shape)
+        weigh = rule(state, shape)
         builds.append(shape)
 
         def counting_weigh(*args):
             weighs.append(len(builds))
             return weigh(*args)
 
-        return counting_weigh, fixed
+        return counting_weigh
 
     def counting_steps(base, rule, state, lanes, b, n_steps):
         steps_calls.append(n_steps)
