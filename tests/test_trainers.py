@@ -1137,6 +1137,17 @@ def tied_probabilities(rng, shape):
     return np.where(rng.random(shape) < 0.5, ties, rng.random(shape)).clip(PROB_EPS, 1.0)
 
 
+def ranked_cvar_weights(losses, alpha):
+    """CVaR batch weights from Python's sort: by descending loss, ties by
+    lower index, the cap 1/(alpha*b) above rank floor(alpha*b), the
+    remainder at it, 0 after."""
+    cap, k = 1.0 / (alpha * len(losses)), math.floor(alpha * len(losses))
+    weights = [0.0] * len(losses)
+    for rank, i in enumerate(sorted(range(len(losses)), key=lambda i: (-losses[i], i))):
+        weights[i] = cap if rank < k else max(1.0 - k * cap, 0.0) if rank == k else 0.0
+    return weights
+
+
 class TestBuiltRules:
     """Each weight rule, built once for a stack and a batch length, gives
     every step the per-lane public functions' weights bit for bit, on
@@ -1164,7 +1175,9 @@ class TestBuiltRules:
             out = np.empty((3, b))
             weigh(state, None, p, out)
             for row, alpha, lane_p in zip(out, alphas, p):
-                assert np.array_equal(row, cvar_batch_weights(-np.log(lane_p), alpha))
+                losses = -np.log(lane_p)
+                assert np.array_equal(row, cvar_batch_weights(losses, alpha))
+                assert np.array_equal(row, ranked_cvar_weights(losses.tolist(), alpha))
 
     @pytest.mark.parametrize("b", [64, 24])
     @pytest.mark.parametrize("qs", [(0.5, 0.5, 0.5), (0.0, 0.3, 0.7), (0.0, 0.5, 0.7)])
