@@ -30,7 +30,7 @@ from . import __version__
 from .analysis import (ErrorSet, enrichment_table, error_set_stats, evaluate_groups,
                        loss_snapshots, replace_error_set, track_cvar_composition)
 from .config import ParsedConfig, parse_config
-from .data import Dataset, GroupId, generate_synthetic, load_csv, save_csv
+from .data import Dataset, GroupId, generate_synthetic, load_csv, save_csv, save_twin
 from .errors import ConfigError, InputError
 from .reports import (
     fingerprint,
@@ -198,7 +198,9 @@ def _cmd_generate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     out.config["generate"] = {**dataclasses.asdict(gen.spec), "seed": gen.seed}
     out.datasets.update(zip(("train", "val", "test"), generate_synthetic(gen.spec, gen.seed)))
     for split, ds in out.datasets.items():
-        save_csv(ds, out.output(split, f"{split}.csv"))
+        path = out.output(split, f"{split}.csv")
+        save_csv(ds, path)
+        out.output(f"{split}_twin", save_twin(ds, path).name)
     return {"names": {split: ds.name for split, ds in out.datasets.items()}}
 
 

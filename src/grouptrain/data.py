@@ -12,6 +12,13 @@ through the per-row reader, with the same values and errors either way.
 A column's `ColumnKind` says how its cells read and what a bad one's error
 says; a table's float columns share one kind, and must be finite.
 
+A dataset CSV may have an array twin beside it, `<stem>.npy` (`save_twin`;
+`generate` writes one per split). `load_csv` takes the twin's arrays only
+when their canonical CSV text has the CSV file's sha256, which is then the
+dataset's cached fingerprint: the file parses to those arrays bit for bit.
+A file without a valid twin (absent, unreadable, of another shape or dtype,
+or stale) is read as CSV, with the same values and errors as ever.
+
 CSV output (`csv_rows`, and through it `save_csv` and the fingerprints) is
 Python's `%d` / `%.17g` text of every cell, made in NumPy blocks:
 fixed-notation floats (1e-4 <= |v| < 1e16) and integers 0 <= v < 10**17
@@ -21,12 +28,14 @@ exactly by table, every other cell by `%` itself.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,6 +87,7 @@ class Dataset:
         self.attributes = a
         self.name = str(name)
         self._group_index: tuple[tuple[GroupId, ...], np.ndarray, np.ndarray] | None = None
+        self._csv_digest: str | None = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -121,6 +131,13 @@ class Dataset:
             self._group_index = (tuple(GroupId(*divmod(k, n_labels)) for k in keys.tolist()),
                                  codes, counts)
         return self._group_index
+
+    def csv_digest(self) -> str:
+        """The sha256 hex digest of the canonical CSV text, the bytes
+        `save_csv` writes. Computed once: the data never changes."""
+        if self._csv_digest is None:
+            self._csv_digest = _sha256(dataset_csv_blocks(self))
+        return self._csv_digest
 
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
         """New dataset holding the given rows, in the given order."""
@@ -473,9 +490,34 @@ def csv_rows(ints: list[np.ndarray], floats: np.ndarray) -> Iterator[bytes]:
 # CSV schema: header row with `label`, optional `attribute`, features f0..fk.
 
 def save_csv(data: Dataset, path) -> None:
-    """Write the canonical CSV form (floats at 17 significant digits)."""
+    """Write the canonical CSV form (floats at 17 significant digits); its
+    digest becomes `data`'s cached `csv_digest`."""
+    digest = hashlib.sha256()
     with Path(path).open("wb") as fh:
-        fh.writelines(dataset_csv_blocks(data))
+        for block in dataset_csv_blocks(data):
+            digest.update(block)
+            fh.write(block)
+    data._csv_digest = digest.hexdigest()
+
+
+def save_twin(data: Dataset, csv_path) -> Path:
+    """Write the array twin of `data`'s CSV file `csv_path` where `load_csv`
+    looks for it, the path with suffix `.npy`, and return that path: one
+    record per row, `label`, `attribute` when annotated, then `features`."""
+    table = np.empty(len(data), _twin_dtype(data.has_group_annotations, data.n_features))
+    table["label"] = data.labels
+    if data.has_group_annotations:
+        table["attribute"] = data.attributes
+    table["features"] = data.features
+    path = Path(csv_path).with_suffix(".npy")
+    with path.open("wb") as fh:
+        np.save(fh, table, allow_pickle=False)
+    return path
+
+
+def _twin_dtype(annotated: bool, n_features: int) -> np.dtype:
+    return np.dtype([("label", "<i8")] + [("attribute", "<i8")] * annotated
+                    + [("features", "<f8", (n_features,))])
 
 
 def dataset_csv_blocks(data: Dataset) -> Iterator[bytes]:
@@ -517,8 +559,13 @@ def load_csv(path, name: str | None = None) -> Dataset:
     """Read a dataset from CSV: the `label` column, the `attribute` column
     (group annotations) if present, and every column named f<number> as a
     feature, in file order. Header cells are stripped of blanks. Row
-    numbers in errors are 1-based data rows."""
+    numbers in errors are 1-based data rows. The file's array twin, if
+    valid, stands in for parsing it."""
     path = Path(path)
+    name = name if name is not None else path.stem
+    twin = _load_twin(path, name)
+    if twin is not None:
+        return twin
     with path.open(newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
     if header is None:
@@ -531,8 +578,43 @@ def load_csv(path, name: str | None = None) -> Dataset:
         raise IngestionError(f"{path}: no feature columns found")
     ints = [("label", _LABEL)] + [("attribute", _ATTRIBUTE)] * ("attribute" in header)
     (labels, *attrs), values = read_columns(path, header, ints, features, _FEATURE)
-    return Dataset(values, labels, attrs[0] if attrs else None,
-                   name if name is not None else path.stem)
+    return Dataset(values, labels, attrs[0] if attrs else None, name)
+
+
+def _load_twin(path: Path, name: str) -> Dataset | None:
+    """The dataset in the array twin of CSV file `path`, or None unless its
+    canonical CSV text is the file's bytes, so parsing the file would give
+    the same arrays bit for bit. The twin must be a version 1.0 `.npy` file
+    of `save_twin`'s dtype holding at least one row and one feature, and its
+    header is checked before any data is read, so no object array or
+    pickle is ever loaded. Values the CSV reader rejects (negative integers,
+    non-finite features) make no twin, so its error is raised as ever."""
+    try:
+        with path.with_suffix(".npy").open("rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            annotated = dtype.names == ("label", "attribute", "features")
+            n_features = dtype.itemsize // 8 - 1 - annotated
+            if (fortran or n_features < 1 or dtype != _twin_dtype(annotated, n_features)
+                    or len(shape) != 1 or shape[0] < 1
+                    or os.fstat(fh.fileno()).st_size - fh.tell() != shape[0] * dtype.itemsize):
+                return None
+            table = np.fromfile(fh, dtype, shape[0])
+        data = Dataset(table["features"], table["label"],
+                       table["attribute"] if annotated else None, name)
+        with path.open("rb") as fh:  # in chunks: no whole-file buffer
+            file_digest = _sha256(iter(lambda: fh.read(1 << 16), b""))
+        return data if data.csv_digest() == file_digest else None
+    except (OSError, ValueError):  # InputError is a ValueError
+        return None
+
+
+def _sha256(chunks: Iterable[bytes]) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_columns(path: Path, header: list[str], ints: list[tuple[str, ColumnKind]],

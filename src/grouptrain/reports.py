@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 from typing import Sequence
@@ -15,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CompositionPoint, EnrichmentRow, ErrorSet, GroupMetrics
-from .data import ColumnKind, Dataset, csv_rows, dataset_csv_blocks, read_columns
+from .data import ColumnKind, Dataset, csv_rows, read_columns
 from .errors import IngestionError, reads_file
 from .models import Architecture, Model
 from .trainers import AVERAGE, WORST_GROUP, EpochMetrics
@@ -27,13 +26,10 @@ def _f(x: float) -> str:
 
 
 def fingerprint(data: Dataset) -> str:
-    """Stable content hash over the canonical CSV serialization. Annotations
-    are content: stripping them changes the hash. The dataset name does not
-    participate."""
-    digest = hashlib.sha256()
-    for block in dataset_csv_blocks(data):
-        digest.update(block)
-    return "sha256:" + digest.hexdigest()
+    """Stable content hash over the canonical CSV serialization, computed
+    once per dataset (`Dataset.csv_digest`). Annotations are content:
+    stripping them changes the hash. The dataset name does not participate."""
+    return "sha256:" + data.csv_digest()
 
 
 # ---------------------------------------------------------------------------

@@ -659,16 +659,24 @@ def lff_weight(p_bias, p_main):
 def _lff_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> Callable:
     """Per lane (main row, then bias row): the main model's normalized LfF
     weights, and the bias model's generalized cross-entropy at its lane's
-    `gce_q` as uniform weights times p^q. Built once: whether every bias
-    row's q is 0.5, so that p^q is `np.sqrt`, else `models._gce_weights`."""
+    `gce_q` as uniform weights times p^q. Built once: which bias rows have
+    q = 0.5, and a buffer for p^q. Each bias row computes p^q once, by
+    `np.sqrt` where q = 0.5 and `np.power` elsewhere, so it has the bits
+    `models._gce_weights` gives it."""
     uniform, q = 1.0 / shape[-1], state["gce_q"][1::2]
-    every_half = (q == 0.5).all()
+    half = q == 0.5
+    power, every_half = ~half, half.all()
+    gce = np.empty((len(q), shape[-1]))
 
     def weigh(_state, _ridx, p: np.ndarray, out: np.ndarray) -> None:
         raw = lff_weight(p[1::2], p[0::2])
         np.divide(raw, raw.sum(axis=-1, keepdims=True), out=out[0::2])
-        out[1::2] = (uniform * np.sqrt(p[1::2]) if every_half
-                     else models._gce_weights(p[1::2], uniform, q))
+        if every_half:
+            np.sqrt(p[1::2], out=gce)
+        else:
+            np.sqrt(p[1::2], out=gce, where=half)
+            np.power(p[1::2], q, out=gce, where=power)
+        np.multiply(gce, uniform, out=out[1::2])
 
     return weigh
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouptrain.data as data_module
 from grouptrain import cli
 from grouptrain.cli import main
 from grouptrain.config import parse_config
@@ -644,6 +646,44 @@ class TestReportAssembly:
         assert (ablate["group"], ablate["seed"]) == ([1, 0], 7)
 
 
+class TestFormatsEachSplitOnce:
+    """A command formats each split's canonical CSV text once: the check of
+    its array twin, `save_csv`, the split check of a run reader and the
+    report's fingerprint share one digest."""
+
+    @pytest.mark.parametrize("command, twins", [
+        ("generate", True), ("analyze", True), ("analyze", False), ("ablate", True),
+        ("ablate", False)])
+    def test_one_formatting_pass_per_split(self, workspace, tmp_path, monkeypatch,
+                                           command, twins):
+        data = workspace / "data"
+        if not twins:
+            data = tmp_path / "csv-only"
+            data.mkdir()
+            for split in ("train", "val", "test"):
+                shutil.copy(workspace / "data" / f"{split}.csv", data)
+        configs = {
+            "generate": GENERATE,
+            "analyze": (f"[analyze]\nrun = {workspace / 'jtt'}\n"
+                        f"erm_report = {workspace / 'erm' / 'report.json'}\n"),
+            "ablate": f"[ablate]\nrun = {workspace / 'jtt'}\nmode = drop-y-neq-a\n",
+        }
+        (tmp_path / "cmd.ini").write_text(configs[command])
+        passes, blocks = collections.Counter(), data_module.dataset_csv_blocks
+
+        def counting(ds):
+            passes[ds.name] += 1
+            return blocks(ds)
+
+        monkeypatch.setattr(data_module, "dataset_csv_blocks", counting)
+        extra = [] if command == "generate" else ["--data", data]
+        assert run([command, "--config", tmp_path / "cmd.ini", "--out", tmp_path / "out"]
+                   + extra) == 0
+        splits = read_report(tmp_path / "out" / "report.json")["datasets"]
+        assert len(passes) == len(splits) == (1 if command == "analyze" else 3)
+        assert set(passes.values()) == {1}
+
+
 class TestFailureModes:
     def test_config_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -763,14 +803,14 @@ class TestFailureModes:
         assert run(["generate", "--config", workspace / "gen.ini", "--out", out]) == 0
         assert not stale.exists()
         assert sorted(p.name for p in out.iterdir()) == [
-            "report.json", "test.csv", "train.csv", "val.csv"]
+            "report.json", "test.csv", "test.npy", "train.csv", "train.npy", "val.csv", "val.npy"]
 
     def test_empty_output_directory_is_filled(self, workspace, tmp_path):
         out = tmp_path / "data"
         out.mkdir()
         assert run(["generate", "--config", workspace / "gen.ini", "--out", out]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "report.json", "test.csv", "train.csv", "val.csv"]
+            "report.json", "test.csv", "test.npy", "train.csv", "train.npy", "val.csv", "val.npy"]
         assert not (tmp_path / "data.partial").exists()
 
     def test_interrupt_propagates_and_cleans_partial(self, workspace, tmp_path, monkeypatch):

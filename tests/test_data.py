@@ -1,6 +1,8 @@
+import hashlib
 import math
 
 import numpy as np
+import numpy.lib.recfunctions as rfn
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 import grouptrain.data as data_module
+from grouptrain.cli import main
 from grouptrain.data import (
     Dataset,
     GroupId,
@@ -17,10 +20,12 @@ from grouptrain.data import (
     generate_synthetic,
     load_csv,
     save_csv,
+    save_twin,
     strip_group_annotations,
     subsample_validation,
 )
 from grouptrain.errors import DataWarning, IngestionError, InputError
+from grouptrain.reports import fingerprint, read_report
 from oracles import reference_csv_text, reference_load_csv
 
 
@@ -323,6 +328,184 @@ class TestCsvOnePass:
             again = load_csv(path, name=ds.name)
         assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
         assert again == ds
+
+
+@st.composite
+def unreadable_canonical_datasets(draw):
+    """Datasets whose canonical CSV the reader rejects: no data rows, or no
+    feature columns."""
+    if draw(st.booleans()):
+        n, k = 0, draw(st.integers(0, 3))
+    else:
+        n, k = draw(st.integers(1, 3)), 0
+    ints = np.arange(n)
+    return Dataset(np.zeros((n, k)), ints, ints if draw(st.booleans()) else None, "edge")
+
+
+def _save_with_twin(ds, path):
+    save_csv(ds, path)
+    assert save_twin(ds, path) == path.with_suffix(".npy")
+
+
+def _forbidden(name):
+    def call(first, *args):
+        raise AssertionError(f"{name} called on {first}")
+    return call
+
+
+def _counting_csv_reads(monkeypatch) -> list:
+    """Patches the one-pass CSV reader to record each path it reads."""
+    reads, read_plain = [], data_module._read_plain
+
+    def counting(path, *args):
+        reads.append(path)
+        return read_plain(path, *args)
+
+    monkeypatch.setattr(data_module, "_read_plain", counting)
+    return reads
+
+
+def _twin_table(path):
+    return np.load(path.with_suffix(".npy"), allow_pickle=False)
+
+
+def _rewrite(path, table, allow_pickle=False):
+    with path.with_suffix(".npy").open("wb") as fh:
+        np.save(fh, table, allow_pickle=allow_pickle)
+
+
+def _flip_feature_bit(path):
+    table = _twin_table(path)
+    table["features"].view(np.int64)[1, 0] ^= 1
+    _rewrite(path, table)
+
+
+def _change_label(path):
+    table = _twin_table(path)
+    table["label"][2] += 1
+    _rewrite(path, table)
+
+
+def _drop_attribute_field(path):
+    _rewrite(path, rfn.repack_fields(_twin_table(path)[["label", "features"]]))
+
+
+def _drop_last_row(path):
+    _rewrite(path, _twin_table(path)[:-1])
+
+
+def _two_dimensional(path):
+    _rewrite(path, _twin_table(path)[None])
+
+
+def _big_endian(path):
+    table = _twin_table(path)
+    _rewrite(path, table.astype(table.dtype.newbyteorder(">")))
+
+
+def _float32_features(path):
+    table = _twin_table(path)
+    _rewrite(path, table.astype([("label", "<i8"), ("attribute", "<i8"),
+                                 ("features", "<f4", table["features"].shape[1:])]))
+
+
+def _unstructured(path):
+    table = _twin_table(path)
+    cells = np.column_stack([table["label"], table["attribute"], table["features"].view(np.int64)])
+    _rewrite(path, cells)
+
+
+def _truncate(path):
+    twin = path.with_suffix(".npy")
+    twin.write_bytes(twin.read_bytes()[:-8])
+
+
+def _object_array(path):
+    _rewrite(path, np.array([{"label": 0}, [1, 2]], dtype=object), allow_pickle=True)
+
+
+def _zip_archive(path):
+    table = _twin_table(path)
+    with path.with_suffix(".npy").open("wb") as fh:
+        np.savez(fh, table=table)
+
+
+def _empty_file(path):
+    path.with_suffix(".npy").write_bytes(b"")
+
+
+def _edit_csv(path):
+    text = path.read_text()
+    header, first, rest = text.split("\n", 2)
+    cells = first.split(",")
+    cells[-1] = "0.25"
+    path.write_text("\n".join([header, ",".join(cells), rest]))
+
+
+_TAMPERINGS = [_flip_feature_bit, _change_label, _drop_attribute_field, _drop_last_row,
+               _two_dimensional, _big_endian, _float32_features, _unstructured, _truncate,
+               _object_array, _zip_archive, _empty_file, _edit_csv]
+
+
+class TestArrayTwin:
+    """`load_csv` takes a CSV file's array twin only when the twin's
+    canonical CSV text is the file's bytes; otherwise it reads the CSV."""
+
+    @given(ds=extreme_datasets() | unreadable_canonical_datasets())
+    @example(ds=Dataset(np.zeros((0, 2)), [], [], "edge"))
+    @example(ds=Dataset(np.zeros((2, 0)), [0, 1], None, "edge"))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_row_reader(self, tmp_path_factory, ds):
+        path = tmp_path_factory.getbasetemp() / "twin-differential.csv"
+        _save_with_twin(ds, path)
+        assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+
+    @given(ds=extreme_datasets())
+    @settings(max_examples=50, deadline=None)
+    def test_takes_the_twin_and_caches_the_fingerprint(self, tmp_path_factory, ds):
+        want = "sha256:" + hashlib.sha256(reference_csv_text(ds).encode("ascii")).hexdigest()
+        path = tmp_path_factory.getbasetemp() / "twin-taken.csv"
+        _save_with_twin(ds, path)
+        assert fingerprint(ds) == want  # save_csv's digest
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_module, "_read_plain", _forbidden("_read_plain"))
+            mp.setattr(data_module, "_read_rows", _forbidden("_read_rows"))
+            again = load_csv(path, name=ds.name)
+            mp.setattr(data_module, "dataset_csv_blocks", _forbidden("dataset_csv_blocks"))
+            assert fingerprint(again) == want  # the digest the twin was checked by
+        assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
+        assert again == ds
+        path.with_suffix(".npy").unlink()
+        assert fingerprint(load_csv(path)) == want
+
+    @pytest.mark.parametrize("tamper", _TAMPERINGS, ids=lambda f: f.__name__.strip("_"))
+    def test_a_bad_twin_falls_back_to_the_csv(self, tmp_path, small_bench, monkeypatch, tamper):
+        _, val, _ = small_bench
+        path = tmp_path / "val.csv"
+        _save_with_twin(val.subset(np.arange(40)), path)
+        tamper(path)
+        reads = _counting_csv_reads(monkeypatch)
+        assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+        assert reads == [path]
+
+    def test_generated_splits_load_from_their_twins(self, tmp_path, monkeypatch):
+        (tmp_path / "gen.ini").write_text(
+            "[generate]\nn_train = 300\nn_val = 80\nn_test = 120\nmajority_fraction = 0.9\n"
+            "label_balance = 0.75, 0.25\ncore_separation = 2.0\nspurious_separation = 4.0\n"
+            "noise_dims = 3\nnoise_sigma = 1.0\nseed = 11\n")
+        assert main(["generate", "--config", str(tmp_path / "gen.ini"),
+                     "--out", str(tmp_path / "data")]) == 0
+        report = read_report(tmp_path / "data" / "report.json")
+        made = generate_synthetic(spec(n_train=300, n_val=80, n_test=120, majority_fraction=0.9,
+                                       label_balance=(0.75, 0.25), noise_dims=3), 11)
+        monkeypatch.setattr(data_module, "_read_plain", _forbidden("_read_plain"))
+        monkeypatch.setattr(data_module, "_read_rows", _forbidden("_read_rows"))
+        for split, ds in zip(("train", "val", "test"), made):
+            assert report["outputs"][f"{split}_twin"] == f"{split}.npy"
+            loaded = load_csv(tmp_path / "data" / f"{split}.csv", name=ds.name)
+            assert np.array_equal(loaded.features.view(np.int64), ds.features.view(np.int64))
+            assert loaded == ds
+            assert fingerprint(loaded) == report["datasets"][split]["fingerprint"]
 
 
 def _percent_rows(ints, floats):
