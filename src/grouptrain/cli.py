@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import shutil
@@ -60,6 +61,7 @@ def _seed(value: str) -> int:
     return seed
 
 
+@functools.cache  # pure: every parse_args call makes its own namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grouptrain",

@@ -14,8 +14,9 @@ says; a table's float columns share one kind, and must be finite.
 
 A dataset CSV may have an array twin beside it, `<stem>.npy` (`save_twin`;
 `generate` writes one per split). `load_csv` takes the twin's arrays only
-when their canonical CSV text has the CSV file's sha256, which is then the
-dataset's cached fingerprint: the file parses to those arrays bit for bit.
+when their canonical CSV text is the CSV file's bytes, compared block by
+block; its sha256 is then the dataset's cached fingerprint: the file parses
+to those arrays bit for bit.
 A file without a valid twin (absent, unreadable, of another shape or dtype,
 or stale) is read as CSV, with the same values and errors as ever.
 
@@ -35,7 +36,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -136,7 +137,10 @@ class Dataset:
         """The sha256 hex digest of the canonical CSV text, the bytes
         `save_csv` writes. Computed once: the data never changes."""
         if self._csv_digest is None:
-            self._csv_digest = _sha256(dataset_csv_blocks(self))
+            digest = hashlib.sha256()
+            for block in dataset_csv_blocks(self):
+                digest.update(block)
+            self._csv_digest = digest.hexdigest()
         return self._csv_digest
 
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
@@ -584,11 +588,14 @@ def load_csv(path, name: str | None = None) -> Dataset:
 def _load_twin(path: Path, name: str) -> Dataset | None:
     """The dataset in the array twin of CSV file `path`, or None unless its
     canonical CSV text is the file's bytes, so parsing the file would give
-    the same arrays bit for bit. The twin must be a version 1.0 `.npy` file
-    of `save_twin`'s dtype holding at least one row and one feature, and its
-    header is checked before any data is read, so no object array or
-    pickle is ever loaded. Values the CSV reader rejects (negative integers,
-    non-finite features) make no twin, so its error is raised as ever."""
+    the same arrays bit for bit. Each formatted block is compared with the
+    file's next bytes, up to the first that differs, and the text is hashed
+    once, as the dataset's `csv_digest`. The twin must be a version 1.0
+    `.npy` file of `save_twin`'s dtype holding at least one row and one
+    feature, and its header is checked before any data is read, so no
+    object array or pickle is ever loaded. Values the CSV reader rejects
+    (negative integers, non-finite features) make no twin, so its error is
+    raised as ever."""
     try:
         with path.with_suffix(".npy").open("rb") as fh:
             if np.lib.format.read_magic(fh) != (1, 0):
@@ -603,18 +610,18 @@ def _load_twin(path: Path, name: str) -> Dataset | None:
             table = np.fromfile(fh, dtype, shape[0])
         data = Dataset(table["features"], table["label"],
                        table["attribute"] if annotated else None, name)
-        with path.open("rb") as fh:  # in chunks: no whole-file buffer
-            file_digest = _sha256(iter(lambda: fh.read(1 << 16), b""))
-        return data if data.csv_digest() == file_digest else None
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:  # block by block: no whole-file buffer
+            for block in dataset_csv_blocks(data):
+                if fh.read(len(block)) != block:
+                    return None
+                digest.update(block)
+            if fh.read(1):
+                return None
+        data._csv_digest = digest.hexdigest()
+        return data
     except (OSError, ValueError):  # InputError is a ValueError
         return None
-
-
-def _sha256(chunks: Iterable[bytes]) -> str:
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk)
-    return digest.hexdigest()
 
 
 def read_columns(path: Path, header: list[str], ints: list[tuple[str, ColumnKind]],

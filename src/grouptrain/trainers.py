@@ -24,7 +24,8 @@ group annotations: they operate on a stripped view of their input.
 
 Lanes
 -----
-Every trainer runs a population: one lane (`_Lane`) per config, all lanes
+Every trainer runs a population: one lane (`_Lane`) per config (the
+two-stage configs share identification lanes, see `_two_stage`), all lanes
 of one architecture going through one minibatch loop (`_weighted_sgd`),
 each model (one per lane, two for LfF) on cross-entropy weighted by its
 trainer's rule (LfF's bias model's rule makes it generalized
@@ -251,12 +252,14 @@ class _Lane:
     extras and SGD `state`, each entry one row per model (the run's main
     model first, then LfF's bias model; all start alike): parameters,
     velocity, (models, 1)-shaped learning_rate, momentum and l2, and the
-    entries the trainer passes, the weight rule's.
+    entries the trainer passes, the weight rule's. The lanes of one trainer
+    call pass one `inits` dict, so that lanes of one seed, init stream and
+    hidden widths start from one frozen initial model.
     `_weighted_sgd` fills in the per-epoch losses, the trajectory and, if
     the lane fails, its error, and leaves the final state in `state`."""
 
     def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
-                 identification: bool = False,
+                 inits: dict[tuple, Model] | None = None, identification: bool = False,
                  refresh: Callable[[int, Model], np.ndarray | None] | None = None,
                  aux: dict[str, Any] | None = None,
                  state: dict[str, np.ndarray] | None = None, n_models: int = 1):
@@ -266,7 +269,11 @@ class _Lane:
                                         else (cfg.epochs, (0, 1)))
         self.shuffle = _rng(cfg.seed, shuffle)
         self.losses: list[float] = []
-        self.trajectory = [_initial_model(base, cfg, init)]
+        inits = {} if inits is None else inits
+        key = (cfg.seed, init, cfg.hidden)
+        if key not in inits:
+            inits[key] = _initial_model(base, cfg, init)
+        self.trajectory = [inits[key]]
         self.aux: dict[str, Any] = {} if aux is None else aux
         params = self.trajectory[0].params
         self.state: dict[str, np.ndarray] = {
@@ -491,7 +498,8 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
 def _erm(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Minibatch SGD on the mean cross-entropy."""
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg) for cfg in cfgs]
+    inits: dict[tuple, Model] = {}
+    lanes = [_Lane(base, cfg, inits=inits) for cfg in cfgs]
     _weighted_sgd(base, lanes)
     return lanes
 
@@ -533,14 +541,14 @@ def _upweighted(train: Dataset, cfgs: list[TrainConfig],
     jtt-dynamic recomputes the error set from the current model, every
     cfg.refresh_every epochs (None: never)."""
     base = strip_group_annotations(train)
-    lanes = []
+    lanes, inits = [], {}
     for cfg, error_set in zip(cfgs, error_sets):
         if len(error_set) == 0:
             warnings.warn("error set is empty; upweighted training degenerates to ERM",
                           TrainingWarning, stacklevel=2)
         aux = dict(error_set=error_set, refresh_epochs=[], refresh_sizes=[])
         lanes.append(_Lane(base, cfg, _upsampled_rows(len(base), error_set, cfg.upweight_factor),
-                           refresh=_refresher(base, cfg, aux), aux=aux))
+                           inits=inits, refresh=_refresher(base, cfg, aux), aux=aux))
     _weighted_sgd(base, lanes)
     return lanes
 
@@ -564,22 +572,48 @@ def _refresher(base: Dataset, cfg: TrainConfig,
     return refresh
 
 
+def _identification_key(cfg: TrainConfig) -> tuple:
+    """What the identification stage reads of a config other than id_epochs;
+    floats by their hex text, so that -0.0 and 0.0 stay apart."""
+    return (cfg.seed, cfg.batch_size, cfg.hidden,
+            *(float(getattr(cfg, name)).hex() for name in ("learning_rate", "momentum", "l2")))
+
+
 def _two_stage(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Two-stage training: fit an identification model for id_epochs, collect
     its misclassified examples, then retrain from scratch on the upsampled
-    data as `_upweighted` does. A failed identification lane is its
-    config's run."""
+    data as `_upweighted` does.
+
+    Configs of one `_identification_key` share one identification run, as
+    long as their longest id_epochs: a config's identification model is the
+    run's model after its id_epochs (the initial model for 0), and each
+    distinct model's error set is computed once. A run that fails before a
+    config's id_epochs is done is that config's run: it raises the error
+    training the config alone raises, at the same epoch and batch."""
     base = strip_group_annotations(train)
-    id_lanes = [_Lane(base, cfg, identification=True) for cfg in cfgs]
-    _weighted_sgd(base, id_lanes)
-    ready = [lane for lane in id_lanes if lane.error is None]
-    error_sets = [compute_error_set(lane.trajectory[-1], base, source_epoch=lane.cfg.id_epochs)
-                  for lane in ready]
-    runs = _upweighted(base, [lane.cfg for lane in ready], error_sets) if ready else []
-    for lane, run in zip(ready, runs):
-        run.aux["identification_model"] = lane.trajectory[-1]
-    runs = iter(runs)
-    return [lane if lane.error is not None else next(runs) for lane in id_lanes]
+    keys = [_identification_key(cfg) for cfg in cfgs]
+    longest: dict[tuple, TrainConfig] = {}
+    for key, cfg in zip(keys, cfgs):
+        if key not in longest or cfg.id_epochs > longest[key].id_epochs:
+            longest[key] = cfg
+    inits: dict[tuple, Model] = {}
+    runs = {key: _Lane(base, cfg, identification=True, inits=inits)
+            for key, cfg in longest.items()}
+    _weighted_sgd(base, list(runs.values()))
+    lanes = [runs[key] for key in keys]  # a failed run stands for each config it fails
+    ready = [i for i, cfg in enumerate(cfgs) if cfg.id_epochs < len(lanes[i].trajectory)]
+    id_models = {i: lanes[i].trajectory[cfgs[i].id_epochs] for i in ready}
+    error_sets: dict[int, ErrorSet] = {}  # by model: the shared initial model's once
+    for i, model in id_models.items():
+        if id(model) not in error_sets:
+            error_sets[id(model)] = compute_error_set(model, base, source_epoch=cfgs[i].id_epochs)
+    if ready:
+        stage = _upweighted(base, [cfgs[i] for i in ready],
+                            [error_sets[id(id_models[i])] for i in ready])
+        for i, lane in zip(ready, stage):
+            lane.aux["identification_model"] = id_models[i]
+            lanes[i] = lane
+    return lanes
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +666,9 @@ def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step."""
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg, state={"alpha": np.full((1, 1), cfg.alpha)}) for cfg in cfgs]
+    inits: dict[tuple, Model] = {}
+    lanes = [_Lane(base, cfg, inits=inits, state={"alpha": np.full((1, 1), cfg.alpha)})
+             for cfg in cfgs]
     _weighted_sgd(base, lanes, _cvar_rule)
     return lanes
 
@@ -693,7 +729,9 @@ def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    lanes = [_Lane(base, cfg, n_models=2, state={"gce_q": np.full((2, 1), cfg.gce_q)})
+    inits: dict[tuple, Model] = {}
+    lanes = [_Lane(base, cfg, inits=inits, n_models=2,
+                   state={"gce_q": np.full((2, 1), cfg.gce_q)})
              for cfg in cfgs]
     _weighted_sgd(base, lanes, _lff_rule)
     for lane in lanes:
@@ -764,7 +802,8 @@ def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     if not train.has_group_annotations:
         raise InputError("group-dro needs training group annotations")
     groups, codes, _ = train.group_index()
-    lanes = [_Lane(train, cfg, state={
+    inits: dict[tuple, Model] = {}
+    lanes = [_Lane(train, cfg, inits=inits, state={
         "group_weights": np.full((1, len(groups)), 1.0 / len(groups)),
         "group_step_size": np.full((1, 1), cfg.group_step_size, dtype=float)}) for cfg in cfgs]
     _weighted_sgd(train, lanes, functools.partial(_group_dro_rule, codes, len(groups)))
@@ -786,8 +825,9 @@ def _upsample_minority(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     require_binary_groups(train, UPSAMPLE_MINORITY)
     minority = ErrorSet(np.flatnonzero(train.attributes != train.labels), source_epoch=-1)
     base = strip_group_annotations(train)
+    inits: dict[tuple, Model] = {}
     lanes = [_Lane(base, cfg, _upsampled_rows(len(base), minority, cfg.upweight_factor),
-                   aux={"minority_set": minority}) for cfg in cfgs]
+                   inits=inits, aux={"minority_set": minority}) for cfg in cfgs]
     _weighted_sgd(base, lanes)
     return lanes
 

@@ -41,4 +41,4 @@ def test_training_digest_is_pinned(capsys):
     # this value and calls itself a behaviour change.
     _load(_ROOT / "tools" / "training_digest.py", "training_digest").main()
     assert capsys.readouterr().out == (
-        "f14ca1606a114570082fe1860dab88219a89eff379613ccab5eb2634e385bcb4  99 runs\n")
+        "a9f5d66ddceb140e4145079ead69f139cde2475e4be971d64d6a0a6ace6c88ba  131 runs\n")

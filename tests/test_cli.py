@@ -684,6 +684,36 @@ class TestFormatsEachSplitOnce:
         assert set(passes.values()) == {1}
 
 
+def test_back_to_back_commands_parse_independently(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; each `main` call still gets a
+    namespace of its own command's arguments, and a bad argument list in
+    between exits 1 and leaves the next call unaffected."""
+    seen = []
+    monkeypatch.setattr(cli, "parse_config", lambda path: None)
+    monkeypatch.setattr(cli, "_HANDLERS", {
+        name: lambda _parsed, args, _out: seen.append(vars(args)) or {}
+        for name in cli._HANDLERS})
+    calls = [
+        ["train", "--config", "a.ini", "--out", tmp_path / "o1", "--data", "d", "--seed", "5"],
+        ["analyze", "--config", "b.ini", "--out", tmp_path / "o2", "--data", "e"],
+        ["train", "--config", "c.ini", "--out", tmp_path / "o3", "--data", "f"],
+        ["generate", "--config", "g.ini", "--out", tmp_path / "o4", "--seed", "7"],
+    ]
+    assert [run(argv) for argv in calls[:2]] == [0, 0]
+    assert run(["train", "--config", "x.ini"]) == 1  # --out and --data missing
+    assert "required" in capsys.readouterr().err
+    assert [run(argv) for argv in calls[2:]] == [0, 0]
+    assert seen == [
+        {"command": "train", "config": "a.ini", "out": str(tmp_path / "o1"), "data": "d",
+         "seed": 5},
+        {"command": "analyze", "config": "b.ini", "out": str(tmp_path / "o2"), "data": "e"},
+        {"command": "train", "config": "c.ini", "out": str(tmp_path / "o3"), "data": "f",
+         "seed": None},
+        {"command": "generate", "config": "g.ini", "out": str(tmp_path / "o4"), "seed": 7},
+    ]
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestFailureModes:
     def test_config_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -488,6 +488,23 @@ class TestArrayTwin:
         assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
         assert reads == [path]
 
+    def test_a_stale_twin_stops_at_its_first_differing_block(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(3000, 2)), rng.integers(0, 2, 3000),
+                     rng.integers(0, 2, 3000), "d")  # three blocks of rows
+        path = tmp_path / "stale.csv"
+        _save_with_twin(ds, path)
+        _edit_csv(path)  # the first row
+        blocks, block = [], data_module._csv_block
+
+        def counting(*args):
+            blocks.append(len(args[1]))
+            return block(*args)
+
+        monkeypatch.setattr(data_module, "_csv_block", counting)
+        assert _outcome(load_csv, path) == _outcome(reference_load_csv, path)
+        assert blocks == [1024]
+
     def test_generated_splits_load_from_their_twins(self, tmp_path, monkeypatch):
         (tmp_path / "gen.ini").write_text(
             "[generate]\nn_train = 300\nn_val = 80\nn_test = 120\nmajority_fraction = 0.9\n"

@@ -461,6 +461,86 @@ class TestJtt:
             assert stage2.aux["refresh_epochs"] == full.aux["refresh_epochs"]
 
 
+def shared_identification_grid():
+    """32 jtt and jtt-dynamic configs over id_epochs 0-3, two learning rates
+    and two batch sizes: 4 identification runs of 3 epochs and 16 pairs of
+    a jtt and a jtt-dynamic config that read one identification model. The
+    runs share their initial model, so the models are 13."""
+    return [cfg(algorithm, epochs=3, batch_size=b, learning_rate=rate, id_epochs=k,
+                upweight_factor=factor, refresh_every=2 if algorithm == "jtt-dynamic" else None)
+            for (algorithm, factor), k, rate, b in itertools.product(
+                (("jtt", 3), ("jtt-dynamic", 5)), range(4), (0.05, 0.02), (32, 50))]
+
+
+class TestSharedIdentification:
+    """Two-stage configs that differ only in id_epochs and the upweighting
+    stage share one identification run and one error set per model."""
+
+    def test_each_lane_equals_its_lone_run(self, small_bench):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        cfgs = shared_identification_grid()
+        lanes = trainers_mod._two_stage(train, cfgs)
+        assert all(lane.error is None for lane in lanes)
+        for c, lane in zip(cfgs, lanes):
+            assert_lane_equals_lone_run(train, val, c, lane)
+
+    def test_one_run_per_key_and_one_error_set_per_model(self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, _, _ = small_bench
+        log = []
+        for name in ("_weighted_sgd", "compute_error_set", "_initial_model"):
+            def wrapped(*args, _name=name, _f=getattr(trainers_mod, name), **kwargs):
+                log.append((_name, args, kwargs))
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(trainers_mod, name, wrapped)
+        cfgs = shared_identification_grid()
+        lanes = trainers_mod._two_stage(train, cfgs)
+        stages = [args[1] for name, args, _ in log if name == "_weighted_sgd"]
+        assert len(stages) == 2
+        # One row per identification key, each trained for the longest id_epochs.
+        assert sorted((lane.cfg.learning_rate, lane.cfg.batch_size, lane.epochs, lane.n_models)
+                      for lane in stages[0]) == [(0.02, 32, 3, 1), (0.02, 50, 3, 1),
+                                                 (0.05, 32, 3, 1), (0.05, 50, 3, 1)]
+        assert stages[1] == lanes
+        first_main = next(i for i, (name, args, _) in enumerate(log)
+                          if name == "_weighted_sgd" and args[1] == lanes)
+        error_sets = [(id(args[0]), kwargs["source_epoch"])
+                      for name, args, kwargs in log[:first_main] if name == "compute_error_set"]
+        # Each run's models after epochs 1-3, and the one initial model.
+        assert len(set(error_sets)) == len(error_sets) == 13
+        assert sorted(epoch for _, epoch in error_sets) == [0] + [1] * 4 + [2] * 4 + [3] * 4
+        shared = {}
+        for c, lane in zip(cfgs, lanes):
+            shared.setdefault((c.learning_rate, c.batch_size, c.id_epochs), set()).add(
+                (id(lane.aux["identification_model"]), id(lane.aux["error_set"])))
+        assert len(shared) == 16 and all(len(ids) == 1 for ids in shared.values())
+        # Every lane of a stage starts from the stage's one initial model.
+        assert [args[2] for name, args, _ in log if name == "_initial_model"] == [2, 0]
+        assert len({id(lane.trajectory[0]) for lane in stages[0]}) == 1
+        assert len({id(lane.trajectory[0]) for lane in lanes}) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverging_run_fails_only_its_longer_members(self, small_bench):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        # At this rate, without l2, the shared run stays finite through its
+        # first epoch and diverges in its second; the 0.05 run is healthy.
+        cfgs = [cfg(algorithm, epochs=1, learning_rate=rate, l2=0.0, id_epochs=k,
+                    upweight_factor=2)
+                for k in (3, 0, 2, 1) for algorithm in ("jtt", "jtt-dynamic")
+                for rate in (4.5e306, 0.05)]
+        lanes = trainers_mod._two_stage(train, cfgs)
+        assert [lane.error is None for lane in lanes] == [
+            c.learning_rate == 0.05 or c.id_epochs < 2 for c in cfgs]
+        assert {str(lane.error) for lane in lanes if lane.error is not None} == {
+            "training diverged: non-finite objective at epoch 1, batch 7"}
+        for c, lane in zip(cfgs, lanes):
+            assert_lane_equals_lone_run(train, val, c, lane)
+        with pytest.raises(FloatingPointError, match="at epoch 1, batch 7$"):
+            train_population(train, val, cfgs)
+
+
 class TestCvarTrainer:
     def test_snapshots_cover_every_epoch(self, small_bench):
         train, val, _ = small_bench

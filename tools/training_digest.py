@@ -16,6 +16,10 @@ and the extras (`aux`) of:
 - a 6-lane LfF population with batch sizes 64 and 100 and gce_q values
   0.0, 0.5 and 0.7, so that the lanes stepping together at each batch
   length weight their bias models at three different exponents at once.
+- a 32-lane population of jtt configs with id_epochs 0-3, two learning
+  rates and batch sizes 64 and 100, and the same configs as jtt-dynamic,
+  so that configs of both algorithms read shared identification runs at
+  every epoch, the initial model included.
 
 Run it against two trees with the same script, and compare the lines:
 
@@ -95,6 +99,12 @@ def populations() -> list[list[TrainConfig]]:
                                  "gce_q": (0.5, 0.7)}).configs())
     mixed_lff = dataclasses.replace(reference_config("lff", seed=0), epochs=LONE_EPOCHS)
     out.append(Grid(mixed_lff, {"batch_size": (64, 100), "gce_q": (0.0, 0.5, 0.7)}).configs())
+    mixed_jtt = dataclasses.replace(reference_config("jtt", seed=0), epochs=LONE_EPOCHS)
+    jtt_grid = Grid(mixed_jtt, {"id_epochs": (0, 1, 2, 3),
+                                "learning_rate": REFERENCE_LEARNING_RATES[:2],
+                                "batch_size": (64, 100)}).configs()
+    out.append(jtt_grid + [dataclasses.replace(cfg, algorithm="jtt-dynamic", refresh_every=2)
+                           for cfg in jtt_grid])
     return out
 
 
