@@ -47,6 +47,8 @@ def group_metrics(predictions: np.ndarray, data: Dataset) -> GroupMetrics:
     """Group accuracy report for precomputed argmax predictions."""
     if not data.has_group_annotations:
         raise InputError("group metrics need a group-annotated dataset")
+    if len(data) == 0:
+        raise InputError(f"group metrics need rows; dataset {data.name!r} has none")
     preds = np.asarray(predictions).ravel()
     if len(preds) != len(data):
         raise InputError("one prediction per example required")
@@ -133,6 +135,8 @@ def _error_counts(error_set: ErrorSet, train: Dataset,
 def error_set_stats(error_set: ErrorSet, train: Dataset, target: GroupId) -> ErrorSetStats:
     """Precision / recall / empirical rate / enrichment of `error_set` for
     `target` over an annotated training set."""
+    if len(train) == 0:
+        raise InputError(f"error_set_stats needs rows; dataset {train.name!r} has none")
     per_group, e_size = _error_counts(error_set, train, "error_set_stats")
     target = GroupId(*target)
     n_target, hits = per_group.get(target, (0, 0))
@@ -212,6 +216,8 @@ def track_cvar_composition(snapshots: Sequence[np.ndarray], alpha: float,
     each recorded per-example loss snapshot (one loss per training example)."""
     if not train.has_group_annotations:
         raise InputError("track_cvar_composition needs a group-annotated training set")
+    if len(train) == 0:
+        raise InputError(f"track_cvar_composition needs rows; dataset {train.name!r} has none")
     for epoch, losses in enumerate(snapshots):
         if len(losses) != len(train):
             raise InputError(f"loss snapshot {epoch} has {len(losses)} losses; "

@@ -238,42 +238,33 @@ def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float
     return out
 
 
-def _initial_model(train: Dataset, cfg: TrainConfig, init_stream: int = 0) -> Model:
-    if len(train) == 0:
-        raise InputError("training set is empty")
-    arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
-    return init_model(arch, _seedseq(cfg.seed, init_stream))
-
-
 class _Lane:
     """One config's run in a population: its training view (an int32 index
     map into the population's base rows, so upsampling copies no data; all
     of them, in order, by default), epochs, seed streams, refresh rule,
     extras and SGD `state`, each entry one row per model (the run's main
-    model first, then LfF's bias model; all start alike): parameters,
-    velocity, (models, 1)-shaped learning_rate, momentum and l2, and the
-    entries the trainer passes, the weight rule's. The lanes of one trainer
-    call pass one `inits` dict, so that lanes of one seed, init stream and
-    hidden widths start from one frozen initial model.
-    `_weighted_sgd` fills in the per-epoch losses, the trajectory and, if
-    the lane fails, its error, and leaves the final state in `state`."""
+    model first, then LfF's bias model; all start from the lane's own
+    initial model, drawn from its init stream): parameters, velocity,
+    (models, 1)-shaped learning_rate, momentum and l2, and the entries the
+    trainer passes, the weight rule's. `_weighted_sgd` fills in the
+    per-epoch losses, the trajectory and, if the lane fails, its error, and
+    leaves the final state in `state`."""
 
     def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
-                 inits: dict[tuple, Model] | None = None, identification: bool = False,
+                 identification: bool = False,
                  refresh: Callable[[int, Model], np.ndarray | None] | None = None,
                  aux: dict[str, Any] | None = None,
                  state: dict[str, np.ndarray] | None = None, n_models: int = 1):
+        if len(base) == 0:
+            raise InputError("training set is empty")
         self.cfg, self.refresh, self.n_models = cfg, refresh, n_models
         self.rows = np.arange(len(base), dtype=np.int32) if rows is None else rows
         self.epochs, (init, shuffle) = ((cfg.id_epochs, (2, 3)) if identification
                                         else (cfg.epochs, (0, 1)))
         self.shuffle = _rng(cfg.seed, shuffle)
         self.losses: list[float] = []
-        inits = {} if inits is None else inits
-        key = (cfg.seed, init, cfg.hidden)
-        if key not in inits:
-            inits[key] = _initial_model(base, cfg, init)
-        self.trajectory = [inits[key]]
+        arch = Architecture(base.n_features, cfg.hidden, max(2, int(base.labels.max()) + 1))
+        self.trajectory = [init_model(arch, _seedseq(cfg.seed, init))]
         self.aux: dict[str, Any] = {} if aux is None else aux
         params = self.trajectory[0].params
         self.state: dict[str, np.ndarray] = {
@@ -315,14 +306,10 @@ class _Lane:
             self.start_epoch()
 
 
-def _uniform(_state, shape: tuple[int, int]) -> Callable:
-    """Uniform weights 1/b: each chunk's buffer takes `fixed` once, and a
-    step writes nothing."""
-    def weigh(*_) -> None:
-        pass
-
-    weigh.fixed = np.full(shape, 1.0 / shape[-1])  # type: ignore[attr-defined]
-    return weigh
+def _uniform(_state, _shape: tuple[int, int]) -> Callable:
+    """Uniform weights 1/b: `_steps` allocates every weight buffer at 1/b,
+    so a step writes nothing."""
+    return lambda *_: None
 
 
 def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule: Callable,
@@ -355,8 +342,8 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
     and velocity and returns ``weigh``; ``weigh(state, base rows, label
     probabilities, out)`` writes a step's weights into `out`, all pre-step
     with a leading row axis and the probabilities clamped as the losses take
-    them, and may replace its rule's entries of `state`. Weights the same at
-    every step are ``weigh.fixed``, which each chunk's buffer takes once.
+    them, and may replace its rule's entries of `state`. Each chunk's weight
+    buffer starts at 1/b: `_uniform` leaves it, other rules overwrite it.
 
     A chunk is a run of consecutive steps whose buffers hold at most
     `_CHUNK_CELLS` cells each. Per chunk the lanes gather their batches'
@@ -378,7 +365,6 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
                         momentum=state["momentum"], l2=state["l2"],
                         velocity=state.pop("velocity"))
     weigh = rule(state, (k * m, b))
-    fixed = getattr(weigh, "fixed", None)
     rows = np.concatenate([lane.order[lane.pos:lane.pos + n_steps * b]
                            for lane in lanes]).reshape(k, n_steps * b)
     offsets = models._label_offsets((k * m, b), arch.n_classes)
@@ -391,9 +377,7 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
         ridx = ridx.repeat(m, axis=1) if m > 1 else ridx  # a batch per model
         xs = base.features.take(ridx, axis=0)
         index = offsets + base.labels.take(ridx) * b
-        losses, weights = np.empty(ridx.shape), np.empty(ridx.shape)
-        if fixed is not None:
-            weights[...] = fixed
+        losses, weights = np.empty(ridx.shape), np.full(ridx.shape, 1.0 / b)
         for step in zip(xs, index, ridx, losses, weights):
             model, opt = _step(model, opt, state, weigh, *step)
         main = losses[:, ::m]
@@ -498,8 +482,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
 def _erm(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Minibatch SGD on the mean cross-entropy."""
     base = strip_group_annotations(train)
-    inits: dict[tuple, Model] = {}
-    lanes = [_Lane(base, cfg, inits=inits) for cfg in cfgs]
+    lanes = [_Lane(base, cfg) for cfg in cfgs]
     _weighted_sgd(base, lanes)
     return lanes
 
@@ -541,14 +524,14 @@ def _upweighted(train: Dataset, cfgs: list[TrainConfig],
     jtt-dynamic recomputes the error set from the current model, every
     cfg.refresh_every epochs (None: never)."""
     base = strip_group_annotations(train)
-    lanes, inits = [], {}
+    lanes = []
     for cfg, error_set in zip(cfgs, error_sets):
         if len(error_set) == 0:
             warnings.warn("error set is empty; upweighted training degenerates to ERM",
                           TrainingWarning, stacklevel=2)
         aux = dict(error_set=error_set, refresh_epochs=[], refresh_sizes=[])
         lanes.append(_Lane(base, cfg, _upsampled_rows(len(base), error_set, cfg.upweight_factor),
-                           inits=inits, refresh=_refresher(base, cfg, aux), aux=aux))
+                           refresh=_refresher(base, cfg, aux), aux=aux))
     _weighted_sgd(base, lanes)
     return lanes
 
@@ -586,30 +569,32 @@ def _two_stage(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
 
     Configs of one `_identification_key` share one identification run, as
     long as their longest id_epochs: a config's identification model is the
-    run's model after its id_epochs (the initial model for 0), and each
-    distinct model's error set is computed once. A run that fails before a
-    config's id_epochs is done is that config's run: it raises the error
-    training the config alone raises, at the same epoch and batch."""
+    run's model after its id_epochs (the initial model for 0). Error sets
+    are deduplicated by model parameters and id_epochs (a set records its
+    source epoch), so the equal initial models of different runs share
+    one. A run that fails before a config's id_epochs is done is that
+    config's run: it raises the error training the config alone raises, at
+    the same epoch and batch."""
     base = strip_group_annotations(train)
     keys = [_identification_key(cfg) for cfg in cfgs]
     longest: dict[tuple, TrainConfig] = {}
     for key, cfg in zip(keys, cfgs):
         if key not in longest or cfg.id_epochs > longest[key].id_epochs:
             longest[key] = cfg
-    inits: dict[tuple, Model] = {}
-    runs = {key: _Lane(base, cfg, identification=True, inits=inits)
-            for key, cfg in longest.items()}
+    runs = {key: _Lane(base, cfg, identification=True) for key, cfg in longest.items()}
     _weighted_sgd(base, list(runs.values()))
     lanes = [runs[key] for key in keys]  # a failed run stands for each config it fails
     ready = [i for i, cfg in enumerate(cfgs) if cfg.id_epochs < len(lanes[i].trajectory)]
     id_models = {i: lanes[i].trajectory[cfgs[i].id_epochs] for i in ready}
-    error_sets: dict[int, ErrorSet] = {}  # by model: the shared initial model's once
-    for i, model in id_models.items():
-        if id(model) not in error_sets:
-            error_sets[id(model)] = compute_error_set(model, base, source_epoch=cfgs[i].id_epochs)
+    model_keys = {i: (cfgs[i].id_epochs, model.arch, model.params.tobytes())
+                  for i, model in id_models.items()}
+    error_sets: dict[tuple, ErrorSet] = {}
+    for i, key in model_keys.items():
+        if key not in error_sets:
+            error_sets[key] = compute_error_set(id_models[i], base, source_epoch=cfgs[i].id_epochs)
     if ready:
         stage = _upweighted(base, [cfgs[i] for i in ready],
-                            [error_sets[id(id_models[i])] for i in ready])
+                            [error_sets[model_keys[i]] for i in ready])
         for i, lane in zip(ready, stage):
             lane.aux["identification_model"] = id_models[i]
             lanes[i] = lane
@@ -638,12 +623,6 @@ def _cvar_weigher(alpha, shape: tuple[int, ...]) -> Callable:
     return weigh
 
 
-def _cvar_weights(losses: np.ndarray, alpha) -> np.ndarray:
-    """`cvar_batch_weights` along the last axis, alpha broadcasting against
-    the leading ones."""
-    return _cvar_weigher(alpha, losses.shape)(-losses, np.empty(losses.shape))
-
-
 def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
     """The loss-maximizing batch distribution under the cap 1/(alpha*B).
 
@@ -659,22 +638,20 @@ def cvar_batch_weights(losses: np.ndarray, alpha: float) -> np.ndarray:
         raise InputError("losses must be finite")
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-    return _cvar_weights(losses, alpha)
+    return _cvar_weigher(alpha, losses.shape)(-losses, np.empty(losses.shape))
 
 
 def _cvar(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     """Each minibatch step reweights examples by the capped top-loss
     distribution at level alpha before the gradient step."""
     base = strip_group_annotations(train)
-    inits: dict[tuple, Model] = {}
-    lanes = [_Lane(base, cfg, inits=inits, state={"alpha": np.full((1, 1), cfg.alpha)})
-             for cfg in cfgs]
+    lanes = [_Lane(base, cfg, state={"alpha": np.full((1, 1), cfg.alpha)}) for cfg in cfgs]
     _weighted_sgd(base, lanes, _cvar_rule)
     return lanes
 
 
 def _cvar_rule(state: dict[str, np.ndarray], shape: tuple[int, int]) -> Callable:
-    """`_cvar_weights` at each lane's `alpha`, built once; a step's negated
+    """`_cvar_weigher` at each lane's `alpha`, built once; a step's negated
     cross-entropies are log p."""
     weigh = _cvar_weigher(state["alpha"], shape)
     return lambda _state, _ridx, p, out: weigh(np.log(p), out)
@@ -729,9 +706,7 @@ def _lff(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     reduces the whole procedure to ERM exactly.
     """
     base = strip_group_annotations(train)
-    inits: dict[tuple, Model] = {}
-    lanes = [_Lane(base, cfg, inits=inits, n_models=2,
-                   state={"gce_q": np.full((2, 1), cfg.gce_q)})
+    lanes = [_Lane(base, cfg, n_models=2, state={"gce_q": np.full((2, 1), cfg.gce_q)})
              for cfg in cfgs]
     _weighted_sgd(base, lanes, _lff_rule)
     for lane in lanes:
@@ -802,8 +777,7 @@ def _group_dro(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     if not train.has_group_annotations:
         raise InputError("group-dro needs training group annotations")
     groups, codes, _ = train.group_index()
-    inits: dict[tuple, Model] = {}
-    lanes = [_Lane(train, cfg, inits=inits, state={
+    lanes = [_Lane(train, cfg, state={
         "group_weights": np.full((1, len(groups)), 1.0 / len(groups)),
         "group_step_size": np.full((1, 1), cfg.group_step_size, dtype=float)}) for cfg in cfgs]
     _weighted_sgd(train, lanes, functools.partial(_group_dro_rule, codes, len(groups)))
@@ -825,9 +799,8 @@ def _upsample_minority(train: Dataset, cfgs: list[TrainConfig]) -> list[_Lane]:
     require_binary_groups(train, UPSAMPLE_MINORITY)
     minority = ErrorSet(np.flatnonzero(train.attributes != train.labels), source_epoch=-1)
     base = strip_group_annotations(train)
-    inits: dict[tuple, Model] = {}
     lanes = [_Lane(base, cfg, _upsampled_rows(len(base), minority, cfg.upweight_factor),
-                   inits=inits, aux={"minority_set": minority}) for cfg in cfgs]
+                   aux={"minority_set": minority}) for cfg in cfgs]
     _weighted_sgd(base, lanes)
     return lanes
 

@@ -22,8 +22,8 @@ from grouptrain.models import (
     sgd_step,
     unpack_params,
 )
-from grouptrain.trainers import (CVAR, GROUP_DRO, WORST_GROUP, cvar_batch_weights,
-                                 group_dro_update, lff_weight)
+from grouptrain.trainers import (CVAR, GROUP_DRO, JTT_DYNAMIC, WORST_GROUP, compute_error_set,
+                                 cvar_batch_weights, group_dro_update, lff_weight)
 from grouptrain.tuning import FractionResult, grid_sweep
 
 
@@ -172,22 +172,27 @@ def reference_batch_weights(train, cfg):
     return weights
 
 
-def reference_sgd(train, rows, cfg):
-    """Plain minibatch SGD over `train`'s `rows` (as the main model's seed
-    streams order them), each batch's cross-entropies weighted by
-    `reference_batch_weights`, through the public calls: forward_batch,
-    loss_values, grad and sgd_step. Returns (per-epoch train losses,
+def reference_sgd(train, rows, cfg, streams=(0, 1), epochs=None, refresh=None):
+    """Plain minibatch SGD over `train`'s `rows`, each batch's
+    cross-entropies weighted by `reference_batch_weights`, through the
+    public calls: forward_batch, loss_values, grad and sgd_step. The model
+    starts from seed stream streams[0] and each epoch's order is a
+    permutation of the rows from stream streams[1] (by default the main
+    model's streams); it trains `epochs` epochs (by default cfg.epochs).
+    After each epoch, ``refresh(epoch, model)``, if given, may return the
+    rows the next epoch trains on. Returns (per-epoch train losses,
     trajectory, divergence): the losses are each epoch's mean batch
     objective, the trajectory the initial model and each epoch's, and
     divergence the (epoch, batch) at which the running objective first turns
     non-finite, where training stops, or None."""
     arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
-    model = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    model = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(streams[0],)))
     opt = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
-    shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
+    shuffle = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(cfg.seed, spawn_key=(streams[1],))))
     batch_weights = reference_batch_weights(train, cfg)
     losses, trajectory = [], [model]
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs if epochs is None else epochs):
         order = rows[shuffle.permutation(len(rows))]
         objective = 0.0
         for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -201,7 +206,48 @@ def reference_sgd(train, rows, cfg):
             model, opt = sgd_step(model, grad(model, xb, yb, w), opt)
         losses.append(objective / (batch + 1))
         trajectory.append(model)
+        if refresh is not None:
+            fresh = refresh(epoch, model)
+            rows = rows if fresh is None else fresh
     return losses, trajectory, None
+
+
+def reference_two_stage(train, cfg):
+    """JTT as Algorithm 1 of Liu et al. (arXiv 2107.09044) writes it, through
+    `reference_sgd`: an identification run on seed streams 2/3 for
+    cfg.id_epochs epochs over `train`'s rows in order; its final model's
+    error set, by `compute_error_set`; then training on the main streams
+    over the upsampled rows, the n rows followed by (upweight_factor - 1)
+    copies of the error set in index order. jtt-dynamic recomputes the error
+    set from the current model after every refresh_every epochs but the
+    last. Returns (per-epoch train losses, trajectory, extras): the extras
+    are the identification model, its error set and the epochs and sizes of
+    the refreshes."""
+    n = len(train)
+
+    def upsampled(error_set):
+        return np.concatenate([np.arange(n)] + [error_set.indices] * (cfg.upweight_factor - 1))
+
+    _, identification, _ = reference_sgd(train, np.arange(n), cfg, streams=(2, 3),
+                                         epochs=cfg.id_epochs)
+    extras = dict(identification_model=identification[-1],
+                  error_set=compute_error_set(identification[-1], train,
+                                              source_epoch=cfg.id_epochs),
+                  refresh_epochs=[], refresh_sizes=[])
+
+    def refresh(epoch, model):
+        done = epoch + 1
+        if (cfg.algorithm != JTT_DYNAMIC or cfg.refresh_every is None
+                or done == cfg.epochs or done % cfg.refresh_every):
+            return None
+        error_set = compute_error_set(model, train, source_epoch=done)
+        extras["refresh_epochs"].append(done)
+        extras["refresh_sizes"].append(len(error_set))
+        return upsampled(error_set)
+
+    losses, trajectory, _ = reference_sgd(train, upsampled(extras["error_set"]), cfg,
+                                          refresh=refresh)
+    return losses, trajectory, extras
 
 
 def reference_divergence(train, rows, cfg):

@@ -41,11 +41,25 @@ def predictions_with_accuracy(data: Dataset, accuracy: dict[GroupId, float]) -> 
     return preds
 
 
+def empty_dataset() -> Dataset:
+    """A group-annotated dataset with no rows."""
+    return Dataset(np.empty((0, 2)), np.empty(0, np.int64), np.empty(0, np.int64), "no-rows")
+
+
 FOUR_GROUPS = {GroupId(0, 0): 1000, GroupId(0, 1): 1000,
                GroupId(1, 0): 1000, GroupId(1, 1): 1000}
 
 
 class TestGroupMetrics:
+    def test_group_metrics_of_no_rows_names_the_dataset(self):
+        with pytest.raises(InputError, match="dataset 'no-rows' has none"):
+            group_metrics(np.empty(0, np.int64), empty_dataset())
+
+    def test_evaluate_groups_of_no_rows_names_the_dataset(self):
+        model = Model(Architecture(2, (), 2), np.zeros(6))
+        with pytest.raises(InputError, match="dataset 'no-rows' has none"):
+            evaluate_groups(model, empty_dataset())
+
     def test_worst_group_is_minimum_of_per_group_accuracies(self):
         # per-group accuracies (0.993, 0.963, 0.733, 0.726): the minimum wins
         data = grouped_dataset(FOUR_GROUPS)
@@ -125,6 +139,10 @@ class TestGroupMetrics:
 
 
 class TestErrorSetStats:
+    def test_no_rows_names_the_dataset(self):
+        with pytest.raises(InputError, match="dataset 'no-rows' has none"):
+            error_set_stats(ErrorSet(np.empty(0, np.int64)), empty_dataset(), GroupId(0, 0))
+
     def test_exact_target_capture(self):
         data = grouped_dataset({GroupId(0, 0): 80, GroupId(1, 1): 20})
         target = GroupId(1, 1)
@@ -201,6 +219,10 @@ class TestEnrichmentRows:
 
 
 class TestCvarComposition:
+    def test_no_rows_names_the_dataset(self):
+        with pytest.raises(InputError, match="dataset 'no-rows' has none"):
+            track_cvar_composition([np.empty(0)], 0.5, empty_dataset(), GroupId(0, 0))
+
     def test_single_snapshot(self):
         data = grouped_dataset({GroupId(0, 0): 8, GroupId(1, 1): 8})
         pts = track_cvar_composition([np.arange(16.0)], 0.5, data, GroupId(1, 1))

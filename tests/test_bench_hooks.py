@@ -3,6 +3,8 @@ package functions by name. A rename must fail here, not only when the
 benchmark or a tool runs."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import grouptrain.cli as cli
@@ -42,3 +44,15 @@ def test_training_digest_is_pinned(capsys):
     _load(_ROOT / "tools" / "training_digest.py", "training_digest").main()
     assert capsys.readouterr().out == (
         "a9f5d66ddceb140e4145079ead69f139cde2475e4be971d64d6a0a6ace6c88ba  131 runs\n")
+
+
+def test_ab_timer_runs_and_counts_the_lone_erm_steps():
+    # One calibration round of the smallest workload: the A/B timer must
+    # keep running, and counting steps, as the loop's internals move.
+    done = subprocess.run(
+        [sys.executable, str(_ROOT / "tools" / "ab_timer.py"), str(_ROOT), "--calibrate",
+         "--rounds", "1", "--workload", "lone:erm"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    (row,) = [line for line in done.stdout.splitlines() if line.startswith("lone:erm")]
+    assert row.split()[-3:-1] == ["470/470", "470/470"]

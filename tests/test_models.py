@@ -363,7 +363,7 @@ class TestLaneAxis:
         for _ in range(20):
             losses = rng.integers(0, 4, size=(k, b)) / 2.0  # many ties
             alpha = rng.choice([0.05, 0.1, 0.25, 0.5, 1.0], size=(k, 1))
-            stacked = trainers_mod._cvar_weights(losses, alpha)
+            stacked = trainers_mod._cvar_weigher(alpha, losses.shape)(-losses, np.empty((k, b)))
             for i in range(k):
                 assert np.array_equal(cvar_batch_weights(losses[i], float(alpha[i, 0])),
                                       stacked[i])

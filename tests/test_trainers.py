@@ -31,7 +31,13 @@ from grouptrain.trainers import (
     train_upweighted,
 )
 from grouptrain.tuning import Grid, grid_sweep
-from oracles import cvar_lp_optimum, reference_divergence, reference_lff, reference_sgd
+from oracles import (
+    cvar_lp_optimum,
+    reference_divergence,
+    reference_lff,
+    reference_sgd,
+    reference_two_stage,
+)
 
 
 def cfg(algorithm="erm", **overrides):
@@ -465,7 +471,7 @@ def shared_identification_grid():
     """32 jtt and jtt-dynamic configs over id_epochs 0-3, two learning rates
     and two batch sizes: 4 identification runs of 3 epochs and 16 pairs of
     a jtt and a jtt-dynamic config that read one identification model. The
-    runs share their initial model, so the models are 13."""
+    runs' initial models are equal, so the distinct models are 13."""
     return [cfg(algorithm, epochs=3, batch_size=b, learning_rate=rate, id_epochs=k,
                 upweight_factor=factor, refresh_every=2 if algorithm == "jtt-dynamic" else None)
             for (algorithm, factor), k, rate, b in itertools.product(
@@ -485,11 +491,42 @@ class TestSharedIdentification:
         for c, lane in zip(cfgs, lanes):
             assert_lane_equals_lone_run(train, val, c, lane)
 
+    def test_lanes_equal_the_reference_two_stage_loop(self, small_bench):
+        import grouptrain.trainers as trainers_mod
+        train, _, _ = small_bench
+        cfgs = shared_identification_grid()
+        lanes = trainers_mod._two_stage(train, cfgs)
+        for c, lane in zip(cfgs, lanes, strict=True):
+            losses, trajectory, extras = reference_two_stage(train, c)
+            assert lane.error is None and lane.losses == losses
+            assert all(np.array_equal(a.params, b.params)
+                       for a, b in zip(lane.trajectory, trajectory, strict=True))
+            assert lane.aux.keys() == extras.keys()
+            assert np.array_equal(lane.aux.pop("identification_model").params,
+                                  extras.pop("identification_model").params)
+            assert lane.aux == extras
+        assert {len(lane.aux["refresh_epochs"]) for lane in lanes} == {0, 1}
+
+    def test_equal_models_of_different_epochs_keep_their_source_epochs(self, small_bench):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        # At the smallest positive rate no step changes a parameter bit: the
+        # run's models after 0, 1 and 2 epochs are equal.
+        cfgs = [cfg("jtt", epochs=1, learning_rate=5e-324, id_epochs=k, upweight_factor=2)
+                for k in range(3)]
+        lanes = trainers_mod._two_stage(train, cfgs)
+        first = lanes[0].aux["identification_model"].params
+        assert all(np.array_equal(lane.aux["identification_model"].params, first)
+                   for lane in lanes)
+        assert [lane.aux["error_set"].source_epoch for lane in lanes] == [0, 1, 2]
+        for c, lane in zip(cfgs, lanes):
+            assert_lane_equals_lone_run(train, val, c, lane)
+
     def test_one_run_per_key_and_one_error_set_per_model(self, small_bench, monkeypatch):
         import grouptrain.trainers as trainers_mod
         train, _, _ = small_bench
         log = []
-        for name in ("_weighted_sgd", "compute_error_set", "_initial_model"):
+        for name in ("_weighted_sgd", "compute_error_set"):
             def wrapped(*args, _name=name, _f=getattr(trainers_mod, name), **kwargs):
                 log.append((_name, args, kwargs))
                 return _f(*args, **kwargs)
@@ -507,7 +544,7 @@ class TestSharedIdentification:
                           if name == "_weighted_sgd" and args[1] == lanes)
         error_sets = [(id(args[0]), kwargs["source_epoch"])
                       for name, args, kwargs in log[:first_main] if name == "compute_error_set"]
-        # Each run's models after epochs 1-3, and the one initial model.
+        # Each run's models after epochs 1-3, and the runs' equal initial models once.
         assert len(set(error_sets)) == len(error_sets) == 13
         assert sorted(epoch for _, epoch in error_sets) == [0] + [1] * 4 + [2] * 4 + [3] * 4
         shared = {}
@@ -515,10 +552,10 @@ class TestSharedIdentification:
             shared.setdefault((c.learning_rate, c.batch_size, c.id_epochs), set()).add(
                 (id(lane.aux["identification_model"]), id(lane.aux["error_set"])))
         assert len(shared) == 16 and all(len(ids) == 1 for ids in shared.values())
-        # Every lane of a stage starts from the stage's one initial model.
-        assert [args[2] for name, args, _ in log if name == "_initial_model"] == [2, 0]
-        assert len({id(lane.trajectory[0]) for lane in stages[0]}) == 1
-        assert len({id(lane.trajectory[0]) for lane in lanes}) == 1
+        # Every lane of a stage starts from equal initial parameters.
+        for stage in stages:
+            assert all(np.array_equal(lane.trajectory[0].params, stage[0].trajectory[0].params)
+                       for lane in stage)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_diverging_run_fails_only_its_longer_members(self, small_bench):
@@ -1234,13 +1271,28 @@ class TestBuiltRules:
     stacks whose lanes take different parameters."""
 
     @pytest.mark.parametrize("b", [64, 24])
-    def test_uniform(self, b):
+    def test_uniform(self, small_bench, b):
         import grouptrain.trainers as trainers_mod
-        weigh = trainers_mod._uniform({}, (3, b))
-        assert np.array_equal(weigh.fixed, np.full((3, b), 1.0 / b))
-        out = np.full((3, b), 1.0 / b)
-        weigh({}, None, None, out)
-        assert np.array_equal(out, weigh.fixed)
+        train, _, _ = small_bench
+        seen = []
+
+        def rule(state, shape):
+            weigh = trainers_mod._uniform(state, shape)
+
+            def recorded(state, ridx, p, out):
+                before = out.copy()
+                weigh(state, ridx, p, out)
+                seen.append((shape, before, out.copy()))
+            return recorded
+
+        lanes = [trainers_mod._Lane(train, cfg(batch_size=b, learning_rate=rate))
+                 for rate in (0.01, 0.02, 0.05)]
+        trainers_mod._weighted_sgd(train, lanes, rule)
+        # 600 rows: batches of 64 leave a short one of 24, batches of 24 none.
+        assert {shape for shape, _, _ in seen} == {(3, b), (3, 24)}
+        for shape, before, after in seen:
+            assert np.array_equal(before, np.full(shape, 1.0 / shape[-1]))
+            assert np.array_equal(after, before)
 
     @pytest.mark.parametrize("b", [64, 24])
     def test_cvar(self, b):
