@@ -120,12 +120,20 @@ class ErrorSetStats:
     undefined: bool = False
 
 
+def _check_in_range(error_set: ErrorSet, train: Dataset, caller: str) -> None:
+    """Every error-set index names a row of `train`."""
+    if len(error_set) and error_set.indices[-1] >= len(train):
+        raise InputError(f"{caller}: error-set index {error_set.indices[-1]} is out of range "
+                         f"for dataset {train.name!r} of {len(train)} rows")
+
+
 def _error_counts(error_set: ErrorSet, train: Dataset,
                   caller: str) -> tuple[dict[GroupId, tuple[int, int]], int]:
     """(examples, error-set members) per group present, in sorted group
     order, and the error-set size."""
     if not train.has_group_annotations:
         raise InputError(f"{caller} needs a group-annotated training set")
+    _check_in_range(error_set, train, caller)
     idx = error_set.indices
     groups, codes, counts = train.group_index()
     hits = np.bincount(codes[idx], minlength=len(groups))
@@ -254,6 +262,7 @@ def replace_error_set(error_set: ErrorSet, train: Dataset, mode: str, *,
         raise InputError("replace_error_set needs a group-annotated training set")
     if mode not in REPLACE_MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {REPLACE_MODES}")
+    _check_in_range(error_set, train, "replace_error_set")
     idx, source_epoch = error_set.indices, error_set.source_epoch
     attrs, labels = train.attributes, train.labels
 

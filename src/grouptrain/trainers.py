@@ -12,6 +12,12 @@ A single master seed in TrainConfig fans out to named PCG64 streams via
 * stream 1: per-epoch shuffling of the main training loop,
 * streams 2/3: initialization/shuffling of the identification stage.
 
+The lanes of one minibatch loop that share a seed, a shuffle stream, a
+batch size and their rows, and refresh no rows, are an order family
+(`_Family`): one generator for that seed and stream draws each epoch's
+order once and every member takes it. Members end their epochs at the same
+steps, so the family draws the sequence each member's lone run draws.
+
 Because the final model of the two-stage trainers uses the same streams as
 plain ERM, the exact reduction identities hold bit-for-bit under a shared
 seed: upweight_factor=1 or an empty error set reduces the two-stage trainers
@@ -31,10 +37,13 @@ each model (one per lane, two for LfF) on cross-entropy weighted by its
 trainer's rule (LfF's bias model's rule makes it generalized
 cross-entropy). The lanes of one batch size are a cohort: while each has a
 full batch left they step as one, one stacked matmul per layer, and a
-lane's short batch or epoch end touches only its own rows. A lane computes
-bit for bit what training its config alone computes: `train` is a
-population of one, and `train_population` trains a grid. Lanes fail alone,
-and `_scored` raises the error of the first failed config in order.
+lane's short batch or epoch end touches only its own rows. When every lane
+of a step reads one order at one position (a family's members, or a lone
+lane), the step gathers its batch once, and the kernel broadcasts it over
+all the lanes' model rows. A lane computes bit for bit what training its
+config alone computes: `train` is a population of one, and
+`train_population` trains a grid. Lanes fail alone, and `_scored` raises
+the error of the first failed config in order.
 
 No trainer sees the validation split: each maps the training data and the
 config to per-epoch train losses, the trajectory and its extras, and `train`
@@ -238,17 +247,26 @@ def epoch_scores(trajectory: Sequence[Model], data: Dataset) -> list[tuple[float
     return out
 
 
+class _Family:
+    """An order family's generator (`_rng` of its seed and shuffle stream),
+    how many epoch orders it has drawn, and the last one. Every member
+    holds it: it draws on, whichever members have left."""
+
+    def __init__(self, seed: int, stream: int):
+        self.shuffle, self.drawn, self.order = _rng(seed, stream), 0, None
+
+
 class _Lane:
     """One config's run in a population: its training view (an int32 index
     map into the population's base rows, so upsampling copies no data; all
-    of them, in order, by default), epochs, seed streams, refresh rule,
+    of them, in order, by default), epochs, shuffle `stream`, refresh rule,
     extras and SGD `state`, each entry one row per model (the run's main
     model first, then LfF's bias model; all start from the lane's own
     initial model, drawn from its init stream): parameters, velocity,
     (models, 1)-shaped learning_rate, momentum and l2, and the entries the
-    trainer passes, the weight rule's. `_weighted_sgd` fills in the
-    per-epoch losses, the trajectory and, if the lane fails, its error, and
-    leaves the final state in `state`."""
+    trainer passes, the weight rule's. `_weighted_sgd` gives it its order
+    `family`, fills in the per-epoch losses, the trajectory and, if the
+    lane fails, its error, and leaves the final state in `state`."""
 
     def __init__(self, base: Dataset, cfg: TrainConfig, rows: np.ndarray | None = None, *,
                  identification: bool = False,
@@ -259,9 +277,9 @@ class _Lane:
             raise InputError("training set is empty")
         self.cfg, self.refresh, self.n_models = cfg, refresh, n_models
         self.rows = np.arange(len(base), dtype=np.int32) if rows is None else rows
-        self.epochs, (init, shuffle) = ((cfg.id_epochs, (2, 3)) if identification
-                                        else (cfg.epochs, (0, 1)))
-        self.shuffle = _rng(cfg.seed, shuffle)
+        self.epochs, (init, self.stream) = ((cfg.id_epochs, (2, 3)) if identification
+                                            else (cfg.epochs, (0, 1)))
+        self.family: _Family | None = None
         self.losses: list[float] = []
         arch = Architecture(base.n_features, cfg.hidden, max(2, int(base.labels.max()) + 1))
         self.trajectory = [init_model(arch, _seedseq(cfg.seed, init))]
@@ -280,11 +298,16 @@ class _Lane:
         return self.error is None and len(self.losses) < self.epochs
 
     def start_epoch(self) -> None:
-        """Draw the epoch's example order from the shuffle stream: a shuffle
-        of an int64 copy of the rows makes the swaps `permutation` makes."""
-        order = self.rows.astype(np.int64)
-        self.shuffle.shuffle(order)
-        self.order = order.astype(self.rows.dtype)
+        """Take the epoch's example order from the lane's family: the first
+        member to start the epoch draws it from the family's shuffle stream,
+        a shuffle of an int64 copy of the rows (the swaps `permutation`
+        makes), and every member takes that array."""
+        family = self.family
+        if family.drawn == len(self.losses):
+            order = self.rows.astype(np.int64)
+            family.shuffle.shuffle(order)
+            family.order, family.drawn = order.astype(self.rows.dtype), family.drawn + 1
+        self.order = family.order
         self.pos, self.objective, self.n_batches = 0, 0.0, 0
 
     def end_epoch(self, params: np.ndarray) -> None:
@@ -327,9 +350,10 @@ def _step(model: Model, opt: OptimizerState, state: dict[str, np.ndarray], rule:
 
 
 # A chunk's buffers hold at most this many cells (256 KB of float64) each.
-# On the reference data (10 features) that is the gathered features of 51
-# steps of one 64-row model, or of 2 steps of 24; a chunk always takes at
-# least one step.
+# On the reference data (10 features, batches of 64) that is the gathered
+# features of 51 steps of one batch, or of 2 steps of 24 lanes' batches, or
+# the label probabilities of 28 steps of 18 model rows (9 LfF lanes on one
+# order); a chunk always takes at least one step.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -347,9 +371,12 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
 
     A chunk is a run of consecutive steps whose buffers hold at most
     `_CHUNK_CELLS` cells each. Per chunk the lanes gather their batches'
-    features as one (steps, rows, batch, features) array, a lane's batch
-    once per model, so that each step reads a contiguous slice, and their
-    flat label indices in one expression; each step leaves its clamped
+    features as one (steps, batches, batch, features) array, so that each
+    step reads a contiguous slice, and their flat label indices in one
+    expression. When every lane reads one order at one position (an order
+    family's members, see `_weighted_sgd`), a step's batches are one batch,
+    which the kernel broadcasts over every model row; otherwise a lane's
+    batch is gathered once per model. Each step leaves its clamped
     label probabilities and weights in the chunk's buffers, one pass turns
     the main models' into cross-entropies, and one stacked (1, b) @ (b, 1)
     matmul gives every step's weighted batch objective, the products a lone
@@ -365,19 +392,23 @@ def _steps(base: Dataset, rule: Callable, state: dict[str, np.ndarray], lanes: l
                         momentum=state["momentum"], l2=state["l2"],
                         velocity=state.pop("velocity"))
     weigh = rule(state, (k * m, b))
+    first = lanes[0]
+    shared = all(lane.order is first.order and lane.pos == first.pos for lane in lanes)
+    readers = [first] if shared else lanes
     rows = np.concatenate([lane.order[lane.pos:lane.pos + n_steps * b]
-                           for lane in lanes]).reshape(k, n_steps * b)
+                           for lane in readers]).reshape(len(readers), n_steps * b)
+    batches = 1 if shared else k * m  # the batches a step gathers
     offsets = models._label_offsets((k * m, b), arch.n_classes)
     objectives = np.empty((n_steps + 1, k))
     objectives[0] = [lane.objective for lane in lanes]
-    per_chunk = max(1, _CHUNK_CELLS // (k * m * b * base.n_features))
+    per_chunk = max(1, _CHUNK_CELLS // (max(batches * base.n_features, k * m) * b))
     for start in range(0, n_steps, per_chunk):
         stop = min(start + per_chunk, n_steps)
-        ridx = rows[:, start * b:stop * b].reshape(k, stop - start, b).swapaxes(0, 1)
-        ridx = ridx.repeat(m, axis=1) if m > 1 else ridx  # a batch per model
+        ridx = rows[:, start * b:stop * b].reshape(len(readers), stop - start, b).swapaxes(0, 1)
+        ridx = ridx.repeat(m, axis=1) if batches > k else ridx  # a batch per model
         xs = base.features.take(ridx, axis=0)
         index = offsets + base.labels.take(ridx) * b
-        losses, weights = np.empty(ridx.shape), np.full(ridx.shape, 1.0 / b)
+        losses, weights = np.empty(index.shape), np.full(index.shape, 1.0 / b)
         for step in zip(xs, index, ridx, losses, weights):
             model, opt = _step(model, opt, state, weigh, *step)
         main = losses[:, ::m]
@@ -411,6 +442,12 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     weights and the gradient share. A lane's train loss per epoch is the
     mean over its batches of its main model's objective.
 
+    Lanes of one seed, shuffle stream, batch size and rows (compared with
+    `np.array_equal` within a key of the other three and the row count)
+    and no refresh rule are an order family: they share one `_Family`,
+    whose generator draws each epoch's order once, and every member takes
+    that array. A refreshing lane is a family of its own.
+
     The lanes of one batch size b form a cohort, which trains on its own:
     lanes share no state, so only each lane's own order of steps counts. A
     cohort concatenates its lanes' `state`s into a stack, one array per
@@ -432,8 +469,16 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
     """
     arch, m = lanes[0].trajectory[0].arch, lanes[0].n_models
     models._check_labels(base.labels, arch.n_classes)
+    firsts: dict[tuple, list[_Lane]] = {}  # each family's first lane, by key
     cohorts: dict[int, list[_Lane]] = {}
     for lane in lanes:
+        peers = [] if lane.refresh is not None else firsts.setdefault(
+            (lane.cfg.seed, lane.stream, lane.cfg.batch_size, len(lane.rows)), [])
+        lane.family = next((peer.family for peer in peers
+                            if np.array_equal(peer.rows, lane.rows)), None)
+        if lane.family is None:
+            lane.family = _Family(lane.cfg.seed, lane.stream)
+            peers.append(lane)
         if lane.active:
             lane.start_epoch()
         cohorts.setdefault(lane.cfg.batch_size, []).append(lane)
@@ -473,7 +518,7 @@ def _weighted_sgd(base: Dataset, lanes: list[_Lane],
             for i, lane in enumerate(running):
                 lane.state = {name: a[i * m:(i + 1) * m] for name, a in state.items()}
                 if not lane.active:
-                    lane.rows = lane.order = None
+                    lane.rows = lane.order = lane.family = None
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def empty_dataset() -> Dataset:
     return Dataset(np.empty((0, 2)), np.empty(0, np.int64), np.empty(0, np.int64), "no-rows")
 
 
+# An error set with an index past the end of the 4-row `grouped` dataset.
+OUT_OF_RANGE = r"error-set index 7 is out of range for dataset 'grouped' of 4 rows"
+
+
+def four_rows() -> Dataset:
+    return grouped_dataset({GroupId(0, 0): 2, GroupId(1, 1): 2})
+
+
 FOUR_GROUPS = {GroupId(0, 0): 1000, GroupId(0, 1): 1000,
                GroupId(1, 0): 1000, GroupId(1, 1): 1000}
 
@@ -139,6 +147,10 @@ class TestGroupMetrics:
 
 
 class TestErrorSetStats:
+    def test_out_of_range_index_names_the_index_and_the_dataset(self):
+        with pytest.raises(InputError, match=f"^error_set_stats: {OUT_OF_RANGE}$"):
+            error_set_stats(ErrorSet([1, 7]), four_rows(), GroupId(0, 0))
+
     def test_no_rows_names_the_dataset(self):
         with pytest.raises(InputError, match="dataset 'no-rows' has none"):
             error_set_stats(ErrorSet(np.empty(0, np.int64)), empty_dataset(), GroupId(0, 0))
@@ -185,6 +197,10 @@ class TestErrorSetStats:
 
 
 class TestEnrichmentRows:
+    def test_out_of_range_index_names_the_index_and_the_dataset(self):
+        with pytest.raises(InputError, match=f"^enrichment_table: {OUT_OF_RANGE}$"):
+            enrichment_table(ErrorSet([1, 7]), four_rows())
+
     def test_uniform_error_set_has_unit_enrichment(self):
         spec = SyntheticSpec(100, 10000, 100, 0.95, (0.5, 0.5), 2.0, 4.0, 0, 1.0)
         _, balanced, _ = generate_synthetic(spec, 0)
@@ -270,6 +286,10 @@ class TestReplaceErrorSet:
         rng = np.random.default_rng(1)
         idx = np.sort(rng.choice(len(data), size=30, replace=False))
         return data, ErrorSet(idx, source_epoch=3)
+
+    def test_out_of_range_index_names_the_index_and_the_dataset(self):
+        with pytest.raises(InputError, match=f"^replace_error_set: {OUT_OF_RANGE}$"):
+            replace_error_set(ErrorSet([1, 7]), four_rows(), "replace-random", seed=0)
 
     @staticmethod
     def group_counts(data, error_set):

@@ -33,9 +33,10 @@ def test_every_name_the_benchmark_wraps_is_bound_to_a_callable():
 
 
 def test_the_private_names_ab_timer_swaps_are_bound_to_callables():
-    # tools/ab_timer.py replaces both to count steps and time the loop.
+    # tools/ab_timer.py replaces them to count steps and orders and time the loop.
     assert callable(getattr(trainers, "_step", None))
     assert callable(getattr(trainers, "_weighted_sgd", None))
+    assert callable(getattr(trainers, "_rng", None))
 
 
 def test_training_digest_is_pinned(capsys):
@@ -55,4 +56,6 @@ def test_ab_timer_runs_and_counts_the_lone_erm_steps():
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     (row,) = [line for line in done.stdout.splitlines() if line.startswith("lone:erm")]
-    assert row.split()[-3:-1] == ["470/470", "470/470"]
+    # Steps, model rows, epoch orders and batch rows gathered (10 epochs
+    # of 3000 rows).
+    assert row.split()[-5:-1] == ["470/470", "470/470", "10/10", "30000/30000"]

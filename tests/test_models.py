@@ -499,6 +499,9 @@ class TestKernelLayout:
       copy equals NumPy's pairwise last-axis sum;
     - K models scoring the same 2-D features in one broadcast pass equal K
       lone calls;
+    - a training step (forward pass, clamped label probabilities, backprop)
+      of K lanes, or of K two-row LfF lanes, on one batch without a lane
+      axis equals the step on a copy of the batch per model row;
     - `_gce_weights` with a column of exponents equals, row by row, the
       weights times NumPy's power of the row at its scalar exponent (whose
       0.5 takes a sqrt path that an array of exponents does not).
@@ -574,3 +577,34 @@ class TestKernelLayout:
                 assert all(same_bits(a[i], a_lone) for a, a_lone in zip(acts[1:], lone[1][1:]))
                 assert same_bits(probs[i].swapaxes(-1, -2),
                                  forward_batch(Model(arch, params[i]), x))
+
+    @pytest.mark.parametrize("hidden", [(), (4, 3)])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_broadcast_training_step_equals_per_lane_batches(self, hidden, n_classes, m):
+        rng = np.random.default_rng(n_classes * 10 + m + len(hidden))
+        arch = Architecture(10, hidden, n_classes)
+        for k in (1, 6, 24):
+            for b in (1, 24, 64):
+                model = models_mod._adopt(Model, arch=arch,
+                                          params=rng.normal(size=(k * m, arch.n_params)))
+                x = self.scaled(rng, (b, 10))
+                index = (models_mod._label_offsets((k * m, b), n_classes)
+                         + rng.integers(0, n_classes, size=b) * b)
+                weights = rng.random((k * m, b))
+                copied = np.ascontiguousarray(np.broadcast_to(x, (k * m, b, 10)))
+                steps = []
+                # No lane axis, the one-batch lane axis `_steps` gathers, a copy per row.
+                for batch in (x, x[None], copied):
+                    forward = models_mod._forward_cached(model, batch)
+                    p = models_mod._clamp(forward[0].take(index))
+                    g = models_mod._backprop(model, forward, index,
+                                             models_mod._grad_scale(p, weights))
+                    steps.append((forward, p, g))
+                (probs, acts), p, g = steps[-1]
+                for (shared_probs, shared_acts), shared_p, shared_g in steps[:-1]:
+                    assert same_bits(shared_probs, probs)
+                    assert all(same_bits(u, v) for u, v in zip(shared_acts[1:], acts[1:],
+                                                               strict=True))
+                    assert same_bits(shared_p, p)
+                    assert same_bits(shared_g, g)

@@ -952,7 +952,9 @@ def test_one_forward_pass_per_model_per_stacked_step(small_bench, monkeypatch, a
     n_models = 2 if algorithm == "lff" else 1
     stacked_steps = cfgs[0].epochs * math.ceil(len(train) / cfgs[0].batch_size)
     assert step_lanes == [n_models * len(cfgs)] * stacked_steps
-    assert batch_lanes == step_lanes
+    # The lanes share seed and rows, so they read one order: a step gathers
+    # one batch, which broadcasts over every lane's model rows.
+    assert batch_lanes == [1] * stacked_steps
     assert backprop_lanes == step_lanes
 
 
@@ -1089,14 +1091,16 @@ class TestChunks:
     def test_lff_population_equals_the_reference_loop(self, small_bench, monkeypatch):
         import grouptrain.trainers as trainers_mod
         train, val, _ = small_bench
-        # Two 32-row lanes with different exponents step together, 3 steps
-        # per chunk of their 2 * 2 model rows; the 50-row lane's chunks take
-        # 3 steps too, the short last batches one.
-        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 2 * 2 * 32 * train.n_features)
+        # The 50-row lane's chunks take 3 steps of one batch for its main
+        # and bias rows. Two 32-row lanes with different exponents read one
+        # order and step together: a step gathers one batch of its 4 features
+        # for their 2 * 2 model rows, 4 steps per chunk. Short last batches
+        # take one step.
+        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 50 * train.n_features)
         lengths = chunk_lengths(monkeypatch)
         cfgs = [cfg("lff", batch_size=b, gce_q=q) for b, q in ((32, 0.5), (32, 0.7), (50, 0.7))]
         results = trainers_mod.train_population(train, val, cfgs)
-        assert {1, 3} <= set(lengths)
+        assert {1, 3, 4} <= set(lengths)
         for c, result in zip(cfgs, results):
             main, bias, history = reference_lff(train, val, c)
             assert np.array_equal(result.model.params, main.params)
@@ -1108,7 +1112,9 @@ class TestChunks:
             self, small_bench, monkeypatch):
         import grouptrain.trainers as trainers_mod
         train, val, _ = small_bench
-        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 2 * 32 * train.n_features)
+        # The two lanes read one order: a step gathers one batch for both.
+        monkeypatch.setattr(trainers_mod, "_CHUNK_CELLS", 3 * 32 * train.n_features)
+        lengths = chunk_lengths(monkeypatch)
         cfgs = [cfg(learning_rate=0.05), cfg(learning_rate=1e10)]
         with pytest.raises(FloatingPointError) as lone:
             gt.train(train, val, cfgs[1])
@@ -1119,6 +1125,7 @@ class TestChunks:
         # An epoch's 18 full batches are one segment, cut into chunks of 3
         # steps; the failing step starts a chunk, past the first.
         assert batch > 0 and batch % 3 == 0 and batch < len(train) // 32
+        assert set(lengths) == {1, 3}
         rows = np.arange(len(train))
         assert reference_divergence(train, rows, cfgs[1]) == (epoch, batch)
         losses, trajectory, _ = reference_sgd(train, rows, cfgs[0])
@@ -1245,6 +1252,91 @@ class TestCohorts:
             assert stacked.state.keys() == alone.state.keys()
             for name, value in alone.state.items():
                 assert np.array_equal(stacked.state[name], value)
+
+
+def counting_orders(monkeypatch) -> list[int]:
+    """Records the rows of each epoch order drawn by a generator that
+    `trainers._rng` makes."""
+    import grouptrain.trainers as trainers_mod
+    drawn, rng = [], trainers_mod._rng
+
+    class Counting:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def shuffle(self, order):
+            drawn.append(len(order))
+            self.generator.shuffle(order)
+
+    monkeypatch.setattr(trainers_mod, "_rng", lambda *args: Counting(rng(*args)))
+    return drawn
+
+
+class TestOrderFamilies:
+    """Lanes with one seed, shuffle stream, batch size and rows, and no
+    refresh rule, draw each epoch's order once, from one generator, and
+    every lane still computes what it computes alone."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_lane_equals_its_lone_run(self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        base = strip_group_annotations(small_bench[0])
+        n = len(base)
+
+        def lanes():
+            """CVaR lanes over the 600 rows: a one-epoch lane first, so
+            that the lane that draws the first order leaves first, a lane
+            diverging in its last epoch, lanes of 0, 2 and 3 epochs and
+            other alphas, one on the identification streams, a jtt-dynamic
+            lane that refreshes its (at first equal) rows after every
+            epoch, one of another seed and one of the rows in reverse."""
+            made = []
+            for c, kind in [(cfg("cvar", epochs=1, alpha=0.3), None),
+                            (cfg("cvar", epochs=3, alpha=0.3, learning_rate=1e10), None),
+                            *((cfg("cvar", epochs=e, alpha=0.3), None) for e in (0, 2, 3)),
+                            (cfg("cvar", epochs=3, alpha=1.0, l2=0.0), None),
+                            (cfg("cvar", epochs=3, alpha=0.1, id_epochs=3), "identification"),
+                            (cfg("jtt-dynamic", epochs=3, id_epochs=0, upweight_factor=3,
+                                 refresh_every=1, alpha=0.5), "refresh"),
+                            (cfg("cvar", epochs=3, alpha=0.3, seed=1), None),
+                            (cfg("cvar", epochs=3, alpha=0.3), "reversed")]:
+                aux = dict(refresh_epochs=[], refresh_sizes=[])
+                refresh = trainers_mod._refresher(base, c, aux) if kind == "refresh" else None
+                rows = np.arange(n, dtype=np.int32)
+                made.append(trainers_mod._Lane(
+                    base, c, rows[::-1].copy() if kind == "reversed" else rows,
+                    identification=kind == "identification", refresh=refresh, aux=aux,
+                    state={"alpha": np.full((1, 1), c.alpha)}))
+            return made
+
+        drawn = counting_orders(monkeypatch)
+        population = lanes()
+        trainers_mod._weighted_sgd(base, population, trainers_mod._cvar_rule)
+        # The seed-0 main-stream lanes of equal rows draw 3 orders in all;
+        # the others 3 each.
+        assert len(drawn) == 3 + 4 * 3
+        assert [lane.error is None for lane in population] == [True, False] + [True] * 8
+        assert str(population[1].error) == ("training diverged: non-finite objective "
+                                            "at epoch 2, batch 6")
+        assert population[7].aux["refresh_epochs"] == [1, 2]
+        assert len(set(population[7].aux["refresh_sizes"])) > 1
+        for stacked, alone in zip(population, lanes(), strict=True):
+            trainers_mod._weighted_sgd(base, [alone], trainers_mod._cvar_rule)
+            assert str(stacked.error) == str(alone.error)
+            assert stacked.losses == alone.losses and stacked.aux == alone.aux
+            assert all(np.array_equal(a.params, b.params)
+                       for a, b in zip(stacked.trajectory, alone.trajectory, strict=True))
+            if stacked.error is None:
+                assert np.array_equal(stacked.state["params"], alone.state["params"])
+
+    def test_an_erm_grid_draws_one_order_per_epoch(self, small_bench, monkeypatch):
+        import grouptrain.trainers as trainers_mod
+        train, val, _ = small_bench
+        cfgs = [cfg(epochs=10, learning_rate=rate, l2=l2)
+                for rate in (0.01, 0.05, 0.1) for l2 in (0.0, 1e-3)]
+        drawn = counting_orders(monkeypatch)
+        trainers_mod.train_population(train, val, cfgs)
+        assert drawn == [len(train)] * 10
 
 
 def tied_probabilities(rng, shape):

@@ -17,11 +17,15 @@ ratios B / A and the rounds in which B was faster. A ratio below 1 means
 B is faster.
 
 Before the timed rounds it trains every workload three times per tree
-with `trainers._step` and `trainers._weighted_sgd` wrapped, and reports
-the steps (`_step` calls), the model rows they stepped (a step of k lanes
-of m models steps k * m rows) and the median of the loop's time outside
-`_step` (time in `_weighted_sgd` less time in `_step`; the wrappers' own
-cost falls on both sides of that split). The timed rounds run unwrapped.
+with `trainers._step`, `trainers._weighted_sgd` and `trainers._rng`
+wrapped, and reports the steps (`_step` calls), the model rows they
+stepped (a step of k lanes of m models steps k * m rows), the epoch orders
+drawn (shuffles by the generators `_rng` makes), the batch rows gathered
+(the example rows of the steps' feature batches: a step that gathers one
+b-row batch for all its lanes gathers b) and the median of the loop's time
+outside `_step` (time in `_weighted_sgd` less time in `_step`; the
+wrappers' own cost falls on both sides of that split). The timed rounds
+run unwrapped.
 
     python3 tools/ab_timer.py <parent-tree> <change-tree> [--rounds 40]
     python3 tools/ab_timer.py <tree> --calibrate
@@ -101,19 +105,21 @@ class Side:
         return time.perf_counter() - start
 
     def counts(self, name: str) -> dict[str, float]:
-        """Steps and model rows stepped in one training of workload `name`,
-        and the median over `COUNT_RUNS` trainings of the loop's seconds
-        outside `_step`, the loop's functions wrapped."""
+        """Steps, model rows stepped, epoch orders drawn and batch rows
+        gathered in one training of workload `name`, and the median over
+        `COUNT_RUNS` trainings of the loop's seconds outside `_step`, the
+        loop's functions wrapped."""
         trainers = self.trainers
-        step, loop = trainers._step, trainers._weighted_sgd
-        tally = dict(steps=0, rows=0, step_s=0.0, loop_s=0.0)
+        step, loop, rng = trainers._step, trainers._weighted_sgd, trainers._rng
+        tally = dict(steps=0, rows=0, orders=0, gathered=0, step_s=0.0, loop_s=0.0)
 
-        def counting_step(model, *args):
+        def counting_step(model, opt, state, rule, xb, *args):
             start = time.perf_counter()
-            out = step(model, *args)
+            out = step(model, opt, state, rule, xb, *args)
             tally["step_s"] += time.perf_counter() - start
             tally["steps"] += 1
             tally["rows"] += len(model.params)
+            tally["gathered"] += xb[..., 0].size
             return out
 
         def timed_loop(*args, **kwargs):
@@ -121,17 +127,26 @@ class Side:
             loop(*args, **kwargs)
             tally["loop_s"] += time.perf_counter() - start
 
+        class CountingGenerator:
+            def __init__(self, generator):
+                self.generator = generator
+
+            def shuffle(self, order):
+                tally["orders"] += 1
+                self.generator.shuffle(order)
+
         outside = []
         trainers._step, trainers._weighted_sgd = counting_step, timed_loop
+        trainers._rng = lambda *args: CountingGenerator(rng(*args))
         try:
             for _ in range(COUNT_RUNS):
-                tally.update(steps=0, rows=0, step_s=0.0, loop_s=0.0)
+                tally.update(steps=0, rows=0, orders=0, gathered=0, step_s=0.0, loop_s=0.0)
                 trainers.train_population(self.train, self.val, self.workloads[name])
                 outside.append(tally["loop_s"] - tally["step_s"])
         finally:
-            trainers._step, trainers._weighted_sgd = step, loop
-        return dict(steps=tally["steps"], rows=tally["rows"],
-                    outside_step_s=statistics.median(outside))
+            trainers._step, trainers._weighted_sgd, trainers._rng = step, loop, rng
+        return dict(steps=tally["steps"], rows=tally["rows"], orders=tally["orders"],
+                    gathered=tally["gathered"], outside_step_s=statistics.median(outside))
 
 
 def main() -> None:
@@ -167,7 +182,8 @@ def main() -> None:
           f"{args.rounds} rounds, {EPOCHS} epochs; times are medians, B/A the median "
           f"per-round ratio")
     header = (f"{'workload':<26}{'A ms':>9}{'B ms':>9}{'B/A':>7}{'q1-q3':>13}{'wins':>7}"
-              f"{'steps A/B':>13}{'rows A/B':>15}{'out-of-step ms A/B':>20}")
+              f"{'steps A/B':>13}{'rows A/B':>15}{'orders A/B':>12}{'gathered A/B':>19}"
+              f"{'out-of-step ms A/B':>20}")
     print(header)
     summary = {}
     for name in names:
@@ -179,11 +195,11 @@ def main() -> None:
         summary[name] = dict(a_s=a, b_s=b, median_ratio=median,
                              ratio_quartiles=[q1, q3], wins=wins, counts_a=ca, counts_b=cb)
         cells = (f"{q1:.3f}-{q3:.3f}", f"{wins}/{args.rounds}",
-                 f"{ca['steps']}/{cb['steps']}", f"{ca['rows']}/{cb['rows']}",
+                 *(f"{ca[key]}/{cb[key]}" for key in ("steps", "rows", "orders", "gathered")),
                  f"{1e3 * ca['outside_step_s']:.1f}/{1e3 * cb['outside_step_s']:.1f}")
         print(f"{name:<26}{1e3 * statistics.median(a):>9.1f}{1e3 * statistics.median(b):>9.1f}"
-              f"{median:>7.3f}{cells[0]:>13}{cells[1]:>7}"
-              f"{cells[2]:>13}{cells[3]:>15}{cells[4]:>20}")
+              f"{median:>7.3f}{cells[0]:>13}{cells[1]:>7}{cells[2]:>13}{cells[3]:>15}"
+              f"{cells[4]:>12}{cells[5]:>19}{cells[6]:>20}")
     if args.json:
         args.json.write_text(json.dumps(dict(tree_a=str(args.tree_a), tree_b=str(tree_b),
                                              calibrate=args.calibrate, rounds=args.rounds,
