@@ -50,6 +50,20 @@ class GroupId(NamedTuple):
     label: int
 
 
+def _integer_column(values, column: str) -> np.ndarray:
+    """`values` as a fresh flat int64 array. An integer array converts as it
+    is; other values must be integers within int64's range, else an
+    InputError names the column, the index and the value."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":
+        array = np.asarray(array, dtype=np.float64).ravel()
+        bad = ~(np.abs(array) < 2.0 ** 63) | (array != np.trunc(array))  # NaN is bad too
+        if bad.any():
+            i = int(bad.argmax())
+            raise InputError(f"{column} must be integers; {column}[{i}] is {float(array[i])!r}")
+    return np.array(array, dtype=np.int64, copy=True).ravel()
+
+
 class Dataset:
     """An ordered, immutable collection of examples.
 
@@ -62,7 +76,7 @@ class Dataset:
     def __init__(self, features: np.ndarray, labels: np.ndarray,
                  attributes: np.ndarray | None = None, name: str = "dataset"):
         f = np.array(features, dtype=np.float64, copy=True)
-        y = np.array(labels, dtype=np.int64, copy=True).ravel()
+        y = _integer_column(labels, "labels")
         if f.ndim != 2:
             raise InputError("features must be a 2-D array")
         if not np.isfinite(f).all():
@@ -75,7 +89,7 @@ class Dataset:
             raise InputError("labels must be non-negative integers")
         a = None
         if attributes is not None:
-            a = np.array(attributes, dtype=np.int64, copy=True).ravel()
+            a = _integer_column(attributes, "attributes")
             if len(a) != len(y):
                 raise InputError("attributes length must match the number of rows")
             if len(a) and a.min() < 0:

@@ -75,6 +75,9 @@ def load_model(path) -> Model:
     values = lines[6:6 + count]
     if len(values) != count:
         raise IngestionError(f"{path}: expected {count} parameters, found {len(values)}")
+    if len(lines) > 6 + count:
+        raise IngestionError(f"{path}: line {count + 7}: {lines[6 + count]!r} after the "
+                             f"{count} parameters")
     params = np.empty(count)
     for i, v in enumerate(values):
         try:
@@ -143,19 +146,27 @@ def read_error_set_csv(path) -> ErrorSet:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "index":
         raise IngestionError(f"{path}: not an error-set file")
-    source_epoch = -1
-    indices = []
+    source_epoch, indices = None, []
     for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        epoch_line = line.startswith("# source_epoch=")
         try:
-            if line.startswith("# source_epoch="):
-                source_epoch = int(line.partition("=")[2])
-            elif line.strip():
-                indices.append(int(line))
+            value = int(line.partition("=")[2] if epoch_line else line)
         except ValueError:
             raise IngestionError(f"{path}: line {lineno}: not an integer: {line!r}") from None
-        if indices and indices[-1] < 0:
-            raise IngestionError(f"{path}: line {lineno}: negative index {indices[-1]}")
-    return ErrorSet(np.asarray(indices, dtype=np.int64), source_epoch)
+        if epoch_line:
+            # write_error_set_csv puts it once, before the indices.
+            if source_epoch is not None or indices:
+                raise IngestionError(f"{path}: line {lineno}: {line!r} must come once, "
+                                     f"before the first index")
+            source_epoch = value
+        elif value < 0:
+            raise IngestionError(f"{path}: line {lineno}: negative index {value}")
+        else:
+            indices.append(value)
+    return ErrorSet(np.asarray(indices, dtype=np.int64),
+                    -1 if source_epoch is None else source_epoch)
 
 
 def write_enrichment_csv(path, rows: Sequence[EnrichmentRow]) -> None:

@@ -1,5 +1,7 @@
-"""Independent oracles the test suite checks the implementation against.
-These deliberately avoid the code paths they verify."""
+"""Independent oracles the test suite checks the implementation against;
+each avoids the code path it verifies. `reference_train` is the one
+reference for training, a plain loop for every algorithm, and
+`assert_same_run` compares runs with it and with each other."""
 
 import csv
 import statistics
@@ -8,22 +10,14 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog
 
-from grouptrain.analysis import evaluate_groups
-from grouptrain.data import Dataset, subsample_validation
+from grouptrain.analysis import ErrorSet
+from grouptrain.data import Dataset, GroupId, subsample_validation
 from grouptrain.errors import IngestionError
-from grouptrain.models import (
-    Architecture,
-    Model,
-    OptimizerState,
-    forward_batch,
-    grad,
-    init_model,
-    loss_values,
-    sgd_step,
-    unpack_params,
-)
-from grouptrain.trainers import (CVAR, GROUP_DRO, JTT_DYNAMIC, WORST_GROUP, compute_error_set,
-                                 cvar_batch_weights, group_dro_update, lff_weight)
+from grouptrain.models import (Architecture, Model, OptimizerState, forward_batch, grad,
+                               init_model, loss_values, sgd_step, unpack_params)
+from grouptrain.trainers import (CVAR, GROUP_DRO, JTT, JTT_DYNAMIC, LFF, UPSAMPLE_MINORITY,
+                                 WORST_GROUP, TrainResult, compute_error_set, cvar_batch_weights,
+                                 group_dro_update, lff_weight)
 from grouptrain.tuning import FractionResult, grid_sweep
 
 
@@ -104,156 +98,158 @@ def reference_row_fold(delta):
     return out
 
 
-def reference_lff(train, val, cfg):
-    """LfF as its own minibatch loop: per batch, forward passes of the bias
-    and the main model, both gradients recomputed from scratch, then the
-    bias step and the main step. Returns (main model, bias model, history
-    as (train loss, val worst-group, val average) tuples)."""
-    arch = Architecture(train.n_features, cfg.hidden,
-                        max(2, int(max(train.labels.max(), val.labels.max())) + 1))
-    model_b = model_m = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    opt_b = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
-    opt_m = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
-    shuffle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
-    history = []
-    for _ in range(cfg.epochs):
-        order = shuffle.permutation(len(train))
-        objective, n_batches = 0.0, 0
-        for start in range(0, len(train), cfg.batch_size):
-            bidx = order[start:start + cfg.batch_size]
-            xb, yb = train.features[bidx], train.labels[bidx]
-            rows = np.arange(len(yb))
-            probs_b = forward_batch(model_b, xb)
-            probs_m = forward_batch(model_m, xb)
-            raw = lff_weight(probs_b[rows, yb], probs_m[rows, yb])
-            w_main = raw / raw.sum()
-            w_bias = np.full(len(yb), 1.0 / len(yb))
-            grad_b = grad(model_b, xb, yb, w_bias, cfg.gce_q)
-            grad_m = grad(model_m, xb, yb, w_main)
-            model_b, opt_b = sgd_step(model_b, grad_b, opt_b)
-            model_m, opt_m = sgd_step(model_m, grad_m, opt_m)
-            objective += float(w_main @ loss_values(probs_m, yb))
-            n_batches += 1
-        metrics = evaluate_groups(model_m, val)
-        history.append((objective / n_batches, metrics.worst_group_accuracy,
-                        metrics.average_accuracy))
-    return model_m, model_b, history
+def reference_train(train, cfg):
+    """cfg.algorithm as one minibatch loop over the public calls
+    forward_batch, loss_values, grad and sgd_step, with each algorithm's
+    weights for a batch's cross-entropies:
+    - CVaR: `cvar_batch_weights`;
+    - group DRO: the groups, `train`'s (attribute, label) pairs, sorted,
+      start at equal weights. Per batch, their losses' sums in row order
+      over their counts (0 for a group the batch lacks) take one
+      `group_dro_update` step; an example weighs its group's weight over
+      its group's count;
+    - LfF (Nam et al., arXiv 2007.02561): `lff_weight` of a bias model's and
+      the model's pre-step label probabilities, normalized. The bias model,
+      a copy of the initial model, steps on each batch on its uniformly
+      weighted generalized cross-entropy at gce_q;
+    - otherwise uniform.
+    The model starts from seed stream 0; each epoch's order permutes the
+    rows by stream 1: `train`'s rows, then (upweight_factor - 1) copies of
+    upsample-minority's minority set (attribute != label) or of JTT's error
+    set. JTT, as Algorithm 1 of Liu et al. (arXiv 2107.09044), takes the
+    `compute_error_set` of an identification run of this loop (uniform,
+    streams 2/3, id_epochs epochs over the rows); jtt-dynamic recomputes it
+    from the current model after every refresh_every epochs but the last.
 
-
-def reference_batch_weights(train, cfg):
-    """cfg.algorithm's per-batch example weights, as a function of a batch's
-    rows of `train` and their cross-entropies, through the public calls:
-    - CVaR: the capped top-loss distribution, `cvar_batch_weights`;
-    - group DRO: the groups are `train`'s (attribute, label) pairs, in
-      sorted order, starting at equal weights. Per batch, each group's losses
-      are added in row order, their means (0 for a group the batch lacks)
-      take one `group_dro_update` step, and an example weighs its group's
-      weight over its group's batch count;
-    - every other algorithm: uniform."""
-    if cfg.algorithm == CVAR:
-        return lambda bidx, losses: cvar_batch_weights(losses, cfg.alpha)
-    if cfg.algorithm != GROUP_DRO:
-        return lambda bidx, losses: np.full(len(losses), 1.0 / len(losses))
-    pairs = list(zip(train.attributes.tolist(), train.labels.tolist()))
-    code = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-    group_weights = np.full(len(code), 1.0 / len(code))
-
-    def weights(bidx, losses):
-        nonlocal group_weights
-        groups = np.array([code[pairs[i]] for i in bidx])
-        sums, counts = np.zeros(len(code)), np.zeros(len(code), dtype=np.int64)
-        for g, loss in zip(groups.tolist(), losses.tolist()):
-            sums[g] += loss
-            counts[g] += 1
-        group_weights = group_dro_update(sums / np.maximum(counts, 1), group_weights,
-                                         cfg.group_step_size)
-        return group_weights[groups] / counts[groups]
-
-    return weights
-
-
-def reference_sgd(train, rows, cfg, streams=(0, 1), epochs=None, refresh=None):
-    """Plain minibatch SGD over `train`'s `rows`, each batch's
-    cross-entropies weighted by `reference_batch_weights`, through the
-    public calls: forward_batch, loss_values, grad and sgd_step. The model
-    starts from seed stream streams[0] and each epoch's order is a
-    permutation of the rows from stream streams[1] (by default the main
-    model's streams); it trains `epochs` epochs (by default cfg.epochs).
-    After each epoch, ``refresh(epoch, model)``, if given, may return the
-    rows the next epoch trains on. Returns (per-epoch train losses,
-    trajectory, divergence): the losses are each epoch's mean batch
-    objective, the trajectory the initial model and each epoch's, and
-    divergence the (epoch, batch) at which the running objective first turns
-    non-finite, where training stops, or None."""
-    arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
-    model = init_model(arch, np.random.SeedSequence(cfg.seed, spawn_key=(streams[0],)))
-    opt = OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2, np.zeros(arch.n_params))
-    shuffle = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(cfg.seed, spawn_key=(streams[1],))))
-    batch_weights = reference_batch_weights(train, cfg)
-    losses, trajectory = [], [model]
-    for epoch in range(cfg.epochs if epochs is None else epochs):
-        order = rows[shuffle.permutation(len(rows))]
-        objective = 0.0
-        for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
-            bidx = order[start:start + cfg.batch_size]
-            xb, yb = train.features[bidx], train.labels[bidx]
-            batch_losses = loss_values(forward_batch(model, xb), yb)
-            w = batch_weights(bidx, batch_losses)
-            objective += float(w @ batch_losses)
-            if not np.isfinite(objective):
-                return losses, trajectory, (epoch, batch)
-            model, opt = sgd_step(model, grad(model, xb, yb, w), opt)
-        losses.append(objective / (batch + 1))
-        trajectory.append(model)
-        if refresh is not None:
-            fresh = refresh(epoch, model)
-            rows = rows if fresh is None else fresh
-    return losses, trajectory, None
-
-
-def reference_two_stage(train, cfg):
-    """JTT as Algorithm 1 of Liu et al. (arXiv 2107.09044) writes it, through
-    `reference_sgd`: an identification run on seed streams 2/3 for
-    cfg.id_epochs epochs over `train`'s rows in order; its final model's
-    error set, by `compute_error_set`; then training on the main streams
-    over the upsampled rows, the n rows followed by (upweight_factor - 1)
-    copies of the error set in index order. jtt-dynamic recomputes the error
-    set from the current model after every refresh_every epochs but the
-    last. Returns (per-epoch train losses, trajectory, extras): the extras
-    are the identification model, its error set and the epochs and sizes of
-    the refreshes."""
+    Returns (per-epoch train losses, trajectory, extras, divergence): each
+    epoch's mean batch objective; the initial model and each epoch's; what
+    the trainer records beside them; and where training stops: the (epoch,
+    batch) at which the running objective first turns non-finite, (epoch,
+    None) if the parameters are non-finite at an epoch's end, or None. A
+    diverging identification run returns its own losses and trajectory."""
     n = len(train)
+    arch = Architecture(train.n_features, cfg.hidden, max(2, int(train.labels.max()) + 1))
+    extras, rows, exponents, rule, refresh = {}, np.arange(n), (0.0,), None, None
 
     def upsampled(error_set):
         return np.concatenate([np.arange(n)] + [error_set.indices] * (cfg.upweight_factor - 1))
 
-    _, identification, _ = reference_sgd(train, np.arange(n), cfg, streams=(2, 3),
-                                         epochs=cfg.id_epochs)
-    extras = dict(identification_model=identification[-1],
-                  error_set=compute_error_set(identification[-1], train,
-                                              source_epoch=cfg.id_epochs),
-                  refresh_epochs=[], refresh_sizes=[])
+    def sgd(rows, streams, epochs, rule=None, refresh=None):
+        seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(stream,)) for stream in streams]
+        models = [init_model(arch, seeds[0])] * len(exponents)
+        opts = [OptimizerState(cfg.learning_rate, cfg.momentum, cfg.l2,
+                               np.zeros(arch.n_params))] * len(exponents)
+        shuffle = np.random.Generator(np.random.PCG64(seeds[1]))
+        losses, trajectory = [], models[:1]
+        for epoch in range(epochs):
+            order, objective = rows[shuffle.permutation(len(rows))], 0.0
+            for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
+                bidx = order[start:start + cfg.batch_size]
+                xb, yb = train.features[bidx], train.labels[bidx]
+                probs = [forward_batch(model, xb) for model in models]
+                batch_losses, uniform = loss_values(probs[0], yb), np.full(len(yb), 1.0 / len(yb))
+                # A NaN loss, which the rules reject, makes every weighted sum NaN.
+                finite = rule is not None and np.isfinite(batch_losses).all()
+                w = rule(bidx, probs, batch_losses) if finite else uniform
+                objective += float(w @ batch_losses)
+                if not np.isfinite(objective):
+                    return losses, trajectory, (epoch, batch), models
+                models, opts = zip(*(sgd_step(model, grad(model, xb, yb, weights, q), opt)
+                                     for model, opt, weights, q
+                                     in zip(models, opts, (w, uniform), exponents)))
+            if not np.isfinite(models[0].params).all():
+                return losses, trajectory, (epoch, None), models
+            losses.append(objective / (batch + 1))
+            trajectory.append(models[0])
+            rows = rows if refresh is None else refresh(epoch, models[0], rows)
+        return losses, trajectory, None, models
 
-    def refresh(epoch, model):
-        done = epoch + 1
-        if (cfg.algorithm != JTT_DYNAMIC or cfg.refresh_every is None
-                or done == cfg.epochs or done % cfg.refresh_every):
-            return None
-        error_set = compute_error_set(model, train, source_epoch=done)
-        extras["refresh_epochs"].append(done)
-        extras["refresh_sizes"].append(len(error_set))
-        return upsampled(error_set)
+    if cfg.algorithm == CVAR:
+        def rule(bidx, probs, losses):
+            return cvar_batch_weights(losses, cfg.alpha)
+    elif cfg.algorithm == GROUP_DRO:
+        pairs = list(zip(train.attributes.tolist(), train.labels.tolist()))
+        code = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+        extras["group_weights"] = {GroupId(*pair): 1.0 / len(code) for pair in code}
 
-    losses, trajectory, _ = reference_sgd(train, upsampled(extras["error_set"]), cfg,
-                                          refresh=refresh)
-    return losses, trajectory, extras
+        def rule(bidx, probs, losses):
+            groups, sums = np.array([code[pairs[i]] for i in bidx]), np.zeros(len(code))
+            np.add.at(sums, groups, losses)  # in row order
+            counts = np.bincount(groups, minlength=len(code))
+            weights = group_dro_update(sums / np.maximum(counts, 1),
+                                       np.array(list(extras["group_weights"].values())),
+                                       cfg.group_step_size)
+            extras["group_weights"] = dict(zip(extras["group_weights"], weights.tolist()))
+            return weights[groups] / counts[groups]
+    elif cfg.algorithm == LFF:
+        exponents = (0.0, cfg.gce_q)
+
+        def rule(bidx, probs, losses):
+            p_main, p_bias = (p[np.arange(len(bidx)), train.labels[bidx]] for p in probs)
+            raw = lff_weight(p_bias, p_main)
+            return raw / raw.sum()
+    elif cfg.algorithm == UPSAMPLE_MINORITY:
+        extras["minority_set"] = ErrorSet(np.flatnonzero(train.attributes != train.labels))
+        rows = upsampled(extras["minority_set"])
+    elif cfg.algorithm in (JTT, JTT_DYNAMIC):
+        losses, trajectory, divergence, _ = sgd(rows, (2, 3), cfg.id_epochs)
+        if divergence is not None:
+            return losses, trajectory, extras, divergence
+        extras.update(identification_model=trajectory[-1], refresh_epochs=[], refresh_sizes=[],
+                      error_set=compute_error_set(trajectory[-1], train, cfg.id_epochs))
+        rows = upsampled(extras["error_set"])
+
+        def refresh(epoch, model, rows):
+            done = epoch + 1
+            if (cfg.algorithm == JTT or cfg.refresh_every is None or done == cfg.epochs
+                    or done % cfg.refresh_every):
+                return rows
+            error_set = compute_error_set(model, train, source_epoch=done)
+            extras["refresh_epochs"].append(done)
+            extras["refresh_sizes"].append(len(error_set))
+            return upsampled(error_set)
+
+    losses, trajectory, divergence, models = sgd(rows, (0, 1), cfg.epochs, rule, refresh)
+    if cfg.algorithm == LFF:
+        extras["bias_model"] = models[1]
+    return losses, trajectory, extras, divergence
 
 
-def reference_divergence(train, rows, cfg):
-    """(epoch, batch) at which the running mean-cross-entropy objective of
-    `reference_sgd` first turns non-finite, or None."""
-    return reference_sgd(train, rows, cfg)[2]
+def assert_same_run(run, expected):
+    """`run` equals `expected` bit for bit. Each is a TrainResult, a
+    population's lane, `reference_train`'s result or the error a training
+    raised. Failed runs have errors of one type and message (a reference's
+    divergence stands for the FloatingPointError naming it); others have
+    equal per-epoch train losses (and histories, if both have one), and
+    equal bits in every trajectory model and every extra."""
+    a, b = _record(run), _record(expected)
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert (type(a), str(a)) == (type(b), str(b))
+        return
+
+    def bits(value):
+        return (value.arch, value.params.tobytes()) if isinstance(value, Model) else value
+
+    assert a[0] == b[0] and (None in (a[3], b[3]) or a[3] == b[3])
+    assert [bits(model) for model in a[1]] == [bits(model) for model in b[1]]
+    assert {k: bits(v) for k, v in a[2].items()} == {k: bits(v) for k, v in b[2].items()}
+
+
+def _record(run):
+    """A run's (per-epoch train losses, trajectory, extras, history or
+    None), or its error."""
+    if isinstance(run, TrainResult):
+        return [entry.train_loss for entry in run.history], run.trajectory, run.aux, run.history
+    if isinstance(run, tuple):
+        losses, trajectory, extras, divergence = run
+        if divergence is None:
+            return losses, trajectory, extras, None
+        epoch, batch = divergence
+        return FloatingPointError("training diverged: non-finite " + (
+            f"parameters after epoch {epoch}" if batch is None
+            else f"objective at epoch {epoch}, batch {batch}"))
+    return run if isinstance(run, Exception) else run.error or (
+        run.losses, run.trajectory, run.aux, None)
 
 
 def reference_csv_text(data):

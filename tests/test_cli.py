@@ -964,7 +964,8 @@ class TestPersistence:
         (lambda lines: lines[:3] + ["classes=2"] + lines[4:],
          "malformed checkpoint header ('n_classes')"),
         (lambda lines: lines[:-1], "expected 6 parameters, found 5"),
-    ], ids=["magic", "input-dim", "no-n-classes", "short"])
+        (lambda lines: lines + ["1.5", "garbage"], "line 13: '1.5' after the 6 parameters"),
+    ], ids=["magic", "input-dim", "no-n-classes", "short", "long"])
     def test_checkpoint_rejections_name_the_file(self, tmp_path, edit, reason):
         path = tmp_path / "m.txt"
         save_model(init_model(Architecture(2, (), 2), 0), path)
@@ -1033,6 +1034,19 @@ class TestPersistence:
         path = tmp_path / "e.csv"
         path.write_text(f"index\n3\n{line}\n")
         with pytest.raises(IngestionError, match=rf"e\.csv: line 3: not an integer: '{line}'"):
+            read_error_set_csv(path)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("index\n3\n# source_epoch=2\n1\n# source_epoch=5\n", 3),
+        ("index\n# source_epoch=2\n1\n# source_epoch=5\n", 4),
+        ("index\n# source_epoch=2\n# source_epoch=2\n", 3),
+    ], ids=["after-an-index", "after-the-indices", "twice"])
+    def test_error_set_source_epoch_comes_once_before_the_indices(self, tmp_path, text, lineno):
+        # The last of several used to win, wherever it stood.
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(IngestionError, match=rf"e\.csv: line {lineno}: '# source_epoch=\d' "
+                                                 rf"must come once, before the first index$"):
             read_error_set_csv(path)
 
     def test_loss_snapshots_round_trip_bit_for_bit(self, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import numpy.lib.recfunctions as rfn
@@ -690,6 +691,22 @@ class TestDataset:
         features[1, 0] = np.nan
         with pytest.raises(InputError, match=r"features\[1, 0\] is nan"):
             Dataset(features, np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("labels, attributes, message", [
+        ([0.7, 1.2], [0, 1], "labels must be integers; labels[0] is 0.7"),
+        ([0, 1], [0.0, 2.9], "attributes must be integers; attributes[1] is 2.9"),
+        ([1.0, float("nan")], None, "labels must be integers; labels[1] is nan"),
+        ([1e30, 0.0], None, "labels must be integers; labels[0] is 1e+30"),
+    ], ids=["fractional-label", "fractional-attribute", "nan", "overflow"])
+    def test_non_integral_labels_and_attributes_rejected(self, labels, attributes, message):
+        # They used to be truncated (0.7 -> 0), or to fail with NumPy's own error.
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((2, 1)), labels, attributes)
+
+    def test_integral_floats_and_integer_arrays_load(self):
+        ds = Dataset(np.zeros((2, 1)), [0.0, 1.0], np.array([2, 0], dtype=np.int32))
+        assert ds.labels.dtype == ds.attributes.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1] and ds.attributes.tolist() == [2, 0]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):

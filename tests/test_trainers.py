@@ -31,13 +31,7 @@ from grouptrain.trainers import (
     train_upweighted,
 )
 from grouptrain.tuning import Grid, grid_sweep
-from oracles import (
-    cvar_lp_optimum,
-    reference_divergence,
-    reference_lff,
-    reference_sgd,
-    reference_two_stage,
-)
+from oracles import assert_same_run, cvar_lp_optimum, reference_train
 
 
 def cfg(algorithm="erm", **overrides):
@@ -489,7 +483,7 @@ class TestSharedIdentification:
         lanes = trainers_mod._two_stage(train, cfgs)
         assert all(lane.error is None for lane in lanes)
         for c, lane in zip(cfgs, lanes):
-            assert_lane_equals_lone_run(train, val, c, lane)
+            assert_same_run(lane, lone_run(train, val, c))
 
     def test_lanes_equal_the_reference_two_stage_loop(self, small_bench):
         import grouptrain.trainers as trainers_mod
@@ -497,14 +491,8 @@ class TestSharedIdentification:
         cfgs = shared_identification_grid()
         lanes = trainers_mod._two_stage(train, cfgs)
         for c, lane in zip(cfgs, lanes, strict=True):
-            losses, trajectory, extras = reference_two_stage(train, c)
-            assert lane.error is None and lane.losses == losses
-            assert all(np.array_equal(a.params, b.params)
-                       for a, b in zip(lane.trajectory, trajectory, strict=True))
-            assert lane.aux.keys() == extras.keys()
-            assert np.array_equal(lane.aux.pop("identification_model").params,
-                                  extras.pop("identification_model").params)
-            assert lane.aux == extras
+            assert lane.error is None
+            assert_same_run(lane, reference_train(train, c))
         assert {len(lane.aux["refresh_epochs"]) for lane in lanes} == {0, 1}
 
     def test_equal_models_of_different_epochs_keep_their_source_epochs(self, small_bench):
@@ -520,7 +508,7 @@ class TestSharedIdentification:
                    for lane in lanes)
         assert [lane.aux["error_set"].source_epoch for lane in lanes] == [0, 1, 2]
         for c, lane in zip(cfgs, lanes):
-            assert_lane_equals_lone_run(train, val, c, lane)
+            assert_same_run(lane, lone_run(train, val, c))
 
     def test_one_run_per_key_and_one_error_set_per_model(self, small_bench, monkeypatch):
         import grouptrain.trainers as trainers_mod
@@ -573,7 +561,7 @@ class TestSharedIdentification:
         assert {str(lane.error) for lane in lanes if lane.error is not None} == {
             "training diverged: non-finite objective at epoch 1, batch 7"}
         for c, lane in zip(cfgs, lanes):
-            assert_lane_equals_lone_run(train, val, c, lane)
+            assert_same_run(lane, lone_run(train, val, c))
         with pytest.raises(FloatingPointError, match="at epoch 1, batch 7$"):
             train_population(train, val, cfgs)
 
@@ -639,30 +627,6 @@ class TestLffTrainer:
         for batch in captured:
             for lane in batch:
                 assert np.array_equal(lane, np.full(len(lane), 0.5))
-
-    @pytest.mark.parametrize("gce_q", [0.5, 0.7])
-    def test_matches_the_reference_loop(self, small_bench, gce_q):
-        train, val, _ = small_bench
-        c = cfg("lff", gce_q=gce_q)
-        result = gt.train(train, val, c)
-        main, bias, history = reference_lff(train, val, c)
-        assert np.array_equal(result.model.params, main.params)
-        assert np.array_equal(result.aux["bias_model"].params, bias.params)
-        assert result.history == history
-
-    def test_hidden_layer_population_matches_the_reference_loop(self, small_bench):
-        # Four lanes, two exponents: both models of every lane, with hidden
-        # layers, step in one stacked call.
-        import grouptrain.trainers as trainers_mod
-        train, val, _ = small_bench
-        cfgs = [cfg("lff", hidden=(4, 3), gce_q=q, learning_rate=rate)
-                for q in (0.5, 0.7) for rate in (0.01, 0.05)]
-        results = trainers_mod.train_population(train, val, cfgs)
-        for c, result in zip(cfgs, results):
-            main, bias, history = reference_lff(train, val, c)
-            assert np.array_equal(result.model.params, main.params)
-            assert np.array_equal(result.aux["bias_model"].params, bias.params)
-            assert result.history == history
 
     def test_bias_model_in_aux(self, small_bench):
         train, val, _ = small_bench
@@ -970,27 +934,15 @@ def test_lanes_fail_alone(small_bench, algorithm, extra):
     lanes = trainers_mod._TRAINERS[algorithm](train, cfgs)
     assert [lane.error is None for lane in lanes] == [False, True, False, True]
     for c, lane in zip(cfgs, lanes):
-        assert_lane_equals_lone_run(train, val, c, lane)
+        assert_same_run(lane, lone_run(train, val, c))
 
 
-def assert_lane_equals_lone_run(train, val, c, lane):
-    """A population's lane failed as training `c` alone fails, or equals
-    that run."""
-    if lane.error is not None:
-        with pytest.raises(type(lane.error), match=f"^{re.escape(str(lane.error))}$"):
-            gt.train(train, val, c)
-        return
-    lone = gt.train(train, val, c)
-    assert lane.losses == [entry.train_loss for entry in lone.history]
-    assert len(lane.trajectory) == len(lone.trajectory)
-    assert all(np.array_equal(a.params, b.params)
-               for a, b in zip(lane.trajectory, lone.trajectory))
-    assert lane.aux.keys() == lone.aux.keys()
-    for key, value in lone.aux.items():
-        if isinstance(value, gt.Model):
-            assert np.array_equal(lane.aux[key].params, value.params)
-        else:
-            assert lane.aux[key] == value
+def lone_run(train, val, c):
+    """Training `c` alone: its result, or the error it raises."""
+    try:
+        return gt.train(train, val, c)
+    except Exception as e:  # compared with the lane's error
+        return e
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1011,10 +963,10 @@ def test_lane_failing_in_a_later_segment_names_its_lone_epoch_and_batch(small_be
                         for c in cfgs)
     epoch, batch = map(int, re.search(r"epoch (\d+), batch (\d+)$", str(lanes[1].error)).groups())
     assert (epoch, batch) > (0, first_segment)
-    rows = _upsampled_rows(len(train), lanes[0].aux["error_set"], cfgs[1].upweight_factor)
-    assert reference_divergence(train, rows, cfgs[1]) == (epoch, batch)
+    assert reference_train(train, cfgs[1])[3] == (epoch, batch)
     for c, lane in zip(cfgs, lanes):
-        assert_lane_equals_lone_run(train, val, c, lane)
+        assert_same_run(lane, lone_run(train, val, c))
+        assert_same_run(lane, reference_train(train, c))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1079,14 +1031,9 @@ class TestChunks:
                 for b, factor in ((32, 4), (50, 2), (200, 8))]
         lanes = trainers_mod._TRAINERS["upsample-minority"](train, cfgs)
         assert {1, 3} <= set(lengths)
-        minority = lanes[0].aux["minority_set"]
         for c, lane in zip(cfgs, lanes):
-            rows = _upsampled_rows(len(train), minority, c.upweight_factor)
-            losses, trajectory, divergence = reference_sgd(train, rows, c)
-            assert lane.error is None and divergence is None
-            assert lane.losses == losses
-            assert all(np.array_equal(a.params, b.params)
-                       for a, b in zip(lane.trajectory, trajectory, strict=True))
+            assert lane.error is None
+            assert_same_run(lane, reference_train(train, c))
 
     def test_lff_population_equals_the_reference_loop(self, small_bench, monkeypatch):
         import grouptrain.trainers as trainers_mod
@@ -1102,10 +1049,7 @@ class TestChunks:
         results = trainers_mod.train_population(train, val, cfgs)
         assert {1, 3, 4} <= set(lengths)
         for c, result in zip(cfgs, results):
-            main, bias, history = reference_lff(train, val, c)
-            assert np.array_equal(result.model.params, main.params)
-            assert np.array_equal(result.aux["bias_model"].params, bias.params)
-            assert result.history == history
+            assert_same_run(result, reference_train(train, c))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lane_diverging_after_a_chunk_boundary_names_its_lone_epoch_and_batch(
@@ -1126,35 +1070,40 @@ class TestChunks:
         # steps; the failing step starts a chunk, past the first.
         assert batch > 0 and batch % 3 == 0 and batch < len(train) // 32
         assert set(lengths) == {1, 3}
-        rows = np.arange(len(train))
-        assert reference_divergence(train, rows, cfgs[1]) == (epoch, batch)
-        losses, trajectory, _ = reference_sgd(train, rows, cfgs[0])
-        assert lanes[0].error is None and lanes[0].losses == losses
-        assert np.array_equal(lanes[0].trajectory[-1].params, trajectory[-1].params)
+        assert reference_train(train, cfgs[1])[3] == (epoch, batch)
+        assert lanes[0].error is None
+        for c, lane in zip(cfgs, lanes):
+            assert_same_run(lane, reference_train(train, c))
 
 
-@pytest.mark.parametrize("algorithm", ["cvar", "group-dro"])
-def test_reweighting_trainers_equal_the_reference_loop(small_bench, algorithm):
-    """CVaR's and group DRO's weight rules, checked from outside the step
-    kernel: `gt.train`, and every lane of one population over all the
-    configs, give a plain loop over the public calls' final parameters and
-    per-epoch train losses bit for bit. 600 rows leave short last batches
-    at both batch sizes."""
+# The fields each algorithm adds to the reference gate's grid.
+GATE_AXES = {
+    "jtt": {"id_epochs": (1,), "upweight_factor": (4,)},
+    "jtt-dynamic": {"id_epochs": (1,), "upweight_factor": (4,), "refresh_every": (1,)},
+    "cvar": {"alpha": (0.1, 0.25, 0.5)},
+    "lff": {"gce_q": (0.5, 0.7)},
+    "upsample-minority": {"upweight_factor": (4,)},
+}
+
+
+@pytest.mark.parametrize("algorithm", gt.ALGORITHMS)
+def test_every_trainer_equals_the_reference_loop(small_bench, algorithm):
+    """Every algorithm's rule, checked from outside the step kernel:
+    `gt.train`, and every lane of one population per hidden width, equal
+    `reference_train` bit for bit: per-epoch train losses, every trajectory
+    model and every extra. 600 rows leave short last batches at both batch
+    sizes."""
     train, val, _ = small_bench
     axes = {"hidden": ((), (4, 3)), "batch_size": (64, 96), "seed": (0, 1),
-            "learning_rate": (0.01, 0.05)}
-    if algorithm == "cvar":
-        axes["alpha"] = (0.1, 0.25, 0.5)
+            "learning_rate": (0.01, 0.05), **GATE_AXES.get(algorithm, {})}
     cfgs = [cfg(algorithm, epochs=3, **dict(zip(axes, values)))
             for values in itertools.product(*axes.values())]
     population = train_population(train, val, cfgs)
-    rows = np.arange(len(train))
     for c, lane in zip(cfgs, population, strict=True):
-        losses, trajectory, divergence = reference_sgd(train, rows, c)
-        assert divergence is None
-        for result in (gt.train(train, val, c), lane):
-            assert np.array_equal(result.model.params, trajectory[-1].params), c
-            assert [entry.train_loss for entry in result.history] == losses, c
+        reference = reference_train(train, c)
+        assert reference[3] is None, c
+        assert_same_run(lane, reference)
+        assert_same_run(gt.train(train, val, c), reference)
 
 
 def stepping_lanes(monkeypatch) -> list[tuple[tuple[float, ...], int]]:
@@ -1203,7 +1152,7 @@ class TestCohorts:
         short = [rates for rates, length in log if length < 32]
         assert len(short) == 3 * cfgs[0].epochs and {len(rates) for rates in short} == {1}
         for c, lane in zip(cfgs, lanes):
-            assert_lane_equals_lone_run(train, val, c, lane)
+            assert_same_run(lane, lone_run(train, val, c))
 
     def test_mixed_batch_sizes_equal_lone_runs(self, small_bench, monkeypatch):
         import grouptrain.trainers as trainers_mod
@@ -1220,7 +1169,7 @@ class TestCohorts:
         assert_full_steps_carry_every_training_lane(log, cfgs)
         assert [length for rates, length in log if rates == (0.04,)] == [len(train)] * 3
         for c, lane in zip(cfgs, lanes):
-            assert_lane_equals_lone_run(train, val, c, lane)
+            assert_same_run(lane, lone_run(train, val, c))
 
 
     def test_two_model_lanes_of_ragged_views_step_their_own_rows(self, small_bench,

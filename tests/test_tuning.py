@@ -1,7 +1,6 @@
 import re
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +10,9 @@ import grouptrain.trainers as trainers
 import grouptrain.tuning as tuning
 from grouptrain.data import subsample_validation
 from grouptrain.errors import DataWarning, InputError, TrainingWarning
-from grouptrain.models import Model
 from grouptrain.trainers import ALGORITHMS, AVERAGE, WORST_GROUP, TrainConfig
 from grouptrain.tuning import Grid, grid_sweep, validation_size_study
-from oracles import reference_validation_size_study
+from oracles import assert_same_run, reference_train, reference_validation_size_study
 
 
 def base_cfg(algorithm="erm", **overrides):
@@ -189,20 +187,6 @@ class TestValidationSizeStudy:
             validation_size_study([0.5], grid, train, val, test, seeds=())
 
 
-def assert_same_run(run, lone):
-    """Bit-for-bit equal histories, trajectories and extras."""
-    assert run.history == lone.history
-    assert len(run.trajectory) == len(lone.trajectory)
-    for a, b in zip(run.trajectory, lone.trajectory):
-        assert a.arch == b.arch and np.array_equal(a.params, b.params)
-    assert run.aux.keys() == lone.aux.keys()
-    for key, value in lone.aux.items():
-        if isinstance(value, Model):
-            assert np.array_equal(run.aux[key].params, value.params)
-        else:
-            assert run.aux[key] == value
-
-
 def swept_and_lone(grid, train, val, test, monkeypatch):
     """The runs a grid_sweep trains and the warnings it raises, beside
     those of training each grid point alone."""
@@ -336,10 +320,6 @@ def _outcome(call):
                      if w.category is not RuntimeWarning]
 
 
-def _same_error(a, b):
-    return type(a) is type(b) and str(a) == str(b)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(cfgs=populations())
 @settings(max_examples=60, deadline=None)
@@ -361,14 +341,13 @@ def test_fuzzed_populations_equal_lone_trainings(small_bench, cfgs):
     # of warnings matches the lone runs'.
     assert sorted(caught, key=str) == sorted((w for _, ws in lone for w in ws), key=str)
     failures = [outcome for outcome, _ in lone if isinstance(outcome, Exception)]
-    if not failures:
-        for run, (expected, _) in zip(runs, lone, strict=True):
-            assert_same_run(run, expected)
-        return
-    assert _same_error(runs, failures[0])
-    for lane, (expected, _) in zip(lanes, lone, strict=True):
-        if isinstance(expected, Exception):
-            assert _same_error(lane.error, expected)
-        else:
-            assert lane.error is None
-            assert_same_run(trainers._scored([lane], val)[0], expected)
+    if failures:
+        assert_same_run(runs, failures[0])
+        runs = [lane if lane.error is not None else trainers._scored([lane], val)[0]
+                for lane in lanes]
+    # Every run, or every lane, scored if healthy, equals its lone training
+    # and the reference loop: a failed one names the reference's (epoch,
+    # batch) or epoch.
+    for c, run, (expected, _) in zip(cfgs, runs, lone, strict=True):
+        assert_same_run(run, expected)
+        assert_same_run(run, reference_train(train, c))

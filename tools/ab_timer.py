@@ -16,16 +16,17 @@ the median time of each tree, the median and quartiles of the per-round
 ratios B / A and the rounds in which B was faster. A ratio below 1 means
 B is faster.
 
-Before the timed rounds it trains every workload three times per tree
-with `trainers._step`, `trainers._weighted_sgd` and `trainers._rng`
-wrapped, and reports the steps (`_step` calls), the model rows they
-stepped (a step of k lanes of m models steps k * m rows), the epoch orders
-drawn (shuffles by the generators `_rng` makes), the batch rows gathered
-(the example rows of the steps' feature batches: a step that gathers one
-b-row batch for all its lanes gathers b) and the median of the loop's time
-outside `_step` (time in `_weighted_sgd` less time in `_step`; the
-wrappers' own cost falls on both sides of that split). The timed rounds
-run unwrapped.
+Before the timed rounds it trains every workload with `trainers._step`,
+`trainers._weighted_sgd` and `trainers._rng` wrapped: once per tree to
+warm up, which it discards, then three times per tree, the two trees'
+trainings interleaved as in the timed rounds. It reports the steps (`_step`
+calls), the model rows they stepped (a step of k lanes of m models steps
+k * m rows), the epoch orders drawn (shuffles by the generators `_rng`
+makes), the batch rows gathered (the example rows of the steps' feature
+batches: a step that gathers one b-row batch for all its lanes gathers b)
+and the median of the loop's time outside `_step` (time in `_weighted_sgd`
+less time in `_step`; the wrappers' own cost falls on both sides of that
+split). The timed rounds run unwrapped.
 
     python3 tools/ab_timer.py <parent-tree> <change-tree> [--rounds 40]
     python3 tools/ab_timer.py <tree> --calibrate
@@ -104,11 +105,10 @@ class Side:
         self.trainers.train_population(self.train, self.val, configs)
         return time.perf_counter() - start
 
-    def counts(self, name: str) -> dict[str, float]:
-        """Steps, model rows stepped, epoch orders drawn and batch rows
-        gathered in one training of workload `name`, and the median over
-        `COUNT_RUNS` trainings of the loop's seconds outside `_step`, the
-        loop's functions wrapped."""
+    def count(self, name: str) -> dict[str, float]:
+        """Steps, model rows stepped, epoch orders drawn, batch rows gathered
+        and the loop's seconds outside `_step` in one training of workload
+        `name`, the loop's functions wrapped."""
         trainers = self.trainers
         step, loop, rng = trainers._step, trainers._weighted_sgd, trainers._rng
         tally = dict(steps=0, rows=0, orders=0, gathered=0, step_s=0.0, loop_s=0.0)
@@ -135,18 +135,31 @@ class Side:
                 tally["orders"] += 1
                 self.generator.shuffle(order)
 
-        outside = []
         trainers._step, trainers._weighted_sgd = counting_step, timed_loop
         trainers._rng = lambda *args: CountingGenerator(rng(*args))
         try:
-            for _ in range(COUNT_RUNS):
-                tally.update(steps=0, rows=0, orders=0, gathered=0, step_s=0.0, loop_s=0.0)
-                trainers.train_population(self.train, self.val, self.workloads[name])
-                outside.append(tally["loop_s"] - tally["step_s"])
+            trainers.train_population(self.train, self.val, self.workloads[name])
         finally:
             trainers._step, trainers._weighted_sgd, trainers._rng = step, loop, rng
         return dict(steps=tally["steps"], rows=tally["rows"], orders=tally["orders"],
-                    gathered=tally["gathered"], outside_step_s=statistics.median(outside))
+                    gathered=tally["gathered"], outside_step_s=tally["loop_s"] - tally["step_s"])
+
+
+def counts(sides: tuple[Side, Side], names: list[str]) -> list[dict[str, dict[str, float]]]:
+    """Per side and workload, `Side.count`'s counts, with the median of its
+    seconds outside `_step` over `COUNT_RUNS` trainings. The sides train each
+    workload in turns, the side that goes first alternating, after one
+    warm-up training per side, which is discarded."""
+    out: list[dict[str, dict[str, float]]] = [{}, {}]
+    for name in names:
+        runs: list[list[dict[str, float]]] = [[], []]
+        for r in range(1 + COUNT_RUNS):
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                runs[i].append(sides[i].count(name))
+        for i, (_, *kept) in enumerate(runs):
+            out[i][name] = {**kept[0], "outside_step_s": statistics.median(
+                run["outside_step_s"] for run in kept)}
+    return out
 
 
 def main() -> None:
@@ -170,7 +183,7 @@ def main() -> None:
              Side(tree_b, "_ab_tree_b", args.workloads))
     names = list(sides[0].workloads)
 
-    counts = [{name: side.counts(name) for name in names} for side in sides]
+    counted = counts(sides, names)
     times: dict[str, list[list[float]]] = {name: [[], []] for name in names}
     for r in range(args.rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
@@ -191,7 +204,7 @@ def main() -> None:
         ratios = [tb / ta for ta, tb in zip(a, b)]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
         wins = sum(tb < ta for ta, tb in zip(a, b))
-        ca, cb = counts[0][name], counts[1][name]
+        ca, cb = counted[0][name], counted[1][name]
         summary[name] = dict(a_s=a, b_s=b, median_ratio=median,
                              ratio_quartiles=[q1, q3], wins=wins, counts_a=ca, counts_b=cb)
         cells = (f"{q1:.3f}-{q3:.3f}", f"{wins}/{args.rounds}",
