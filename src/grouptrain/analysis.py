@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, GroupId, require_binary_groups
+from .data import Dataset, GroupId, _rng, require_binary_groups
 from .errors import AnalysisWarning, InputError
 from .models import Model, forward_batch, loss_values, predict
 
@@ -85,6 +85,8 @@ class ErrorSet:
         idx = np.unique(np.asarray(self.indices, dtype=np.int64).ravel())
         if len(idx) and idx[0] < 0:
             raise InputError("error-set indices must be non-negative")
+        if self.source_epoch < -1:
+            raise InputError(f"error-set source_epoch must be >= -1; got {self.source_epoch}")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -282,7 +284,7 @@ def replace_error_set(error_set: ErrorSet, train: Dataset, mode: str, *,
 
     if seed is None:
         raise InputError(f"{mode} needs a seed")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = _rng(seed)
     if mode == REPLACE_RANDOM:
         return ErrorSet(rng.choice(len(train), size=len(idx), replace=False), source_epoch)
 

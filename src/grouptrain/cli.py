@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analysis import (ErrorSet, enrichment_table, error_set_stats, evaluate_groups,
+from .analysis import (_check_in_range, enrichment_table, error_set_stats, evaluate_groups,
                        loss_snapshots, replace_error_set, track_cvar_composition)
 from .config import ParsedConfig, parse_config
 from .data import Dataset, GroupId, generate_synthetic, load_csv, save_csv, save_twin
@@ -318,15 +318,6 @@ class _Report:
                                  f"{recorded}, but {source} has {found}")
 
 
-def _read_error_set(path: Path, train_ds: Dataset) -> ErrorSet:
-    """A run's error set, checked to index rows of `train_ds`."""
-    error_set = read_error_set_csv(path)
-    if len(error_set) and error_set.indices[-1] >= len(train_ds):
-        raise InputError(f"{path}: index {error_set.indices[-1]} is past the training "
-                         f"set's {len(train_ds)} rows")
-    return error_set
-
-
 def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     out.config["analyze"] = spec = parsed.require("analyze")
     run_dir = Path(spec.run)
@@ -352,7 +343,8 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
                      "analyzed_algorithm": run_report.get("effective_config.train.algorithm")}
     error_set_file = run_dir / "error_set.csv"
     if error_set_file.exists():
-        error_set = _read_error_set(error_set_file, train_ds)
+        error_set = read_error_set_csv(error_set_file)
+        _check_in_range(error_set, train_ds, str(error_set_file))
         rows = enrichment_table(error_set, train_ds)
         write_enrichment_csv(out.output("enrichment", "enrichment.csv"), rows)
         stats = error_set_stats(error_set, train_ds, worst)
@@ -409,7 +401,8 @@ def _cmd_ablate(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
     run_report.check_splits({split: fingerprint(ds) for split, ds in splits.items()},
                             f"--data {args.data}")
     train_ds, val_ds, test_ds = splits["train"], splits["val"], splits["test"]
-    original_set = _read_error_set(error_set_file, train_ds)
+    original_set = read_error_set_csv(error_set_file)
+    _check_in_range(original_set, train_ds, str(error_set_file))
     modified_set = replace_error_set(original_set, train_ds, spec.mode,
                                      group=spec.group, seed=spec.seed)
     result = train_upweighted(train_ds, val_ds, cfg, modified_set)

@@ -3,7 +3,8 @@ group-annotation management and validation subsampling.
 
 All randomness flows through numpy's PCG64 generator seeded from explicit
 integers, so every dataset is reproducible bit-for-bit for a given
-(spec, seed) on any platform running the same numpy version.
+(spec, seed) on any platform running the same numpy version. `_rng` is the
+package's one seeded-generator helper; `analysis` and `trainers` use it too.
 
 CSV tables (datasets, and the CVaR loss snapshots `reports` reads) go
 through one reader, `read_columns`: a plain file in one NumPy pass, any
@@ -51,17 +52,22 @@ class GroupId(NamedTuple):
 
 
 def _integer_column(values, column: str) -> np.ndarray:
-    """`values` as a fresh flat int64 array. An integer array converts as it
-    is; other values must be integers within int64's range, else an
-    InputError names the column, the index and the value."""
+    """`values`, a 1-D array or one column, as a fresh flat int64 array of
+    non-negative integers; an integer array converts as it is. An InputError
+    names the column, and the shape or the first bad index and value."""
     array = np.asarray(values)
+    if not (array.ndim == 1 or array.ndim == 2 and array.shape[1] == 1):
+        raise InputError(f"{column} must be one column; got an array of shape {array.shape}")
     if array.dtype.kind not in "biu":
         array = np.asarray(array, dtype=np.float64).ravel()
         bad = ~(np.abs(array) < 2.0 ** 63) | (array != np.trunc(array))  # NaN is bad too
         if bad.any():
             i = int(bad.argmax())
             raise InputError(f"{column} must be integers; {column}[{i}] is {float(array[i])!r}")
-    return np.array(array, dtype=np.int64, copy=True).ravel()
+    array = np.array(array, dtype=np.int64, copy=True).ravel()
+    if array.min(initial=0) < 0:
+        raise InputError(f"{column} must be non-negative integers")
+    return array
 
 
 class Dataset:
@@ -85,15 +91,11 @@ class Dataset:
                              f"{float(f[row, col])!r}")
         if len(y) != f.shape[0]:
             raise InputError("labels length must match the number of rows")
-        if len(y) and y.min() < 0:
-            raise InputError("labels must be non-negative integers")
         a = None
         if attributes is not None:
             a = _integer_column(attributes, "attributes")
             if len(a) != len(y):
                 raise InputError("attributes length must match the number of rows")
-            if len(a) and a.min() < 0:
-                raise InputError("attributes must be non-negative integers")
             a.setflags(write=False)
         f.setflags(write=False)
         y.setflags(write=False)
@@ -204,16 +206,17 @@ class SyntheticSpec:
             raise InputError("noise_sigma must be positive")
         object.__setattr__(self, "label_balance", balance)
 
-    @property
-    def n_features(self) -> int:
-        return 2 + self.noise_dims
-
 
 _GROUP_ORDER = (GroupId(0, 0), GroupId(0, 1), GroupId(1, 0), GroupId(1, 1))
 
 
-def _split_rng(seed: int, split: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(split,))))
+def _seedseq(seed: int, *stream: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=stream)
+
+
+def _rng(seed: int, *stream: int) -> np.random.Generator:
+    """The PCG64 generator of `seed`'s named stream (no stream: the seed's own)."""
+    return np.random.Generator(np.random.PCG64(_seedseq(seed, *stream)))
 
 
 def _features_for(rng, labels, attrs, spec: SyntheticSpec) -> np.ndarray:
@@ -249,13 +252,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[Dataset, Dataset
     carry group annotations; trainers other than the group-aware ones are
     handed stripped views downstream.
     """
-    rng = _split_rng(seed, 0)
+    rng = _rng(seed, 0)
     labels = rng.choice(2, size=spec.n_train, p=list(spec.label_balance)).astype(np.int64)
     majority = rng.random(spec.n_train) < spec.majority_fraction
     attrs = np.where(majority, labels, 1 - labels).astype(np.int64)
     train = Dataset(_features_for(rng, labels, attrs, spec), labels, attrs, "synthetic-train")
-    val = _balanced_split(_split_rng(seed, 1), spec.n_val, spec, "synthetic-val")
-    test = _balanced_split(_split_rng(seed, 2), spec.n_test, spec, "synthetic-test")
+    val = _balanced_split(_rng(seed, 1), spec.n_val, spec, "synthetic-val")
+    test = _balanced_split(_rng(seed, 2), spec.n_test, spec, "synthetic-test")
     return train, val, test
 
 
@@ -289,8 +292,7 @@ def subsample_validation(val: Dataset, fraction: float, seed: int) -> Dataset:
     k = max(1, int(math.floor(fraction * m)))
     if k >= m:
         return val
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    idx = np.sort(rng.choice(m, size=k, replace=False))
+    idx = np.sort(_rng(seed).choice(m, size=k, replace=False))
     out = val.subset(idx, name=f"{val.name}-sub{fraction:g}")
     lost = set(val.group_index()[0]) - set(out.group_index()[0])
     if lost:

@@ -160,6 +160,9 @@ def read_error_set_csv(path) -> ErrorSet:
             if source_epoch is not None or indices:
                 raise IngestionError(f"{path}: line {lineno}: {line!r} must come once, "
                                      f"before the first index")
+            if value < -1:
+                raise IngestionError(f"{path}: line {lineno}: {line!r}: the source epoch "
+                                     f"must be >= -1")
             source_epoch = value
         elif value < 0:
             raise IngestionError(f"{path}: line {lineno}: negative index {value}")

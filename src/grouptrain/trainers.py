@@ -5,8 +5,8 @@ and ground-truth minority upsampling.
 
 Seeding discipline
 ------------------
-A single master seed in TrainConfig fans out to named PCG64 streams via
-``SeedSequence(seed, spawn_key=(stream,))``:
+A single master seed in TrainConfig fans out to named PCG64 streams, each
+made by `data._rng` (or `data._seedseq`) from the seed and its number:
 
 * stream 0: initialization of the main model (the one a run returns),
 * stream 1: per-epoch shuffling of the main training loop,
@@ -62,9 +62,9 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import models
-from .analysis import ErrorSet
+from .analysis import ErrorSet, _check_in_range
 from .analysis import evaluate_groups  # noqa: F401 (bench/layers.py wraps this binding)
-from .data import Dataset, require_binary_groups, strip_group_annotations
+from .data import Dataset, _rng, _seedseq, require_binary_groups, strip_group_annotations
 from .errors import ConfigError, InputError, TrainingWarning
 from .models import (
     PROB_EPS,
@@ -89,14 +89,6 @@ ALGORITHMS = (ERM, JTT, JTT_DYNAMIC, CVAR, LFF, GROUP_DRO, UPSAMPLE_MINORITY)
 WORST_GROUP = "worst-group"
 AVERAGE = "average"
 CRITERIA = (WORST_GROUP, AVERAGE)
-
-
-def _seedseq(seed: int, stream: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=(stream,))
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_seedseq(seed, stream)))
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: unknown value {self.algorithm!r}")
+        # Types first, so that the range checks compare numbers only.
+        for names, types, kind in _FIELD_TYPES:
+            for name in names:
+                if not isinstance(getattr(self, name), types):
+                    raise ConfigError(f"{name}: must be {kind}")
         if self.epochs < 0:
             raise ConfigError("epochs: must be >= 0")
         if self.batch_size < 1:
@@ -161,10 +158,14 @@ class TrainConfig:
                 raise ConfigError("gce_q: required in [0, 1) for the LfF trainer")
         if not self.group_step_size >= 0:
             raise ConfigError("group_step_size: must be >= 0")
-        for name in ("epochs", "batch_size", "seed", "id_epochs", "upweight_factor",
-                     "refresh_every"):
-            if not isinstance(getattr(self, name), (int, np.integer, type(None))):
-                raise ConfigError(f"{name}: must be an integer")
+
+
+_INTEGER, _NUMBER, _NONE = (int, np.integer), (int, float, np.integer, np.floating), (type(None),)
+# TrainConfig's numeric fields: (names, accepted types, what errors call them).
+_FIELD_TYPES = ((("epochs", "batch_size", "seed"), _INTEGER, "an integer"),
+                (("id_epochs", "upweight_factor", "refresh_every"), _INTEGER + _NONE, "an integer"),
+                (("learning_rate", "momentum", "l2", "group_step_size"), _NUMBER, "a number"),
+                (("alpha", "gce_q"), _NUMBER + _NONE, "a number"))
 
 
 class EpochMetrics(NamedTuple):
@@ -547,8 +548,6 @@ def _upsampled_rows(n: int, error_set: ErrorSet, upweight_factor: int) -> np.nda
     set in index order: a factor of 1 or an empty set leaves the n rows. As
     int32 indices (half the memory of int64 for a population's views)."""
     copies = upweight_factor - 1 if len(error_set) else 0
-    if copies and error_set.indices[-1] >= n:
-        raise InputError("error-set index out of range for this dataset")
     return np.concatenate([np.arange(n)] + [error_set.indices] * copies, dtype=np.int32)
 
 
@@ -557,6 +556,7 @@ def build_upsampled(train: Dataset, error_set: ErrorSet, upweight_factor: int) -
     kept only because bench/layers.py wraps the name."""
     if upweight_factor < 1:
         raise InputError("upweight_factor must be >= 1")
+    _check_in_range(error_set, train, "build_upsampled")
     if upweight_factor == 1 or len(error_set) == 0:
         return train
     return train.subset(_upsampled_rows(len(train), error_set, upweight_factor),
@@ -925,4 +925,5 @@ def train_upweighted(train: Dataset, val: Dataset, cfg: TrainConfig,
     """The upweighting stage alone, refreshing as the full run does, `val`
     used as in `train`. Useful directly for error-set manipulation experiments."""
     _require_annotated(val)
+    _check_in_range(error_set, train, "train_upweighted")
     return _scored(_upweighted(train, [cfg], [error_set]), val)[0]

@@ -20,12 +20,10 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .analysis import GroupMetrics, evaluate_groups
 from .data import Dataset, subsample_validation
 from .errors import InputError
-from .trainers import (AVERAGE, CRITERIA, WORST_GROUP, TrainConfig, TrainResult,
+from .trainers import (CRITERIA, WORST_GROUP, TrainConfig, TrainResult,
                        epoch_scores, select_checkpoint, train_population)
 from .trainers import train  # noqa: F401 (bench/hostspeed.py wraps tuning.train at start-up)
 
@@ -78,10 +76,6 @@ class SweepRow:
     by_criterion: dict[str, SelectionMetrics]
 
 
-# Each criterion's validation metric, the one its checkpoint maximizes.
-_VAL_METRIC = {WORST_GROUP: "val_worst_group", AVERAGE: "val_average"}
-
-
 @dataclass(eq=False)
 class SweepResult:
     """One row per grid point, in enumeration order."""
@@ -89,13 +83,16 @@ class SweepResult:
     rows: list[SweepRow]
 
     def best(self, criterion: str) -> int:
-        """The index of the row whose `criterion` validation metric, at its
-        checkpoint for `criterion`, is highest; ties go to the earliest row."""
-        metric = _VAL_METRIC.get(criterion)
-        if metric is None:
+        """The index of the row `select_checkpoint` picks from the rows'
+        validation scores at their `criterion` checkpoints: ties go to the
+        earliest row."""
+        if criterion not in CRITERIA:
             raise InputError(f"unknown criterion {criterion!r}")
-        return int(np.argmax([getattr(row.by_criterion[criterion], metric)
-                              for row in self.rows]))
+        if not self.rows:  # select_checkpoint's -1 would index the last row
+            raise InputError("a sweep without rows has no best row")
+        picks = [row.by_criterion[criterion] for row in self.rows]
+        return select_checkpoint([(m.val_worst_group, m.val_average) for m in picks],
+                                 criterion)[0]
 
 
 def _train_grid(grid: Grid, train_data: Dataset,

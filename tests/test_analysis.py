@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,30 @@ OUT_OF_RANGE = r"error-set index 7 is out of range for dataset 'grouped' of 4 ro
 
 def four_rows() -> Dataset:
     return grouped_dataset({GroupId(0, 0): 2, GroupId(1, 1): 2})
+
+
+def unannotated() -> Dataset:
+    return gt.strip_group_annotations(four_rows())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: group_metrics(np.zeros(3, np.int64), four_rows()),
+     "one prediction per example required"),
+    (lambda: error_set_stats(ErrorSet([1]), unannotated(), GroupId(0, 0)),
+     "error_set_stats needs a group-annotated training set"),
+    (lambda: enrichment_table(ErrorSet([1]), unannotated()),
+     "enrichment_table needs a group-annotated training set"),
+    (lambda: track_cvar_composition([np.zeros(4)], 0.5, unannotated(), GroupId(0, 0)),
+     "track_cvar_composition needs a group-annotated training set"),
+    (lambda: replace_error_set(ErrorSet([1]), unannotated(), "replace-random", seed=0),
+     "replace_error_set needs a group-annotated training set"),
+    (lambda: top_loss_indices(np.zeros(4), 1.5), "alpha must lie in (0, 1]"),
+    (lambda: top_loss_indices(np.zeros(4), 0.0), "alpha must lie in (0, 1]"),
+], ids=["prediction-count", "stats-unannotated", "enrichment-unannotated",
+        "composition-unannotated", "replace-unannotated", "alpha-above-one", "alpha-zero"])
+def test_bad_inputs_are_named(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 FOUR_GROUPS = {GroupId(0, 0): 1000, GroupId(0, 1): 1000,

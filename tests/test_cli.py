@@ -269,7 +269,7 @@ class TestSweepAnalyzeAblateStudy:
 
     @pytest.mark.parametrize("change, reason", [
         ({"alpha": "0.25"}, "'effective_config.train' is not a valid TrainConfig: "
-                            "'<' not supported between instances of 'float' and 'str'"),
+                            "alpha: must be a number"),
         ({"algorithm": "erm"}, "loss snapshots need a cvar run, not 'erm'"),
     ], ids=["string-alpha", "not-cvar"])
     def test_analyze_names_the_report_whose_cvar_config_it_cannot_read(
@@ -374,7 +374,7 @@ class TestSweepAnalyzeAblateStudy:
 
     @pytest.mark.parametrize("change, reason", [
         ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
-        ({"epochs": "5"}, "'<' not supported between instances of 'str' and 'int'"),
+        ({"epochs": "5"}, "epochs: must be an integer"),
         ({"epochs": -1}, "epochs: must be >= 0"),
     ], ids=["unknown-key", "wrong-type", "out-of-range"])
     def test_ablate_names_the_report_whose_train_config_it_cannot_build(
@@ -538,7 +538,8 @@ class TestSweepAnalyzeAblateStudy:
         path = run_dir / "error_set.csv"
         n_train = len(load_csv(workspace / "data" / "train.csv"))
         assert (err["type"], err["message"]) == (
-            ("InputError", f"{path}: index {index} is past the training set's {n_train} rows")
+            ("InputError", f"{path}: error-set index {index} is out of range for dataset "
+                           f"'data/train' of {n_train} rows")
             if index > 0 else
             ("IngestionError", f"{path}: line {len(lines)}: negative index {index}"))
         assert not (tmp_path / "out").exists()
@@ -1047,6 +1048,14 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(IngestionError, match=rf"e\.csv: line {lineno}: '# source_epoch=\d' "
                                                  rf"must come once, before the first index$"):
+            read_error_set_csv(path)
+
+    def test_error_set_source_epoch_below_minus_one_names_file_and_line(self, tmp_path):
+        # -1 (not from a model) is the only value below an epoch count.
+        path = tmp_path / "e.csv"
+        path.write_text("index\n# source_epoch=-7\n3\n")
+        with pytest.raises(IngestionError, match=r"e\.csv: line 2: '# source_epoch=-7': the "
+                                                 r"source epoch must be >= -1$"):
             read_error_set_csv(path)
 
     def test_loss_snapshots_round_trip_bit_for_bit(self, tmp_path):

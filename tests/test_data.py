@@ -708,6 +708,29 @@ class TestDataset:
         assert ds.labels.dtype == ds.attributes.dtype == np.int64
         assert ds.labels.tolist() == [0, 1] and ds.attributes.tolist() == [2, 0]
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Dataset(np.zeros((4, 1)), [[0, 1], [1, 0]]),
+         "labels must be one column; got an array of shape (2, 2)"),
+        (lambda: Dataset(np.zeros((2, 1)), [0, 1], np.zeros((2, 1, 1))),
+         "attributes must be one column; got an array of shape (2, 1, 1)"),
+        (lambda: Dataset(np.zeros((1, 1)), 0), "labels must be one column; got an array of shape ()"),
+        (lambda: Dataset(np.zeros(2), [0, 1]), "features must be a 2-D array"),
+        (lambda: Dataset(np.zeros((2, 1)), [0, 1], [1, -1]),
+         "attributes must be non-negative integers"),
+        (lambda: Dataset(np.zeros((2, 1)), [0, 1], None, "plain").group_index(),
+         "dataset 'plain' has no group annotations"),
+        (lambda: spec(noise_dims=-1), "noise_dims must be >= 0"),
+    ], ids=["2-d-labels", "3-d-attributes", "0-d-labels", "1-d-features",
+            "negative-attribute", "unannotated-group-index", "negative-noise-dims"])
+    def test_bad_inputs_are_named(self, call, message):
+        # Labels and attributes of any shape used to be raveled.
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_one_column_labels_and_attributes_load(self):
+        ds = Dataset(np.zeros((2, 1)), [[1], [0]], np.array([[2], [3]]))
+        assert ds.labels.tolist() == [1, 0] and ds.attributes.tolist() == [2, 3]
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))

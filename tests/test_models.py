@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,25 @@ class TestInit:
         model = init_model(LOGISTIC, 0)
         with pytest.raises(ValueError):
             model.params[0] = 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Architecture(0, (), 2), "architecture needs input_dim >= 1 and n_classes >= 2"),
+    (lambda: Architecture(3, (), 1), "architecture needs input_dim >= 1 and n_classes >= 2"),
+    (lambda: Architecture(3, (4, 0), 2), "hidden widths must be positive"),
+    (lambda: OptimizerState(0.1), "velocity must be provided (zeros for a fresh state)"),
+    (lambda: loss_values(np.full((2, 2), 0.5), np.array([[0], [1]])),
+     "labels must be one integer per probability row"),
+    (lambda: grad(zero_model(), np.ones((2, 3)), np.array([0, 1]), np.ones(1)),
+     "features, labels and weights must have equal length"),
+    (lambda: sgd_step(zero_model(), np.zeros(LOGISTIC.n_params),
+                      OptimizerState(0.1, 0.9, 0.0, np.zeros(2))),
+     "velocity length does not match parameter count"),
+], ids=["input-width", "class-count", "zero-width", "no-velocity", "label-shape",
+        "unequal-lengths", "velocity-length"])
+def test_bad_inputs_are_named(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_predict_ties_break_low():

@@ -22,6 +22,7 @@ from grouptrain.trainers import (
     TrainConfig,
     _seedseq,
     _upsampled_rows,
+    build_upsampled,
     compute_error_set,
     cvar_batch_weights,
     epoch_scores,
@@ -205,6 +206,15 @@ class TestErrorSet:
     def test_one_class_behind_every_export(self):
         assert ErrorSet is gt.ErrorSet is gt.analysis.ErrorSet
 
+    @pytest.mark.parametrize("indices, source_epoch, message", [
+        ([4, -2], 0, "error-set indices must be non-negative"),
+        ([3], -7, "error-set source_epoch must be >= -1; got -7"),
+    ], ids=["negative-index", "epoch-below-minus-one"])
+    def test_bad_values_rejected(self, indices, source_epoch, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ErrorSet(indices, source_epoch)
+        assert ErrorSet([3], -1).source_epoch == -1
+
     def test_perfect_model_gives_empty_set(self, toy_separable):
         train, val = toy_separable
         result = gt.train(train, val, cfg(epochs=200, learning_rate=0.5, l2=0.0))
@@ -249,10 +259,6 @@ class TestBuildUpsampled:
         rows = _upsampled_rows(len(five), ErrorSet(np.arange(5)), 2)
         assert len(rows) == 10
         assert np.array_equal(five.features[rows], np.vstack([five.features, five.features]))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            _upsampled_rows(5, ErrorSet(np.array([7])), 2)
 
 
 class TestTrainErm:
@@ -459,6 +465,19 @@ class TestJtt:
             stage2 = train_upweighted(train, val, c, full.aux["error_set"])
             assert np.array_equal(full.model.params, stage2.model.params)
             assert stage2.aux["refresh_epochs"] == full.aux["refresh_epochs"]
+
+    @pytest.mark.parametrize("factor", [1, 3])
+    def test_out_of_range_rejected(self, reference_bench, factor):
+        # The bound holds where an error set enters, whether or not its rows
+        # are ever copied.
+        train, val, _ = reference_bench
+        bad = ErrorSet([99999])
+        message = (f"error-set index 99999 is out of range for dataset {train.name!r} "
+                   f"of {len(train)} rows")
+        with pytest.raises(InputError, match=re.escape(f"train_upweighted: {message}")):
+            train_upweighted(train, val, cfg("jtt", id_epochs=1, upweight_factor=factor), bad)
+        with pytest.raises(InputError, match=re.escape(f"build_upsampled: {message}")):
+            build_upsampled(train, bad, factor)
 
 
 def shared_identification_grid():
@@ -843,6 +862,21 @@ class TestConfigValidation:
             cfg("jtt", **{"id_epochs": 1, "upweight_factor": 2, key: 1.5})
         assert getattr(cfg("jtt", **{"id_epochs": 1, "upweight_factor": 2, key: np.int64(2)}),
                        key) == 2
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"epochs": "3"}, "epochs: must be an integer"),
+        ({"seed": None}, "seed: must be an integer"),
+        ({"learning_rate": "0.1"}, "learning_rate: must be a number"),
+        ({"momentum": None}, "momentum: must be a number"),
+        ({"algorithm": "cvar", "alpha": "x"}, "alpha: must be a number"),
+        ({"hidden": (4, 0)}, "hidden: widths must be positive"),
+    ], ids=["string-epochs", "no-seed", "string-learning-rate", "no-momentum",
+            "string-alpha", "zero-width"])
+    def test_bad_fields_are_named(self, changes, message):
+        # Types are checked before ranges: a string used to reach a `<`
+        # and raise a bare TypeError.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cfg(**changes)
 
 
 def test_error_set_on_reference_benchmark_is_minority_enriched(reference_bench):

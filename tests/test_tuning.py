@@ -68,6 +68,12 @@ class TestGridSweep:
         assert sweep.best(WORST_GROUP) == 1
         assert sweep.best(AVERAGE) == 0
 
+    def test_best_rejects_an_unknown_criterion_and_no_rows(self):
+        with pytest.raises(InputError, match="^unknown criterion 'median'$"):
+            tuning.SweepResult([]).best("median")
+        with pytest.raises(InputError, match="^a sweep without rows has no best row$"):
+            tuning.SweepResult([]).best(WORST_GROUP)
+
     def test_selected_epoch_matches_early_stop(self, small_bench):
         train, val, test = small_bench
         sweep = grid_sweep(Grid(base_cfg(epochs=6), {}), train, val, test)
