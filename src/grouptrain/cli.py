@@ -356,11 +356,14 @@ def _cmd_analyze(parsed: ParsedConfig, args, out: _OutputDir) -> dict:
         ]
     snapshots_file = run_dir / "cvar_losses.csv"
     if snapshots_file.exists():
-        snapshots = read_loss_snapshots_csv(snapshots_file)
         cfg = run_report.build(TrainConfig, "effective_config.train")
         if cfg.algorithm != CVAR:
             raise InputError(f"{run_report.path}: loss snapshots need a cvar run, "
                              f"not {cfg.algorithm!r}")
+        if cfg.epochs == 0:  # its file holds only a header
+            raise InputError(f"{snapshots_file}: the run trained 0 epochs, so it has no "
+                             "loss snapshots to analyze")
+        snapshots = read_loss_snapshots_csv(snapshots_file)
         if len(snapshots) != cfg.epochs:
             raise InputError(f"{snapshots_file}: {len(snapshots)} loss snapshots, but the run "
                              f"trained {cfg.epochs} epochs")

@@ -7,19 +7,19 @@ integers, so every dataset is reproducible bit-for-bit for a given
 package's one seeded-generator helper; `analysis` and `trainers` use it too.
 
 CSV tables (datasets, and the CVaR loss snapshots `reports` reads) go
-through one reader, `read_columns`: a plain file in one NumPy pass, any
-file with quoted cells, text columns, blank lines or lone carriage returns
-through the per-row reader, with the same values and errors either way.
-A column's `ColumnKind` says how its cells read and what a bad one's error
-says; a table's float columns share one kind, and must be finite.
+through one reader, `read_columns`, which reads the file row by row with
+Python's csv module. A column's `ColumnKind` says how its cells read and
+what a bad one's error says; a table's float columns share one kind, and
+must be finite.
 
 A dataset CSV may have an array twin beside it, `<stem>.npy` (`save_twin`;
 `generate` writes one per split). `load_csv` takes the twin's arrays only
 when their canonical CSV text is the CSV file's bytes, compared block by
 block; its sha256 is then the dataset's cached fingerprint: the file parses
 to those arrays bit for bit.
-A file without a valid twin (absent, unreadable, of another shape or dtype,
-or stale) is read as CSV, with the same values and errors as ever.
+The twin is the one fast path: a file without a valid twin (absent,
+unreadable, of another shape or dtype, or stale) is read as CSV, with the
+same values and errors, at about four times a twin load's cost.
 
 CSV output (`csv_rows`, and through it `save_csv` and the fingerprints) is
 Python's `%d` / `%.17g` text of every cell, made in NumPy blocks:
@@ -644,91 +644,33 @@ def read_columns(path: Path, header: list[str], ints: list[tuple[str, ColumnKind
                  floats: list[str], kind: ColumnKind) -> tuple[list[np.ndarray], np.ndarray]:
     """The data rows' integer columns `ints`, (name, kind) pairs, one array
     each, and the float columns named `floats`, all of kind `kind`, as one
-    2-D array. `header` names the file's columns; a name stands for its
+    2-D array, read row by row with Python's csv module, each cell by its
+    column's kind. `header` names the file's columns; a name stands for its
     first. An IngestionError names the path, row and column of the first bad
     cell: row by row, a cell count other than the header's or a cell its kind
     does not read (integers first); then no data rows; then a non-finite float."""
     first = dict(zip(reversed(header), range(len(header) - 1, -1, -1)))  # name: first column
-    cols = [first[name] for name, _ in ints] + [first[name] for name in floats]
-    int_values, values = (_read_plain(path, len(header), cols, len(ints))
-                          or _read_rows(path, len(header), ints, floats, kind, cols))
+    columns = [(name, cell_kind, first[name]) for name, cell_kind in ints]
+    columns += [(name, kind, first[name]) for name in floats]
+    rows = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        for rownum, row in enumerate(itertools.islice(csv.reader(fh), 1, None), start=1):
+            if len(row) != len(header):
+                raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, "
+                                     f"expected {len(header)}")
+            cells = []
+            for name, cell_kind, c in columns:
+                try:
+                    cells.append(cell_kind.parse(row[c]))
+                except ValueError:
+                    raise IngestionError(f"{path}: row {rownum}, column {name!r}: "
+                                         f"{cell_kind.bad} {row[c]!r}") from None
+            rows.append(cells)
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    values = np.asarray([r[len(ints):] for r in rows])
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]
         raise IngestionError(f"{path}: row {row + 1}, column {floats[col]!r}: "
                              f"{kind.nonfinite} {float(values[row, col])!r}")
-    return int_values, values
-
-
-def _read_plain(path: Path, width: int, cols: list[int], n_int: int):
-    """`_read_rows`' result in one NumPy pass, or None where that reader must
-    decide: a file that is not plain (quotes, lone carriage returns, blank
-    lines, ragged rows, no data rows, a cell NumPy does not read as Python
-    does), or a negative integer (the per-row reader rejects it)."""
-    lines = _plain_line_count(path)
-    if lines is None:
-        return None
-    dtypes = [np.float64] * width
-    for c in cols[:n_int]:
-        dtypes[c] = np.int64
-    fields = [(f"c{i}", t, (len(list(run)),))  # a field per dtype run: fast for wide files
-              for i, (t, run) in enumerate(itertools.groupby(dtypes))]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # NumPy warns of a file without data rows
-            table = np.loadtxt(path, dtype=fields, delimiter=",", comments=None,
-                               quotechar=None, skiprows=1, ndmin=1, encoding="utf-8")
-    except (ValueError, Warning):
-        return None
-    cells = table.view(np.int64).reshape(len(table), width)
-    ints = [cells[:, c] for c in cols[:n_int]]
-    # NumPy skips blank lines
-    if len(table) != lines - 1 or any(col.min() < 0 for col in ints):
-        return None
-    return ints, cells.take(cols[n_int:], axis=1).view(np.float64)
-
-
-def _read_rows(path: Path, width: int, ints: list[tuple[str, ColumnKind]], floats: list[str],
-               kind: ColumnKind, cols: list[int]):
-    """The per-row reader: each column's kind reads its cell, in order."""
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for rownum, row in enumerate(itertools.islice(csv.reader(fh), 1, None), start=1):
-            if len(row) != width:
-                raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {width}")
-            values = []
-            columns = itertools.chain(ints, zip(floats, itertools.repeat(kind)))
-            for (name, cell_kind), c in zip(columns, cols):
-                try:
-                    values.append(cell_kind.parse(row[c]))
-                except ValueError:
-                    raise IngestionError(f"{path}: row {rownum}, column {name!r}: "
-                                         f"{cell_kind.bad} {row[c]!r}") from None
-            rows.append(values)
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    return ([np.asarray([r[j] for r in rows]) for j in range(len(ints))],
-            np.asarray([r[len(ints):] for r in rows]))
-
-
-def _plain_line_count(path: Path) -> int | None:
-    """The number of lines in the file, or None if it holds a quote or a
-    carriage return that does not end a CRLF line."""
-    lines, last = 0, b"\n"
-    with path.open("rb") as fh:
-        while chunk := fh.read(1 << 16):
-            if chunk.endswith(b"\r"):
-                chunk += fh.read(1)
-            if b'"' in chunk:
-                return None
-            # bytes.count of one byte is ~6x slower than these compares
-            byte = np.frombuffer(chunk, np.uint8)
-            newline = byte == ord("\n")
-            if b"\r" in chunk:
-                cr = byte == ord("\r")
-                # True > False marks a \r whose next byte is not \n; a chunk's
-                # last \r has none (it ends the file, or follows a lone \r)
-                if cr[-1] or (cr[:-1] > newline[1:]).any():
-                    return None
-            lines += int(np.count_nonzero(newline))
-            last = chunk[-1:]
-    return lines + (last != b"\n")
+    return [np.asarray([r[j] for r in rows]) for j in range(len(ints))], values

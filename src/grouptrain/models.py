@@ -36,6 +36,18 @@ def _adopt(cls, **fields):
     return obj
 
 
+def hidden_widths(hidden, error: type[ValueError] = InputError) -> tuple[int, ...]:
+    """`hidden`, a tuple or list of positive integer widths, as a tuple of
+    ints; `error` says what is wrong with it."""
+    # bool is an int, but True is no width
+    if not (isinstance(hidden, (tuple, list)) and all(
+            isinstance(h, (int, np.integer)) and not isinstance(h, bool) for h in hidden)):
+        raise error("hidden: widths must be integers")
+    if any(h < 1 for h in hidden):
+        raise error("hidden: widths must be positive")
+    return tuple(int(h) for h in hidden)
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Shape descriptor: input width, tanh hidden widths (may be empty),
@@ -48,12 +60,7 @@ class Architecture:
     def __post_init__(self):
         if self.input_dim < 1 or self.n_classes < 2:
             raise InputError("architecture needs input_dim >= 1 and n_classes >= 2")
-        if not (isinstance(self.hidden, (tuple, list))
-                and all(isinstance(h, (int, np.integer)) for h in self.hidden)):
-            raise InputError("hidden: widths must be integers")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if any(h < 1 for h in self.hidden):
-            raise InputError("hidden widths must be positive")
+        object.__setattr__(self, "hidden", hidden_widths(self.hidden))
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) per layer, input to output."""

@@ -121,7 +121,8 @@ class TrainConfig:
         # Types first, so that the range checks compare numbers only.
         for names, types, kind in _FIELD_TYPES:
             for name in names:
-                if not isinstance(getattr(self, name), types):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, types):
                     raise ConfigError(f"{name}: must be {kind}")
         if self.epochs < 0:
             raise ConfigError("epochs: must be >= 0")
@@ -136,12 +137,7 @@ class TrainConfig:
             raise ConfigError("momentum: must lie in [0, 1)")
         if not self.l2 >= 0:
             raise ConfigError("l2: must be >= 0")
-        if not (isinstance(self.hidden, (tuple, list))
-                and all(isinstance(h, (int, np.integer)) for h in self.hidden)):
-            raise ConfigError("hidden: widths must be integers")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if any(h < 1 for h in self.hidden):
-            raise ConfigError("hidden: widths must be positive")
+        object.__setattr__(self, "hidden", models.hidden_widths(self.hidden, ConfigError))
         if self.algorithm in (JTT, JTT_DYNAMIC):
             if self.id_epochs is None or self.id_epochs < 0:
                 raise ConfigError("id_epochs: required (>= 0) for the two-stage algorithms")

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import grouptrain.cli as cli
+import grouptrain.data as data
 import grouptrain.trainers as trainers
 import grouptrain.tuning as tuning
 
@@ -79,3 +80,20 @@ def test_ab_timer_runs_and_counts_the_lone_erm_steps():
     # Steps, model rows, epoch orders and batch rows gathered (10 epochs
     # of 3000 rows).
     assert row.split()[-5:-1] == ["470/470", "470/470", "10/10", "30000/30000"]
+
+
+def test_bench_traffic_sees_the_twins_replace_the_csv_reader():
+    # Every workload loads its splits from their array twins, so the CSV
+    # reader runs on no benchmark workload, while the training loop does.
+    done = subprocess.run([sys.executable, str(_ROOT / "tools" / "bench_traffic.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    not_entered, module = {}, None
+    for line in done.stdout.splitlines():
+        if not line.startswith(" "):
+            module = line.split(":")[0]
+        elif line.startswith("  not entered  "):
+            not_entered.setdefault(module, set()).add(line.split()[-1])
+    assert callable(data.read_columns) and callable(trainers._steps)
+    assert "read_columns" in not_entered["data"]
+    assert "_steps" not in not_entered["trainers"]

@@ -264,7 +264,8 @@ class TestSweepAnalyzeAblateStudy:
         assert run(["analyze", "--config", tmp_path / "an.ini", "--out",
                     tmp_path / "an", "--data", workspace / "data"]) == 2
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err["message"] == f"{tmp_path / 'cvar' / 'cvar_losses.csv'}: no data rows"
+        assert err["message"] == (f"{tmp_path / 'cvar' / 'cvar_losses.csv'}: the run trained "
+                                  "0 epochs, so it has no loss snapshots to analyze")
         assert not (tmp_path / "an").exists()
 
     @pytest.mark.parametrize("change, reason", [
@@ -375,8 +376,9 @@ class TestSweepAnalyzeAblateStudy:
     @pytest.mark.parametrize("change, reason", [
         ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
         ({"epochs": "5"}, "epochs: must be an integer"),
+        ({"epochs": True}, "epochs: must be an integer"),
         ({"epochs": -1}, "epochs: must be >= 0"),
-    ], ids=["unknown-key", "wrong-type", "out-of-range"])
+    ], ids=["unknown-key", "wrong-type", "boolean", "out-of-range"])
     def test_ablate_names_the_report_whose_train_config_it_cannot_build(
             self, workspace, tmp_path, capsys, change, reason):
         report = json.loads((workspace / "jtt" / "report.json").read_text())

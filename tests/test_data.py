@@ -125,11 +125,11 @@ class TestGenerate:
 
 class TestCsv:
     def test_roundtrip_is_identity(self, tmp_path, small_bench):
-        train, _, _ = small_bench
-        path = tmp_path / "train.csv"
-        save_csv(train, path)
-        again = load_csv(path, name=train.name)
-        assert again == train
+        for ds in small_bench:
+            path = tmp_path / "split.csv"
+            save_csv(ds, path)
+            again = load_csv(path, name=ds.name)
+            assert again == ds
 
     @given(ds=extreme_datasets())
     @example(ds=Dataset(np.array([[5e-324, -0.0, 1.7976931348623157e308,
@@ -198,8 +198,8 @@ _COLUMNS = ["attribute", "f0", "f1", " f2", "name", '"f1"']
 
 @st.composite
 def csv_texts(draw):
-    """Dataset CSV text, plain (every cell a number NumPy reads as Python
-    does, one line end throughout) or malformed in the ways files go wrong:
+    """Dataset CSV text, plain (every cell a number, one line end
+    throughout) or malformed in the ways files go wrong:
     rare cells, quotes, ragged rows, blank lines, mixed line ends, a BOM, a
     missing label column or a duplicated f0."""
     noisy = draw(st.booleans())
@@ -242,11 +242,7 @@ def _outcome(read, path):
     return ds.name, ds.labels.tolist(), attrs, ds.features.shape, ds.features.view(np.int64).tolist()
 
 
-def _no_fallback(path):
-    raise AssertionError(f"{path} went to the per-row reader")
-
-
-class TestCsvOnePass:
+class TestCsvReader:
     @given(text=csv_texts())
     @example(text="label,f0\n1,0.5\n\n0,1.5\n")
     @example(text="label,f0\n1,0.5\n  \n")
@@ -281,54 +277,13 @@ class TestCsvOnePass:
         assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
         assert again == ds
 
-    def test_small_bench_takes_the_one_pass(self, tmp_path, small_bench, monkeypatch):
-        monkeypatch.setattr(data_module, "_read_rows", _no_fallback)
-        for ds in small_bench:
-            save_csv(ds, tmp_path / "split.csv")
-            assert load_csv(tmp_path / "split.csv", name=ds.name) == ds
-
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     @pytest.mark.parametrize("final", [True, False])
-    def test_line_ends_take_the_one_pass(self, tmp_path, small_bench, monkeypatch, end, final):
-        monkeypatch.setattr(data_module, "_read_rows", _no_fallback)
+    def test_line_ends_round_trip(self, tmp_path, small_bench, end, final):
         _, val, _ = small_bench
         text = b"".join(dataset_csv_blocks(val)).decode().replace("\n", end)
         (tmp_path / "val.csv").write_bytes((text if final else text[:-len(end)]).encode())
         assert load_csv(tmp_path / "val.csv", name=val.name) == val
-
-    @pytest.mark.parametrize("data, lines", [
-        (b"", 0), (b"a\r\nb", 2), (b"a\r\nb\r\n", 2), (b"a\nb\n", 2), (b"a\r\r\n", None),
-        (b"a\rb\n", None), (b"a\r", None), (b'a\n"b"\n', None),
-        # Chunk edges: 65536 bytes a chunk.
-        (b"x" * 65535 + b"\r\nb\r\n", 2), (b"x" * 65535 + b"\rb\r\n", None),
-        (b"x" * 65535 + b"\r", None), (b"x" * 65534 + b"\r\n\r\n", 2),
-        (b"x\r\n" * 30000, 30000)])
-    def test_plain_line_count(self, tmp_path, data, lines):
-        (tmp_path / "t.csv").write_bytes(data)
-        assert data_module._plain_line_count(tmp_path / "t.csv") == lines
-
-    @pytest.mark.parametrize("cr_end", ["\r\n", "\r", "\r\r\n"])
-    @pytest.mark.parametrize("final", [True, False])
-    def test_carriage_return_at_a_chunk_edge(self, tmp_path, cr_end, final):
-        # The \r at file offset 65535, the last byte of the first chunk.
-        text = "label,f0\r\n" + "1,0.5\r\n" * 9360
-        text += "1,0." + "5" * (65535 - len(text) - 4) + cr_end
-        text += "0,1.5\r\n" if final else ""
-        assert text.index("\r", 65530) == 65535
-        (tmp_path / "edge.csv").write_bytes(text.encode())
-        assert (_outcome(load_csv, tmp_path / "edge.csv")
-                == _outcome(reference_load_csv, tmp_path / "edge.csv"))
-
-    @given(ds=extreme_datasets())
-    @settings(max_examples=50, deadline=None)
-    def test_extreme_datasets_take_the_one_pass(self, tmp_path_factory, ds):
-        path = tmp_path_factory.getbasetemp() / "extreme-one-pass.csv"
-        save_csv(ds, path)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_module, "_read_rows", _no_fallback)
-            again = load_csv(path, name=ds.name)
-        assert np.array_equal(again.features.view(np.int64), ds.features.view(np.int64))
-        assert again == ds
 
 
 @st.composite
@@ -355,14 +310,14 @@ def _forbidden(name):
 
 
 def _counting_csv_reads(monkeypatch) -> list:
-    """Patches the one-pass CSV reader to record each path it reads."""
-    reads, read_plain = [], data_module._read_plain
+    """Patches the CSV reader to record each path it reads."""
+    reads, read_columns = [], data_module.read_columns
 
     def counting(path, *args):
         reads.append(path)
-        return read_plain(path, *args)
+        return read_columns(path, *args)
 
-    monkeypatch.setattr(data_module, "_read_plain", counting)
+    monkeypatch.setattr(data_module, "read_columns", counting)
     return reads
 
 
@@ -469,8 +424,7 @@ class TestArrayTwin:
         _save_with_twin(ds, path)
         assert fingerprint(ds) == want  # save_csv's digest
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_module, "_read_plain", _forbidden("_read_plain"))
-            mp.setattr(data_module, "_read_rows", _forbidden("_read_rows"))
+            mp.setattr(data_module, "read_columns", _forbidden("read_columns"))
             again = load_csv(path, name=ds.name)
             mp.setattr(data_module, "dataset_csv_blocks", _forbidden("dataset_csv_blocks"))
             assert fingerprint(again) == want  # the digest the twin was checked by
@@ -516,8 +470,7 @@ class TestArrayTwin:
         report = read_report(tmp_path / "data" / "report.json")
         made = generate_synthetic(spec(n_train=300, n_val=80, n_test=120, majority_fraction=0.9,
                                        label_balance=(0.75, 0.25), noise_dims=3), 11)
-        monkeypatch.setattr(data_module, "_read_plain", _forbidden("_read_plain"))
-        monkeypatch.setattr(data_module, "_read_rows", _forbidden("_read_rows"))
+        monkeypatch.setattr(data_module, "read_columns", _forbidden("read_columns"))
         for split, ds in zip(("train", "val", "test"), made):
             assert report["outputs"][f"{split}_twin"] == f"{split}.npy"
             loaded = load_csv(tmp_path / "data" / f"{split}.csv", name=ds.name)

@@ -289,7 +289,7 @@ class TestInit:
 @pytest.mark.parametrize("call, message", [
     (lambda: Architecture(0, (), 2), "architecture needs input_dim >= 1 and n_classes >= 2"),
     (lambda: Architecture(3, (), 1), "architecture needs input_dim >= 1 and n_classes >= 2"),
-    (lambda: Architecture(3, (4, 0), 2), "hidden widths must be positive"),
+    (lambda: Architecture(3, (4, 0), 2), "hidden: widths must be positive"),
     (lambda: OptimizerState(0.1), "velocity must be provided (zeros for a fresh state)"),
     (lambda: loss_values(np.full((2, 2), 0.5), np.array([[0], [1]])),
      "labels must be one integer per probability row"),

@@ -816,7 +816,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg("boosting")
 
-    @pytest.mark.parametrize("hidden", [[1.5], [2.0], "12", 5, (4, "3")])
+    @pytest.mark.parametrize("hidden", [[1.5], [2.0], "12", 5, (4, "3"), (True,), [4, False]])
     def test_hidden_widths_take_integers_only(self, hidden):
         with pytest.raises(ConfigError, match="^hidden: widths must be integers$"):
             cfg(hidden=hidden)
@@ -862,6 +862,17 @@ class TestConfigValidation:
             cfg("jtt", **{"id_epochs": 1, "upweight_factor": 2, key: 1.5})
         assert getattr(cfg("jtt", **{"id_epochs": 1, "upweight_factor": 2, key: np.int64(2)}),
                        key) == 2
+
+    @pytest.mark.parametrize("key, kind", [
+        *((key, "an integer") for key in ("epochs", "batch_size", "seed", "id_epochs",
+                                          "upweight_factor", "refresh_every")),
+        *((key, "a number") for key in ("learning_rate", "momentum", "l2", "group_step_size",
+                                        "alpha", "gce_q"))])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_booleans_are_neither_integers_nor_numbers(self, key, kind, flag):
+        # bool is an int, so epochs = true in a report used to train one epoch.
+        with pytest.raises(ConfigError, match=f"^{key}: must be {kind}$"):
+            cfg("jtt", **{"id_epochs": 1, "upweight_factor": 2, key: flag})
 
     @pytest.mark.parametrize("changes, message", [
         ({"epochs": "3"}, "epochs: must be an integer"),
